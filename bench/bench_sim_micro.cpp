@@ -1,8 +1,9 @@
 // Google-benchmark micro suite for the simulation substrate itself:
 // event-queue throughput, histogram recording, token-bucket admission, RNG
-// and zipf draws, and end-to-end simulated-IOPS per wall-second for both
-// device families.  These bound how large an experiment the harness can
-// run, and guard against performance regressions in the hot paths.
+// and zipf draws, the EBS cleaner's victim cycle, and end-to-end
+// simulated-IOPS per wall-second for both device families.  These bound how
+// large an experiment the harness can run, and guard against performance
+// regressions in the hot paths.
 //
 // Unlike the other benches this one is written against Google Benchmark,
 // so the custom main() below bridges `--json <path>` to the shared
@@ -13,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,8 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/token_bucket.h"
+#include "ebs/cleaner.h"
+#include "ebs/segment_store.h"
 #include "essd/essd_device.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
@@ -253,6 +257,74 @@ void BM_EssdSimulatedIops(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20000);
 }
 BENCHMARK(BM_EssdSimulatedIops)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// BM_CleanerPick: one cleaner cycle over a registry of Arg(0) chunk logs
+// (the cluster append path's cleaner rung).  Every log starts as eight
+// full, all-live closed segments.  Each iteration overwrites one page of
+// the next log, so about one segment qualifies, then runs the cleaner
+// until it idles: a pick that finds the victim, the clean, and a pick that
+// finds nothing left.  The registry is rebuilt, untimed, after eight
+// cleans per log, so freed segment slots never pile up and the per-cycle
+// cost depends on the log count alone.  Rows carry items = segments
+// cleaned, so events_per_sec is cleaner cycles per second.
+// ---------------------------------------------------------------------------
+
+struct CleanerRegistry {
+  static constexpr std::uint32_t kPages = 64;
+  static constexpr std::uint32_t kPagesPerSegment = 8;
+
+  explicit CleanerRegistry(std::uint32_t n)
+      : pool(n * (kPages / kPagesPerSegment + 4), 4) {
+    logs.reserve(n);
+    for (std::uint32_t c = 0; c < n; ++c) {
+      logs.emplace_back(kPages, kPagesPerSegment);
+      for (std::uint32_t p = 0; p < kPages; ++p) {
+        logs.back().append_page(p, ++stamp, pool);
+      }
+      registry.push_back(&logs.back());
+      owners.push_back(0);
+    }
+    ebs::CleanerConfig cfg;
+    cfg.start_free_ratio = 1.0;  // clean whenever a victim qualifies
+    cleaner = std::make_unique<ebs::Cleaner>(
+        sim, cfg, std::uint64_t{kPagesPerSegment} * kLogicalPageBytes,
+        registry, owners, pool);
+  }
+
+  sim::Simulator sim;
+  ebs::SegmentPool pool;
+  std::vector<ebs::ChunkLog> logs;
+  std::vector<ebs::ChunkLog*> registry;
+  std::vector<std::uint32_t> owners;
+  std::unique_ptr<ebs::Cleaner> cleaner;
+  WriteStamp stamp = 0;
+};
+
+void BM_CleanerPick(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  auto reg = std::make_unique<CleanerRegistry>(n);
+  Rng rng(9);
+  std::uint64_t cycles = 0;
+  std::uint64_t cleaned = 0;
+  for (auto _ : state) {
+    if (cycles > 0 && cycles % (8ull * n) == 0) {
+      state.PauseTiming();
+      cleaned += reg->cleaner->stats().segments_cleaned;
+      reg = std::make_unique<CleanerRegistry>(n);
+      state.ResumeTiming();
+    }
+    const auto page = static_cast<std::uint32_t>(
+        rng.uniform_u64(CleanerRegistry::kPages));
+    reg->logs[cycles % n].append_page(page, ++reg->stamp, reg->pool);
+    reg->cleaner->notify();
+    reg->sim.run();
+    ++cycles;
+  }
+  cleaned += reg->cleaner->stats().segments_cleaned;
+  state.SetItemsProcessed(static_cast<std::int64_t>(cleaned));
+}
+BENCHMARK(BM_CleanerPick)->Arg(10)->Arg(100)->Arg(1000);
 
 // The parallel engine's events/sec trajectory: four independent shards
 // (own simulator + ESSD device + closed-loop job each, like one

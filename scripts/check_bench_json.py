@@ -391,6 +391,13 @@ def check_sim_micro(path, metrics):
     if barrier and len(barrier) < 3:
         fail(path, "BM_ParallelEpochBarrier must report all thread counts "
                    f"(got {len(barrier)} rows)")
+    # The cleaner rung: its point is how a cycle scales with the chunk-log
+    # count, so all three registry sizes must be present.
+    cleaner = {b["name"].split("/")[1] for b in benchmarks
+               if b["name"].startswith("BM_CleanerPick/")}
+    if cleaner and cleaner != {"10", "100", "1000"}:
+        fail(path, "BM_CleanerPick must report 10, 100 and 1000 chunk logs "
+                   f"(got {sorted(cleaner)})")
     # The event-kernel hot-path family: the trajectory artifact needs the
     # steady-state, cancel-churn, and burst-drain rows together — a partial
     # run would make before/after kernel comparisons meaningless.

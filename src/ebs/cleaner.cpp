@@ -28,17 +28,28 @@ void Cleaner::notify() {
   run_cycle();
 }
 
-Cleaner::GlobalVictim Cleaner::pick_global_victim() const {
-  GlobalVictim best;
-  for (std::uint32_t c = 0; c < logs_.size(); ++c) {
-    const auto v = logs_[c]->pick_victim();
-    if (!v.has_value()) continue;
-    if (!best.found || v->garbage_ratio() > best.victim.garbage_ratio()) {
-      best.chunk = c;
-      best.victim = *v;
-      best.found = true;
-    }
+void Cleaner::index_new_logs() {
+  while (index_.size() < logs_.size()) {
+    const std::uint32_t c = index_.add_slot();
+    // Fewest live pages is the highest garbage ratio only if every closed
+    // segment has the same size, across logs as within one.
+    UC_ASSERT(logs_[c]->pages_per_segment() == logs_[0]->pages_per_segment(),
+              "chunk logs of one cleaner must share a segment size");
+    logs_[c]->attach_index(&index_, c);
   }
+}
+
+Cleaner::GlobalVictim Cleaner::pick_global_victim() {
+  // The highest garbage ratio, first chunk then first seq on ties: closed
+  // segments are full and equal-sized, so the ratio orders as
+  // (live, chunk, seq), which is the index's order.
+  index_new_logs();
+  GlobalVictim best;
+  const auto chunk = index_.min_slot();
+  if (!chunk.has_value()) return best;
+  best.chunk = *chunk;
+  best.victim = *logs_[*chunk]->pick_victim();
+  best.found = true;
   return best;
 }
 

@@ -57,7 +57,10 @@ class Cleaner {
  public:
   /// `logs` is the cluster's registry of chunk logs across *all* attached
   /// volumes (global chunk id -> log); the cluster appends to it as volumes
-  /// attach, and the cleaner always scans the current registry.  `owners`
+  /// attach, and the cleaner indexes new entries before every pick, so it
+  /// always picks over the current registry.  Every log must share one
+  /// segment size; an indexed log publishes into the cleaner, so no log
+  /// may change after the cleaner is gone.  `owners`
   /// is the parallel registry of owning volumes (per-tenant GC accounting).
   /// One cleaner therefore serves every tenant from the same background
   /// bandwidth, which is routed through a sched-tagged `QueuedResource` so
@@ -87,7 +90,10 @@ class Cleaner {
     bool found = false;
   };
 
-  GlobalVictim pick_global_victim() const;
+  /// Reads the victim index's root: O(1) once the index is current.
+  GlobalVictim pick_global_victim();
+  /// Attaches registry entries added since the last pick to the index.
+  void index_new_logs();
   void run_cycle();
 
   sim::Simulator& sim_;
@@ -96,6 +102,7 @@ class Cleaner {
   const std::vector<ChunkLog*>& logs_;
   const std::vector<std::uint32_t>& owners_;
   SegmentPool& pool_;
+  VictimIndex index_;  ///< (best live, global chunk) over `logs_`
   CleanerStats stats_;
   sched::QueuedResource pipe_;
   bool busy_ = false;

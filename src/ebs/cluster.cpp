@@ -168,17 +168,17 @@ void StorageCluster::pump_appends() {
     PendingWrite& op = append_queue_.front();
     Volume& v = volume(op.vol);
     ChunkLog& log = v.logs[op.chunk];
+    const std::uint32_t run_start = op.cursor;
     while (op.cursor < op.pages) {
-      // Writes invalidate any cached older version of the page.
-      for (const int node : v.map.replicas(op.chunk)) {
-        node_caches_[static_cast<std::size_t>(node)].invalidate(
-            cache_key(v, op.chunk, op.first_page + op.cursor));
-      }
       if (!log.append_page(op.first_page + op.cursor,
                            op.first_stamp + op.cursor, pool_)) {
         // Pool dry: the cluster stalls until the cleaner frees segments.
         // This emergent throttling *is* the provider's flow limiting — and
-        // on a shared cluster it is felt by every tenant at once.
+        // on a shared cluster it is felt by every tenant at once.  The
+        // stalled page leaves the caches now, so reads during the stall
+        // miss; it is dropped again once its append lands.
+        invalidate_cached(v, op.chunk, op.first_page + run_start,
+                          op.cursor - run_start + 1);
         if (!stalled_) {
           stalled_ = true;
           stall_since_ = sim_.now();
@@ -198,6 +198,9 @@ void StorageCluster::pump_appends() {
       }
       ++op.cursor;
     }
+    // Writes invalidate any cached older version of the run's pages.
+    invalidate_cached(v, op.chunk, op.first_page + run_start,
+                      op.pages - run_start);
     if (stalled_) {
       stalled_ = false;
       const SimTime stalled_for = sim_.now() - stall_since_;
@@ -210,6 +213,17 @@ void StorageCluster::pump_appends() {
     append_queue_.pop_front();
   }
   cleaner_->notify();
+}
+
+void StorageCluster::invalidate_cached(const Volume& v, ChunkId chunk,
+                                       std::uint32_t first_page,
+                                       std::uint32_t pages) {
+  for (const int node : v.map.replicas(chunk)) {
+    auto& cache = node_caches_[static_cast<std::size_t>(node)];
+    for (std::uint32_t i = 0; i < pages && cache.size() > 0; ++i) {
+      cache.invalidate(cache_key(v, chunk, first_page + i));
+    }
+  }
 }
 
 void StorageCluster::issue_write_io(PendingWrite& op) {
@@ -545,11 +559,10 @@ void StorageCluster::trim(VolumeId vol, ByteOffset offset,
     }
     log.trim_page(first_page + i);
     for (const int node : v.map.replicas(chunk)) {
-      node_caches_[static_cast<std::size_t>(node)].invalidate(
-          cache_key(v, chunk, first_page + i));
       node_index_note_trim(node, node_index_key(v, chunk, first_page + i));
     }
   }
+  invalidate_cached(v, chunk, first_page, pages);
   cleaner_->notify();
 }
 

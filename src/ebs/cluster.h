@@ -306,6 +306,10 @@ class StorageCluster {
 
   void pump_appends();
   void issue_write_io(PendingWrite& op);
+  /// Drops pages [first_page, first_page + pages) of `chunk` from every
+  /// replica node's cache, skipping caches that are (or become) empty.
+  void invalidate_cached(const Volume& v, ChunkId chunk,
+                         std::uint32_t first_page, std::uint32_t pages);
 
   // --- node flash-index model (no-ops while `node_index_` is empty) ---
   /// Windowed page key: global-chunk-scoped page aliased into the node

@@ -59,6 +59,38 @@ class SegmentPool {
   std::function<void()> on_release_;
 };
 
+/// Min-index over chunk logs keyed by (best victim's live pages, slot): a
+/// tournament tree whose root names the log the cleaner visits next.  Logs
+/// publish their key whenever it changes, so a pick reads the root in O(1)
+/// and an update costs O(log slots).  Ties go to the lowest slot, which is
+/// the cleaner's registry scan order.
+class VictimIndex {
+ public:
+  /// Key of a log without a closed segment (never picked).
+  static constexpr std::uint32_t kNoVictim = ~0u;
+
+  /// Appends a slot keyed kNoVictim and returns its id (dense, from 0).
+  std::uint32_t add_slot();
+  void update(std::uint32_t slot, std::uint32_t live);
+
+  /// The slot with the fewest live pages, if any slot has a victim.
+  std::optional<std::uint32_t> min_slot() const;
+  /// The live count `slot` last published (kNoVictim if none).
+  std::uint32_t live(std::uint32_t slot) const {
+    return static_cast<std::uint32_t>(tree_[leaves_ + slot] >> 32);
+  }
+  std::uint32_t size() const { return size_; }
+
+ private:
+  static std::uint64_t key(std::uint32_t live, std::uint32_t slot) {
+    return (static_cast<std::uint64_t>(live) << 32) | slot;
+  }
+
+  std::uint32_t size_ = 0;
+  std::uint32_t leaves_ = 0;         ///< capacity, a power of two
+  std::vector<std::uint64_t> tree_;  ///< 1-based heap; leaf i at leaves_ + i
+};
+
 /// Per-chunk replicated append log with page-granular live tracking.
 /// Replicas are byte-identical, so the log is modeled once per chunk and
 /// the pool accounts in whole groups.
@@ -95,8 +127,15 @@ class ChunkLog {
     }
   };
 
-  /// The closed segment with the highest garbage ratio, if any.
+  /// The closed segment with the highest garbage ratio, if any; the first
+  /// in seq order on ties.  Every closed segment is full, so that is the
+  /// one with the fewest live pages — tracked incrementally, so this is
+  /// O(1).
   std::optional<Victim> pick_victim() const;
+
+  /// From now on, publishes this log's best-victim live count to `index`
+  /// at `slot` whenever it changes.
+  void attach_index(VictimIndex* index, std::uint32_t slot);
 
   /// Relocates the victim's live pages into the open log and frees the
   /// segment back to the pool.  Returns false if relocation needed a fresh
@@ -109,13 +148,18 @@ class ChunkLog {
     return appended_alive_pages_ - live_pages_;
   }
   std::uint32_t allocated_segments() const { return allocated_segments_; }
+  std::uint32_t pages_per_segment() const { return pages_per_segment_; }
 
   /// Debug probe: recomputes live/appended/allocated accounting from the
   /// page table and per-segment records and asserts the cached counters
-  /// match.  Returns true so tests can write EXPECT_TRUE(log.check_...).
+  /// match, that every closed segment is full, and that the tracked best
+  /// victim (and its published index key) equals a full rescan.  Returns
+  /// true so tests can write EXPECT_TRUE(log.check_...).
   bool check_invariants() const;
 
  private:
+  static constexpr std::uint32_t kNoSeq = ~0u;
+
   struct Segment {
     std::uint32_t appended = 0;
     std::uint32_t live = 0;
@@ -124,6 +168,13 @@ class ChunkLog {
 
   bool ensure_open_segment(SegmentPool& pool, bool privileged);
   void account_overwrite(std::uint32_t page);
+  /// Closed segment `seq` just closed or lost a live page: it becomes the
+  /// best victim if it now orders first by (live, seq).
+  void offer_victim(std::uint32_t seq);
+  /// Full scan for the best victim; the only O(segments) path, taken when
+  /// the best segment is freed.
+  std::uint32_t scan_best() const;
+  void publish_best();
 
   std::uint32_t pages_per_segment_;
   std::vector<Segment> segments_;      // indexed by seq; freed slots remain
@@ -133,6 +184,9 @@ class ChunkLog {
   std::uint64_t live_pages_ = 0;
   std::uint64_t appended_alive_pages_ = 0;  ///< appended pages in non-freed segments
   std::uint32_t allocated_segments_ = 0;    ///< currently non-freed
+  std::uint32_t best_seq_ = kNoSeq;         ///< best closed victim
+  VictimIndex* index_ = nullptr;
+  std::uint32_t index_slot_ = 0;
 };
 
 }  // namespace uc::ebs

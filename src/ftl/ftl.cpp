@@ -312,7 +312,11 @@ void Ftl::issue_prefetch(Lpn start, std::uint32_t pages) {
         static_cast<std::uint64_t>(page);
     RowGroup& group = groups[row_key];
     group.die = die;
-    if (group.ppas.empty() || group.ppas.back() != ppa) {
+    // A row holds one page per plane, but its logical pages need not be
+    // adjacent in the window: dedupe against the whole group so a repeat
+    // can never push it past planes_per_die.
+    if (std::find(group.ppas.begin(), group.ppas.end(), ppa) ==
+        group.ppas.end()) {
       group.ppas.push_back(ppa);
     }
   }

@@ -192,6 +192,59 @@ TEST(StorageCluster, PoolExhaustionStallsUntilCleanerFrees) {
   EXPECT_LE(h.cluster.live_pages(), 8 * kMiB / kLogicalPageBytes);
 }
 
+TEST(StorageCluster, StalledWriteDropsCachedPageBeforeItLands) {
+  // Pool sizing (legacy single volume): 8 MiB live + 1 MiB spare + one
+  // open segment per chunk = 11 usable 1 MiB groups over the 2-group
+  // cleaner reserve.  Chunk 0 takes one group, chunk 1 the other ten, so
+  // the next append into chunk 0 needs a group the pool no longer has.
+  auto cfg = test_config();
+  cfg.spare_pool_bytes = 1 * kMiB;
+  cfg.cleaner.processing_mbps = 5.0;  // ~210 ms per victim
+  Harness h(cfg, /*volume=*/8 * kMiB);
+  constexpr std::uint32_t kBlock = 64 * 1024;
+  for (ByteOffset off = 0; off < 1 * kMiB; off += kBlock) h.write(off, kBlock);
+  h.read(0, 4096);  // page 0 now cached on its primary
+  const auto hits = h.cluster.stats().cache_hit_pages;
+  h.read(0, 4096);
+  ASSERT_EQ(h.cluster.stats().cache_hit_pages, hits + 1);
+
+  // Fill chunk 1 without running the simulator, so the cleaner (which
+  // frees nothing until its pipe finishes) cannot refill the pool.
+  int completed = 0;
+  for (std::uint32_t i = 0; i < 160; ++i) {
+    const ByteOffset off = 4 * kMiB + (i % 64) * ByteOffset{kBlock};
+    h.stamp += kBlock / kLogicalPageBytes;
+    h.cluster.write(off, kBlock, h.stamp, [&] { ++completed; });
+  }
+  ASSERT_EQ(h.cluster.stats().stalled_writes, 0u);
+
+  bool landed = false;
+  h.stamp += 1;
+  h.cluster.write(0, 4096, h.stamp, [&] { landed = true; });
+  ASSERT_EQ(h.cluster.stats().stalled_writes, 1u);
+
+  // While the overwrite of page 0 is stalled, a read of page 0 must miss
+  // the cache: the stale copy was dropped at stall time.  (The read queues
+  // behind ~8 ms of replica fan-out on the VM NIC; the first victim takes
+  // ~210 ms to clean.)
+  const auto media = h.cluster.stats().media_read_pages;
+  bool read_done = false;
+  h.cluster.read(0, 4096, [&] { read_done = true; });
+  h.sim.run_until(h.sim.now() + 50 * kMs);
+  ASSERT_TRUE(read_done);
+  EXPECT_FALSE(landed);
+  EXPECT_EQ(h.cluster.stats().media_read_pages, media + 1);
+
+  // That miss re-cached the old version; once the append lands it must be
+  // dropped again, so the next read misses too.
+  h.sim.run();
+  EXPECT_TRUE(landed);
+  EXPECT_EQ(completed, 160);
+  h.read(0, 4096);
+  EXPECT_EQ(h.cluster.stats().media_read_pages, media + 2);
+  EXPECT_TRUE(h.cluster.check_invariants());
+}
+
 TEST(StorageCluster, StampsSurviveCleaning) {
   auto cfg = test_config();
   cfg.spare_pool_bytes = 1 * kMiB;

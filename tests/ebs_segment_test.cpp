@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "ebs/chunk_map.h"
 #include "ebs/segment_store.h"
@@ -175,6 +178,198 @@ TEST(ChunkLog, CleanEverythingReclaimsAllGarbage) {
   // All that remains is live data plus at most one open segment's slack.
   EXPECT_EQ(log.live_pages(), 32u);
   EXPECT_LE(log.garbage_pages(), 4u);
+}
+
+TEST(VictimIndex, MinimumTiesToLowestSlotAndGrows) {
+  VictimIndex index;
+  EXPECT_FALSE(index.min_slot().has_value());
+  for (std::uint32_t s = 0; s < 5; ++s) EXPECT_EQ(index.add_slot(), s);
+  EXPECT_FALSE(index.min_slot().has_value());  // all kNoVictim
+  index.update(3, 7);
+  index.update(1, 7);
+  EXPECT_EQ(index.min_slot(), 1u);  // equal live: lowest slot wins
+  index.update(4, 2);
+  EXPECT_EQ(index.min_slot(), 4u);
+  for (std::uint32_t s = 5; s < 9; ++s) index.add_slot();  // grows past 8
+  index.update(8, 1);
+  EXPECT_EQ(index.min_slot(), 8u);
+  EXPECT_EQ(index.live(3), 7u);
+  index.update(8, VictimIndex::kNoVictim);
+  index.update(4, VictimIndex::kNoVictim);
+  EXPECT_EQ(index.min_slot(), 1u);
+}
+
+// Independent model of a chunk log with a full-scan victim pick (strictly
+// highest garbage ratio, first in scan order): the reference the index must
+// reproduce pick for pick.
+struct ReferenceLog {
+  static constexpr std::uint32_t kNone = ~0u;
+  struct Segment {
+    std::uint32_t appended = 0;
+    std::uint32_t live = 0;
+    bool freed = false;
+  };
+
+  ReferenceLog(std::uint32_t pages, std::uint32_t pages_per_segment)
+      : pps(pages_per_segment), page_seg(pages, kNone) {}
+
+  void drop(std::uint32_t page) {
+    if (page_seg[page] != kNone) --segments[page_seg[page]].live;
+    page_seg[page] = kNone;
+  }
+  void place(std::uint32_t page) {
+    if (open < 0 || segments[static_cast<std::size_t>(open)].appended == pps) {
+      open = static_cast<std::int64_t>(segments.size());
+      segments.emplace_back();
+    }
+    Segment& seg = segments[static_cast<std::size_t>(open)];
+    ++seg.appended;
+    ++seg.live;
+    page_seg[page] = static_cast<std::uint32_t>(open);
+  }
+  void append(std::uint32_t page) {
+    drop(page);
+    place(page);
+  }
+  // Relocates like ChunkLog::clean_segment, whose privileged allocations
+  // may take all `free_groups`.  Returns false where the real clean runs
+  // dry, leaving the same partial relocation behind.
+  bool clean(std::uint32_t seq, std::uint64_t free_groups) {
+    for (std::uint32_t page = 0; page < page_seg.size(); ++page) {
+      if (page_seg[page] != seq) continue;
+      if (open < 0 || segments[static_cast<std::size_t>(open)].appended == pps) {
+        if (free_groups == 0) return false;
+        --free_groups;
+      }
+      append(page);
+    }
+    segments[seq].freed = true;
+    return true;
+  }
+
+  std::optional<ChunkLog::Victim> pick_victim() const {
+    std::optional<ChunkLog::Victim> best;
+    for (std::size_t seq = 0; seq < segments.size(); ++seq) {
+      const Segment& seg = segments[seq];
+      if (seg.freed || static_cast<std::int64_t>(seq) == open) continue;
+      if (seg.appended < pps) continue;
+      ChunkLog::Victim v{static_cast<std::uint32_t>(seq), seg.live,
+                         seg.appended};
+      if (!best.has_value() || v.garbage_ratio() > best->garbage_ratio()) {
+        best = v;
+      }
+    }
+    return best;
+  }
+
+  std::uint32_t pps;
+  std::vector<Segment> segments;
+  std::vector<std::uint32_t> page_seg;
+  std::int64_t open = -1;
+};
+
+struct ReferencePick {
+  std::uint32_t chunk = 0;
+  ChunkLog::Victim victim;
+  bool found = false;
+};
+
+ReferencePick reference_global_pick(const std::vector<ReferenceLog>& logs) {
+  ReferencePick best;
+  for (std::uint32_t c = 0; c < logs.size(); ++c) {
+    const auto v = logs[c].pick_victim();
+    if (!v.has_value()) continue;
+    if (!best.found || v->garbage_ratio() > best.victim.garbage_ratio()) {
+      best = ReferencePick{c, *v, true};
+    }
+  }
+  return best;
+}
+
+TEST(VictimIndex, MatchesFullScanUnderPoolPressure) {
+  // Five logs of different lengths sharing one tight pool, driven by a
+  // seeded stream of appends, overwrites, trims and cleans (some of which
+  // run dry part-way, as the pool has no cleaner reserve).  After every
+  // step the index's pick must equal the old full scan's pick, and every
+  // log's cached best must equal a rescan.  The last log joins the index
+  // mid-run, the way the cleaner picks up a newly attached volume.
+  constexpr std::uint32_t kPps = 4;
+  const std::vector<std::uint32_t> pages = {32, 24, 40, 16, 32};
+  SegmentPool pool(48, 0);  // no cleaner reserve: cleans can run dry
+  std::vector<ChunkLog> logs;
+  std::vector<ReferenceLog> refs;
+  logs.reserve(pages.size());
+  for (const std::uint32_t p : pages) {
+    logs.emplace_back(p, kPps);
+    refs.emplace_back(p, kPps);
+  }
+  VictimIndex index;
+  for (std::uint32_t c = 0; c + 1 < logs.size(); ++c) {
+    logs[c].attach_index(&index, index.add_slot());
+  }
+  Rng rng(12);
+  std::uint64_t stalls = 0;
+  std::uint64_t cleans = 0;
+  std::uint64_t failed_cleans = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (step == 500) {
+      const std::uint32_t last = static_cast<std::uint32_t>(logs.size() - 1);
+      logs[last].attach_index(&index, index.add_slot());
+    }
+    // The index only covers attached logs; so does the reference.
+    const std::vector<ReferenceLog> indexed(
+        refs.begin(), refs.begin() + index.size());
+    const ReferencePick want = reference_global_pick(indexed);
+    const auto got = index.min_slot();
+    ASSERT_EQ(got.has_value(), want.found) << "step " << step;
+    if (want.found) {
+      ASSERT_EQ(*got, want.chunk) << "step " << step;
+      const auto v = logs[*got].pick_victim();
+      ASSERT_TRUE(v.has_value());
+      ASSERT_EQ(v->seq, want.victim.seq) << "step " << step;
+      ASSERT_EQ(v->live_pages, want.victim.live_pages) << "step " << step;
+      ASSERT_EQ(v->garbage_ratio(), want.victim.garbage_ratio());
+    }
+
+    const auto c = static_cast<std::uint32_t>(rng.uniform_u64(logs.size()));
+    const auto page = static_cast<std::uint32_t>(rng.uniform_u64(pages[c]));
+    const std::uint64_t op = rng.uniform_u64(100);
+    bool clean = op >= 85;
+    if (op < 70) {
+      if (logs[c].append_page(page, static_cast<WriteStamp>(step + 1), pool)) {
+        refs[c].append(page);
+      } else {
+        ++stalls;
+        clean = true;  // pool dry: the cleaner's turn
+      }
+    } else if (op < 85) {
+      logs[c].trim_page(page);
+      refs[c].drop(page);
+    }
+    if (clean && want.found) {
+      // On a dry pool a clean stops part-way; the partly relocated victim
+      // must stay correctly ranked.
+      const std::uint64_t free_before = pool.free_groups();
+      const bool ok =
+          logs[want.chunk].clean_segment(want.victim.seq, pool, nullptr);
+      ASSERT_EQ(ok, refs[want.chunk].clean(want.victim.seq, free_before))
+          << "step " << step;
+      ++(ok ? cleans : failed_cleans);
+    }
+    for (std::uint32_t i = 0; i < logs.size(); ++i) {
+      ASSERT_TRUE(logs[i].check_invariants());
+      const auto mine = logs[i].pick_victim();
+      const auto ref = refs[i].pick_victim();
+      ASSERT_EQ(mine.has_value(), ref.has_value()) << "step " << step;
+      if (ref.has_value()) {
+        ASSERT_EQ(mine->seq, ref->seq) << "step " << step;
+      }
+    }
+  }
+  // The stream must actually have exercised the pressure paths.
+  EXPECT_GT(stalls, 100u);
+  EXPECT_GT(cleans, 1000u);
+  EXPECT_GT(failed_cleans, 0u);
 }
 
 }  // namespace

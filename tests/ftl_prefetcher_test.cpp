@@ -1,12 +1,16 @@
-// Tests for the LRU ready-cache and the sequential stream detector with
-// its read-ahead hysteresis.
+// Tests for the LRU ready-cache, the sequential stream detector with its
+// read-ahead hysteresis, and the FTL's row-grouped read-ahead issue.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "common/lru_cache.h"
+#include "common/units.h"
+#include "contract/suite.h"
 #include "ftl/prefetcher.h"
+#include "ssd/ssd_device.h"
+#include "workload/runner.h"
 
 namespace uc::ftl {
 namespace {
@@ -106,6 +110,39 @@ TEST(SequentialPrefetcher, TracksMultipleStreams) {
   pf.on_read(5000, 1, 1000000);
   EXPECT_TRUE(pf.on_read(101, 1, 1000000).active());
   EXPECT_TRUE(pf.on_read(5001, 1, 1000000).active());
+}
+
+TEST(SsdReadAhead, RandomReadsNeverOvergroupARowRead) {
+  // After a sequential fill and half a capacity of random overwrites, a
+  // read-ahead window's logical pages scatter over physical pages, and one
+  // physical page can recur non-adjacently within its row's group.  Each
+  // row read must still name every physical page once, or it asks
+  // NandArray::read_row for more pages than a die has planes (an abort).
+  // Random 4 KiB reads at QD32 trigger read-ahead on chance address
+  // matches; these seeds hit such a window.
+  constexpr std::uint64_t kCapacity = 2048ull << 20;
+  for (const std::uint64_t seed : {1, 2}) {
+    sim::Simulator sim;
+    const ssd::SsdConfig cfg = ssd::samsung_970pro_scaled(kCapacity);
+    ASSERT_GT(cfg.ftl.prefetch.read_ahead_pages, 0);
+    ssd::SsdDevice device(sim, cfg);
+    contract::CharacterizationSuite::precondition(sim, device, kCapacity,
+                                                  10 * units::kMs, seed + 16);
+    wl::JobSpec spec;
+    spec.pattern = wl::AccessPattern::kRandom;
+    spec.io_bytes = 4096;
+    spec.queue_depth = 32;
+    spec.write_ratio = 1.0;
+    spec.total_ops = kCapacity / 4096 / 2;
+    spec.seed = seed;
+    wl::JobRunner::run_to_completion(sim, device, spec);
+    spec.write_ratio = 0.0;
+    spec.total_ops = 300000;
+    spec.seed = seed + 100;
+    const auto reads = wl::JobRunner::run_to_completion(sim, device, spec);
+    EXPECT_EQ(reads.total_ops(), 300000u);
+    EXPECT_GT(device.ftl().stats().prefetch_row_reads, 0u) << "seed " << seed;
+  }
 }
 
 TEST(SequentialPrefetcher, MultiPageReadsAdvanceHead) {
