@@ -204,26 +204,10 @@ GeneratedFleet generate_fleet(const FleetSpec& spec) {
 
 FleetReport run_fleet(const GeneratedFleet& fleet, const FleetRunOptions& opt) {
   FleetReport rep;
-  placement::PlacementResult run;
   sim::ParallelExecutor exec(opt.threads);
-  // Rebalancing fleets always run the epoch-sliced ShardedHost — one thread
-  // included — so digests are invariant across --threads.  Non-rebalancing
-  // single-thread runs keep the pinned single-simulator path.
-  const bool sliced = fleet.placement.clusters > 1 &&
-                      fleet.placement.rebalance_watermark > 1.0;
-  if (exec.threads() > 1 || sliced) {
-    placement::ShardedHost host(fleet.base, fleet.tenants, fleet.placement);
-    run = host.run(exec);
-    host.check_invariants();
-  } else {
-    sim::Simulator sim;
-    placement::MultiClusterHost host(sim, fleet.base, fleet.tenants,
-                                     fleet.placement);
-    run = host.run();
-    for (int c = 0; c < host.cluster_count(); ++c) {
-      host.cluster(c).check_invariants();
-    }
-  }
+  placement::ShardedHost host(fleet.base, fleet.tenants, fleet.placement);
+  placement::PlacementResult run = host.run(exec);
+  host.check_invariants();
 
   rep.digests =
       placement::shard_digests(placement::compute_shard_plan(fleet.placement),

@@ -11,10 +11,9 @@
 /// `generate_fleet` draws a synthetic population with the skew production
 /// fleets show — lognormal volume sizes, Zipf heat (a few volumes carry
 /// most of the IOPS), tenant arrival/departure over the run, a shared
-/// diurnal cycle — and `run_fleet` executes it through the existing
-/// placement stack (`placement::MultiClusterHost`, or `ShardedHost` on a
-/// `sim::ParallelExecutor` when `threads > 1`), condensing the outcome
-/// into a `FleetReport`.
+/// diurnal cycle — and `run_fleet` executes it through the placement
+/// engine (`placement::ShardedHost` on a `sim::ParallelExecutor`),
+/// condensing the outcome into a `FleetReport`.
 ///
 /// Determinism contract: a `FleetSpec` fully determines the generated
 /// population (same seed ⇒ identical tenants), and a generated fleet runs
@@ -117,7 +116,8 @@ struct GeneratedFleet {
 GeneratedFleet generate_fleet(const FleetSpec& spec);
 
 struct FleetRunOptions {
-  /// Worker threads for the parallel engine; 1 = the single-simulator host.
+  /// Worker threads for the parallel engine (1 runs every shard inline);
+  /// never changes a result.
   int threads = 1;
 };
 
@@ -150,9 +150,9 @@ struct FleetReport {
   placement::PlacementResult raw;
 };
 
-/// Executes a generated fleet and condenses the outcome.  `threads > 1`
-/// runs the same fleet as a `placement::ShardedHost`; results (and
-/// `digests`) are bit-identical to the single-simulator run.
+/// Executes a generated fleet on a `placement::ShardedHost` and condenses
+/// the outcome.  Results (and `digests`) are bit-identical at every
+/// `threads` value.
 FleetReport run_fleet(const GeneratedFleet& fleet,
                       const FleetRunOptions& opt = {});
 

@@ -78,11 +78,6 @@ std::vector<int> plan_placement(
     const PlacementConfig& cfg,
     const std::vector<tenant::TenantSpec>& tenants) {
   UC_ASSERT(cfg.clusters >= 1, "placement needs at least one cluster");
-  if (!cfg.fixed_assignment.empty()) {
-    UC_ASSERT(cfg.fixed_assignment.size() == tenants.size(),
-              "fixed assignment must cover every tenant");
-    return cfg.fixed_assignment;
-  }
   const auto k = static_cast<std::size_t>(cfg.clusters);
   std::vector<std::uint64_t> bytes(k, 0);
   std::vector<double> weight(k, 0.0);
@@ -143,313 +138,6 @@ std::vector<int> plan_placement(
     out.push_back(pick);
   }
   return out;
-}
-
-essd::EssdConfig MultiClusterHost::cluster_base(int c) const {
-  essd::EssdConfig b = base_;
-  const auto stride =
-      kClusterSeedStride * static_cast<std::uint64_t>(cfg_.first_cluster + c);
-  b.seed += stride;
-  b.cluster.seed += stride;
-  b.cluster.sched.weights = cluster_weights_[static_cast<std::size_t>(c)];
-  return b;
-}
-
-MultiClusterHost::MultiClusterHost(sim::Simulator& sim,
-                                   const essd::EssdConfig& base,
-                                   std::vector<tenant::TenantSpec> tenants,
-                                   const PlacementConfig& cfg)
-    : sim_(sim),
-      base_(base),
-      cfg_(cfg),
-      tenants_(std::move(tenants)),
-      pacer_(cfg.budget.copy_bandwidth_bps) {
-  // No tenants is legal: the sliced parallel engine instantiates a host for
-  // every cluster, and an idle cluster must still exist (it can become a
-  // migration destination at any barrier).
-  UC_ASSERT(cfg_.budget.max_concurrent >= 1,
-            "migration budget needs at least one slot");
-  initial_cluster_ = plan_placement(cfg_, tenants_);
-  cluster_of_ = initial_cluster_;
-  migrating_.assign(tenants_.size(), false);
-  migrated_.assign(tenants_.size(), false);
-
-  // Fold each cluster's WFQ weights in local attach order (exactly the
-  // SharedClusterHost fold when there is one cluster).
-  cluster_weights_.assign(static_cast<std::size_t>(cfg_.clusters), {});
-  local_index_.resize(tenants_.size());
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    auto& fold = cluster_weights_[static_cast<std::size_t>(cluster_of_[i])];
-    local_index_[i] = fold.size();
-    fold.push_back(tenants_[i].weight);
-  }
-
-  clusters_.reserve(static_cast<std::size_t>(cfg_.clusters));
-  for (int c = 0; c < cfg_.clusters; ++c) {
-    clusters_.push_back(
-        std::make_unique<ebs::StorageCluster>(sim_, cluster_base(c).cluster));
-  }
-
-  volume_of_.resize(tenants_.size());
-  devices_.reserve(tenants_.size());
-  sources_.reserve(tenants_.size());
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    const tenant::TenantSpec& t = tenants_[i];
-    const int c = cluster_of_[i];
-    auto& cluster = *clusters_[static_cast<std::size_t>(c)];
-    volume_of_[i] = cluster.attach_volume(t.capacity_bytes);
-    devices_.push_back(std::make_unique<essd::EssdDevice>(
-        sim_,
-        tenant::SharedClusterHost::tenant_config(cluster_base(c), t,
-                                                 local_index_[i]),
-        cluster, volume_of_[i]));
-    sources_.push_back(wl::make_load_source_or_die(sim_, *devices_.back(),
-                                                   t.load, "tenant " + t.name));
-  }
-}
-
-bool MultiClusterHost::all_runners_finished() const {
-  for (const auto& s : sources_) {
-    if (!s->finished()) return false;
-  }
-  return true;
-}
-
-int MultiClusterHost::active_migrations() const {
-  int active = 0;
-  for (const auto& m : migrators_) {
-    if (!m->finished()) ++active;
-  }
-  return active;
-}
-
-bool MultiClusterHost::under_migration_budget() const {
-  if (active_migrations() >= cfg_.budget.max_concurrent) return false;
-  if (cfg_.budget.max_total > 0 &&
-      static_cast<int>(records_.size()) >= cfg_.budget.max_total) {
-    return false;
-  }
-  return true;
-}
-
-bool MultiClusterHost::maybe_rebalance() {
-  if (!under_migration_budget()) return false;
-  return cfg_.policy == Policy::kLeastInterference ? maybe_rebalance_signal()
-                                                   : maybe_rebalance_bytes();
-}
-
-bool MultiClusterHost::maybe_rebalance_bytes() {
-  const auto k = static_cast<std::size_t>(cfg_.clusters);
-  std::vector<std::uint64_t> bytes(k, 0);
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    bytes[static_cast<std::size_t>(cluster_of_[i])] +=
-        tenants_[i].capacity_bytes;
-  }
-  std::uint64_t total = 0;
-  std::size_t busiest = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    total += bytes[c];
-    if (bytes[c] > bytes[busiest]) busiest = c;
-  }
-  const double mean = static_cast<double>(total) / static_cast<double>(k);
-  if (static_cast<double>(bytes[busiest]) <= cfg_.rebalance_watermark * mean) {
-    return false;
-  }
-  // Largest still-running volume on the busiest cluster; moving a finished
-  // tenant frees no contended bandwidth.
-  std::size_t pick = tenants_.size();
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (static_cast<std::size_t>(cluster_of_[i]) != busiest) continue;
-    if (migrating_[i]) continue;  // mid-copy volumes are not re-picked
-    if (sources_[i]->finished()) continue;
-    if (pick == tenants_.size() ||
-        tenants_[i].capacity_bytes > tenants_[pick].capacity_bytes) {
-      pick = i;
-    }
-  }
-  if (pick == tenants_.size()) return false;
-  std::size_t target = 0;
-  for (std::size_t c = 1; c < k; ++c) {
-    if (bytes[c] < bytes[target]) target = c;
-  }
-  if (target == busiest) return false;
-  // Only move when it strictly lowers the maximum load — the oscillation
-  // guard that keeps repeated checks from bouncing a volume back and forth.
-  const std::uint64_t cap = tenants_[pick].capacity_bytes;
-  if (std::max(bytes[busiest] - cap, bytes[target] + cap) >= bytes[busiest]) {
-    return false;
-  }
-  start_migration(pick, static_cast<int>(target));
-  return true;
-}
-
-bool MultiClusterHost::maybe_rebalance_signal() {
-  // Windowed busy/stall deltas since the previous check: occupancy is
-  // cumulative, so diffing consecutive snapshots yields "how contended was
-  // this cluster over the last rebalance interval" — the live analogue of
-  // the planning-time expected load.
-  const auto k = static_cast<std::size_t>(cfg_.clusters);
-  if (signal_at_check_.size() != k) signal_at_check_.assign(k, 0);
-  std::vector<SimTime> delta(k, 0);
-  SimTime total = 0;
-  std::size_t busiest = 0;
-  std::size_t coolest = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    const SimTime now_signal = clusters_[c]->busy_stats().signal();
-    delta[c] = now_signal - signal_at_check_[c];
-    signal_at_check_[c] = now_signal;
-    total += delta[c];
-    if (delta[c] > delta[busiest]) busiest = c;
-    if (delta[c] < delta[coolest]) coolest = c;
-  }
-  if (total == 0 || busiest == coolest) return false;
-  const double mean = static_cast<double>(total) / static_cast<double>(k);
-  if (static_cast<double>(delta[busiest]) <= cfg_.rebalance_watermark * mean) {
-    return false;
-  }
-  // Move the expectedly-hottest still-running volume.  Each tenant moves at
-  // most once per run: the signal window is noisy enough that a volume
-  // bounced twice is churn, not repair.
-  std::size_t pick = tenants_.size();
-  double pick_bps = 0.0;
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (static_cast<std::size_t>(cluster_of_[i]) != busiest) continue;
-    if (migrating_[i] || migrated_[i]) continue;
-    if (sources_[i]->finished()) continue;
-    const double bps = expected_offered_bps(tenants_[i]);
-    if (pick == tenants_.size() || bps > pick_bps) {
-      pick = i;
-      pick_bps = bps;
-    }
-  }
-  if (pick == tenants_.size()) return false;
-  start_migration(pick, static_cast<int>(coolest));
-  return true;
-}
-
-void MultiClusterHost::start_migration(std::size_t tenant, int to_cluster) {
-  const int from = cluster_of_[tenant];
-  auto& src = *clusters_[static_cast<std::size_t>(from)];
-  auto& dst = *clusters_[static_cast<std::size_t>(to_cluster)];
-  const ebs::VolumeId dst_vol =
-      dst.attach_volume(tenants_[tenant].capacity_bytes);
-  // The destination's construction-time weight fold only covered volumes
-  // planned onto it; carry the tenant's WFQ weight through the cutover so
-  // the copy traffic and the tenant's post-migration foreground I/O keep
-  // their fair share on the new home.
-  dst.set_volume_weight(dst_vol, tenants_[tenant].weight);
-  records_.push_back(MigrationRecord{tenant, from, to_cluster, {}});
-  const std::size_t record = records_.size() - 1;
-  migrating_[tenant] = true;
-  auto migrator = std::make_unique<VolumeMigrator>(
-      sim_, *devices_[tenant], src, volume_of_[tenant], dst, dst_vol,
-      cfg_.migration,
-      [this, tenant, to_cluster, dst_vol, record] {
-        cluster_of_[tenant] = to_cluster;
-        volume_of_[tenant] = dst_vol;
-        migrating_[tenant] = false;
-        migrated_[tenant] = true;
-        records_[record].stats = record_migrator_[record]->stats();
-      },
-      pacer_.bytes_per_s() > 0.0 ? &pacer_ : nullptr);
-  record_migrator_.push_back(migrator.get());
-  migrators_.push_back(std::move(migrator));
-  peak_concurrent_ = std::max(peak_concurrent_, active_migrations());
-  migrators_.back()->start();
-}
-
-void MultiClusterHost::schedule_rebalance_check() {
-  sim_.schedule_after(cfg_.rebalance_interval, [this] {
-    if (all_runners_finished()) return;  // let the simulator drain
-    maybe_rebalance();
-    schedule_rebalance_check();
-  });
-}
-
-PlacementResult MultiClusterHost::run() {
-  run_fill();
-  return run_measure(sim_.now());
-}
-
-void MultiClusterHost::run_fill() {
-  UC_ASSERT(!filled_, "host already preconditioned");
-  filled_ = true;
-  tenant::run_preconditions(
-      sim_, tenants_,
-      [this](std::size_t i) -> BlockDevice& { return *devices_[i]; });
-}
-
-PlacementResult MultiClusterHost::run_measure(SimTime measure_start) {
-  begin_measure(measure_start);
-  if (cfg_.clusters > 1 && cfg_.rebalance_watermark > 1.0) {
-    if (cfg_.policy == Policy::kLeastInterference) {
-      // Signal baseline: the first rebalance window opens at measure start,
-      // not at simulator time zero, so fill-phase occupancy never counts.
-      signal_at_check_.clear();
-      for (const auto& c : clusters_) {
-        signal_at_check_.push_back(c->busy_stats().signal());
-      }
-    }
-    schedule_rebalance_check();
-  }
-  sim_.run();
-  return collect_measure();
-}
-
-void MultiClusterHost::begin_measure(SimTime measure_start) {
-  UC_ASSERT(filled_, "run_measure before run_fill");
-  UC_ASSERT(!ran_, "host already ran");
-  ran_ = true;
-  measuring_ = true;
-  // Clock alignment: the fleet's measured window opens when the *slowest*
-  // shard's fill drains.  The queue is already empty, so this only advances
-  // the clock (and is a no-op on the single-host path, where
-  // `measure_start` is this simulator's own drain time).
-  sim_.run_until(measure_start);
-  measure_start_ = sim_.now();
-  cluster_before_.clear();
-  cleaner_before_.clear();
-  busy_before_.clear();
-  for (const auto& c : clusters_) {
-    cluster_before_.push_back(c->stats());
-    cleaner_before_.push_back(c->cleaner().stats());
-    busy_before_.push_back(c->busy_stats());
-  }
-  for (auto& source : sources_) source->start();
-}
-
-PlacementResult MultiClusterHost::collect_measure() {
-  UC_ASSERT(measuring_, "collect_measure before begin_measure");
-  measuring_ = false;
-  PlacementResult result;
-  result.measure_start = measure_start_;
-  result.stats.reserve(sources_.size());
-  for (auto& source : sources_) {
-    UC_ASSERT(source->finished(), "simulator drained but a tenant load hung");
-    result.stats.push_back(source->stats());
-    result.backlog_peak.push_back(source->backlog_peak());
-    result.traces.push_back(wl::load_source_trace_summary(*source));
-    result.makespan = std::max(result.makespan, source->stats().last_complete);
-  }
-  result.initial_cluster = initial_cluster_;
-  result.final_cluster = cluster_of_;
-  result.migrations = records_;
-  result.peak_concurrent_migrations = peak_concurrent_;
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    result.cluster.push_back(
-        ebs::subtract(clusters_[c]->stats(), cluster_before_[c]));
-    result.cleaner.push_back(
-        ebs::subtract(clusters_[c]->cleaner().stats(), cleaner_before_[c]));
-    result.busy.push_back(
-        ebs::subtract(clusters_[c]->busy_stats(), busy_before_[c]));
-  }
-  result.sim_events = sim_.events_processed();
-  return result;
-}
-
-wl::JobStats MultiClusterHost::run_solo(std::size_t i) const {
-  return tenant::SharedClusterHost::run_solo(cluster_base(initial_cluster_[i]),
-                                             tenants_[i], local_index_[i]);
 }
 
 int ShardPlan::shard_of_cluster(int c) const {
@@ -577,58 +265,45 @@ ShardedHost::ShardedHost(const essd::EssdConfig& base,
                          const PlacementConfig& cfg)
     : base_(base), cfg_(cfg), tenants_(std::move(tenants)) {
   UC_ASSERT(!tenants_.empty(), "host needs at least one tenant");
+  UC_ASSERT(cfg_.budget.max_concurrent >= 1,
+            "migration budget needs at least one slot");
   planned_ = plan_placement(cfg_, tenants_);
   plan_ = compute_shard_plan(cfg_);
   sliced_ = cfg_.clusters > 1 && cfg_.rebalance_watermark > 1.0;
   slice_ = cfg_.slice > 0 ? cfg_.slice : cfg_.rebalance_interval;
   UC_ASSERT(!sliced_ || slice_ > 0, "sliced run needs a positive slice");
 
+  // One shard per cluster, so shard index == cluster index throughout.
   shards_.resize(plan_.shards());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].first_cluster = plan_.first_cluster[s];
-    shards_[s].clusters = plan_.clusters[s];
-  }
-  shard_of_tenant_.resize(tenants_.size());
   local_of_tenant_.resize(tenants_.size());
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    const auto s =
-        static_cast<std::size_t>(plan_.shard_of_cluster(planned_[i]));
-    shard_of_tenant_[i] = s;
-    local_of_tenant_[i] = shards_[s].tenant.size();
-    shards_[s].tenant.push_back(i);
+    auto& local = shards_[static_cast<std::size_t>(planned_[i])].tenant;
+    local_of_tenant_[i] = local.size();
+    local.push_back(i);
   }
 
-  for (Shard& sh : shards_) {
+  for (std::size_t c = 0; c < shards_.size(); ++c) {
+    Shard& sh = shards_[c];
     // Idle clusters need no simulator on the static schedule; the sliced
     // one instantiates every shard (an idle cluster can become a migration
     // destination at any barrier).
     if (sh.tenant.empty() && !sliced_) continue;
-    PlacementConfig sub = cfg_;
-    sub.clusters = sh.clusters;
-    sub.first_cluster = cfg_.first_cluster + sh.first_cluster;
-    // Shard hosts never self-rebalance: on the sliced schedule the
-    // coordinator owns every migration, and on the static one rebalancing
-    // is off by construction.
-    sub.rebalance_watermark = 0.0;
-    sub.fixed_assignment.clear();
+    essd::EssdConfig cluster_base = base_;
+    const std::uint64_t stride =
+        kClusterSeedStride * static_cast<std::uint64_t>(c);
+    cluster_base.seed += stride;
+    cluster_base.cluster.seed += stride;
     std::vector<tenant::TenantSpec> specs;
     specs.reserve(sh.tenant.size());
-    for (const std::size_t g : sh.tenant) {
-      specs.push_back(tenants_[g]);
-      // Pin the global plan; the shard host must not re-run the policy over
-      // its filtered tenant list.
-      sub.fixed_assignment.push_back(planned_[g] - sh.first_cluster);
-    }
+    for (const std::size_t g : sh.tenant) specs.push_back(tenants_[g]);
     sh.sim = std::make_unique<sim::Simulator>();
-    sh.host = std::make_unique<MultiClusterHost>(*sh.sim, base_,
-                                                 std::move(specs), sub);
+    sh.host = std::make_unique<tenant::SharedClusterHost>(
+        *sh.sim, cluster_base, std::move(specs));
   }
 
-  if (sliced_) {
-    fleet_cluster_of_ = planned_;
-    fleet_migrating_.assign(tenants_.size(), 0);
-    fleet_migrated_.assign(tenants_.size(), 0);
-  }
+  fleet_cluster_of_ = planned_;
+  fleet_migrating_.assign(tenants_.size(), 0);
+  fleet_migrated_.assign(tenants_.size(), 0);
 }
 
 PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
@@ -642,65 +317,57 @@ PlacementResult ShardedHost::run_static(sim::ParallelExecutor& exec) {
   exec.run_epoch(shards_.size(), [this](std::size_t s) {
     if (shards_[s].host != nullptr) shards_[s].host->run_fill();
   });
-  // Barrier: the fleet's measured window opens at the slowest drain — the
-  // same instant the single-simulator host observes, where one queue holds
-  // every cluster's fill and drains at the global max.
+  // Barrier: the fleet's measured window opens at the slowest drain.
   SimTime t0 = 0;
   for (const Shard& sh : shards_) {
     if (sh.sim != nullptr) t0 = std::max(t0, sh.sim->now());
   }
   // Epoch 2: the measured runs, all opening at t0.
-  std::vector<PlacementResult> part(shards_.size());
+  std::vector<tenant::HostResult> part(shards_.size());
   exec.run_epoch(shards_.size(), [this, &part, t0](std::size_t s) {
-    if (shards_[s].host != nullptr) part[s] = shards_[s].host->run_measure(t0);
+    Shard& sh = shards_[s];
+    if (sh.host == nullptr) return;
+    sh.host->begin_measure(t0);
+    sh.sim->run();
+    part[s] = sh.host->collect();
   });
   return merge_parts(std::move(part), t0);
 }
 
-PlacementResult ShardedHost::merge_parts(std::vector<PlacementResult> part,
+PlacementResult ShardedHost::merge_parts(std::vector<tenant::HostResult> part,
                                          SimTime measure_start) const {
-  // Coordinator merge: restore spec order for tenants and global indices
-  // for clusters.  Shards without a host leave default (all-zero) cluster
-  // and cleaner deltas — exactly what an idle cluster contributes.
+  // Coordinator merge: restore spec order for tenants.  Shards without a
+  // host leave default (all-zero) cluster and cleaner deltas — exactly what
+  // an idle cluster contributes.
   const std::size_t n = tenants_.size();
   PlacementResult result;
   result.measure_start = measure_start;
   result.stats.resize(n);
   result.backlog_peak.resize(n);
   result.traces.resize(n);
-  result.initial_cluster.resize(n);
-  result.final_cluster.resize(n);
-  result.cluster.resize(static_cast<std::size_t>(cfg_.clusters));
-  result.cleaner.resize(static_cast<std::size_t>(cfg_.clusters));
-  result.busy.resize(static_cast<std::size_t>(cfg_.clusters));
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& sh = shards_[s];
+  result.initial_cluster = planned_;
+  result.final_cluster = fleet_cluster_of_;
+  result.migrations = records_;
+  result.peak_concurrent_migrations = peak_concurrent_;
+  result.sliced = slice_stats_;
+  result.cluster.resize(shards_.size());
+  result.cleaner.resize(shards_.size());
+  result.busy.resize(shards_.size());
+  for (std::size_t c = 0; c < shards_.size(); ++c) {
+    const Shard& sh = shards_[c];
     if (sh.host == nullptr) continue;
-    PlacementResult& r = part[s];
+    tenant::HostResult& r = part[c];
     for (std::size_t j = 0; j < sh.tenant.size(); ++j) {
       const std::size_t g = sh.tenant[j];
       result.stats[g] = std::move(r.stats[j]);
       result.backlog_peak[g] = r.backlog_peak[j];
       result.traces[g] = std::move(r.traces[j]);
-      result.initial_cluster[g] = r.initial_cluster[j] + sh.first_cluster;
-      result.final_cluster[g] = r.final_cluster[j] + sh.first_cluster;
     }
-    for (int c = 0; c < sh.clusters; ++c) {
-      const auto gc = static_cast<std::size_t>(sh.first_cluster + c);
-      result.cluster[gc] = r.cluster[static_cast<std::size_t>(c)];
-      result.cleaner[gc] = std::move(r.cleaner[static_cast<std::size_t>(c)]);
-      result.busy[gc] = r.busy[static_cast<std::size_t>(c)];
-    }
-    for (const MigrationRecord& m : r.migrations) {
-      result.migrations.push_back(MigrationRecord{
-          sh.tenant[m.tenant], m.from_cluster + sh.first_cluster,
-          m.to_cluster + sh.first_cluster, m.stats});
-    }
-    result.peak_concurrent_migrations =
-        std::max(result.peak_concurrent_migrations,
-                 r.peak_concurrent_migrations);
+    result.cluster[c] = r.cluster;
+    result.cleaner[c] = std::move(r.cleaner);
+    result.busy[c] = r.busy;
     result.makespan = std::max(result.makespan, r.makespan);
-    result.sim_events += r.sim_events;
+    result.sim_events += sh.sim->events_processed();
   }
   return result;
 }
@@ -716,11 +383,11 @@ PlacementResult ShardedHost::run_sliced(sim::ParallelExecutor& exec) {
   // source starts), so the coordinator does it serially.
   for (Shard& sh : shards_) sh.host->begin_measure(t0);
   if (cfg_.policy == Policy::kLeastInterference) {
-    // Same baseline rule as the single-sim host: the first rebalance window
-    // opens at measure start, fill-phase occupancy never counts.
+    // Signal baseline: the first rebalance window opens at measure start,
+    // so fill-phase occupancy never counts.
     signal_at_check_.clear();
     for (const Shard& sh : shards_) {
-      signal_at_check_.push_back(sh.host->cluster(0).busy_stats().signal());
+      signal_at_check_.push_back(sh.host->cluster().busy_stats().signal());
     }
   }
 
@@ -757,20 +424,11 @@ PlacementResult ShardedHost::run_sliced(sim::ParallelExecutor& exec) {
     groups = std::move(next);
   }
 
-  std::vector<PlacementResult> part(shards_.size());
+  std::vector<tenant::HostResult> part(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    part[s] = shards_[s].host->collect_measure();
+    part[s] = shards_[s].host->collect();
   }
-  PlacementResult result = merge_parts(std::move(part), t0);
-  // The shard hosts never migrated anything; the coordinator's ledger is
-  // the fleet truth.
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    result.final_cluster[i] = fleet_cluster_of_[i];
-  }
-  result.migrations = records_;
-  result.peak_concurrent_migrations = peak_concurrent_;
-  result.sliced = slice_stats_;
-  return result;
+  return merge_parts(std::move(part), t0);
 }
 
 void ShardedHost::advance_group(const std::vector<std::size_t>& members,
@@ -811,10 +469,10 @@ std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
     b = find(b);
     if (a != b) parent[std::max(a, b)] = std::min(a, b);
   };
-  // One shard per cluster, so shard index == cluster index here.
   for (std::size_t r = 0; r < records_.size(); ++r) {
     if (record_migrator_[r]->finished()) continue;
-    const std::size_t home = shard_of_tenant_[records_[r].tenant];
+    const auto home =
+        static_cast<std::size_t>(planned_[records_[r].tenant]);
     unite(home, static_cast<std::size_t>(records_[r].from_cluster));
     unite(home, static_cast<std::size_t>(records_[r].to_cluster));
   }
@@ -822,7 +480,7 @@ std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
   // its new cluster until the load finishes, so those two stay fused.
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     if (!fleet_migrated_[i] || fleet_tenant_finished(i)) continue;
-    unite(shard_of_tenant_[i],
+    unite(static_cast<std::size_t>(planned_[i]),
           static_cast<std::size_t>(fleet_cluster_of_[i]));
   }
   std::vector<std::vector<std::size_t>> groups;
@@ -839,8 +497,8 @@ std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
 }
 
 bool ShardedHost::fleet_tenant_finished(std::size_t tenant) const {
-  return shards_[shard_of_tenant_[tenant]].host->tenant_finished(
-      local_of_tenant_[tenant]);
+  return shards_[static_cast<std::size_t>(planned_[tenant])]
+      .host->tenant_finished(local_of_tenant_[tenant]);
 }
 
 int ShardedHost::fleet_active_migrations() const {
@@ -861,9 +519,7 @@ bool ShardedHost::fleet_under_budget() const {
 }
 
 bool ShardedHost::fleet_rebalance() {
-  // Mirror of `MultiClusterHost::maybe_rebalance` at fleet scope, run once
-  // per slice barrier: same stop-when-drained guard, same budget admission,
-  // same policy split, at most one migration per check.
+  // Run once per slice barrier: nothing to repair once every load drained.
   bool any_running = false;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     if (!fleet_tenant_finished(i)) {
@@ -894,10 +550,12 @@ bool ShardedHost::fleet_rebalance_bytes() {
   if (static_cast<double>(bytes[busiest]) <= cfg_.rebalance_watermark * mean) {
     return false;
   }
+  // Largest still-running volume on the busiest cluster; moving a finished
+  // tenant frees no contended bandwidth.
   std::size_t pick = tenants_.size();
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     if (static_cast<std::size_t>(fleet_cluster_of_[i]) != busiest) continue;
-    if (fleet_migrating_[i]) continue;
+    if (fleet_migrating_[i]) continue;  // mid-copy volumes are not re-picked
     if (fleet_tenant_finished(i)) continue;
     if (pick == tenants_.size() ||
         tenants_[i].capacity_bytes > tenants_[pick].capacity_bytes) {
@@ -910,7 +568,8 @@ bool ShardedHost::fleet_rebalance_bytes() {
     if (bytes[c] < bytes[target]) target = c;
   }
   if (target == busiest) return false;
-  // The same strict-max-reduction oscillation guard as the single-sim host.
+  // Only move when it strictly lowers the maximum load — the oscillation
+  // guard that keeps repeated checks from bouncing a volume back and forth.
   const std::uint64_t cap = tenants_[pick].capacity_bytes;
   if (std::max(bytes[busiest] - cap, bytes[target] + cap) >= bytes[busiest]) {
     return false;
@@ -920,9 +579,10 @@ bool ShardedHost::fleet_rebalance_bytes() {
 }
 
 bool ShardedHost::fleet_rebalance_signal() {
-  // Windowed busy/stall deltas between consecutive barriers — the sliced
-  // analogue of the single-sim signal path, reading each cluster's
-  // occupancy through its shard host.
+  // Windowed busy/stall deltas between consecutive barriers: occupancy is
+  // cumulative, so diffing consecutive snapshots yields "how contended was
+  // this cluster over the last slice" — the live analogue of the
+  // planning-time expected load.
   const auto k = static_cast<std::size_t>(cfg_.clusters);
   if (signal_at_check_.size() != k) signal_at_check_.assign(k, 0);
   std::vector<SimTime> delta(k, 0);
@@ -931,7 +591,7 @@ bool ShardedHost::fleet_rebalance_signal() {
   std::size_t coolest = 0;
   for (std::size_t c = 0; c < k; ++c) {
     const SimTime now_signal =
-        shards_[c].host->cluster(0).busy_stats().signal();
+        shards_[c].host->cluster().busy_stats().signal();
     delta[c] = now_signal - signal_at_check_[c];
     signal_at_check_[c] = now_signal;
     total += delta[c];
@@ -943,6 +603,9 @@ bool ShardedHost::fleet_rebalance_signal() {
   if (static_cast<double>(delta[busiest]) <= cfg_.rebalance_watermark * mean) {
     return false;
   }
+  // Move the expectedly-hottest still-running volume.  Each tenant moves at
+  // most once per run: the signal window is noisy enough that a volume
+  // bounced twice is churn, not repair.
   std::size_t pick = tenants_.size();
   double pick_bps = 0.0;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
@@ -961,20 +624,22 @@ bool ShardedHost::fleet_rebalance_signal() {
 }
 
 void ShardedHost::start_fleet_migration(std::size_t tenant, int to_cluster) {
-  const std::size_t home = shard_of_tenant_[tenant];
+  const auto home = static_cast<std::size_t>(planned_[tenant]);
   const int from = fleet_cluster_of_[tenant];
-  MultiClusterHost& home_host = *shards_[home].host;
+  tenant::SharedClusterHost& home_host = *shards_[home].host;
   // The tenant's device lives in its home shard forever; its *current*
   // cluster (after earlier migrations) is whatever the device targets.
   essd::EssdDevice& dev = home_host.device_mut(local_of_tenant_[tenant]);
   ebs::StorageCluster& src = dev.cluster();
   ebs::StorageCluster& dst =
-      shards_[static_cast<std::size_t>(to_cluster)].host->cluster_mut(0);
+      shards_[static_cast<std::size_t>(to_cluster)].host->cluster_mut();
   const ebs::VolumeId src_vol = dev.volume();
   const ebs::VolumeId dst_vol =
       dst.attach_volume(tenants_[tenant].capacity_bytes);
-  // Carry the tenant's WFQ weight to the new home, exactly as the
-  // single-sim host does.
+  // The destination's construction-time weight fold only covered volumes
+  // planned onto it; carry the tenant's WFQ weight through the cutover so
+  // the copy traffic and the tenant's post-migration foreground I/O keep
+  // their fair share on the new home.
   dst.set_volume_weight(dst_vol, tenants_[tenant].weight);
   records_.push_back(MigrationRecord{tenant, from, to_cluster, {}});
   const std::size_t record = records_.size() - 1;
@@ -1032,17 +697,23 @@ void ShardedHost::reconcile_pacers() {
   }
 }
 
+const ebs::StorageCluster& ShardedHost::cluster(int c) const {
+  const Shard& sh = shards_[static_cast<std::size_t>(c)];
+  UC_ASSERT(sh.host != nullptr, "cluster was never built");
+  return sh.host->cluster();
+}
+
 void ShardedHost::check_invariants() const {
   for (const Shard& sh : shards_) {
-    if (sh.host == nullptr) continue;
-    for (int c = 0; c < sh.host->cluster_count(); ++c) {
-      sh.host->cluster(c).check_invariants();
-    }
+    if (sh.host != nullptr) sh.host->cluster().check_invariants();
   }
 }
 
 wl::JobStats ShardedHost::run_solo(std::size_t i) const {
-  return shards_[shard_of_tenant_[i]].host->run_solo(local_of_tenant_[i]);
+  const tenant::SharedClusterHost& host =
+      *shards_[static_cast<std::size_t>(planned_[i])].host;
+  return tenant::SharedClusterHost::run_solo(host.base(), tenants_[i],
+                                             local_of_tenant_[i]);
 }
 
 PlacementScenarioResult run_placement_scenario(
@@ -1053,30 +724,9 @@ PlacementScenarioResult run_placement_scenario(
   result.tenants = setup.tenants;
 
   sim::ParallelExecutor exec(opt.base.threads);
-  std::unique_ptr<sim::Simulator> sim;
-  std::unique_ptr<MultiClusterHost> host;
-  std::unique_ptr<ShardedHost> sharded;
-  PlacementResult run;
-  // Rebalancing fleets take the epoch-sliced ShardedHost at *every* thread
-  // count — digests must be invariant down to --threads 1, so one thread
-  // runs the same sliced schedule inline.  Non-rebalancing fleets keep the
-  // byte-identical single-simulator path at one thread.
-  const bool sliced = opt.placement.clusters > 1 &&
-                      opt.placement.rebalance_watermark > 1.0;
-  if (exec.threads() > 1 || sliced) {
-    sharded = std::make_unique<ShardedHost>(setup.base, setup.tenants,
-                                            opt.placement);
-    run = sharded->run(exec);
-    sharded->check_invariants();
-  } else {
-    sim = std::make_unique<sim::Simulator>();
-    host = std::make_unique<MultiClusterHost>(*sim, setup.base, setup.tenants,
-                                              opt.placement);
-    run = host->run();
-    for (int c = 0; c < host->cluster_count(); ++c) {
-      host->cluster(c).check_invariants();
-    }
-  }
+  ShardedHost host(setup.base, setup.tenants, opt.placement);
+  PlacementResult run = host.run(exec);
+  host.check_invariants();
   result.shard_digest = shard_digests(compute_shard_plan(opt.placement), run);
   result.sim_events = run.sim_events;
   result.makespan = run.makespan - run.measure_start;
@@ -1093,11 +743,9 @@ PlacementScenarioResult run_placement_scenario(
   if (opt.base.solo_baselines) {
     result.solo.resize(setup.tenants.size());
     // Each solo builds its own private simulator, so baselines fan out on
-    // the same executor; one thread reproduces today's sequential loop.
-    exec.run_epoch(setup.tenants.size(), [&](std::size_t i) {
-      result.solo[i] = host != nullptr ? host->run_solo(i)
-                                       : sharded->run_solo(i);
-    });
+    // the same executor.
+    exec.run_epoch(setup.tenants.size(),
+                   [&](std::size_t i) { result.solo[i] = host.run_solo(i); });
   }
   result.report = tenant::build_fairness_report(setup.tenants,
                                                 result.colocated, result.solo);

@@ -84,11 +84,11 @@ struct ScenarioOptions {
   bool model_node_index = false;
   ftl::MappingConfig node_mapping;
 
-  /// Worker threads for the parallel engine (`sim::ParallelExecutor`).
-  /// 1 (the default) keeps every run on today's single-simulator paths,
-  /// byte for byte.  > 1 fans solo baselines out per tenant and — in
-  /// `placement::run_placement_scenario` — runs the fleet as a
-  /// `placement::ShardedHost`, one shard simulator per cluster group.
+  /// Worker threads for the parallel engine (`sim::ParallelExecutor`):
+  /// > 1 fans solo baselines out per tenant and — in
+  /// `placement::run_placement_scenario` — advances the
+  /// `placement::ShardedHost` shards concurrently.  Sets only the worker
+  /// count; results are identical at every value.
   int threads = 1;
 };
 

@@ -32,7 +32,6 @@ SharedClusterHost::SharedClusterHost(sim::Simulator& sim,
                                      const essd::EssdConfig& base,
                                      std::vector<TenantSpec> tenants)
     : sim_(sim), base_(base), tenants_(std::move(tenants)) {
-  UC_ASSERT(!tenants_.empty(), "host needs at least one tenant");
   // Tenant i attaches as VolumeId i, so the per-tenant WFQ weights are the
   // spec weights in attach order.
   base_.cluster.sched.weights.clear();
@@ -70,8 +69,9 @@ wl::JobSpec precondition_spec(const TenantSpec& t) {
   return spec;
 }
 
-}  // namespace
-
+// Runs every tenant's precondition fill concurrently (tenant `i`'s device
+// is resolved via `device(i)`) and drains the simulator, so colocated runs
+// and solo baselines precondition identically.
 void run_preconditions(sim::Simulator& sim,
                        const std::vector<TenantSpec>& tenants,
                        const std::function<BlockDevice&(std::size_t)>& device) {
@@ -85,21 +85,45 @@ void run_preconditions(sim::Simulator& sim,
   if (!fills.empty()) sim.run();
 }
 
+}  // namespace
+
 HostResult SharedClusterHost::run() {
-  UC_ASSERT(!ran_, "host already ran");
-  ran_ = true;
+  run_fill();
+  begin_measure(sim_.now());
+  sim_.run();
+  return collect();
+}
+
+void SharedClusterHost::run_fill() {
+  UC_ASSERT(!filled_, "host already preconditioned");
+  filled_ = true;
   run_preconditions(sim_, tenants_,
                     [this](std::size_t i) -> BlockDevice& {
                       return *devices_[i];
                     });
-  HostResult result;
-  result.measure_start = sim_.now();
-  const ebs::ClusterStats cluster_before = cluster_->stats();
-  const ebs::CleanerStats cleaner_before = cluster_->cleaner().stats();
-  const net::FabricStats fabric_before = cluster_->fabric().stats();
-  const ebs::ClusterBusyStats busy_before = cluster_->busy_stats();
+}
+
+void SharedClusterHost::begin_measure(SimTime measure_start) {
+  UC_ASSERT(filled_, "begin_measure before run_fill");
+  UC_ASSERT(!ran_, "host already ran");
+  ran_ = true;
+  measuring_ = true;
+  // The queue is already drained, so this only advances the clock (a no-op
+  // when `measure_start` is this simulator's own drain time).
+  sim_.run_until(measure_start);
+  measure_start_ = sim_.now();
+  cluster_before_ = cluster_->stats();
+  cleaner_before_ = cluster_->cleaner().stats();
+  fabric_before_ = cluster_->fabric().stats();
+  busy_before_ = cluster_->busy_stats();
   for (auto& source : sources_) source->start();
-  sim_.run();
+}
+
+HostResult SharedClusterHost::collect() {
+  UC_ASSERT(measuring_, "collect before begin_measure");
+  measuring_ = false;
+  HostResult result;
+  result.measure_start = measure_start_;
   result.stats.reserve(sources_.size());
   for (auto& source : sources_) {
     UC_ASSERT(source->finished(), "simulator drained but a tenant load hung");
@@ -110,10 +134,10 @@ HostResult SharedClusterHost::run() {
       result.makespan = source->stats().last_complete;
     }
   }
-  result.cluster = subtract(cluster_->stats(), cluster_before);
-  result.cleaner = subtract(cluster_->cleaner().stats(), cleaner_before);
-  result.fabric = net::subtract(cluster_->fabric().stats(), fabric_before);
-  result.busy = subtract(cluster_->busy_stats(), busy_before);
+  result.cluster = subtract(cluster_->stats(), cluster_before_);
+  result.cleaner = subtract(cluster_->cleaner().stats(), cleaner_before_);
+  result.fabric = net::subtract(cluster_->fabric().stats(), fabric_before_);
+  result.busy = subtract(cluster_->busy_stats(), busy_before_);
   return result;
 }
 

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,14 +73,6 @@ struct HostResult {
   ebs::ClusterBusyStats busy;
 };
 
-/// Runs every tenant's precondition fill concurrently (tenant `i`'s device
-/// is resolved via `device(i)`) and drains the simulator.  Shared by
-/// `SharedClusterHost` and `placement::MultiClusterHost` so single- and
-/// multi-cluster runs precondition identically.
-void run_preconditions(sim::Simulator& sim,
-                       const std::vector<TenantSpec>& tenants,
-                       const std::function<BlockDevice&(std::size_t)>& device);
-
 /// Builds the shared cluster from `base.cluster` (so `spare_pool_bytes` is
 /// the *cluster-wide* headroom), attaches one volume per tenant, and runs
 /// every tenant's load concurrently on the host's simulator.  Frontend and
@@ -92,17 +83,40 @@ void run_preconditions(sim::Simulator& sim,
 /// attach order.
 class SharedClusterHost {
  public:
+  /// Zero tenants is legal: `placement::ShardedHost` builds one host per
+  /// cluster, and an idle cluster must still exist (it can become a
+  /// migration destination).
   SharedClusterHost(sim::Simulator& sim, const essd::EssdConfig& base,
                     std::vector<TenantSpec> tenants);
 
-  /// Starts every tenant's load source, drains the simulator, and collects
-  /// the per-tenant stats.
+  /// Preconditions every tenant, starts every load source, drains the
+  /// simulator, and collects the per-tenant stats: exactly `run_fill()`,
+  /// `begin_measure(sim.now())`, `sim.run()`, `collect()`.
   HostResult run();
+
+  /// The phases of `run()`, split so a fleet coordinator can put epoch
+  /// barriers between them.  `run_fill()` runs every tenant's precondition
+  /// fill concurrently and drains.  `begin_measure(t)` advances the (idle)
+  /// clock to `t` — the fleet-wide measured-window start — snapshots the
+  /// before-stats, and starts every load.  `collect()`, after the caller
+  /// drained the simulator however it liked, builds the result.
+  void run_fill();
+  void begin_measure(SimTime measure_start);
+  HostResult collect();
 
   std::size_t tenant_count() const { return tenants_.size(); }
   const TenantSpec& spec(std::size_t i) const { return tenants_[i]; }
+  /// The base profile with the tenants' WFQ weights folded in — what every
+  /// device of this host and its solo baselines derive from.
+  const essd::EssdConfig& base() const { return base_; }
   const ebs::StorageCluster& cluster() const { return *cluster_; }
   const essd::EssdDevice& device(std::size_t i) const { return *devices_[i]; }
+  /// Mutable cluster/device access for a fleet coordinator, which wires
+  /// cross-cluster migrations through the hosts' own objects.
+  ebs::StorageCluster& cluster_mut() { return *cluster_; }
+  essd::EssdDevice& device_mut(std::size_t i) { return *devices_[i]; }
+  /// Whether tenant `i`'s load source has completed.
+  bool tenant_finished(std::size_t i) const { return sources_[i]->finished(); }
 
   /// Derives tenant `i`'s device config from the host's base profile
   /// (shared by the colocated run and the solo baseline, so the two differ
@@ -123,6 +137,15 @@ class SharedClusterHost {
   std::unique_ptr<ebs::StorageCluster> cluster_;
   std::vector<std::unique_ptr<essd::EssdDevice>> devices_;
   std::vector<std::unique_ptr<wl::LoadSource>> sources_;
+  /// Before-stats snapshotted by `begin_measure`, so `collect` reports
+  /// measured-window deltas.
+  SimTime measure_start_ = 0;
+  ebs::ClusterStats cluster_before_;
+  ebs::CleanerStats cleaner_before_;
+  net::FabricStats fabric_before_;
+  ebs::ClusterBusyStats busy_before_;
+  bool filled_ = false;
+  bool measuring_ = false;
   bool ran_ = false;
 };
 

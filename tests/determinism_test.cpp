@@ -202,10 +202,18 @@ TEST(Determinism, ThreeTenantSeedsDiverge) {
 // ---------------------------------------------------------------------------
 // Parallel engine: the determinism matrix.  The same 4-cluster replay fleet
 // runs at 1/2/4/8 threads; per-shard digests, the merged fairness report,
-// the contract verdicts, and the event totals must all be identical.
-// threads=1 takes the single-simulator `MultiClusterHost` path, so this is
-// also the sharded-vs-legacy equivalence proof, not just shard scheduling.
+// the contract verdicts, and the event totals must all be identical.  The
+// 1-thread digests, event count and makespan are pinned to values captured
+// from the retired single-simulator host (one event queue for the whole
+// fleet), so this is also the sharded-vs-legacy equivalence proof, not just
+// shard scheduling.
 // ---------------------------------------------------------------------------
+
+const std::vector<std::uint64_t> kReplayFleetDigests = {
+    10907057635761261763ull, 14388622975025698312ull, 4097056090190038752ull,
+    4832774139040818048ull};
+constexpr std::uint64_t kReplayFleetEvents = 18333;
+constexpr SimTime kReplayFleetMakespan = 500337469;
 
 placement::PlacementScenarioResult run_replay_fleet(int threads) {
   placement::PlacementScenarioOptions opt;
@@ -223,6 +231,9 @@ TEST(Determinism, ParallelReplayMatrixIsThreadCountInvariant) {
   const auto base = run_replay_fleet(1);
   ASSERT_EQ(base.shard_digest.size(), 4u);  // one shard per cluster
   ASSERT_EQ(base.tenants.size(), 3u);
+  EXPECT_EQ(base.shard_digest, kReplayFleetDigests);
+  EXPECT_EQ(base.sim_events, kReplayFleetEvents);
+  EXPECT_EQ(base.makespan, kReplayFleetMakespan);
 
   contract::ReplayCheckConfig check;
   check.budget_gbs = 0.05;  // tight budget so violations actually fire
@@ -284,14 +295,11 @@ TEST(Determinism, ParallelReplayMatrixIsThreadCountInvariant) {
 // threading added for mapping ablation: with the policy knob at its
 // default, no fleet-visible event may move.
 TEST(Determinism, FleetDigestsMatchPreMappingRefactorHead) {
-  const std::vector<std::uint64_t> want = {
-      10907057635761261763ull, 14388622975025698312ull,
-      4097056090190038752ull, 4832774139040818048ull};
   for (const int threads : {1, 2, 4}) {
     const auto r = run_replay_fleet(threads);
-    EXPECT_EQ(r.shard_digest, want) << "threads " << threads;
-    EXPECT_EQ(r.sim_events, 18333u) << "threads " << threads;
-    EXPECT_EQ(r.makespan, 500337469u) << "threads " << threads;
+    EXPECT_EQ(r.shard_digest, kReplayFleetDigests) << "threads " << threads;
+    EXPECT_EQ(r.sim_events, kReplayFleetEvents) << "threads " << threads;
+    EXPECT_EQ(r.makespan, kReplayFleetMakespan) << "threads " << threads;
   }
 }
 

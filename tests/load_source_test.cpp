@@ -430,9 +430,9 @@ TEST(ReplayPlacement, MigrationRunsUnderReplayLoad) {
   cfg.rebalance_watermark = 1.2;
   cfg.rebalance_interval = 5 * kMs;
 
-  sim::Simulator sim;
-  placement::MultiClusterHost host(sim, base, tenants, cfg);
-  const auto result = host.run();
+  sim::ParallelExecutor exec(1);
+  placement::ShardedHost host(base, tenants, cfg);
+  const auto result = host.run(exec);
   ASSERT_GE(result.migrations.size(), 1u);
   EXPECT_EQ(result.final_cluster[result.migrations[0].tenant], 1);
   for (std::size_t i = 0; i < 3; ++i) {

@@ -1,7 +1,8 @@
 // Cross-cluster placement tests: policy planning, single-cluster
-// equivalence with SharedClusterHost, spread-vs-pack isolation on the
-// noisy-neighbour scenario, and live volume migration (data integrity,
-// source release, and watermark-driven rebalancing of a packed placement).
+// equivalence of ShardedHost with SharedClusterHost, spread-vs-pack
+// isolation on the noisy-neighbour scenario, and live volume migration
+// (data integrity, source release, and watermark-driven rebalancing of a
+// packed placement).
 
 #include <gtest/gtest.h>
 
@@ -97,17 +98,6 @@ TEST(PlanPlacement, LeastWeightBalancesWeights) {
             (std::vector<int>{0, 1, 1, 1}));
 }
 
-TEST(PlanPlacement, FixedAssignmentBypassesThePolicy) {
-  placement::PlacementConfig cfg;
-  cfg.clusters = 3;
-  cfg.policy = placement::Policy::kSpread;  // would give {0, 1, 2, 0}
-  cfg.fixed_assignment = {2, 2, 0, 1};
-  std::vector<tenant::TenantSpec> tenants(4);
-  for (auto& t : tenants) t.capacity_bytes = 64 * kMiB;
-  EXPECT_EQ(placement::plan_placement(cfg, tenants),
-            (std::vector<int>{2, 2, 0, 1}));
-}
-
 TEST(ShardPlan, OneShardPerClusterWithoutRebalancing) {
   placement::PlacementConfig cfg;
   cfg.clusters = 4;
@@ -144,10 +134,12 @@ TEST(ShardPlan, SingleClusterIsOneShard) {
   EXPECT_EQ(plan.clusters[0], 1);
 }
 
-TEST(ShardedHost, MergesIdenticallyToSingleSimulatorHost) {
-  // Three tenants over three clusters, one tenant each: the sharded run's
-  // merged result must match the single-simulator host field for field,
-  // including the per-shard digests computed from either side.
+TEST(ShardedHost, StaticRunMatchesPinnedDigests) {
+  // Three tenants over three clusters, one tenant each, on the static
+  // schedule.  The pins were captured from the retired single-simulator
+  // host (one event queue for the whole fleet), so they prove the
+  // per-cluster shards and the coordinator merge reproduce it exactly, at
+  // any thread count.
   std::vector<tenant::TenantSpec> tenants;
   tenants.push_back(small_tenant("a", 64 * kMiB, 400, 11));
   tenants.push_back(small_tenant("b", 64 * kMiB, 400, 22));
@@ -158,35 +150,28 @@ TEST(ShardedHost, MergesIdenticallyToSingleSimulatorHost) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 192 * kMiB;
 
-  sim::Simulator sim;
-  placement::MultiClusterHost single(sim, base, tenants, cfg);
-  const placement::PlacementResult a = single.run();
-
-  sim::ParallelExecutor exec(4);
-  placement::ShardedHost fleet(base, tenants, cfg);
-  const placement::PlacementResult b = fleet.run(exec);
-  fleet.check_invariants();
-  EXPECT_EQ(exec.epochs(), 2u);  // fill + measure
-
-  EXPECT_EQ(a.measure_start, b.measure_start);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.sim_events, b.sim_events);
-  EXPECT_EQ(a.initial_cluster, b.initial_cluster);
-  EXPECT_EQ(a.final_cluster, b.final_cluster);
-  ASSERT_EQ(a.stats.size(), b.stats.size());
-  for (std::size_t i = 0; i < a.stats.size(); ++i) {
-    EXPECT_EQ(a.stats[i].last_complete, b.stats[i].last_complete) << i;
-    EXPECT_EQ(a.stats[i].write_bytes, b.stats[i].write_bytes);
-    EXPECT_EQ(a.stats[i].read_bytes, b.stats[i].read_bytes);
-    EXPECT_DOUBLE_EQ(a.stats[i].all_latency.mean(),
-                     b.stats[i].all_latency.mean());
-    EXPECT_EQ(a.backlog_peak[i], b.backlog_peak[i]);
-  }
   const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
-  EXPECT_EQ(placement::shard_digests(plan, a), placement::shard_digests(plan, b));
-
-  // Solo baselines agree too (same global seeds through the shard hosts).
-  EXPECT_EQ(single.run_solo(1).last_complete, fleet.run_solo(1).last_complete);
+  const std::vector<std::uint64_t> want = {13100601404935730637ull,
+                                           5822525009684999028ull,
+                                           18306368389221112886ull};
+  for (const int threads : {1, 4}) {
+    sim::ParallelExecutor exec(threads);
+    placement::ShardedHost fleet(base, tenants, cfg);
+    EXPECT_FALSE(fleet.sliced());
+    const placement::PlacementResult r = fleet.run(exec);
+    fleet.check_invariants();
+    EXPECT_EQ(exec.epochs(), 2u) << threads;  // fill + measure
+    EXPECT_EQ(placement::shard_digests(plan, r), want) << threads;
+    EXPECT_EQ(r.sim_events, 2400u) << threads;
+    EXPECT_EQ(r.makespan, 37640029u) << threads;
+    EXPECT_EQ(r.measure_start, 0u) << threads;
+    EXPECT_EQ(r.initial_cluster, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(r.final_cluster, r.initial_cluster);
+    EXPECT_TRUE(r.migrations.empty());
+    // Solo baselines keep their bits too (same strided, weight-folded
+    // cluster base).
+    EXPECT_EQ(fleet.run_solo(1).last_complete, 37640029u) << threads;
+  }
 }
 
 TEST(PrioScheduler, MigrationIsTheLowestClass) {
@@ -209,34 +194,43 @@ TEST(PrioScheduler, MigrationIsTheLowestClass) {
   EXPECT_STREQ(sched::io_class_name(sched::IoClass::kMigration), "migration");
 }
 
-// A one-cluster MultiClusterHost must reproduce SharedClusterHost exactly:
-// same seeds, same attach order, same weight fold, so the placement layer
-// costs single-cluster runs nothing.
-TEST(MultiClusterHost, OneClusterMatchesSharedHost) {
+// A one-cluster fleet must reproduce SharedClusterHost::run() exactly: the
+// shard body *is* a SharedClusterHost, cluster 0 adds no seed stride, and
+// the static schedule's fill barrier is the host's own drain time.
+TEST(ShardedHost, OneClusterMatchesSharedHost) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 128 * kMiB;
   std::vector<tenant::TenantSpec> tenants;
   tenants.push_back(small_tenant("t0", 64 * kMiB, 400, 11));
   tenants.push_back(small_tenant("t1", 64 * kMiB, 400, 12));
+  tenants[1].precondition_bytes = 8 * kMiB;
 
-  sim::Simulator sim_a;
-  tenant::SharedClusterHost shared(sim_a, base, tenants);
-  const auto a = shared.run();
+  sim::Simulator sim;
+  tenant::SharedClusterHost shared(sim, base, tenants);
+  const tenant::HostResult a = shared.run();
 
-  sim::Simulator sim_b;
+  sim::ParallelExecutor exec(1);
   placement::PlacementConfig cfg;  // one cluster, any policy
-  placement::MultiClusterHost multi(sim_b, base, tenants, cfg);
-  const auto b = multi.run();
+  placement::ShardedHost fleet(base, tenants, cfg);
+  const placement::PlacementResult b = fleet.run(exec);
 
   ASSERT_EQ(a.stats.size(), b.stats.size());
+  EXPECT_EQ(a.measure_start, b.measure_start);
   EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(sim.events_processed(), b.sim_events);
   for (std::size_t i = 0; i < a.stats.size(); ++i) {
     EXPECT_EQ(a.stats[i].total_ops(), b.stats[i].total_ops());
     EXPECT_EQ(a.stats[i].last_complete, b.stats[i].last_complete);
     EXPECT_EQ(a.stats[i].total_bytes(), b.stats[i].total_bytes());
+    EXPECT_DOUBLE_EQ(a.stats[i].all_latency.mean(),
+                     b.stats[i].all_latency.mean());
+    EXPECT_EQ(a.backlog_peak[i], b.backlog_peak[i]);
   }
+  ASSERT_EQ(b.cluster.size(), 1u);
   EXPECT_EQ(a.cluster.written_pages, b.cluster[0].written_pages);
   EXPECT_EQ(a.cluster.read_pages, b.cluster[0].read_pages);
+  EXPECT_EQ(a.cleaner.segments_cleaned, b.cleaner[0].segments_cleaned);
+  EXPECT_EQ(a.busy.signal(), b.busy[0].signal());
 }
 
 double mean_victim_interference(const tenant::FairnessReport& report) {
@@ -354,79 +348,21 @@ TEST(VolumeMigrator, PreservesStampsAndReleasesSource) {
 
 // The rebalance acceptance bar: a deliberately imbalanced pack placement
 // (everyone on cluster 0 of 2) plus a watermark triggers live migration
-// during the run, tenants land spread across both clusters, every job still
-// completes, and the copy shows up in the migration log.
-TEST(MultiClusterHost, WatermarkMigrationRebalancesPackedPlacement) {
+// during the run.  Cluster 1 starts empty (pack is unbounded), so the
+// coordinator must migrate into an idle shard, fusing {source, destination}
+// while the copy is live and splitting back after the cutover drains.
+// Every job still completes, the copy shows up in the migration log, and
+// digests and slice accounting are identical at every thread count —
+// including one thread, which runs the same sliced schedule inline.
+TEST(SlicedShardedHost, FusedRebalanceIsThreadCountInvariant) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 256 * kMiB;
   std::vector<tenant::TenantSpec> tenants;
   tenants.push_back(small_tenant("t0", 64 * kMiB, 3000, 21));
   tenants.push_back(small_tenant("t1", 64 * kMiB, 3000, 22));
   tenants.push_back(small_tenant("t2", 64 * kMiB, 3000, 23));
-
   // Non-default WFQ weights: the migrated-in volume must carry its
   // tenant's weight to the target cluster (re-registration fix).
-  for (auto& t : tenants) t.weight = 2.5;
-
-  placement::PlacementConfig cfg;
-  cfg.clusters = 2;
-  cfg.policy = placement::Policy::kPack;  // unbounded: all on cluster 0
-  cfg.rebalance_watermark = 1.2;
-  cfg.rebalance_interval = 5 * kMs;
-
-  sim::Simulator sim;
-  placement::MultiClusterHost host(sim, base, tenants, cfg);
-  const auto result = host.run();
-
-  EXPECT_EQ(result.initial_cluster, (std::vector<int>{0, 0, 0}));
-  ASSERT_GE(result.migrations.size(), 1u);
-  // 3x64 MiB on cluster 0 vs mean 96 MiB trips the 1.2x watermark once;
-  // after one move ([128, 64] MiB) the oscillation guard holds.
-  EXPECT_EQ(result.migrations.size(), 1u);
-  const auto& mig = result.migrations[0];
-  EXPECT_EQ(mig.from_cluster, 0);
-  EXPECT_EQ(mig.to_cluster, 1);
-  EXPECT_GT(mig.stats.pages_copied, 0u);
-  EXPECT_GT(mig.stats.cutover, 0u);
-  EXPECT_EQ(result.final_cluster[mig.tenant], 1);
-  // The target cluster was built with an empty weight fold (nothing was
-  // planned onto it); the migrated-in volume must still carry its tenant's
-  // 2.5 WFQ weight instead of falling back to default_weight.
-  EXPECT_DOUBLE_EQ(
-      host.cluster(1).config().sched.weight(host.volume_of(mig.tenant)), 2.5);
-
-  int on_cluster1 = 0;
-  for (const int c : result.final_cluster) on_cluster1 += c == 1 ? 1 : 0;
-  EXPECT_EQ(on_cluster1, 1);
-  for (const auto& s : result.stats) {
-    EXPECT_EQ(s.total_ops(), 3000u);  // nobody lost I/O across the cutover
-  }
-  // Capacity accessors: the target grew by the migrated volume, while the
-  // source keeps its (now dead, trimmed) copy attached — which is exactly
-  // why the host tracks load by its own tenant map, not attached_bytes().
-  EXPECT_EQ(host.cluster(1).attached_bytes(), 64 * kMiB);
-  EXPECT_EQ(host.cluster(0).attached_bytes(), 3 * 64 * kMiB);
-  EXPECT_GT(host.cluster(0).free_pool_bytes(), 0u);
-  EXPECT_LE(host.cluster(0).free_pool_bytes(),
-            host.cluster(0).total_pool_bytes());
-  EXPECT_TRUE(host.cluster(0).check_invariants());
-  EXPECT_TRUE(host.cluster(1).check_invariants());
-}
-
-TEST(SlicedShardedHost, FusedRebalanceIsThreadCountInvariant) {
-  // The same packed fleet the single-sim watermark test repairs, but run
-  // through the epoch-sliced ShardedHost: cluster 1 starts empty (pack is
-  // unbounded), so the coordinator must migrate into an idle shard, fusing
-  // {source, destination} while the copy is live and splitting back after
-  // the cutover drains.  Digests and slice accounting must be identical at
-  // every thread count — including one thread, which runs the same sliced
-  // schedule inline.
-  essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
-  base.cluster.spare_pool_bytes = 256 * kMiB;
-  std::vector<tenant::TenantSpec> tenants;
-  tenants.push_back(small_tenant("t0", 64 * kMiB, 3000, 21));
-  tenants.push_back(small_tenant("t1", 64 * kMiB, 3000, 22));
-  tenants.push_back(small_tenant("t2", 64 * kMiB, 3000, 23));
   for (auto& t : tenants) t.weight = 2.5;
 
   placement::PlacementConfig cfg;
@@ -443,11 +379,29 @@ TEST(SlicedShardedHost, FusedRebalanceIsThreadCountInvariant) {
     host.check_invariants();
     // One fill epoch, then exactly one epoch per slice.
     EXPECT_EQ(exec.epochs(), 1u + r.sliced.slices);
+    // The target cluster was built with an empty weight fold (nothing was
+    // planned onto it), so the migrated-in volume is its first attach,
+    // VolumeId 0; it must carry its tenant's 2.5 WFQ weight instead of
+    // falling back to default_weight.
+    EXPECT_DOUBLE_EQ(host.cluster(1).config().sched.weight(0), 2.5);
+    // Capacity accessors: the target grew by the migrated volume, while the
+    // source keeps its (now dead, trimmed) copy attached — which is exactly
+    // why the coordinator tracks load by its own tenant map, not
+    // attached_bytes().
+    EXPECT_EQ(host.cluster(1).attached_bytes(), 64 * kMiB);
+    EXPECT_EQ(host.cluster(0).attached_bytes(), 3 * 64 * kMiB);
+    EXPECT_GT(host.cluster(0).free_pool_bytes(), 0u);
+    EXPECT_LE(host.cluster(0).free_pool_bytes(),
+              host.cluster(0).total_pool_bytes());
+    EXPECT_TRUE(host.cluster(0).check_invariants());
+    EXPECT_TRUE(host.cluster(1).check_invariants());
     return r;
   };
 
   const placement::PlacementResult r1 = run_with(1);
   EXPECT_EQ(r1.initial_cluster, (std::vector<int>{0, 0, 0}));
+  // 3x64 MiB on cluster 0 vs mean 96 MiB trips the 1.2x watermark once;
+  // after one move ([128, 64] MiB) the oscillation guard holds.
   ASSERT_EQ(r1.migrations.size(), 1u);
   const auto& mig = r1.migrations[0];
   EXPECT_EQ(mig.from_cluster, 0);
@@ -455,6 +409,9 @@ TEST(SlicedShardedHost, FusedRebalanceIsThreadCountInvariant) {
   EXPECT_GT(mig.stats.pages_copied, 0u);
   EXPECT_GT(mig.stats.cutover, 0u);
   EXPECT_EQ(r1.final_cluster[mig.tenant], 1);
+  int on_cluster1 = 0;
+  for (const int c : r1.final_cluster) on_cluster1 += c == 1 ? 1 : 0;
+  EXPECT_EQ(on_cluster1, 1);
   for (const auto& s : r1.stats) {
     EXPECT_EQ(s.total_ops(), 3000u);  // nobody lost I/O across the cutover
   }
