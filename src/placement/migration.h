@@ -47,8 +47,8 @@ struct MigrationConfig {
 };
 
 /// Shared copy-bandwidth governor: every copy fragment of every concurrent
-/// migration on a host reserves its transmission time on one serialized
-/// budget, so N in-flight migrations together never offer more than
+/// migration in one fused shard group reserves its transmission time on one
+/// serialized budget, so N in-flight migrations together never offer more than
 /// `bytes_per_s` of copy traffic.  This caps what migration *adds* to the
 /// fleet; the sched layer still arbitrates what that traffic *gets* on each
 /// shared pipe.  A zero budget is unpaced (fragments issue back to back,

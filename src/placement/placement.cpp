@@ -410,6 +410,7 @@ PlacementResult ShardedHost::run_sliced(sim::ParallelExecutor& exec) {
       advance_group(groups[g], tk);
     });
     ++slice_stats_.slices;
+    reconcile_pacers();  // a group that split must not keep sharing a pacer
     fleet_rebalance();
     std::vector<std::vector<std::size_t>> next = coupled_groups();
     if (next.size() < groups.size()) {
@@ -666,10 +667,12 @@ void ShardedHost::start_fleet_migration(std::size_t tenant, int to_cluster) {
 
 void ShardedHost::reconcile_pacers() {
   // Copy bandwidth is budgeted per fused group: every active migration in
-  // one coupled component shares one pacer (serialized reservations), and
-  // when components merge the earliest record's pacer survives with the
-  // max of the reservation high-waters (`absorb`).  Only ever called at a
-  // barrier, where all member clocks agree.
+  // one coupled component shares one pacer (serialized reservations).  When
+  // components merge, the earliest record's pacer survives with the max of
+  // the reservation high-waters (`absorb`); when a group splits, the first
+  // part keeps the pacer and every other part gets a copy, because groups
+  // advance on different workers and a shared pacer would be a data race.
+  // Called at every barrier, where all member clocks agree.
   if (cfg_.budget.copy_bandwidth_bps <= 0.0) return;
   const std::vector<std::vector<std::size_t>> groups = coupled_groups();
   std::vector<std::size_t> group_of(shards_.size(), 0);
@@ -681,16 +684,23 @@ void ShardedHost::reconcile_pacers() {
     if (record_migrator_[r]->finished()) continue;
     const std::size_t g =
         group_of[static_cast<std::size_t>(records_[r].to_cluster)];
+    MigrationPacer* const own = record_pacer_[r];
     if (survivor[g] == nullptr) {
-      if (record_pacer_[r] == nullptr) {
+      const bool claimed =
+          own != nullptr &&
+          std::find(survivor.begin(), survivor.end(), own) != survivor.end();
+      if (own == nullptr || claimed) {
         pacers_.push_back(
             std::make_unique<MigrationPacer>(cfg_.budget.copy_bandwidth_bps));
-        record_pacer_[r] = pacers_.back().get();
-        record_migrator_[r]->set_pacer(record_pacer_[r]);
+        if (claimed) pacers_.back()->absorb(*own);
+        survivor[g] = pacers_.back().get();
+      } else {
+        survivor[g] = own;
       }
-      survivor[g] = record_pacer_[r];
-    } else if (record_pacer_[r] != survivor[g]) {
-      if (record_pacer_[r] != nullptr) survivor[g]->absorb(*record_pacer_[r]);
+    } else if (own != nullptr && own != survivor[g]) {
+      survivor[g]->absorb(*own);
+    }
+    if (own != survivor[g]) {
       record_pacer_[r] = survivor[g];
       record_migrator_[r]->set_pacer(survivor[g]);
     }

@@ -346,6 +346,46 @@ TEST(Determinism, SlicedRebalanceDigestMatrixIsPinned) {
   }
 }
 
+// Pacer ownership across a split: two live migrations fused into one group
+// share one `MigrationPacer`; when the group splits while both still copy,
+// each part must own its pacer, or two workers reserve on the same one.
+// This fleet reaches that split (its 1-thread digests moved when pacers
+// started being reconciled at every barrier, hence the pins), and the
+// 2-thread runs repeat because a race shows up only sometimes.
+fleet::FleetReport run_pacer_split_fleet(int threads) {
+  fleet::FleetSpec spec;
+  spec.clusters = 6;
+  spec.tenants = 36;
+  spec.seed = 10;
+  spec.duration = 200 * kMs;
+  spec.diurnal_period = 80 * kMs;
+  spec.mean_iops = 400.0;
+  spec.max_tenant_iops = 4000.0;
+  spec.burst_iops = 2000.0;
+  spec.policy = placement::Policy::kLeastInterference;
+  spec.rebalance_watermark = 1.05;
+  spec.rebalance_interval = 10 * kMs;
+  spec.budget.max_concurrent = 4;
+  spec.budget.copy_bandwidth_bps = 50e6;
+  return fleet::run_fleet(spec, {.threads = threads});
+}
+
+TEST(Determinism, SplitGroupsOwnTheirPacers) {
+  const fleet::FleetReport base = run_pacer_split_fleet(1);
+  EXPECT_EQ(base.digests,
+            (std::vector<std::uint64_t>{
+                2406960431343457845ull, 10717222098129568840ull,
+                625159124885512556ull, 13216116376685724675ull,
+                3094660362860447612ull, 16091999506131882612ull}));
+  EXPECT_EQ(base.sim_events, 15953u);
+  for (int rep = 0; rep < 3; ++rep) {
+    const fleet::FleetReport r = run_pacer_split_fleet(2);
+    EXPECT_EQ(r.digests, base.digests) << "rep " << rep;
+    EXPECT_EQ(r.sim_events, base.sim_events) << "rep " << rep;
+    EXPECT_EQ(r.makespan, base.makespan) << "rep " << rep;
+  }
+}
+
 TEST(Determinism, DeviceSeedChangesOutcome) {
   sim::Simulator sim_a;
   auto cfg = essd::aws_io2_profile(1 * kGiB);
