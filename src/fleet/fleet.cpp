@@ -9,7 +9,6 @@
 #include "common/strfmt.h"
 #include "essd/essd_config.h"
 #include "sim/parallel.h"
-#include "sim/simulator.h"
 #include "tenant/fairness.h"
 
 namespace uc::fleet {

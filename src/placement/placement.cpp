@@ -263,7 +263,7 @@ std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
 ShardedHost::ShardedHost(const essd::EssdConfig& base,
                          std::vector<tenant::TenantSpec> tenants,
                          const PlacementConfig& cfg)
-    : base_(base), cfg_(cfg), tenants_(std::move(tenants)) {
+    : cfg_(cfg), tenants_(std::move(tenants)) {
   UC_ASSERT(!tenants_.empty(), "host needs at least one tenant");
   UC_ASSERT(cfg_.budget.max_concurrent >= 1,
             "migration budget needs at least one slot");
@@ -288,7 +288,7 @@ ShardedHost::ShardedHost(const essd::EssdConfig& base,
     // one instantiates every shard (an idle cluster can become a migration
     // destination at any barrier).
     if (sh.tenant.empty() && !sliced_) continue;
-    essd::EssdConfig cluster_base = base_;
+    essd::EssdConfig cluster_base = base;
     const std::uint64_t stride =
         kClusterSeedStride * static_cast<std::uint64_t>(c);
     cluster_base.seed += stride;

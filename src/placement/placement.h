@@ -124,8 +124,8 @@ struct MigrationRecord {
 };
 
 /// Accounting for the epoch-sliced parallel run (defaults on the static
-/// schedule).  Reported, never digest-mixed: the partition
-/// evolution depends only on config + signals, so these are themselves
+/// schedule).  Reported, never digest-mixed: the partition evolution
+/// depends only on config + signals, so these are themselves
 /// thread-count-invariant, but they describe the engine, not the fleet.
 struct SliceExecStats {
   std::uint64_t slices = 0;   ///< slice barriers crossed
@@ -284,7 +284,6 @@ class ShardedHost {
   bool fleet_under_budget() const;
   bool fleet_tenant_finished(std::size_t tenant) const;
 
-  essd::EssdConfig base_;
   PlacementConfig cfg_;
   std::vector<tenant::TenantSpec> tenants_;
   std::vector<int> planned_;  ///< global cluster per tenant (the one plan)
