@@ -1,6 +1,7 @@
 // Google-benchmark micro suite for the simulation substrate itself:
 // event-queue throughput, histogram recording, token-bucket admission, RNG
-// and zipf draws, the EBS cleaner's victim cycle, and end-to-end
+// and zipf draws, the EBS cleaner's victim cycle, the storage-node page
+// cache, and end-to-end
 // simulated-IOPS per wall-second for both device families.  These bound how
 // large an experiment the harness can run, and guard against performance
 // regressions in the hot paths.
@@ -20,6 +21,7 @@
 
 #include "bench/bench_util.h"
 #include "common/histogram.h"
+#include "common/lru_cache.h"
 #include "common/rng.h"
 #include "common/token_bucket.h"
 #include "ebs/cleaner.h"
@@ -325,6 +327,54 @@ void BM_CleanerPick(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(cleaned));
 }
 BENCHMARK(BM_CleanerPick)->Arg(10)->Arg(100)->Arg(1000);
+
+// ---------------------------------------------------------------------------
+// BM_NodeCache: one storage node's page cache (16,384 pages, the default
+// 64 MiB) at steady state, keyed like the cluster's `(chunk << 32) | page`
+// with Zipf(0.9) popularity over 4M pages of 16,384-page chunks.  Arg(0) is
+// the read mix: look the page up and insert it on a miss.  Arg(1) is the
+// write-invalidate mix: seven in eight ops invalidate a written page, which
+// is mostly a miss, and the rest read as in Arg(0).  Keys come from a
+// pre-drawn trace, and a full pass over it warms the cache untimed.  Rows
+// carry items = cache ops, so events_per_sec is ops per second.
+// ---------------------------------------------------------------------------
+
+void BM_NodeCache(benchmark::State& state) {
+  constexpr std::uint32_t kCachePages = 16384;
+  constexpr std::uint64_t kPagesPerChunk = 16384;
+  const bool writes = state.range(0) == 1;
+  state.SetLabel(writes ? "write-invalidate" : "read");
+  Rng rng(11);
+  ZipfGenerator zipf(std::uint64_t{1} << 22, 0.9);
+  std::vector<std::uint64_t> keys(std::size_t{1} << 20);
+  std::vector<std::uint8_t> is_write(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t rank = zipf.next(rng);
+    keys[i] = ((rank / kPagesPerChunk) << 32) | (rank % kPagesPerChunk);
+    is_write[i] = writes && rng.uniform_u64(8) != 0;
+  }
+  LruReadyCache<std::uint64_t> cache(kCachePages);
+  SimTime now = 0;
+  auto op = [&](std::size_t i) {
+    const std::uint64_t key = keys[i];
+    ++now;
+    if (is_write[i]) {
+      cache.invalidate(key);
+    } else if (auto r = cache.lookup(key); r.has_value()) {
+      benchmark::DoNotOptimize(*r);
+    } else {
+      cache.insert(key, now);
+    }
+  };
+  for (std::size_t i = 0; i < keys.size(); ++i) op(i);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    op(i);
+    i = (i + 1) & (keys.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NodeCache)->Arg(0)->Arg(1);
 
 // The parallel engine's events/sec trajectory: four independent shards
 // (own simulator + ESSD device + closed-loop job each, like one

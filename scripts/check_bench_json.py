@@ -398,6 +398,13 @@ def check_sim_micro(path, metrics):
     if cleaner and cleaner != {"10", "100", "1000"}:
         fail(path, "BM_CleanerPick must report 10, 100 and 1000 chunk logs "
                    f"(got {sorted(cleaner)})")
+    # The node-cache rung compares the read and write-invalidate mixes, so
+    # both must be present.
+    node_cache = {b["name"].split("/")[1] for b in benchmarks
+                  if b["name"].startswith("BM_NodeCache/")}
+    if node_cache and node_cache != {"0", "1"}:
+        fail(path, "BM_NodeCache must report the read (0) and "
+                   f"write-invalidate (1) mixes (got {sorted(node_cache)})")
     # The event-kernel hot-path family: the trajectory artifact needs the
     # steady-state, cancel-churn, and burst-drain rows together — a partial
     # run would make before/after kernel comparisons meaningless.

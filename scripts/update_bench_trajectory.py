@@ -5,7 +5,7 @@ The trajectory (BENCH_TRAJECTORY.json at the repo root) is an append-only
 record of kernel throughput over time, so a perf regression shows up as a
 dip in a diffable artifact rather than as folklore.  Each row snapshots the
 events/sec of the BM_EventKernel*, BM_ParallelShardReplay*,
-BM_ParallelEpochBarrier*, and BM_CleanerPick* families from
+BM_ParallelEpochBarrier*, BM_CleanerPick*, and BM_NodeCache* families from
 `bench_sim_micro --json` documents,
 plus "FleetRebalanceReplay/t<threads>" from a `bench_fleet --json`
 document's epoch-sliced rebalance leg:
@@ -36,7 +36,7 @@ import sys
 SCHEMA = "uc-bench-trajectory-v1"
 TRACKED_PREFIXES = ("BM_EventKernel", "BM_ParallelShardReplay",
                     "BM_ParallelEpochBarrier", "BM_CleanerPick",
-                    "FleetRebalanceReplay")
+                    "BM_NodeCache", "FleetRebalanceReplay")
 
 
 def fail(msg):

@@ -43,6 +43,9 @@ Status FtlConfig::validate() const {
   if (flush_parallelism < 1) {
     return Status::invalid_argument("flush parallelism must be >= 1");
   }
+  if (read_cache_slots == 0) {
+    return Status::invalid_argument("read cache needs at least one slot");
+  }
   if (Status s = mapping.validate(); !s.is_ok()) return s;
   return Status::ok();
 }

@@ -3,47 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+
+#include "common/status.h"
 
 namespace uc::ftl {
-
-ReadCache::ReadCache(std::uint32_t capacity_slots) : capacity_(capacity_slots) {
-  UC_ASSERT(capacity_slots > 0, "read cache needs capacity");
-}
-
-void ReadCache::insert(Lpn lpn, SimTime ready) {
-  auto it = map_.find(lpn);
-  if (it != map_.end()) {
-    it->second.ready = std::min(it->second.ready, ready);
-    lru_.erase(it->second.lru_it);
-    lru_.push_front(lpn);
-    it->second.lru_it = lru_.begin();
-    return;
-  }
-  if (map_.size() >= capacity_) {
-    const Lpn evict = lru_.back();
-    lru_.pop_back();
-    map_.erase(evict);
-  }
-  lru_.push_front(lpn);
-  map_.emplace(lpn, Node{ready, lru_.begin()});
-}
-
-std::optional<SimTime> ReadCache::lookup(Lpn lpn) {
-  auto it = map_.find(lpn);
-  if (it == map_.end()) return std::nullopt;
-  lru_.erase(it->second.lru_it);
-  lru_.push_front(lpn);
-  it->second.lru_it = lru_.begin();
-  return it->second.ready;
-}
-
-void ReadCache::invalidate(Lpn lpn) {
-  auto it = map_.find(lpn);
-  if (it == map_.end()) return;
-  lru_.erase(it->second.lru_it);
-  map_.erase(it);
-}
 
 SequentialPrefetcher::SequentialPrefetcher(const Config& cfg)
     : cfg_(cfg), streams_(static_cast<std::size_t>(cfg.stream_table_size)) {

@@ -10,12 +10,9 @@
 /// and smallest for random reads.
 
 #include <cstdint>
-#include <list>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
+#include "common/lru_cache.h"
 #include "common/types.h"
 
 namespace uc::ftl {
@@ -24,35 +21,7 @@ namespace uc::ftl {
 /// simulated time their data finishes arriving from flash, so a read that
 /// races its own prefetch waits for the in-flight transfer instead of
 /// re-reading flash.
-class ReadCache {
- public:
-  explicit ReadCache(std::uint32_t capacity_slots);
-
-  /// Inserts/updates `lpn`, whose data is ready at `ready`.
-  void insert(Lpn lpn, SimTime ready);
-
-  /// Returns the ready time if cached (refreshes recency).
-  std::optional<SimTime> lookup(Lpn lpn);
-
-  /// True if cached or in flight (without refreshing recency).
-  bool contains(Lpn lpn) const { return map_.contains(lpn); }
-
-  /// Drops a (now stale) entry; called on every overwrite/trim.
-  void invalidate(Lpn lpn);
-
-  std::uint32_t size() const { return static_cast<std::uint32_t>(map_.size()); }
-  std::uint32_t capacity() const { return capacity_; }
-
- private:
-  struct Node {
-    SimTime ready;
-    std::list<Lpn>::iterator lru_it;
-  };
-
-  std::uint32_t capacity_;
-  std::list<Lpn> lru_;  // front = most recent
-  std::unordered_map<Lpn, Node> map_;
-};
+using ReadCache = LruReadyCache<Lpn>;
 
 /// Detects sequential read streams over a small table of recent stream
 /// heads (FIO-style multi-stream detection) and suggests read-ahead ranges.

@@ -4,7 +4,7 @@
 // `operator new` into this binary; the tests then assert that steady-state
 // scheduling — slab slot recycling, 4-ary heap churn, InlineCallback
 // dispatch, and the FIFO reserve fast path — performs ZERO heap allocations
-// per event.  Without the option the tests skip (the rest of the suite does
+// per event, and that a full node page cache recycles its slab slots.  Without the option the tests skip (the rest of the suite does
 // not want a global allocator override), and the option refuses to combine
 // with UC_SANITIZE because sanitizers interpose the allocator themselves.
 //
@@ -15,6 +15,8 @@
 
 #include <cstdint>
 
+#include "common/lru_cache.h"
+#include "common/rng.h"
 #include "sched/queued_resource.h"
 #include "sim/simulator.h"
 
@@ -158,6 +160,42 @@ TEST(AllocProfile, FifoReserveFastPathIsAllocationFree) {
   }
   EXPECT_EQ(allocations() - before, 0u)
       << "the FIFO reserve path (inline server horizons) must not allocate";
+#endif
+}
+
+TEST(AllocProfile, NodeCacheChurnIsAllocationFree) {
+  UC_REQUIRE_ALLOC_PROFILING();
+#if defined(UC_PROFILE_ALLOC)
+  // A default-sized node cache keyed like the cluster's
+  // `(chunk << 32) | page`; filling it grows the slab and index once.
+  constexpr std::uint32_t kPages = 16384;
+  LruReadyCache<std::uint64_t> cache(kPages);
+  auto key = [](std::uint64_t chunk, std::uint64_t page) {
+    return (chunk << 32) | page;
+  };
+  for (std::uint32_t p = 0; p < kPages; ++p) {
+    cache.insert(key(p / 256, p % 256), p);
+  }
+  ASSERT_EQ(cache.size(), kPages);
+  Rng rng(5);
+  std::uint64_t hits = 0;
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 100000; ++i) {
+    // Chunks 0..95: two thirds already resident, the rest evict on insert.
+    const std::uint64_t k = key(rng.uniform_u64(96), rng.uniform_u64(256));
+    const double dice = rng.uniform();
+    if (dice < 0.4) {
+      hits += cache.lookup(k).has_value() ? 1 : 0;
+    } else if (dice < 0.8) {
+      cache.insert(k, static_cast<SimTime>(i));
+    } else {
+      cache.invalidate(k);  // frees a slot the next insert recycles
+    }
+  }
+  EXPECT_EQ(allocations() - before, 0u)
+      << "insert/lookup/invalidate/evict must recycle slab slots in place";
+  EXPECT_GT(hits, 0u);
+  EXPECT_LE(cache.size(), kPages);
 #endif
 }
 

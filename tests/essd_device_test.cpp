@@ -23,6 +23,15 @@ TEST(EssdDevice, InfoReflectsProfile) {
   EXPECT_DOUBLE_EQ(dev.info().guaranteed_iops, 25600.0);
 }
 
+TEST(EssdDevice, ConfigValidationRejectsZeroNodeCache) {
+  for (EssdConfig cfg :
+       {aws_io2_profile(2 * kGiB), alibaba_pl3_profile(2 * kGiB)}) {
+    EXPECT_TRUE(cfg.validate().is_ok());
+    cfg.cluster.node_cache_pages = 0;  // the cache constructor would abort
+    EXPECT_EQ(cfg.validate().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(EssdDevice, WriteReadRoundTrip) {
   sim::Simulator sim;
   EssdDevice dev(sim, alibaba_pl3_profile(1 * kGiB));

@@ -4,8 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <list>
+#include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "common/lru_cache.h"
+#include "common/rng.h"
 #include "common/units.h"
 #include "contract/suite.h"
 #include "ftl/prefetcher.h"
@@ -46,6 +51,151 @@ TEST(LruReadyCache, KeepsEarlierReadyTime) {
   EXPECT_EQ(*cache.lookup(9), 300u);
   cache.insert(9, 900);
   EXPECT_EQ(*cache.lookup(9), 300u);
+}
+
+// Reference model for the differential test below: the list + hash-map
+// LRU the flat cache replaced, kept verbatim so any divergence in ready
+// times, presence, size or eviction order shows up op for op.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::uint32_t capacity) : capacity_(capacity) {}
+
+  void insert(std::uint64_t key, SimTime ready) {
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      if (ready < it->second.ready) it->second.ready = ready;
+      touch(it);
+      return;
+    }
+    if (map_.size() >= capacity_) {
+      const std::uint64_t evict = lru_.back();
+      map_.erase(evict);
+      lru_.pop_back();
+    }
+    lru_.push_front(key);
+    map_.emplace(key, Node{ready, lru_.begin()});
+  }
+
+  std::optional<SimTime> lookup(std::uint64_t key) {
+    auto it = map_.find(key);
+    if (it == map_.end()) return std::nullopt;
+    touch(it);
+    return it->second.ready;
+  }
+
+  bool contains(std::uint64_t key) const { return map_.contains(key); }
+
+  void invalidate(std::uint64_t key) {
+    auto it = map_.find(key);
+    if (it == map_.end()) return;
+    lru_.erase(it->second.lru_it);
+    map_.erase(it);
+  }
+
+  std::uint32_t size() const { return static_cast<std::uint32_t>(map_.size()); }
+  const std::list<std::uint64_t>& keys() const { return lru_; }
+
+ private:
+  struct Node {
+    SimTime ready;
+    std::list<std::uint64_t>::iterator lru_it;
+  };
+  using MapIt = std::unordered_map<std::uint64_t, Node>::iterator;
+
+  void touch(MapIt it) {
+    lru_.erase(it->second.lru_it);
+    lru_.push_front(it->first);
+    it->second.lru_it = lru_.begin();
+  }
+
+  std::uint32_t capacity_;
+  std::list<std::uint64_t> lru_;
+  std::unordered_map<std::uint64_t, Node> map_;
+};
+
+/// Keys whose multiplicative hash has the given top 20 bits: they share one
+/// home bucket at every index size up to 2^20 slots.  Built by multiplying
+/// a chosen hash value by the inverse of the cache's odd multiplier.
+std::vector<std::uint64_t> same_home_keys(std::uint64_t top20, int n,
+                                          Rng& rng) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  std::uint64_t inv = kMul;  // Newton: each step doubles the correct bits
+  for (int i = 0; i < 6; ++i) inv *= 2 - kMul * inv;
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t h = (top20 << 44) | rng.uniform_u64(1ull << 44);
+    keys.push_back(h * inv);
+  }
+  return keys;
+}
+
+enum class KeyShape { kSmallSpace, kClusterKey, kSameHome };
+
+/// Seeded insert/lookup/contains/invalidate mix against the reference model.
+void run_differential(std::uint32_t capacity, KeyShape shape, int ops,
+                      std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "capacity " << capacity << " shape "
+                                  << static_cast<int>(shape));
+  Rng rng(seed);
+  std::vector<std::uint64_t> pool;
+  if (shape == KeyShape::kSameHome) {
+    // Runs homed at the last bucket wrap past the table's end into runs
+    // homed at bucket 0, so backward shifts cross the boundary both ways.
+    for (const std::uint64_t top : {0xFFFFFull, 0x0ull, 0x7FFFFull}) {
+      const auto keys = same_home_keys(top, 16, rng);
+      pool.insert(pool.end(), keys.begin(), keys.end());
+    }
+  }
+  const std::uint64_t span = 2ull * capacity + 8;
+  auto draw = [&]() -> std::uint64_t {
+    switch (shape) {
+      case KeyShape::kSmallSpace:
+        return rng.uniform_u64(span);
+      case KeyShape::kClusterKey:
+        return (rng.uniform_u64(8) << 32) | rng.uniform_u64(span / 4 + 2);
+      case KeyShape::kSameHome:
+        return rng.uniform() < 0.5 ? pool[rng.uniform_u64(pool.size())]
+                                   : rng.uniform_u64(span);
+    }
+    return 0;
+  };
+
+  LruReadyCache<std::uint64_t> cache(capacity);
+  ReferenceLru ref(capacity);
+  for (int i = 0; i < ops; ++i) {
+    const std::uint64_t key = draw();
+    const double dice = rng.uniform();
+    if (dice < 0.35) {
+      const SimTime ready = rng.uniform_u64(1000000);
+      cache.insert(key, ready);
+      ref.insert(key, ready);
+    } else if (dice < 0.70) {
+      ASSERT_EQ(cache.lookup(key), ref.lookup(key)) << "op " << i;
+    } else if (dice < 0.80) {
+      ASSERT_EQ(cache.contains(key), ref.contains(key)) << "op " << i;
+    } else {
+      cache.invalidate(key);
+      ref.invalidate(key);
+    }
+    ASSERT_EQ(cache.size(), ref.size()) << "op " << i;
+    if (capacity <= 64 || i % 4096 == 0 || i + 1 == ops) {
+      // Same size and every reference key present: the same keys survived.
+      for (const std::uint64_t k : ref.keys()) {
+        ASSERT_TRUE(cache.contains(k)) << "op " << i << " key " << k;
+      }
+    }
+  }
+}
+
+TEST(LruReadyCache, MatchesListAndMapReference) {
+  // ~1M ops over every capacity and key shape.
+  std::uint64_t seed = 1;
+  for (const std::uint32_t capacity : {1u, 3u, 64u, 4096u}) {
+    for (const KeyShape shape : {KeyShape::kSmallSpace, KeyShape::kClusterKey,
+                                 KeyShape::kSameHome}) {
+      run_differential(capacity, shape, 85000, seed++);
+    }
+  }
 }
 
 TEST(SequentialPrefetcher, DetectsStreamAfterTrigger) {

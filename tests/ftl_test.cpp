@@ -191,6 +191,13 @@ TEST(Ftl, ConfigValidationRejectsOversizedCapacity) {
   EXPECT_FALSE(cfg.validate().is_ok());
 }
 
+TEST(Ftl, ConfigValidationRejectsZeroReadCache) {
+  auto cfg = small_config();
+  EXPECT_TRUE(cfg.validate().is_ok());
+  cfg.read_cache_slots = 0;  // the cache constructor would abort
+  EXPECT_EQ(cfg.validate().code(), StatusCode::kInvalidArgument);
+}
+
 // Property sweep: after an arbitrary mix of writes, overwrites, trims and
 // reads across several seeds, a drained FTL must satisfy full mapping
 // integrity and reflect exactly the shadow model's view.
