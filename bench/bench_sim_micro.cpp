@@ -1,7 +1,7 @@
 // Google-benchmark micro suite for the simulation substrate itself:
 // event-queue throughput, histogram recording, token-bucket admission, RNG
 // and zipf draws, the EBS cleaner's victim cycle, the storage-node page
-// cache, and end-to-end
+// cache, one tenant's result-state lifecycle, and end-to-end
 // simulated-IOPS per wall-second for both device families.  These bound how
 // large an experiment the harness can run, and guard against performance
 // regressions in the hot paths.
@@ -12,7 +12,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -204,6 +206,45 @@ void BM_HistogramPercentile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HistogramPercentile);
+
+// ---------------------------------------------------------------------------
+// BM_TenantStatsLifecycle: what one fleet tenant's results cost.  Construct a
+// `JobStats`, record 2,048 lognormal latencies (100 us to 50 ms, median
+// ~1 ms) into its read/write, all-ops and slowdown histograms, copy it twice
+// (a shard's collect() and the fleet's merge both copy), merge the copies,
+// and read p50/p99/p99.9.  Latencies are pre-drawn.  Rows carry items =
+// lifecycles, so events_per_sec is tenant lifecycles per second.
+// ---------------------------------------------------------------------------
+
+void BM_TenantStatsLifecycle(benchmark::State& state) {
+  constexpr std::size_t kSamples = 2048;
+  Rng rng(13);
+  std::vector<SimTime> latency(kSamples);
+  for (auto& v : latency) {
+    v = static_cast<SimTime>(
+        std::clamp(std::exp(13.8 + 1.0 * rng.normal()), 1e5, 5e7));
+  }
+  for (auto _ : state) {
+    wl::JobStats stats;
+    for (std::size_t i = 0; i < kSamples; ++i) {
+      const SimTime v = latency[i];
+      (i % 4 == 0 ? stats.write_latency : stats.read_latency).record(v);
+      stats.all_latency.record(v);
+      stats.slowdown.record(v + v / 8);
+    }
+    wl::JobStats merged = stats;
+    const wl::JobStats part = stats;
+    merged.read_latency.merge(part.read_latency);
+    merged.write_latency.merge(part.write_latency);
+    merged.all_latency.merge(part.all_latency);
+    merged.slowdown.merge(part.slowdown);
+    benchmark::DoNotOptimize(merged.all_latency.percentile(50));
+    benchmark::DoNotOptimize(merged.all_latency.percentile(99));
+    benchmark::DoNotOptimize(merged.all_latency.percentile(99.9));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TenantStatsLifecycle);
 
 void BM_TokenBucket(benchmark::State& state) {
   TokenBucket bucket(1e9, 1e9);

@@ -405,6 +405,17 @@ def check_sim_micro(path, metrics):
     if node_cache and node_cache != {"0", "1"}:
         fail(path, "BM_NodeCache must report the read (0) and "
                    f"write-invalidate (1) mixes (got {sorted(node_cache)})")
+    # The tenant result-state rung is one row counting lifecycles: it must
+    # report items so its events_per_sec is lifecycles per second, not
+    # iterations of whatever the reporter fell back to.
+    lifecycle = [b for b in benchmarks
+                 if b["name"].startswith("BM_TenantStatsLifecycle")]
+    if len(lifecycle) > 1:
+        fail(path, "BM_TenantStatsLifecycle must report exactly one row "
+                   f"(got {len(lifecycle)})")
+    if lifecycle and not lifecycle[0].get("items_per_second", 0) > 0:
+        fail(path, "BM_TenantStatsLifecycle must report items_per_second "
+                   "(tenant lifecycles per second)")
     # The event-kernel hot-path family: the trajectory artifact needs the
     # steady-state, cancel-churn, and burst-drain rows together — a partial
     # run would make before/after kernel comparisons meaningless.

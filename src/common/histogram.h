@@ -5,9 +5,12 @@
 ///
 /// Values (nanoseconds) are bucketed into power-of-two "majors" subdivided
 /// into `kSubBuckets` linear "minors", giving a bounded relative error of
-/// 1/kSubBuckets (~1.6%) across the full uint64 nanosecond range while using
-/// a fixed ~30 KiB footprint.  This is the recording structure behind every
-/// latency number the benchmarks print (average, P50/P99/P99.9, min/max).
+/// 1/kSubBuckets (~1.6%) across the full uint64 nanosecond range.  Counts are
+/// stored densely only for the span of whole majors the histogram has seen,
+/// so an empty histogram allocates nothing and one tenant's latencies (a few
+/// majors) take a few KiB instead of the full 3,776-bucket range (~30 KiB).
+/// This is the recording structure behind every latency number the
+/// benchmarks print (average, P50/P99/P99.9, min/max).
 
 #include <cstdint>
 #include <string>
@@ -22,8 +25,6 @@ class LatencyHistogram {
   static constexpr int kSubBucketBits = 6;               // 64 minors per major
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
   static constexpr int kMajors = 64 - kSubBucketBits + 1;  // covers full uint64
-
-  LatencyHistogram();
 
   /// Records one sample (nanoseconds).
   void record(SimTime value_ns);
@@ -56,8 +57,17 @@ class LatencyHistogram {
   static int bucket_index(SimTime value);
   static SimTime bucket_lower_bound(int index);
   static SimTime bucket_width(int index);
+  /// Grows the stored span, in whole majors, to include bucket indices
+  /// [lo, hi].
+  void cover(int lo, int hi);
+  /// record_n's slow path: grows the span to `index`, then counts there.
+  /// Kept out of line so record_n's fast path saves no registers.
+  [[gnu::noinline]] void add_outside_span(int index, std::uint64_t count);
 
+  /// Counts of bucket indices [base_, base_ + buckets_.size()); base_ is a
+  /// multiple of kSubBuckets.  Empty until the first sample.
   std::vector<std::uint64_t> buckets_;
+  int base_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   double sum_sq_ = 0.0;

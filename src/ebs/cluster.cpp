@@ -11,10 +11,26 @@
 
 namespace uc::ebs {
 
+Status ClusterConfig::validate() const {
+  if (segment_bytes == 0 || segment_bytes % kLogicalPageBytes != 0) {
+    return Status::invalid_argument("segment size must be a 4 KiB multiple");
+  }
+  if (chunk_bytes == 0 || chunk_bytes % segment_bytes != 0) {
+    return Status::invalid_argument(
+        "chunk size must be a positive multiple of the segment size");
+  }
+  if (node_cache_pages == 0) {
+    return Status::invalid_argument("node caches need at least one page");
+  }
+  return Status::ok();
+}
+
 // A shared cluster starts with the provider's spare capacity plus the
 // cleaner reserve; every attach_volume() grows the pool by the volume's
-// live + open-segment share.
+// live + open-segment share.  Both pool helpers run before the constructor
+// body, so they check the geometry they divide by.
 std::uint64_t StorageCluster::shared_pool_groups(const ClusterConfig& cfg) {
+  UC_ASSERT(cfg.validate().is_ok(), "invalid cluster configuration");
   return cfg.spare_pool_bytes / cfg.segment_bytes + cfg.cleaner_reserve_groups;
 }
 
@@ -22,6 +38,7 @@ std::uint64_t StorageCluster::shared_pool_groups(const ClusterConfig& cfg) {
 // live data + spare + one open segment per chunk, plus the cleaner reserve.
 std::uint64_t StorageCluster::legacy_pool_groups(const ClusterConfig& cfg,
                                                  std::uint64_t volume_bytes) {
+  UC_ASSERT(cfg.validate().is_ok(), "invalid cluster configuration");
   const std::uint64_t chunks =
       (volume_bytes + cfg.chunk_bytes - 1) / cfg.chunk_bytes;
   return (volume_bytes + cfg.spare_pool_bytes) / cfg.segment_bytes + chunks +
@@ -55,11 +72,6 @@ StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg,
       replica_read_(cfg.replica_read),
       append_ns_per_byte_(units::ns_per_byte_from_mbps(cfg.node_append_mbps)),
       read_ns_per_byte_(units::ns_per_byte_from_mbps(cfg.node_read_mbps)) {
-  UC_ASSERT(cfg.segment_bytes > 0 &&
-                cfg.segment_bytes % kLogicalPageBytes == 0,
-            "segment size must be 4 KiB aligned");
-  UC_ASSERT(cfg.chunk_bytes % cfg.segment_bytes == 0,
-            "chunk size must be a multiple of the segment size");
   pages_per_segment_ =
       static_cast<std::uint32_t>(cfg.segment_bytes / kLogicalPageBytes);
   for (int n = 0; n < cfg.fabric.nodes; ++n) {
@@ -218,11 +230,14 @@ void StorageCluster::pump_appends() {
 void StorageCluster::invalidate_cached(const Volume& v, ChunkId chunk,
                                        std::uint32_t first_page,
                                        std::uint32_t pages) {
-  for (const int node : v.map.replicas(chunk)) {
-    auto& cache = node_caches_[static_cast<std::size_t>(node)];
-    for (std::uint32_t i = 0; i < pages && cache.size() > 0; ++i) {
-      cache.invalidate(cache_key(v, chunk, first_page + i));
-    }
+  // Invariant: a chunk's pages are only ever cached on its primary replica.
+  // Reads and read-ahead insert into `replicas(chunk)[0]`'s cache alone, a
+  // chunk's replica list never changes, and volumes are never detached, so
+  // probing the other replicas' caches could never remove anything.
+  const int primary = v.map.replicas(chunk)[0];
+  auto& cache = node_caches_[static_cast<std::size_t>(primary)];
+  for (std::uint32_t i = 0; i < pages && cache.size() > 0; ++i) {
+    cache.invalidate(cache_key(v, chunk, first_page + i));
   }
 }
 
@@ -621,6 +636,16 @@ bool StorageCluster::is_written(VolumeId vol, ByteOffset offset) const {
   const ChunkId chunk = v.map.chunk_of(offset);
   return v.logs[chunk].is_written(static_cast<std::uint32_t>(
       v.map.offset_in_chunk(offset) / kLogicalPageBytes));
+}
+
+bool StorageCluster::page_cached_on(int node, VolumeId vol,
+                                    ByteOffset offset) const {
+  const Volume& v = volume(vol);
+  const ChunkId chunk = v.map.chunk_of(offset);
+  return node_caches_[static_cast<std::size_t>(node)].contains(cache_key(
+      v, chunk,
+      static_cast<std::uint32_t>(v.map.offset_in_chunk(offset) /
+                                 kLogicalPageBytes)));
 }
 
 WriteStamp StorageCluster::page_stamp(VolumeId vol, ByteOffset offset) const {

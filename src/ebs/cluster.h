@@ -28,6 +28,7 @@
 
 #include "common/lru_cache.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "ebs/chunk_map.h"
 #include "ebs/cleaner.h"
@@ -103,6 +104,10 @@ struct ClusterConfig {
   std::uint64_t node_index_window_pages = 1ull << 20;  ///< 4 GiB per node
 
   std::uint64_t seed = 99;
+
+  /// Rejects segment/chunk geometry the chunk logs cannot carve up, and an
+  /// empty node cache.
+  Status validate() const;
 };
 
 struct ClusterStats {
@@ -243,6 +248,8 @@ class StorageCluster {
 
   bool is_written(VolumeId vol, ByteOffset offset) const;
   WriteStamp page_stamp(VolumeId vol, ByteOffset offset) const;
+  /// True when `node`'s page cache holds the page at `offset` of `vol`.
+  bool page_cached_on(int node, VolumeId vol, ByteOffset offset) const;
   std::uint64_t live_pages(VolumeId vol) const;
   std::uint64_t garbage_pages(VolumeId vol) const;
 

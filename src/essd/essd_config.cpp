@@ -18,11 +18,11 @@ Status EssdConfig::validate() const {
   if (cluster.replication < 1 || cluster.replication > cluster.fabric.nodes) {
     return Status::invalid_argument("replication must fit the node count");
   }
+  if (const Status s = cluster.validate(); !s.is_ok()) {
+    return s;
+  }
   if (capacity_bytes % cluster.chunk_bytes != 0) {
     return Status::invalid_argument("capacity must be a chunk multiple");
-  }
-  if (cluster.node_cache_pages == 0) {
-    return Status::invalid_argument("node caches need at least one page");
   }
   if (cluster.model_node_index) {
     if (const Status s = cluster.node_mapping.validate(); !s.is_ok()) {

@@ -4,9 +4,12 @@
 // `operator new` into this binary; the tests then assert that steady-state
 // scheduling — slab slot recycling, 4-ary heap churn, InlineCallback
 // dispatch, and the FIFO reserve fast path — performs ZERO heap allocations
-// per event, and that a full node page cache recycles its slab slots.  Without the option the tests skip (the rest of the suite does
-// not want a global allocator override), and the option refuses to combine
-// with UC_SANITIZE because sanitizers interpose the allocator themselves.
+// per event, that a full node page cache recycles its slab slots, and that
+// per-tenant result state (latency histograms, `JobStats`) allocates nothing
+// until it records outside its span.  Without the option the tests skip (the
+// rest of the suite does not want a global allocator override), and the
+// option refuses to combine with UC_SANITIZE because sanitizers interpose the
+// allocator themselves.
 //
 // The measured region is single-threaded and diffs the counter across a
 // bounded run, so gtest's own bookkeeping between tests does not pollute it.
@@ -15,10 +18,12 @@
 
 #include <cstdint>
 
+#include "common/histogram.h"
 #include "common/lru_cache.h"
 #include "common/rng.h"
 #include "sched/queued_resource.h"
 #include "sim/simulator.h"
+#include "workload/runner.h"
 
 #if defined(UC_PROFILE_ALLOC)
 
@@ -196,6 +201,39 @@ TEST(AllocProfile, NodeCacheChurnIsAllocationFree) {
       << "insert/lookup/invalidate/evict must recycle slab slots in place";
   EXPECT_GT(hits, 0u);
   EXPECT_LE(cache.size(), kPages);
+#endif
+}
+
+TEST(AllocProfile, EmptyResultStateIsAllocationFree) {
+  UC_REQUIRE_ALLOC_PROFILING();
+#if defined(UC_PROFILE_ALLOC)
+  const std::uint64_t before = allocations();
+  {
+    LatencyHistogram h;
+    wl::JobStats stats;
+    EXPECT_TRUE(h.empty());
+    EXPECT_EQ(stats.all_latency.percentile(99), 0u);
+  }
+  EXPECT_EQ(allocations() - before, 0u)
+      << "a default-constructed histogram or JobStats must not allocate";
+#endif
+}
+
+TEST(AllocProfile, HistogramRecordInsideSpanIsAllocationFree) {
+  UC_REQUIRE_ALLOC_PROFILING();
+#if defined(UC_PROFILE_ALLOC)
+  // Two samples cover the span of a tenant's latencies (100 us to 50 ms).
+  LatencyHistogram h;
+  h.record(100'000);
+  h.record(50'000'000);
+  Rng rng(9);
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 100000; ++i) {
+    h.record(rng.uniform_range(100'000, 50'000'000));
+  }
+  EXPECT_EQ(allocations() - before, 0u)
+      << "recording inside the stored span must not grow it";
+  EXPECT_EQ(h.count(), 100002u);
 #endif
 }
 

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "ebs/cluster.h"
 
@@ -128,6 +130,78 @@ TEST(StorageCluster, WriteInvalidatesNodeCaches) {
   // cache entry (a fresh media read happened instead).
   EXPECT_GE(h.cluster.stats().media_read_pages, 2u);
   (void)hits_before;
+}
+
+// Writes invalidate only the primary replica's cache, which is sound only
+// because reads and read-ahead cache a chunk's pages on its primary alone.
+// Drive overlapping writes, random reads and sequential read streams (with
+// read-ahead) at queue depth 16, then check that no secondary ever holds a
+// page and that the run's timing digest is the pinned one.
+TEST(StorageCluster, OnlyPrimaryReplicasCacheChunkPages) {
+  ClusterConfig cfg = test_config();
+  cfg.readahead = true;
+  cfg.readahead_pages = 8;
+  cfg.node_cache_pages = 512;
+  sim::Simulator sim;
+  const std::uint64_t volume = 32 * kMiB;
+  StorageCluster cluster(sim, cfg, volume);
+  const std::uint64_t pages_per_chunk = cfg.chunk_bytes / kLogicalPageBytes;
+  const std::uint64_t volume_pages = volume / kLogicalPageBytes;
+
+  Rng rng(17);
+  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a over completions
+  auto mix = [&](std::uint64_t x) { digest = (digest ^ x) * 1099511628211ull; };
+  WriteStamp stamp = 0;
+  std::uint64_t stream = 0;  // next page of the sequential read stream
+  for (int round = 0; round < 300; ++round) {
+    for (int k = 0; k < 16; ++k) {
+      const double dice = rng.uniform();
+      const std::uint64_t page =
+          dice < 0.25 ? stream : rng.uniform_u64(volume_pages);
+      const auto pages = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(1 + rng.uniform_u64(4),
+                                  pages_per_chunk - page % pages_per_chunk));
+      if (dice < 0.25) stream = (page + pages) % volume_pages;
+      const ByteOffset off = page * kLogicalPageBytes;
+      const auto bytes =
+          static_cast<std::uint32_t>(pages * kLogicalPageBytes);
+      auto done = [&sim, &mix, k] {
+        mix(sim.now() * 31 + static_cast<std::uint64_t>(k));
+      };
+      if (dice >= 0.25 && dice < 0.6) {
+        cluster.write(off, bytes, stamp + 1, done);
+        stamp += pages;
+      } else {
+        cluster.read(off, bytes, done);
+      }
+    }
+    sim.run();
+  }
+  const ClusterStats& st = cluster.stats();
+  mix(st.cache_hit_pages);
+  mix(st.media_read_pages);
+  mix(st.readahead_fetches);
+  EXPECT_GT(st.cache_hit_pages, 0u);
+  EXPECT_GT(st.readahead_fetches, 0u);
+
+  std::uint64_t cached_on_primary = 0;
+  for (std::uint64_t page = 0; page < volume_pages; ++page) {
+    const ByteOffset off = page * kLogicalPageBytes;
+    const auto& replicas =
+        cluster.chunks().replicas(cluster.chunks().chunk_of(off));
+    for (int node = 0; node < cfg.fabric.nodes; ++node) {
+      if (node == replicas[0]) {
+        cached_on_primary += cluster.page_cached_on(node, 0, off) ? 1 : 0;
+      } else {
+        EXPECT_FALSE(cluster.page_cached_on(node, 0, off))
+            << "page " << page << " cached on non-primary node " << node;
+      }
+    }
+  }
+  EXPECT_GT(cached_on_primary, 0u);
+  // The same digest as invalidating every replica's cache: skipping the
+  // secondaries changes no timing.
+  EXPECT_EQ(digest, 11528424210907451115ull) << "timing digest moved";
 }
 
 TEST(StorageCluster, UnwrittenReadsSkipMedia) {

@@ -32,6 +32,27 @@ TEST(EssdDevice, ConfigValidationRejectsZeroNodeCache) {
   }
 }
 
+TEST(EssdDevice, ConfigValidationRejectsBadSegmentGeometry) {
+  for (const EssdConfig& base :
+       {aws_io2_profile(2 * kGiB), alibaba_pl3_profile(2 * kGiB)}) {
+    ASSERT_TRUE(base.validate().is_ok());
+    EssdConfig zero = base;
+    zero.cluster.segment_bytes = 0;  // the pool sizing would divide by zero
+    EXPECT_EQ(zero.validate().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(zero.cluster.validate().code(), StatusCode::kInvalidArgument);
+    EssdConfig misaligned = base;
+    misaligned.cluster.segment_bytes = kMiB + 512;
+    EXPECT_EQ(misaligned.validate().code(), StatusCode::kInvalidArgument);
+    EssdConfig uneven = base;  // 4 KiB aligned, but the chunk doesn't split
+    uneven.cluster.segment_bytes = 3 * kMiB;
+    ASSERT_NE(uneven.cluster.chunk_bytes % uneven.cluster.segment_bytes, 0u);
+    EXPECT_EQ(uneven.validate().code(), StatusCode::kInvalidArgument);
+    EssdConfig no_chunk = base;  // the capacity check would divide by zero
+    no_chunk.cluster.chunk_bytes = 0;
+    EXPECT_EQ(no_chunk.validate().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(EssdDevice, WriteReadRoundTrip) {
   sim::Simulator sim;
   EssdDevice dev(sim, alibaba_pl3_profile(1 * kGiB));
