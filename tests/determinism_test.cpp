@@ -15,6 +15,7 @@
 #include "essd/essd_device.h"
 #include "fleet/fleet.h"
 #include "placement/placement.h"
+#include "sched/sched.h"
 #include "ssd/ssd_device.h"
 #include "tenant/scenarios.h"
 #include "tenant/tenant.h"
@@ -76,10 +77,13 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(a.last_complete, b.last_complete);
 }
 
-tenant::HostResult run_three_tenants(std::uint64_t seed) {
+tenant::HostResult run_three_tenants(
+    std::uint64_t seed, sched::Policy policy = sched::Policy::kFifo) {
   using namespace units;
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 192 * kMiB;
+  base.sched.policy = policy;
+  base.cluster.sched.policy = policy;
   std::vector<tenant::TenantSpec> tenants(3);
   for (int i = 0; i < 3; ++i) {
     tenants[static_cast<std::size_t>(i)].name = "t" + std::to_string(i);
@@ -140,6 +144,48 @@ TEST(Determinism, FifoDigestsMatchPreSchedSeed) {
   EXPECT_EQ(r.stats[0].read_bytes, 1531904u);
   EXPECT_EQ(r.stats[1].read_bytes, 52428800u);
   EXPECT_EQ(r.stats[2].write_bytes, 52428800u);
+}
+
+// The same scenario under the queued policies, where every shared queue
+// dispatches through the scheduler and the request chain runs as grant
+// continuations.  Captured before the ESSD read, write and submit paths
+// were folded into one chain shared with FIFO.
+struct ThreeTenantPin {
+  SimTime makespan;
+  SimTime last_complete[3];
+  SimTime max_latency[3];
+  double mean_latency[3];
+};
+
+void expect_three_tenant_pin(const tenant::HostResult& r,
+                             const ThreeTenantPin& pin) {
+  EXPECT_EQ(r.makespan, pin.makespan);
+  ASSERT_EQ(r.stats.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.stats[i].last_complete, pin.last_complete[i]) << i;
+    EXPECT_EQ(r.stats[i].all_latency.max(), pin.max_latency[i]) << i;
+    EXPECT_DOUBLE_EQ(r.stats[i].all_latency.mean(), pin.mean_latency[i]) << i;
+  }
+  EXPECT_EQ(r.stats[0].write_bytes + r.stats[0].read_bytes, 3276800u);
+  EXPECT_EQ(r.stats[1].read_bytes, 52428800u);
+  EXPECT_EQ(r.stats[2].write_bytes, 52428800u);
+}
+
+TEST(Determinism, QueuedPolicyDigestsArePinned) {
+  expect_three_tenant_pin(
+      run_three_tenants(4242, sched::Policy::kWfq),
+      ThreeTenantPin{137402322,
+                     {137402322, 129682992, 99351269},
+                     {519464, 559131, 600362},
+                     {343388.00874999998, 485618.10375000001,
+                      495925.48125000001}});
+  expect_three_tenant_pin(
+      run_three_tenants(4242, sched::Policy::kPrio),
+      ThreeTenantPin{137361501,
+                     {137361501, 129508086, 99424382},
+                     {513126, 557059, 600362},
+                     {343292.89374999999, 485082.22249999997,
+                      496130.23249999998}});
 }
 
 TEST(Determinism, SoloEssdDigestMatchesPreSchedSeed) {
