@@ -67,7 +67,7 @@ bench::Json digests_json(const std::vector<std::uint64_t>& digests) {
 
 bench::Json busy_json(const std::vector<ebs::ClusterBusyStats>& busy) {
   // Fleet-wide occupancy of the shared resources, with per-IoClass slices
-  // (the classes sum to <= total: untagged legacy acquires carry no class).
+  // (every reservation accrues to one class, so the classes sum to total).
   ebs::ClusterBusyStats sum;
   for (const auto& b : busy) {
     sum.busy_ns += b.busy_ns;

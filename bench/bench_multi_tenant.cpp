@@ -66,8 +66,8 @@ bench::Json tenant_json(const tenant::TenantMetrics& m, bool replay = false) {
 }
 
 // Measured-window occupancy of the shared cluster resources, with one slice
-// per `sched::IoClass` (slices sum to <= total: untagged legacy acquires
-// carry no class).
+// per `sched::IoClass` (every reservation accrues to one class, so the
+// slices sum to the total).
 bench::Json busy_json(const ebs::ClusterBusyStats& busy) {
   bench::Json b = bench::Json::object();
   b.set("total", busy.busy_ns);

@@ -42,8 +42,8 @@ def check_busy(path, busy, where):
     for key in ("total", "stall") + IO_CLASSES:
         if key not in busy:
             fail(path, f"{where}.busy_ns missing '{key}'")
-    # Untagged legacy acquires carry no class, so the slices sum to <= total
-    # (1 ns of slack for the integer accumulation).
+    # Every reservation accrues to one class, so the slices sum to the
+    # total; bound them from above (1 ns of slack for the accumulation).
     sliced = sum(busy[c] for c in IO_CLASSES)
     if sliced > busy["total"] + 1:
         fail(path, f"{where}.busy_ns class slices exceed the total")

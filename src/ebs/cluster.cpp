@@ -244,59 +244,40 @@ void StorageCluster::invalidate_cached(const Volume& v, ChunkId chunk,
 void StorageCluster::issue_write_io(PendingWrite& op) {
   // Fan the payload out to every replica; the op completes on the slowest
   // journal commit plus the ack hop back to the block server.  Every stage
-  // is a sched-tagged reservation: FIFO takes the synchronous horizon path
-  // below (bit-identical to the pre-sched arithmetic); under WFQ/priority
-  // each pipe dispatches by policy at its own pace via continuations.
-  const Volume& v = volume(op.vol);
-  const auto& replicas = v.map.replicas(op.chunk);
-  if (cfg_.sched.policy == sched::Policy::kFifo) {
-    // Allocation-free fast path: FIFO grants are synchronous, so the
-    // original horizon arithmetic applies verbatim (tagged, so per-class
-    // and per-tenant accounting still accrues).
-    const sched::SchedTag tag{op.vol, op.io_class, op.bytes};
-    SimTime slowest = 0;
-    for (const int node : replicas) {
-      SimTime t = fabric_.to_node(sim_.now(), node, op.bytes, tag);
-      const auto svc = static_cast<SimTime>(
-          cfg_.node_append_op_us * 1e3 +
-          append_ns_per_byte_ * static_cast<double>(op.bytes));
-      t = node_append_[static_cast<std::size_t>(node)].acquire(t, svc, tag);
-      t += replica_write_.sample(rng_, op.bytes);
-      slowest = std::max(slowest, t);
-    }
-    slowest += fabric_.hop_latency();
-    sim_.schedule_at(slowest, std::move(op.done));
-    return;
-  }
-  struct Join {
-    int remaining = 0;
-    SimTime slowest = 0;
-    std::function<void()> done;
-  };
-  auto join = std::make_shared<Join>();
-  join->remaining = static_cast<int>(replicas.size());
-  join->done = std::move(op.done);
+  // is a sched-tagged reservation whose grant runs the next stage.
+  const auto& replicas = volume(op.vol).map.replicas(op.chunk);
   const sched::SchedTag tag{op.vol, op.io_class, op.bytes};
-  const std::uint32_t bytes = op.bytes;
+  const std::uint32_t slot = writes_.claim();
+  writes_[slot] = WriteIo{tag, static_cast<int>(replicas.size()), 0,
+                          std::move(op.done)};
   for (const int node : replicas) {
-    fabric_.to_node(
-        sim_.now(), node, bytes, tag,
-        [this, join, tag, bytes, node](SimTime delivered) {
-          const auto svc = static_cast<SimTime>(
-              cfg_.node_append_op_us * 1e3 +
-              append_ns_per_byte_ * static_cast<double>(bytes));
-          node_append_[static_cast<std::size_t>(node)].submit(
-              delivered, tag, svc, [this, join, bytes](SimTime appended) {
-                const SimTime committed =
-                    appended + replica_write_.sample(rng_, bytes);
-                if (committed > join->slowest) join->slowest = committed;
-                if (--join->remaining == 0) {
-                  const SimTime acked = join->slowest + fabric_.hop_latency();
-                  sim_.schedule_at(acked, std::move(join->done));
-                }
-              });
-        });
+    fabric_.to_node(sim_.now(), node, op.bytes, tag,
+                    [this, slot, node](SimTime delivered) {
+                      append_replica(slot, node, delivered);
+                    });
   }
+}
+
+void StorageCluster::append_replica(std::uint32_t slot, int node,
+                                    SimTime delivered) {
+  const sched::SchedTag tag = writes_[slot].tag;
+  const auto svc = static_cast<SimTime>(
+      cfg_.node_append_op_us * 1e3 +
+      append_ns_per_byte_ * static_cast<double>(tag.bytes));
+  node_append_[static_cast<std::size_t>(node)].submit(
+      delivered, tag, svc,
+      [this, slot](SimTime appended) { commit_replica(slot, appended); });
+}
+
+void StorageCluster::commit_replica(std::uint32_t slot, SimTime appended) {
+  WriteIo& w = writes_[slot];
+  const SimTime committed = appended + replica_write_.sample(rng_, w.tag.bytes);
+  if (committed > w.slowest) w.slowest = committed;
+  if (--w.remaining > 0) return;
+  const SimTime acked = w.slowest + fabric_.hop_latency();
+  std::function<void()> done = std::move(w.done);
+  writes_.release(slot);
+  sim_.schedule_at(acked, std::move(done));
 }
 
 // ---------------------------------------------------------------- reads --
@@ -322,232 +303,152 @@ void StorageCluster::read(VolumeId vol, ByteOffset offset, std::uint32_t bytes,
   const int node = v.map.replicas(chunk)[0];
   const sched::SchedTag tag{vol, io_class, bytes};
 
-  if (cfg_.sched.policy == sched::Policy::kFifo) {
-    // Allocation-free fast path: FIFO grants are synchronous, so the
-    // original straight-line arithmetic applies verbatim.  KEEP IN SYNC
-    // with the queued-policy continuation below — the two must model the
-    // same service chain (the digests only pin this copy).
-    auto& cache = node_caches_[static_cast<std::size_t>(node)];
-    ChunkLog& log = v.logs[chunk];
-
-    const SimTime t_req = fabric_.to_node(sim_.now(), node, 256, tag);
-
-    std::uint32_t miss_pages = 0;
-    std::uint32_t index_faults = 0;
-    SimTime ready = t_req;
-    for (std::uint32_t i = 0; i < pages; ++i) {
-      const std::uint32_t page = first_page + i;
-      if (!log.is_written(page)) {
-        ++stats_.unwritten_read_pages;  // served as zeros from metadata
-        ++v.stats.unwritten_read_pages;
-        continue;
-      }
-      if (auto r = cache.lookup(cache_key(v, chunk, page)); r.has_value()) {
-        ++stats_.cache_hit_pages;
-        ++v.stats.cache_hit_pages;
-        ready = std::max(ready, *r);
-        continue;
-      }
-      ++miss_pages;
-      // Only media-bound pages consult the node's flash index; cache hits
-      // are served from DRAM without a translation.
-      index_faults += node_index_translate(node, v, chunk, page);
-    }
-
-    if (miss_pages == 0 && pages > 0) {
-      // Cache-served reads still occupy the node's read pipeline briefly.
-      ready = std::max(
-          ready, node_read_[static_cast<std::size_t>(node)].acquire(
-                     t_req, static_cast<SimTime>(cfg_.node_read_op_us * 1e3),
-                     tag));
-    }
-    if (miss_pages > 0) {
-      stats_.media_read_pages += miss_pages;
-      v.stats.media_read_pages += miss_pages;
-      const std::uint64_t miss_bytes =
-          static_cast<std::uint64_t>(miss_pages) * kLogicalPageBytes;
-      const auto svc = static_cast<SimTime>(
-                           cfg_.node_read_op_us * 1e3 +
-                           read_ns_per_byte_ * static_cast<double>(miss_bytes)) +
-                       node_index_penalty_ns(node, index_faults);
-      SimTime t =
-          node_read_[static_cast<std::size_t>(node)].acquire(t_req, svc, tag);
-      t += replica_read_.sample(rng_, miss_bytes);
-      ready = std::max(ready, t);
-      for (std::uint32_t i = 0; i < pages; ++i) {
-        const std::uint32_t page = first_page + i;
-        if (log.is_written(page)) cache.insert(cache_key(v, chunk, page), t);
-      }
-    }
-
-    // Node-side sequential read-ahead (provider-dependent; Alibaba-style
-    // profiles enable it, which is why their sequential reads outrun their
-    // random reads in Figure 2c).
-    if (cfg_.readahead && v.readahead_cursor[chunk] == first_page) {
-      const std::uint32_t ra_first = first_page + pages;
-      std::uint32_t ra_pages = 0;
-      for (std::uint32_t i = 0; i < cfg_.readahead_pages; ++i) {
-        const std::uint32_t page = ra_first + i;
-        if (page >= v.map.pages_per_chunk()) break;
-        if (!log.is_written(page)) break;
-        if (cache.contains(cache_key(v, chunk, page))) continue;
-        ++ra_pages;
-      }
-      if (ra_pages > 0) {
-        ++stats_.readahead_fetches;
-        ++v.stats.readahead_fetches;
-        const std::uint64_t ra_bytes =
-            static_cast<std::uint64_t>(ra_pages) * kLogicalPageBytes;
-        const auto svc = static_cast<SimTime>(
-            cfg_.node_read_op_us * 1e3 +
-            read_ns_per_byte_ * static_cast<double>(ra_bytes));
-        const sched::SchedTag ra_tag{vol, sched::IoClass::kPrefetch, ra_bytes};
-        const SimTime t_ra =
-            node_read_[static_cast<std::size_t>(node)].acquire(ready, svc,
-                                                               ra_tag) +
-            replica_read_.sample(rng_, ra_bytes);
-        for (std::uint32_t i = 0; i < cfg_.readahead_pages; ++i) {
-          const std::uint32_t page = ra_first + i;
-          if (page >= v.map.pages_per_chunk()) break;
-          if (!log.is_written(page)) break;
-          cache.insert(cache_key(v, chunk, page), t_ra);
-        }
-      }
-    }
-    v.readahead_cursor[chunk] = first_page + pages;
-
-    const SimTime t_back = fabric_.to_vm(ready, node, bytes, tag);
-    sim_.schedule_at(t_back, std::move(done));
-    return;
-  }
-
   // Sequentiality detection is submit-order state: decide (and advance the
   // cursor) now, even if the request itself gets scheduled behind others.
   const bool ra_eligible =
       cfg_.readahead && v.readahead_cursor[chunk] == first_page;
   v.readahead_cursor[chunk] = first_page + pages;
 
-  // Queued-policy path: the request message reaches the node first and the
-  // service chain runs as a continuation once it is delivered.  KEEP IN
-  // SYNC with the FIFO fast path above.
-  fabric_.to_node(
-      sim_.now(), node, 256, tag,
-      [this, &v, vol, chunk, first_page, pages, bytes, node, ra_eligible, tag,
-       done = std::move(done)](SimTime t_req) mutable {
-        auto& cache = node_caches_[static_cast<std::size_t>(node)];
-        ChunkLog& log = v.logs[chunk];
+  // The request message reaches the node first; the service chain runs as
+  // grant continuations from there.
+  const std::uint32_t slot = reads_.claim();
+  reads_[slot] = ReadIo{.vol = vol,
+                        .chunk = chunk,
+                        .first_page = first_page,
+                        .pages = pages,
+                        .node = node,
+                        .ra_eligible = ra_eligible,
+                        .tag = tag,
+                        .holds = 1,
+                        .done = std::move(done)};
+  fabric_.to_node(sim_.now(), node, 256, tag,
+                  [this, slot](SimTime t_req) { serve_read(slot, t_req); });
+}
 
-        std::uint32_t miss_pages = 0;
-        std::uint32_t index_faults = 0;
-        SimTime ready = t_req;
-        for (std::uint32_t i = 0; i < pages; ++i) {
-          const std::uint32_t page = first_page + i;
-          if (!log.is_written(page)) {
-            ++stats_.unwritten_read_pages;  // served as zeros from metadata
-            ++v.stats.unwritten_read_pages;
-            continue;
-          }
-          if (auto r = cache.lookup(cache_key(v, chunk, page)); r.has_value()) {
-            ++stats_.cache_hit_pages;
-            ++v.stats.cache_hit_pages;
-            ready = std::max(ready, *r);
-            continue;
-          }
-          ++miss_pages;
-          // Only media-bound pages consult the node's flash index; cache
-          // hits are served from DRAM without a translation.
-          index_faults += node_index_translate(node, v, chunk, page);
-        }
+void StorageCluster::serve_read(std::uint32_t slot, SimTime t_req) {
+  ReadIo& r = reads_[slot];
+  Volume& v = volume(r.vol);
+  auto& cache = node_caches_[static_cast<std::size_t>(r.node)];
+  const ChunkLog& log = v.logs[r.chunk];
 
-        // Runs once the media read (if any) has been placed: issues the
-        // read-ahead and sends the payload back to the VM.
-        auto respond = [this, &v, vol, chunk, first_page, pages, bytes, node,
-                        ra_eligible, tag,
-                        done = std::move(done)](SimTime ready_at) mutable {
-          auto& node_cache = node_caches_[static_cast<std::size_t>(node)];
-          ChunkLog& chunk_log = v.logs[chunk];
-          // Node-side sequential read-ahead (provider-dependent;
-          // Alibaba-style profiles enable it, which is why their sequential
-          // reads outrun their random reads in Figure 2c).  Prefetch is its
-          // own traffic class, so a priority policy demotes it.
-          if (ra_eligible) {
-            const std::uint32_t ra_first = first_page + pages;
-            std::uint32_t ra_pages = 0;
-            for (std::uint32_t i = 0; i < cfg_.readahead_pages; ++i) {
-              const std::uint32_t page = ra_first + i;
-              if (page >= v.map.pages_per_chunk()) break;
-              if (!chunk_log.is_written(page)) break;
-              if (node_cache.contains(cache_key(v, chunk, page))) continue;
-              ++ra_pages;
-            }
-            if (ra_pages > 0) {
-              ++stats_.readahead_fetches;
-              ++v.stats.readahead_fetches;
-              const std::uint64_t ra_bytes =
-                  static_cast<std::uint64_t>(ra_pages) * kLogicalPageBytes;
-              const auto svc = static_cast<SimTime>(
-                  cfg_.node_read_op_us * 1e3 +
-                  read_ns_per_byte_ * static_cast<double>(ra_bytes));
-              const sched::SchedTag ra_tag{vol, sched::IoClass::kPrefetch,
-                                           ra_bytes};
-              node_read_[static_cast<std::size_t>(node)].submit(
-                  ready_at, ra_tag, svc,
-                  [this, &v, chunk, ra_first, ra_bytes, node](SimTime fetched) {
-                    const SimTime t_ra =
-                        fetched + replica_read_.sample(rng_, ra_bytes);
-                    auto& c = node_caches_[static_cast<std::size_t>(node)];
-                    ChunkLog& l = v.logs[chunk];
-                    for (std::uint32_t i = 0; i < cfg_.readahead_pages; ++i) {
-                      const std::uint32_t page = ra_first + i;
-                      if (page >= v.map.pages_per_chunk()) break;
-                      if (!l.is_written(page)) break;
-                      c.insert(cache_key(v, chunk, page), t_ra);
-                    }
-                  });
-            }
-          }
-          fabric_.to_vm(ready_at, node, bytes, tag,
-                        [this, done = std::move(done)](SimTime t_back) mutable {
-                          sim_.schedule_at(t_back, std::move(done));
-                        });
-        };
+  std::uint32_t miss_pages = 0;
+  std::uint32_t index_faults = 0;
+  r.ready = t_req;
+  for (std::uint32_t i = 0; i < r.pages; ++i) {
+    const std::uint32_t page = r.first_page + i;
+    if (!log.is_written(page)) {
+      ++stats_.unwritten_read_pages;  // served as zeros from metadata
+      ++v.stats.unwritten_read_pages;
+      continue;
+    }
+    if (auto hit = cache.lookup(cache_key(v, r.chunk, page)); hit.has_value()) {
+      ++stats_.cache_hit_pages;
+      ++v.stats.cache_hit_pages;
+      r.ready = std::max(r.ready, *hit);
+      continue;
+    }
+    ++miss_pages;
+    // Only media-bound pages consult the node's flash index; cache hits
+    // are served from DRAM without a translation.
+    index_faults += node_index_translate(r.node, v, r.chunk, page);
+  }
+  if (r.pages == 0) {
+    respond(slot, r.ready);
+    return;
+  }
 
-        if (miss_pages == 0 && pages > 0) {
-          // Cache-served reads still occupy the node's read pipeline briefly.
-          node_read_[static_cast<std::size_t>(node)].submit(
-              t_req, tag, static_cast<SimTime>(cfg_.node_read_op_us * 1e3),
-              [ready, respond = std::move(respond)](SimTime piped) mutable {
-                respond(std::max(ready, piped));
-              });
-          return;
-        }
-        if (miss_pages > 0) {
-          stats_.media_read_pages += miss_pages;
-          v.stats.media_read_pages += miss_pages;
-          const std::uint64_t miss_bytes =
-              static_cast<std::uint64_t>(miss_pages) * kLogicalPageBytes;
-          const auto svc =
-              static_cast<SimTime>(
-                  cfg_.node_read_op_us * 1e3 +
-                  read_ns_per_byte_ * static_cast<double>(miss_bytes)) +
-              node_index_penalty_ns(node, index_faults);
-          node_read_[static_cast<std::size_t>(node)].submit(
-              t_req, tag, svc,
-              [this, &v, chunk, first_page, pages, miss_bytes, node, ready,
-               respond = std::move(respond)](SimTime piped) mutable {
-                const SimTime t = piped + replica_read_.sample(rng_, miss_bytes);
-                auto& c = node_caches_[static_cast<std::size_t>(node)];
-                ChunkLog& l = v.logs[chunk];
-                for (std::uint32_t i = 0; i < pages; ++i) {
-                  const std::uint32_t page = first_page + i;
-                  if (l.is_written(page)) c.insert(cache_key(v, chunk, page), t);
-                }
-                respond(std::max(ready, t));
-              });
-          return;
-        }
-        respond(ready);
-      });
+  // Cache-served reads still occupy the node's read pipeline briefly;
+  // misses pay the media transfer and any index faults on top.
+  stats_.media_read_pages += miss_pages;
+  v.stats.media_read_pages += miss_pages;
+  r.miss_bytes = static_cast<std::uint64_t>(miss_pages) * kLogicalPageBytes;
+  const auto svc = static_cast<SimTime>(
+                       cfg_.node_read_op_us * 1e3 +
+                       read_ns_per_byte_ * static_cast<double>(r.miss_bytes)) +
+                   node_index_penalty_ns(r.node, index_faults);
+  const sched::SchedTag tag = r.tag;
+  node_read_[static_cast<std::size_t>(r.node)].submit(
+      t_req, tag, svc,
+      [this, slot](SimTime piped) { read_media(slot, piped); });
+}
+
+void StorageCluster::read_media(std::uint32_t slot, SimTime piped) {
+  ReadIo& r = reads_[slot];
+  SimTime t = piped;
+  if (r.miss_bytes > 0) {
+    t += replica_read_.sample(rng_, r.miss_bytes);
+    const Volume& v = volume(r.vol);
+    auto& cache = node_caches_[static_cast<std::size_t>(r.node)];
+    const ChunkLog& log = v.logs[r.chunk];
+    for (std::uint32_t i = 0; i < r.pages; ++i) {
+      const std::uint32_t page = r.first_page + i;
+      if (log.is_written(page)) cache.insert(cache_key(v, r.chunk, page), t);
+    }
+  }
+  respond(slot, std::max(r.ready, t));
+}
+
+void StorageCluster::respond(std::uint32_t slot, SimTime ready) {
+  ReadIo& r = reads_[slot];
+  // Node-side sequential read-ahead (provider-dependent; Alibaba-style
+  // profiles enable it, which is why their sequential reads outrun their
+  // random reads in Figure 2c).  Prefetch is its own traffic class, so a
+  // priority policy demotes it.
+  if (r.ra_eligible) {
+    Volume& v = volume(r.vol);
+    const auto& cache = node_caches_[static_cast<std::size_t>(r.node)];
+    const ChunkLog& log = v.logs[r.chunk];
+    const std::uint32_t ra_first = r.first_page + r.pages;
+    std::uint32_t ra_pages = 0;
+    for (std::uint32_t i = 0; i < cfg_.readahead_pages; ++i) {
+      const std::uint32_t page = ra_first + i;
+      if (page >= v.map.pages_per_chunk()) break;
+      if (!log.is_written(page)) break;
+      if (cache.contains(cache_key(v, r.chunk, page))) continue;
+      ++ra_pages;
+    }
+    if (ra_pages > 0) {
+      ++stats_.readahead_fetches;
+      ++v.stats.readahead_fetches;
+      r.ra_bytes = static_cast<std::uint64_t>(ra_pages) * kLogicalPageBytes;
+      const auto svc = static_cast<SimTime>(
+          cfg_.node_read_op_us * 1e3 +
+          read_ns_per_byte_ * static_cast<double>(r.ra_bytes));
+      const sched::SchedTag ra_tag{r.vol, sched::IoClass::kPrefetch,
+                                   r.ra_bytes};
+      ++r.holds;
+      node_read_[static_cast<std::size_t>(r.node)].submit(
+          ready, ra_tag, svc,
+          [this, slot](SimTime fetched) { fill_readahead(slot, fetched); });
+    }
+  }
+  const sched::SchedTag tag = reads_[slot].tag;
+  fabric_.to_vm(ready, reads_[slot].node, tag.bytes, tag,
+                [this, slot](SimTime t_back) {
+                  std::function<void()> done = std::move(reads_[slot].done);
+                  release_read(slot);
+                  sim_.schedule_at(t_back, std::move(done));
+                });
+}
+
+void StorageCluster::fill_readahead(std::uint32_t slot, SimTime fetched) {
+  const ReadIo& r = reads_[slot];
+  const SimTime t_ra = fetched + replica_read_.sample(rng_, r.ra_bytes);
+  const Volume& v = volume(r.vol);
+  auto& cache = node_caches_[static_cast<std::size_t>(r.node)];
+  const ChunkLog& log = v.logs[r.chunk];
+  const std::uint32_t ra_first = r.first_page + r.pages;
+  for (std::uint32_t i = 0; i < cfg_.readahead_pages; ++i) {
+    const std::uint32_t page = ra_first + i;
+    if (page >= v.map.pages_per_chunk()) break;
+    if (!log.is_written(page)) break;
+    cache.insert(cache_key(v, r.chunk, page), t_ra);
+  }
+  release_read(slot);
+}
+
+void StorageCluster::release_read(std::uint32_t slot) {
+  if (--reads_[slot].holds == 0) reads_.release(slot);
 }
 
 // ----------------------------------------------------------------- misc --
@@ -694,8 +595,8 @@ ClusterBusyStats StorageCluster::busy_stats() const {
           q.class_busy_time(static_cast<sched::IoClass>(c));
     }
   };
-  for (const auto& r : node_append_) add(r.sched());
-  for (const auto& r : node_read_) add(r.sched());
+  for (const auto& r : node_append_) add(r);
+  for (const auto& r : node_read_) add(r);
   add(cleaner_->pipe());
   s.busy_ns += fabric_.total_busy_ns();
   for (int c = 0; c < sched::kIoClassCount; ++c) {

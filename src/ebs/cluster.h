@@ -28,6 +28,7 @@
 
 #include "common/lru_cache.h"
 #include "common/rng.h"
+#include "common/slot_pool.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "ebs/chunk_map.h"
@@ -35,9 +36,9 @@
 #include "ebs/segment_store.h"
 #include "ftl/mapping.h"
 #include "net/fabric.h"
+#include "sched/queued_resource.h"
 #include "sched/sched.h"
 #include "sim/latency_model.h"
-#include "sim/resources.h"
 #include "sim/simulator.h"
 
 namespace uc::ebs {
@@ -134,8 +135,8 @@ ClusterStats subtract(const ClusterStats& a, const ClusterStats& b);
 /// This is the interference *signal* the placement layer steers by
 /// (`placement::Policy::kLeastInterference`): a cluster hot on busy or
 /// stall time is a bad home for a new volume even when its attached bytes
-/// look modest.  Legacy untagged reservations carry no class, so the class
-/// slices sum to at most `busy_ns`.
+/// look modest.  Every reservation accrues to one class, so the class
+/// slices sum to `busy_ns`.
 struct ClusterBusyStats {
   SimTime busy_ns = 0;
   std::array<SimTime, sched::kIoClassCount> class_busy_ns{};
@@ -311,8 +312,43 @@ class StorageCluster {
     return *volumes_[vol];
   }
 
+  /// One replicated append from fan-out to ack (see `SlotPool`).
+  struct WriteIo {
+    sched::SchedTag tag;
+    int remaining = 0;    ///< replicas not yet committed
+    SimTime slowest = 0;  ///< latest journal commit so far
+    std::function<void()> done;
+  };
+
+  /// One replica read from request to response (see `SlotPool`).  The
+  /// response holds the slot, and so does a read-ahead fetch while pending.
+  struct ReadIo {
+    VolumeId vol = 0;
+    ChunkId chunk = 0;
+    std::uint32_t first_page = 0;
+    std::uint32_t pages = 0;
+    int node = 0;  ///< the chunk's primary replica
+    bool ra_eligible = false;
+    sched::SchedTag tag;
+    SimTime ready = 0;             ///< latest cache-hit ready time
+    std::uint64_t miss_bytes = 0;  ///< media bytes of the node read
+    std::uint64_t ra_bytes = 0;    ///< read-ahead bytes, once issued
+    int holds = 0;
+    std::function<void()> done;
+  };
+
   void pump_appends();
+  // The write chain: fabric -> node append pipeline -> journal commit.
   void issue_write_io(PendingWrite& op);
+  void append_replica(std::uint32_t slot, int node, SimTime delivered);
+  void commit_replica(std::uint32_t slot, SimTime appended);
+  // The read chain: request hop -> cache/index lookup -> node read pipeline
+  // (-> media) -> read-ahead and response hop.
+  void serve_read(std::uint32_t slot, SimTime t_req);
+  void read_media(std::uint32_t slot, SimTime piped);
+  void respond(std::uint32_t slot, SimTime ready);
+  void fill_readahead(std::uint32_t slot, SimTime fetched);
+  void release_read(std::uint32_t slot);
   /// Drops pages [first_page, first_page + pages) of `chunk` from every
   /// replica node's cache, skipping caches that are (or become) empty.
   void invalidate_cached(const Volume& v, ChunkId chunk,
@@ -360,14 +396,16 @@ class StorageCluster {
   std::unique_ptr<Cleaner> cleaner_;
   sim::LatencyModel replica_write_;
   sim::LatencyModel replica_read_;
-  std::vector<sim::SerialResource> node_append_;
-  std::vector<sim::SerialResource> node_read_;
+  std::vector<sched::QueuedResource> node_append_;
+  std::vector<sched::QueuedResource> node_read_;
   std::vector<LruReadyCache<std::uint64_t>> node_caches_;
   /// Per-node flash index (empty unless `cfg.model_node_index`).
   std::vector<std::unique_ptr<ftl::MappingPolicy>> node_index_;
   std::vector<flash::Spa> node_index_cursor_;  ///< per-node media cursor
   WriteStamp node_index_stamp_ = 0;            ///< monotone update stamps
   std::deque<PendingWrite> append_queue_;
+  SlotPool<WriteIo> writes_;
+  SlotPool<ReadIo> reads_;
   std::uint32_t pages_per_segment_ = 0;
   bool stalled_ = false;
   SimTime stall_since_ = 0;

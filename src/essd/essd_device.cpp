@@ -1,7 +1,6 @@
 #include "essd/essd_device.h"
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 
@@ -46,9 +45,9 @@ EssdDevice::EssdDevice(sim::Simulator& sim, const EssdConfig& cfg,
   }
 }
 
-int EssdDevice::for_each_fragment(
-    ByteOffset offset, std::uint32_t bytes,
-    const std::function<void(ByteOffset, std::uint32_t)>& fn) {
+template <typename Fn>
+int EssdDevice::for_each_fragment(ByteOffset offset, std::uint32_t bytes,
+                                  Fn&& fn) {
   const std::uint64_t chunk_bytes = cfg_.cluster.chunk_bytes;
   int fragments = 0;
   ByteOffset at = offset;
@@ -65,15 +64,18 @@ int EssdDevice::for_each_fragment(
   return fragments;
 }
 
-void EssdDevice::complete(const IoRequest& req, SimTime submit_time,
-                          const CompletionFn& done) {
+void EssdDevice::complete(std::uint32_t slot) {
+  Op& op = ops_[slot];
   IoResult result;
-  result.id = req.id;
-  result.op = req.op;
-  result.offset = req.offset;
-  result.bytes = req.bytes;
-  result.submit_time = submit_time;
+  result.id = op.req.id;
+  result.op = op.req.op;
+  result.offset = op.req.offset;
+  result.bytes = op.req.bytes;
+  result.submit_time = op.submit_time;
   result.complete_time = sim_.now();
+  // `done` may submit again, which claims a slot: release this one first.
+  CompletionFn done = std::move(op.done);
+  ops_.release(slot);
   --inflight_;
   done(result);
   // After `done`: a completion handler may submit again, but while frozen
@@ -135,11 +137,16 @@ void EssdDevice::submit(const IoRequest& req, CompletionFn done) {
 void EssdDevice::submit_at(const IoRequest& req, SimTime submit_time,
                            CompletionFn done) {
   ++inflight_;
+  const bool is_write = req.op == IoOp::kWrite;
+  const sched::SchedTag tag{
+      volume_, is_write ? sched::IoClass::kFgWrite : sched::IoClass::kFgRead,
+      req.bytes};
+  const std::uint32_t slot = ops_.claim();
+  ops_[slot] = Op{req, submit_time, tag, 0, std::move(done)};
 
   switch (req.op) {
     case IoOp::kRead:
     case IoOp::kWrite: {
-      const bool is_write = req.op == IoOp::kWrite;
       if (is_write) {
         ++io_stats_.writes;
         io_stats_.written_bytes += req.bytes;
@@ -149,71 +156,16 @@ void EssdDevice::submit_at(const IoRequest& req, SimTime submit_time,
       }
       // The QoS gate admits the whole operation, then the frontend
       // (virtualization + block server) processes it, then the cluster.
-      const sched::SchedTag tag{
-          volume_, is_write ? sched::IoClass::kFgWrite : sched::IoClass::kFgRead,
-          req.bytes};
-      // The fragment-fan-out join state is allocated once up front (it
-      // existed anyway); every continuation below then captures only
-      // {this, join, is_write} and fits the kernel's inline callbacks.
-      struct Join {
-        int remaining = 0;
-        IoRequest req;
-        SimTime submit_time;
-        CompletionFn done;
-      };
-      auto join = std::make_shared<Join>();
-      join->req = req;
-      join->submit_time = submit_time;
-      join->done = std::move(done);
-      qos_->admit(req.bytes, tag, [this, tag, is_write, join]() mutable {
-        // The block-server pipeline serializes per-op processing, then the
-        // sampled software latency elapses before the cluster sees the op.
-        auto after_pipe = [this, is_write,
-                           join = std::move(join)](SimTime piped) mutable {
-          const SimTime fw = is_write
-                                 ? frontend_write_.sample(rng_, join->req.bytes)
-                                 : frontend_read_.sample(rng_, join->req.bytes);
-          sim_.schedule_at(piped + fw, [this, is_write,
-                                        join = std::move(join)] {
-            join->remaining = for_each_fragment(
-                join->req.offset, join->req.bytes,
-                [&](ByteOffset at, std::uint32_t len) {
-                  auto on_frag = [this, join] {
-                    if (--join->remaining == 0) {
-                      complete(join->req, join->submit_time, join->done);
-                    }
-                  };
-                  if (is_write) {
-                    const WriteStamp first = stamp_counter_ + 1;
-                    stamp_counter_ += len / kLogicalPageBytes;
-                    cluster_->write(volume_, at, len, first, on_frag);
-                  } else {
-                    cluster_->read(volume_, at, len, on_frag);
-                  }
-                });
-          });
-        };
-        const auto op_cost = static_cast<SimTime>(cfg_.frontend_op_us * 1e3);
-        if (frontend_pipe_.policy() == sched::Policy::kFifo) {
-          // Allocation-free fast path (synchronous grant).
-          after_pipe(frontend_pipe_.acquire(sim_.now(), op_cost, tag));
-        } else {
-          frontend_pipe_.submit(sim_.now(), tag, op_cost,
-                                std::move(after_pipe));
-        }
-      });
+      qos_->admit(req.bytes, tag,
+                  [this, slot](SimTime) { enter_frontend(slot); });
       break;
     }
     case IoOp::kFlush: {
       // Writes commit to replicated journals before acknowledging, so a
       // flush barrier has nothing left to wait for beyond the frontend.
       ++io_stats_.flushes;
-      const SimTime fw = frontend_write_.sample(rng_, 0);
-      sim_.schedule_after(
-          fw, sim::boxed([this, req, submit_time,
-                          done = std::move(done)]() mutable {
-            complete(req, submit_time, done);
-          }));
+      sim_.schedule_after(frontend_write_.sample(rng_, 0),
+                          [this, slot] { complete(slot); });
       break;
     }
     case IoOp::kTrim: {
@@ -222,15 +174,47 @@ void EssdDevice::submit_at(const IoRequest& req, SimTime submit_time,
                         [&](ByteOffset at, std::uint32_t len) {
                           cluster_->trim(volume_, at, len);
                         });
-      const SimTime fw = frontend_write_.sample(rng_, 0);
-      sim_.schedule_after(
-          fw, sim::boxed([this, req, submit_time,
-                          done = std::move(done)]() mutable {
-            complete(req, submit_time, done);
-          }));
+      sim_.schedule_after(frontend_write_.sample(rng_, 0),
+                          [this, slot] { complete(slot); });
       break;
     }
   }
+}
+
+void EssdDevice::enter_frontend(std::uint32_t slot) {
+  // The block-server pipeline serializes per-op processing, then the
+  // sampled software latency elapses before the cluster sees the op.
+  const auto op_cost = static_cast<SimTime>(cfg_.frontend_op_us * 1e3);
+  const sched::SchedTag tag = ops_[slot].tag;
+  frontend_pipe_.submit(
+      sim_.now(), tag, op_cost,
+      [this, slot](SimTime piped) { leave_frontend(slot, piped); });
+}
+
+void EssdDevice::leave_frontend(std::uint32_t slot, SimTime piped) {
+  const IoRequest& req = ops_[slot].req;
+  const SimTime fw = req.op == IoOp::kWrite
+                         ? frontend_write_.sample(rng_, req.bytes)
+                         : frontend_read_.sample(rng_, req.bytes);
+  sim_.schedule_at(piped + fw, [this, slot] { issue_fragments(slot); });
+}
+
+void EssdDevice::issue_fragments(std::uint32_t slot) {
+  const IoRequest req = ops_[slot].req;
+  const int fragments = for_each_fragment(
+      req.offset, req.bytes, [&](ByteOffset at, std::uint32_t len) {
+        auto on_frag = [this, slot] {
+          if (--ops_[slot].remaining == 0) complete(slot);
+        };
+        if (req.op == IoOp::kWrite) {
+          const WriteStamp first = stamp_counter_ + 1;
+          stamp_counter_ += len / kLogicalPageBytes;
+          cluster_->write(volume_, at, len, first, on_frag);
+        } else {
+          cluster_->read(volume_, at, len, on_frag);
+        }
+      });
+  ops_[slot].remaining = fragments;
 }
 
 }  // namespace uc::essd

@@ -16,9 +16,11 @@
 
 #include "common/block_device.h"
 #include "common/rng.h"
+#include "common/slot_pool.h"
 #include "ebs/cluster.h"
 #include "essd/essd_config.h"
 #include "essd/qos.h"
+#include "sched/queued_resource.h"
 #include "sim/latency_model.h"
 #include "sim/simulator.h"
 
@@ -76,15 +78,28 @@ class EssdDevice : public BlockDevice {
   int inflight() const { return inflight_; }
 
  private:
+  /// One operation from `submit_at` to its completion (see `SlotPool`).
+  struct Op {
+    IoRequest req;
+    SimTime submit_time = 0;
+    sched::SchedTag tag;
+    int remaining = 0;  ///< cluster fragments not yet completed
+    CompletionFn done;
+  };
+
   /// Splits [offset, offset+bytes) into chunk-aligned fragments and invokes
   /// `fn(frag_offset, frag_bytes)` for each; returns the fragment count.
-  int for_each_fragment(ByteOffset offset, std::uint32_t bytes,
-                        const std::function<void(ByteOffset, std::uint32_t)>& fn);
-  void complete(const IoRequest& req, SimTime submit_time,
-                const CompletionFn& done);
+  template <typename Fn>
+  int for_each_fragment(ByteOffset offset, std::uint32_t bytes, Fn&& fn);
   /// The real data path; `submit()` forwards here (or parks while frozen,
   /// preserving the original submit time for the latency clock).
   void submit_at(const IoRequest& req, SimTime submit_time, CompletionFn done);
+  // The read/write service chain, one hop per step:
+  // QoS gate -> frontend pipe -> frontend latency -> cluster fragments.
+  void enter_frontend(std::uint32_t slot);
+  void leave_frontend(std::uint32_t slot, SimTime piped);
+  void issue_fragments(std::uint32_t slot);
+  void complete(std::uint32_t slot);
 
   EssdDevice(sim::Simulator& sim, const EssdConfig& cfg,
              ebs::StorageCluster* shared, ebs::VolumeId volume);
@@ -95,13 +110,14 @@ class EssdDevice : public BlockDevice {
   Rng rng_;
   sim::LatencyModel frontend_write_;
   sim::LatencyModel frontend_read_;
-  sim::SerialResource frontend_pipe_;
+  sched::QueuedResource frontend_pipe_;
   std::unique_ptr<QosGate> qos_;
   std::unique_ptr<ebs::StorageCluster> owned_cluster_;  ///< null when shared
   ebs::StorageCluster* cluster_ = nullptr;
   ebs::VolumeId volume_ = 0;
   EssdIoStats io_stats_;
   WriteStamp stamp_counter_ = 0;
+  SlotPool<Op> ops_;
   struct Parked {
     IoRequest req;
     SimTime submit_time = 0;

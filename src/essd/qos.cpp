@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 namespace uc::essd {
@@ -31,23 +30,18 @@ bool QosGate::try_pass(std::uint64_t bytes, double cost) {
   return true;
 }
 
-void QosGate::admit(std::uint64_t bytes, std::function<void()> go) {
-  admit(bytes, sched::SchedTag{}, std::move(go));
-}
-
 void QosGate::admit(std::uint64_t bytes, sched::SchedTag tag,
-                    std::function<void()> go) {
+                    sched::Grant go) {
   tag.bytes = bytes;
   const double cost = io_cost(bytes);
   if (queue_->empty() && try_pass(bytes, cost)) {
     ++stats_.admitted;
     stats_.wait.record(0);
-    go();
+    go(sim_.now());
     return;
   }
   ++stats_.throttled;
-  queue_->push(sched::Item{tag, sim_.now(), 0,
-                           [g = std::move(go)](SimTime) { g(); }});
+  queue_->push(sched::Item{tag, sim_.now(), 0, std::move(go)});
   if (queue_->size() > stats_.queue_depth_peak) {
     stats_.queue_depth_peak = queue_->size();
   }

@@ -16,7 +16,6 @@
 /// waiting operations when a policy is configured.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/histogram.h"
@@ -54,14 +53,11 @@ class QosGate {
   QosGate(sim::Simulator& sim, const QosConfig& cfg,
           const sched::SchedulerConfig& sched_cfg = {});
 
-  /// Admits an operation of `bytes`; `go` fires (possibly immediately) once
-  /// both buckets grant.  Admission order follows the configured policy
-  /// (FIFO by default).
-  void admit(std::uint64_t bytes, std::function<void()> go);
-
-  /// Tagged admission: `tag.bytes` is overwritten with `bytes`.
-  void admit(std::uint64_t bytes, sched::SchedTag tag,
-             std::function<void()> go);
+  /// Admits an operation of `bytes` (overwriting `tag.bytes`); `go` fires
+  /// with the admission time, inside the call when both buckets grant at
+  /// once, else when the operation leaves the pending queue.  Admission
+  /// order follows the configured policy (FIFO by default).
+  void admit(std::uint64_t bytes, sched::SchedTag tag, sched::Grant go);
 
   const QosConfig& config() const { return cfg_; }
   const QosStats& stats() const { return stats_; }

@@ -20,6 +20,7 @@
 #include "common/types.h"
 #include "flash/geometry.h"
 #include "flash/timing.h"
+#include "sched/queued_resource.h"
 #include "sim/resources.h"
 
 namespace uc::flash {
@@ -72,8 +73,8 @@ class NandArray {
 
  private:
   struct Die {
-    sim::SerialResource program_unit;  // programs + erases
-    sim::SerialResource read_port;     // array reads
+    sched::QueuedResource program_unit;  // programs + erases
+    sched::QueuedResource read_port;     // array reads
   };
 
   FlashGeometry geometry_;

@@ -32,70 +32,20 @@ Fabric::Fabric(const FabricConfig& cfg, Rng rng, sim::Simulator* sim)
   }
 }
 
-SimTime Fabric::to_node(SimTime now, int node, std::uint64_t bytes) {
-  UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-  vm_tx_bytes_ += bytes;
-  node_rx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  const SimTime sent = vm_tx_.transfer(now, bytes);
-  const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-  return node_rx_[static_cast<std::size_t>(node)].transfer(arrived, bytes);
-}
-
-SimTime Fabric::to_vm(SimTime now, int node, std::uint64_t bytes) {
-  UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-  vm_rx_bytes_ += bytes;
-  node_tx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  const SimTime sent = node_tx_[static_cast<std::size_t>(node)].transfer(now, bytes);
-  const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-  return vm_rx_.transfer(arrived, bytes);
-}
-
 SimTime Fabric::to_node(SimTime now, int node, std::uint64_t bytes,
                         const sched::SchedTag& tag) {
-  UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-  vm_tx_bytes_ += bytes;
-  node_rx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  const SimTime sent = vm_tx_.transfer(now, bytes, tag);
-  const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-  return node_rx_[static_cast<std::size_t>(node)].transfer(arrived, bytes, tag);
+  UC_ASSERT(vm_tx_.policy() == sched::Policy::kFifo, "FIFO-only transfer");
+  SimTime delivered = 0;
+  to_node(now, node, bytes, tag, [&delivered](SimTime t) { delivered = t; });
+  return delivered;
 }
 
 SimTime Fabric::to_vm(SimTime now, int node, std::uint64_t bytes,
                       const sched::SchedTag& tag) {
-  UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-  vm_rx_bytes_ += bytes;
-  node_tx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  const SimTime sent =
-      node_tx_[static_cast<std::size_t>(node)].transfer(now, bytes, tag);
-  const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-  return vm_rx_.transfer(arrived, bytes, tag);
-}
-
-void Fabric::to_node(SimTime arrival, int node, std::uint64_t bytes,
-                     const sched::SchedTag& tag, sched::Grant done) {
-  UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-  vm_tx_bytes_ += bytes;
-  node_rx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  vm_tx_.submit(arrival, tag, bytes,
-                [this, node, bytes, tag,
-                 done = std::move(done)](SimTime sent) mutable {
-                  const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-                  node_rx_[static_cast<std::size_t>(node)].submit(
-                      arrived, tag, bytes, std::move(done));
-                });
-}
-
-void Fabric::to_vm(SimTime arrival, int node, std::uint64_t bytes,
-                   const sched::SchedTag& tag, sched::Grant done) {
-  UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-  vm_rx_bytes_ += bytes;
-  node_tx_bytes_[static_cast<std::size_t>(node)] += bytes;
-  node_tx_[static_cast<std::size_t>(node)].submit(
-      arrival, tag, bytes,
-      [this, bytes, tag, done = std::move(done)](SimTime sent) mutable {
-        const SimTime arrived = sent + hop_model_.sample(rng_, 0);
-        vm_rx_.submit(arrived, tag, bytes, std::move(done));
-      });
+  UC_ASSERT(vm_rx_.policy() == sched::Policy::kFifo, "FIFO-only transfer");
+  SimTime delivered = 0;
+  to_vm(now, node, bytes, tag, [&delivered](SimTime t) { delivered = t; });
+  return delivered;
 }
 
 SimTime Fabric::hop_latency(std::uint64_t bytes) {

@@ -14,9 +14,11 @@
 /// tenant's bulk backlog on the shared VM uplink.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 #include "common/types.h"
 #include "sched/sched.h"
 #include "sched/scheduler.h"
@@ -55,24 +57,34 @@ class Fabric {
   /// path needs no dispatch events).
   Fabric(const FabricConfig& cfg, Rng rng, sim::Simulator* sim = nullptr);
 
-  /// VM/block-server -> storage node `node` (untagged FIFO convenience).
-  SimTime to_node(SimTime now, int node, std::uint64_t bytes);
+  /// VM/block-server -> storage node `node`; `done(delivered)` fires inside
+  /// the call under FIFO, at dispatch under WFQ/PRIO.
+  template <typename F>
+  void to_node(SimTime arrival, int node, std::uint64_t bytes,
+               const sched::SchedTag& tag, F&& done) {
+    UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
+    vm_tx_bytes_ += bytes;
+    node_rx_bytes_[static_cast<std::size_t>(node)] += bytes;
+    send(vm_tx_, node_rx_[static_cast<std::size_t>(node)], arrival, bytes, tag,
+         std::forward<F>(done));
+  }
+  /// Storage node `node` -> VM/block server; see `to_node`.
+  template <typename F>
+  void to_vm(SimTime arrival, int node, std::uint64_t bytes,
+             const sched::SchedTag& tag, F&& done) {
+    UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
+    vm_rx_bytes_ += bytes;
+    node_tx_bytes_[static_cast<std::size_t>(node)] += bytes;
+    send(node_tx_[static_cast<std::size_t>(node)], vm_rx_, arrival, bytes, tag,
+         std::forward<F>(done));
+  }
 
-  /// Storage node `node` -> VM/block server (untagged FIFO convenience).
-  SimTime to_vm(SimTime now, int node, std::uint64_t bytes);
-
-  /// Tagged synchronous variants — the allocation-free FIFO fast path
-  /// (identical arithmetic and accounting; invalid under WFQ/PRIO).
+  /// The same transfers returning the delivery time directly.  FIFO only:
+  /// the grant then fires before the call returns.
   SimTime to_node(SimTime now, int node, std::uint64_t bytes,
                   const sched::SchedTag& tag);
   SimTime to_vm(SimTime now, int node, std::uint64_t bytes,
                 const sched::SchedTag& tag);
-
-  /// Tagged, policy-scheduled variants; `done` fires with the delivery time.
-  void to_node(SimTime arrival, int node, std::uint64_t bytes,
-               const sched::SchedTag& tag, sched::Grant done);
-  void to_vm(SimTime arrival, int node, std::uint64_t bytes,
-             const sched::SchedTag& tag, sched::Grant done);
 
   /// One-way hop latency sample only (for control messages).
   SimTime hop_latency(std::uint64_t bytes = 0);
@@ -108,11 +120,25 @@ class Fabric {
   /// Total occupancy across every NIC pipe (VM-side + all nodes, both
   /// directions) — one addend of `ebs::StorageCluster::busy_stats()`.
   SimTime total_busy_ns() const;
-  /// The same total sliced by traffic class (untagged legacy transfers
-  /// carry no class, so the slices sum to at most `total_busy_ns()`).
+  /// The same total sliced by traffic class.  Every reservation accrues to
+  /// one class (untagged ones to `kFgWrite`), so the slices sum to
+  /// `total_busy_ns()`.
   SimTime class_busy_ns(sched::IoClass c) const;
 
  private:
+  /// Reserves the egress pipe `from`; its grant pays the hop and reserves
+  /// the ingress pipe `to`, whose grant is `done`.
+  template <typename F>
+  void send(sim::BandwidthPipe& from, sim::BandwidthPipe& to, SimTime arrival,
+            std::uint64_t bytes, const sched::SchedTag& tag, F&& done) {
+    from.submit(arrival, tag, bytes,
+                [this, &to, bytes, tag,
+                 done = std::forward<F>(done)](SimTime sent) mutable {
+                  to.submit(sent + hop_model_.sample(rng_, 0), tag, bytes,
+                            std::move(done));
+                });
+  }
+
   sim::LatencyModel hop_model_;
   Rng rng_;
   sim::BandwidthPipe vm_tx_;

@@ -56,12 +56,6 @@ SimTime QueuedResource::reserve(SimTime arrival, SimTime duration,
   return end;
 }
 
-SimTime QueuedResource::acquire(SimTime now, SimTime duration) {
-  UC_ASSERT(cfg_.policy == Policy::kFifo,
-            "untagged acquire() on a policy-scheduled resource");
-  return reserve(now, duration, SchedTag{});
-}
-
 SimTime QueuedResource::acquire(SimTime now, SimTime duration,
                                 const SchedTag& tag) {
   UC_ASSERT(cfg_.policy == Policy::kFifo,
@@ -69,14 +63,8 @@ SimTime QueuedResource::acquire(SimTime now, SimTime duration,
   return reserve(now, duration, tag);
 }
 
-void QueuedResource::submit(SimTime arrival, const SchedTag& tag,
-                            SimTime duration, Grant grant) {
-  if (cfg_.policy == Policy::kFifo) {
-    // Synchronous path: identical arithmetic (and identical caller
-    // continuation order) to the pre-sched horizon primitives.
-    grant(reserve(arrival, duration, tag));
-    return;
-  }
+void QueuedResource::submit_queued(SimTime arrival, const SchedTag& tag,
+                                   SimTime duration, Grant grant) {
   UC_ASSERT(sim_ != nullptr, "non-FIFO resource needs configure(sim, cfg)");
   if (arrival > sim_->now()) {
     sim_->schedule_at(arrival,

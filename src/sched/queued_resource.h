@@ -4,18 +4,17 @@
 /// The contention substrate: one (or k) servers, a busy horizon, and a
 /// pluggable `Scheduler` deciding who goes next.
 ///
-/// Two grant paths share the same horizon arithmetic:
-///
-/// - **Synchronous (FIFO)** — `acquire()` / a FIFO-policy `submit()` grants
-///   immediately: start = max(arrival, earliest-free), completion returned
-///   (or passed to the grant callback) on the spot.  This is byte-for-byte
-///   the horizon-reservation primitive the simulator always had, so a FIFO
-///   run is bit-identical to the pre-sched code.
-/// - **Queued (WFQ / PRIO)** — `submit()` enqueues the reservation; a
-///   dispatch loop serves the scheduler's pick whenever a server frees,
-///   firing the grant at dispatch time with the completion time.  This is
-///   work-conserving and can reorder across tenants and classes — which is
-///   the entire point.
+/// One grant path serves every policy.  `submit()` either grants at once
+/// (FIFO: start = max(arrival, earliest-free), and the grant fires inside
+/// `submit()` with the completion time) or enqueues the reservation for a
+/// dispatch loop that serves the scheduler's pick whenever a server frees
+/// (WFQ / PRIO), firing the grant at dispatch time.  The queued policies are
+/// work-conserving and can reorder across tenants and classes, which is the
+/// point.  Because FIFO grants fire synchronously, a continuation chain runs
+/// its hops (and draws its random numbers) in the order straight-line code
+/// would, so FIFO runs stay bit-identical to the pre-sched simulator.
+/// `acquire()` returns the same FIFO reservation directly, for resources
+/// that never take a policy (flash dies, reducer CPUs).
 ///
 /// The resource also keeps per-class and per-tenant busy-time slices so a
 /// report can say who actually occupied the pipe.
@@ -25,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -99,19 +99,24 @@ class QueuedResource {
 
   Policy policy() const { return cfg_.policy; }
 
-  /// Legacy synchronous horizon reservation (untagged).  Only valid under
-  /// FIFO — on a policy-scheduled resource it would jump the queue.
-  SimTime acquire(SimTime now, SimTime duration);
-
-  /// Tagged synchronous reservation: the allocation-free FIFO fast path
-  /// (hot paths branch on `policy()` and use this instead of `submit()`).
-  /// Identical accounting to the tagged queued path.
-  SimTime acquire(SimTime now, SimTime duration, const SchedTag& tag);
+  /// Synchronous horizon reservation; returns the completion time.  Only
+  /// valid under FIFO (on a policy-scheduled resource it would jump the
+  /// queue).  Untagged reservations accrue to tenant 0 / `kFgWrite`.
+  SimTime acquire(SimTime now, SimTime duration, const SchedTag& tag = {});
 
   /// Tagged reservation becoming eligible at `arrival`; `grant(finish)`
-  /// fires when the reservation is placed (synchronously under FIFO).
+  /// fires when the reservation is placed.  Under FIFO that is inside the
+  /// call, and `grant` is invoked as is; queued policies store it as a
+  /// `Grant` until dispatch.
+  template <typename G>
   void submit(SimTime arrival, const SchedTag& tag, SimTime duration,
-              Grant grant);
+              G&& grant) {
+    if (cfg_.policy == Policy::kFifo) {
+      grant(reserve(arrival, duration, tag));
+      return;
+    }
+    submit_queued(arrival, tag, duration, Grant(std::forward<G>(grant)));
+  }
 
   /// Horizon of the most recently placed reservation.
   SimTime busy_until() const { return busy_until_; }
@@ -130,6 +135,8 @@ class QueuedResource {
 
  private:
   SimTime reserve(SimTime arrival, SimTime duration, const SchedTag& tag);
+  void submit_queued(SimTime arrival, const SchedTag& tag, SimTime duration,
+                     Grant grant);
   void enqueue(const SchedTag& tag, SimTime duration, Grant grant);
   void pump();
 

@@ -1,18 +1,16 @@
 #pragma once
 
 /// \file resources.h
-/// Contention primitives for event-driven device models.
+/// Bandwidth pipes for event-driven device models.
 ///
-/// The models reserve time on shared resources (a flash channel bus, a NIC,
-/// a node's append pipeline) by asking "given I arrive at `now`, when does
-/// my transfer finish?".  Since the sched refactor these are thin adapters
-/// over `sched::QueuedResource`: unconfigured they are plain FIFO horizon
-/// reservations, O(1)/O(log k) with no extra simulator events; configured
-/// with a policy (`configure()`) their tagged `submit()` path routes through
-/// the pluggable scheduler, so WFQ/priority can reorder across tenants and
-/// classes while FIFO stays bit-identical to the original primitives.
+/// Serial resources and server pools are plain `sched::QueuedResource`s;
+/// a `BandwidthPipe` is one too, plus the MB/s -> ns conversion that turns
+/// a byte count into a service time.  Unconfigured it is a FIFO horizon
+/// reservation with no simulator events; configured with a policy, its
+/// `submit()` grants dispatch through the pluggable scheduler.
 
 #include <cstdint>
+#include <utility>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -20,49 +18,6 @@
 #include "sched/queued_resource.h"
 
 namespace uc::sim {
-
-/// A serially-shared resource: one user at a time; FIFO by default,
-/// policy-scheduled after `configure()`.
-class SerialResource {
- public:
-  /// Reserves the resource for `duration` starting no earlier than `now`;
-  /// returns the completion time.  FIFO-only (untagged legacy path).
-  SimTime acquire(SimTime now, SimTime duration) {
-    return q_.acquire(now, duration);
-  }
-
-  /// Tagged synchronous reservation — the allocation-free FIFO fast path.
-  SimTime acquire(SimTime now, SimTime duration, const sched::SchedTag& tag) {
-    return q_.acquire(now, duration, tag);
-  }
-
-  /// Tagged, policy-aware reservation; `grant` fires with the completion
-  /// time (synchronously under FIFO, at dispatch under WFQ/PRIO).
-  void submit(SimTime arrival, const sched::SchedTag& tag, SimTime duration,
-              sched::Grant grant) {
-    q_.submit(arrival, tag, duration, std::move(grant));
-  }
-
-  void configure(Simulator& sim, const sched::SchedulerConfig& cfg) {
-    q_.configure(sim, cfg);
-  }
-
-  void set_tenant_weight(std::uint32_t tenant, double weight) {
-    q_.set_tenant_weight(tenant, weight);
-  }
-
-  sched::Policy policy() const { return q_.policy(); }
-
-  SimTime busy_until() const { return q_.busy_until(); }
-
-  /// Total time the resource has spent busy (for utilization accounting).
-  SimTime busy_time() const { return q_.busy_time(); }
-
-  const sched::QueuedResource& sched() const { return q_; }
-
- private:
-  sched::QueuedResource q_;
-};
 
 /// A bandwidth pipe: transfers serialize at `mb_per_s`.  Models NIC links,
 /// flash channel buses, host links.
@@ -74,21 +29,17 @@ class BandwidthPipe {
   }
 
   /// Reserves a `bytes` transfer starting no earlier than `now`; returns the
-  /// completion time.  FIFO-only (untagged legacy path).
+  /// completion time.  Untagged and synchronous, so FIFO only (the SSD host
+  /// links and the flash channel buses).
   SimTime transfer(SimTime now, std::uint64_t bytes) {
     return q_.acquire(now, transfer_time(bytes));
   }
 
-  /// Tagged synchronous transfer — the allocation-free FIFO fast path.
-  SimTime transfer(SimTime now, std::uint64_t bytes,
-                   const sched::SchedTag& tag) {
-    return q_.acquire(now, transfer_time(bytes), tag);
-  }
-
   /// Tagged transfer becoming eligible at `arrival`.
+  template <typename G>
   void submit(SimTime arrival, const sched::SchedTag& tag, std::uint64_t bytes,
-              sched::Grant grant) {
-    q_.submit(arrival, tag, transfer_time(bytes), std::move(grant));
+              G&& grant) {
+    q_.submit(arrival, tag, transfer_time(bytes), std::forward<G>(grant));
   }
 
   void configure(Simulator& sim, const sched::SchedulerConfig& cfg) {
@@ -105,44 +56,12 @@ class BandwidthPipe {
     return static_cast<SimTime>(static_cast<double>(bytes) * ns_per_byte_);
   }
 
-  SimTime busy_until() const { return q_.busy_until(); }
   SimTime busy_time() const { return q_.busy_time(); }
-  double ns_per_byte() const { return ns_per_byte_; }
 
   const sched::QueuedResource& sched() const { return q_; }
 
  private:
   double ns_per_byte_;
-  sched::QueuedResource q_;
-};
-
-/// k identical servers with assignment to the earliest-free server; FIFO by
-/// default, policy-scheduled after `configure()`.  Models node CPU worker
-/// pools and parallel backend drives.
-class MultiServer {
- public:
-  explicit MultiServer(int servers) : q_(servers) {}
-
-  /// Occupies the earliest-available server for `duration`; returns the
-  /// completion time.  FIFO-only (untagged legacy path).
-  SimTime acquire(SimTime now, SimTime duration) {
-    return q_.acquire(now, duration);
-  }
-
-  void submit(SimTime arrival, const sched::SchedTag& tag, SimTime duration,
-              sched::Grant grant) {
-    q_.submit(arrival, tag, duration, std::move(grant));
-  }
-
-  void configure(Simulator& sim, const sched::SchedulerConfig& cfg) {
-    q_.configure(sim, cfg);
-  }
-
-  SimTime busy_time() const { return q_.busy_time(); }
-
-  const sched::QueuedResource& sched() const { return q_; }
-
- private:
   sched::QueuedResource q_;
 };
 

@@ -15,7 +15,7 @@
 
 #include "common/block_device.h"
 #include "common/rng.h"
-#include "sim/resources.h"
+#include "sched/queued_resource.h"
 #include "sim/simulator.h"
 
 namespace uc::wl {
@@ -63,7 +63,7 @@ class ReducingDevice : public BlockDevice {
   BlockDevice& inner_;
   ReducerConfig cfg_;
   ReducerStats stats_;
-  sim::MultiServer cpus_;
+  sched::QueuedResource cpus_;  ///< `cpu_workers` servers, FIFO
 };
 
 }  // namespace uc::wl

@@ -3,10 +3,12 @@
 // Configure with -DUC_PROFILE_ALLOC=ON to compile a counting global
 // `operator new` into this binary; the tests then assert that steady-state
 // scheduling — slab slot recycling, 4-ary heap churn, InlineCallback
-// dispatch, and the FIFO reserve fast path — performs ZERO heap allocations
-// per event, that a full node page cache recycles its slab slots, and that
+// dispatch, and the FIFO reserve path — performs ZERO heap allocations
+// per event, that a full node page cache recycles its slab slots, that
 // per-tenant result state (latency histograms, `JobStats`) allocates nothing
-// until it records outside its span.  Without the option the tests skip (the
+// until it records outside its span, and that a steady-state ESSD I/O runs
+// its whole service chain (QoS gate, frontend, fabric, node pipelines)
+// without allocating.  Without the option the tests skip (the
 // rest of the suite does not want a global allocator override), and the
 // option refuses to combine with UC_SANITIZE because sanitizers interpose the
 // allocator themselves.
@@ -21,6 +23,8 @@
 #include "common/histogram.h"
 #include "common/lru_cache.h"
 #include "common/rng.h"
+#include "common/units.h"
+#include "essd/essd_device.h"
 #include "sched/queued_resource.h"
 #include "sim/simulator.h"
 #include "workload/runner.h"
@@ -150,7 +154,7 @@ TEST(AllocProfile, CancelChurnIsAllocationFree) {
 #endif
 }
 
-TEST(AllocProfile, FifoReserveFastPathIsAllocationFree) {
+TEST(AllocProfile, FifoReservePathIsAllocationFree) {
   UC_REQUIRE_ALLOC_PROFILING();
 #if defined(UC_PROFILE_ALLOC)
   sched::QueuedResource res(4);
@@ -165,6 +169,77 @@ TEST(AllocProfile, FifoReserveFastPathIsAllocationFree) {
   }
   EXPECT_EQ(allocations() - before, 0u)
       << "the FIFO reserve path (inline server horizons) must not allocate";
+#endif
+}
+
+#if defined(UC_PROFILE_ALLOC)
+
+// A closed loop of 4 KiB random I/O over a small region: every completion
+// resubmits at once, so the queue depth stays fixed.  The completion
+// captures one pointer, which `std::function` stores inline.
+struct ClosedLoop {
+  Simulator& sim;
+  BlockDevice& dev;
+  IoOp op;
+  std::uint64_t region_pages;
+  Rng rng{17};
+  IoId next_id = 0;
+  std::uint64_t completed = 0;
+
+  void submit() {
+    IoRequest req;
+    req.id = next_id++;
+    req.op = op;
+    req.offset = rng.uniform_u64(region_pages) * kLogicalPageBytes;
+    req.bytes = kLogicalPageBytes;
+    dev.submit(req, [this](const IoResult&) {
+      ++completed;
+      submit();
+    });
+  }
+
+  void run(std::uint64_t ios) {
+    const std::uint64_t target = completed + ios;
+    sim.run_while([&] { return completed < target; });
+  }
+};
+
+// Allocations per I/O of `op` at QD8 on an ESSD-2 volume, after the region
+// (2,048 pages) has been written and, for reads, pulled into the node
+// caches, so every pool and cache has reached its steady size.
+double essd_allocations_per_io(IoOp op) {
+  using namespace units;
+  Simulator sim;
+  essd::EssdDevice dev(sim, essd::alibaba_pl3_profile(1 * kGiB));
+  ClosedLoop loop{sim, dev, IoOp::kWrite, 2048};
+  for (int i = 0; i < 8; ++i) loop.submit();
+  loop.run(30000);
+  loop.op = op;
+  loop.run(40000);
+  constexpr std::uint64_t kMeasured = 20000;
+  const std::uint64_t before = allocations();
+  loop.run(kMeasured);
+  return static_cast<double>(allocations() - before) /
+         static_cast<double>(kMeasured);
+}
+
+#endif  // UC_PROFILE_ALLOC
+
+TEST(AllocProfile, EssdSteadyStateReadIsAllocationFree) {
+  UC_REQUIRE_ALLOC_PROFILING();
+#if defined(UC_PROFILE_ALLOC)
+  EXPECT_EQ(essd_allocations_per_io(IoOp::kRead), 0.0)
+      << "QoS gate -> frontend -> fabric -> node read chain must reuse its "
+         "slots";
+#endif
+}
+
+TEST(AllocProfile, EssdSteadyStateWriteBarelyAllocates) {
+  UC_REQUIRE_ALLOC_PROFILING();
+#if defined(UC_PROFILE_ALLOC)
+  // The chain itself allocates nothing; what remains is the cluster's
+  // append queue (a deque allocates a block every few writes).
+  EXPECT_LE(essd_allocations_per_io(IoOp::kWrite), 0.15);
 #endif
 }
 

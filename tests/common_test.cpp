@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 
 #include "common/block_device.h"
+#include "common/slot_pool.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/strfmt.h"
@@ -103,6 +105,21 @@ TEST(RunningStat, WelfordMatchesClosedForm) {
   EXPECT_NEAR(s.cv(), 0.4, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
+}
+
+TEST(SlotPool, ReusesReleasedSlotsLastInFirstOut) {
+  SlotPool<std::string> pool;
+  const std::uint32_t a = pool.claim();
+  const std::uint32_t b = pool.claim();
+  EXPECT_NE(a, b);
+  pool[a] = "a";
+  pool[b] = "b";
+  pool.release(a);
+  pool.release(b);
+  EXPECT_EQ(pool.claim(), b);  // the slot keeps its old contents
+  EXPECT_EQ(pool[b], "b");
+  EXPECT_EQ(pool.claim(), a);
+  EXPECT_EQ(pool.claim(), 2u);  // free list empty: the pool grows
 }
 
 TEST(BlockDevice, ValidateRequestRules) {

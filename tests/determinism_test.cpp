@@ -126,7 +126,8 @@ TEST(Determinism, ThreeTenantSharedClusterIsBitIdentical) {
 // request path (QoS gate, frontend pipe, NIC pipes, node pipelines,
 // cleaner) must reproduce the pre-refactor simulator bit for bit.  These
 // digests were captured from the seed tree before `src/sched/` existed; a
-// change here means the FIFO fast path is no longer the identity.
+// change here means the shared service chain, run with synchronous FIFO
+// grants, no longer replays the straight-line pre-sched code.
 TEST(Determinism, FifoDigestsMatchPreSchedSeed) {
   const auto r = run_three_tenants(4242);
   EXPECT_EQ(r.makespan, 137686008u);
@@ -148,8 +149,9 @@ TEST(Determinism, FifoDigestsMatchPreSchedSeed) {
 
 // The same scenario under the queued policies, where every shared queue
 // dispatches through the scheduler and the request chain runs as grant
-// continuations.  Captured before the ESSD read, write and submit paths
-// were folded into one chain shared with FIFO.
+// continuations.  Captured while FIFO still ran a separate straight-line
+// copy of the ESSD read, write and submit paths, before the two were
+// folded into one chain.
 struct ThreeTenantPin {
   SimTime makespan;
   SimTime last_complete[3];

@@ -29,8 +29,16 @@ TEST(QosGate, AdmitsImmediatelyWithinBudget) {
   sim::Simulator sim;
   QosGate gate(sim, tight_config());
   bool admitted = false;
-  gate.admit(4096, [&] { admitted = true; });
-  EXPECT_TRUE(admitted);  // synchronous when tokens available
+  SimTime admitted_at = kNoTime;
+  sim.schedule_at(7, [&] {
+    gate.admit(4096, sched::SchedTag{}, [&](SimTime t) {
+      admitted = true;
+      admitted_at = t;
+    });
+    EXPECT_TRUE(admitted);  // synchronous when tokens available
+  });
+  sim.run();
+  EXPECT_EQ(admitted_at, 7u);  // the grant carries the admission time
   EXPECT_EQ(gate.stats().admitted, 1u);
   EXPECT_EQ(gate.stats().throttled, 0u);
 }
@@ -44,7 +52,8 @@ TEST(QosGate, ByteBudgetPacesLargeTransfers) {
   // 10 x 1 MB = 10 MB against a 1 MB burst + 1 GB/s refill: the tail ops
   // must be paced at ~1 ms per MB.
   for (int i = 0; i < 10; ++i) {
-    gate.admit(1000000, [&] { times.push_back(sim.now()); });
+    gate.admit(1000000, sched::SchedTag{},
+               [&](SimTime) { times.push_back(sim.now()); });
   }
   sim.run();
   ASSERT_EQ(times.size(), 10u);
@@ -62,7 +71,7 @@ TEST(QosGate, IopsBudgetPacesSmallOps) {
   int completed = 0;
   SimTime last = 0;
   for (int i = 0; i < 110; ++i) {
-    gate.admit(4096, [&] {
+    gate.admit(4096, sched::SchedTag{}, [&](SimTime) {
       ++completed;
       last = sim.now();
     });
@@ -85,8 +94,9 @@ TEST(QosGate, LargeOpsCostMultipleIopsTokens) {
   QosGate gate(sim, cfg);
   // A 1 MiB op costs ceil(1 MiB / 256 KiB) = 4 tokens.
   SimTime second_at = 0;
-  gate.admit(1 << 20, [] {});
-  gate.admit(1 << 20, [&] { second_at = sim.now(); });
+  gate.admit(1 << 20, sched::SchedTag{}, [](SimTime) {});
+  gate.admit(1 << 20, sched::SchedTag{},
+             [&](SimTime) { second_at = sim.now(); });
   sim.run();
   // First op leaves 1 token; the second needs 3 more at 100/s: ~30 ms.
   EXPECT_GT(second_at, 25 * kMs);
@@ -106,7 +116,7 @@ TEST(QosGate, OpsLargerThanBurstStillMakeProgress) {
   int completed = 0;
   SimTime last = 0;
   for (int i = 0; i < 5; ++i) {
-    gate.admit(1 << 20, [&] {
+    gate.admit(1 << 20, sched::SchedTag{}, [&](SimTime) {
       ++completed;
       last = sim.now();
     });
@@ -123,7 +133,8 @@ TEST(QosGate, AdmissionIsFifo) {
   QosGate gate(sim, tight_config());
   std::vector<int> order;
   for (int i = 0; i < 6; ++i) {
-    gate.admit(1000000, [&order, i] { order.push_back(i); });
+    gate.admit(1000000, sched::SchedTag{},
+               [&order, i](SimTime) { order.push_back(i); });
   }
   sim.run();
   ASSERT_EQ(order.size(), 6u);
@@ -137,7 +148,7 @@ TEST(QosGate, TracksQueueDepthAndAdmissionWait) {
   QosGate gate(sim, cfg);
   int admitted = 0;
   for (int i = 0; i < 8; ++i) {
-    gate.admit(1000000, [&] { ++admitted; });
+    gate.admit(1000000, sched::SchedTag{}, [&](SimTime) { ++admitted; });
   }
   // First op passed on burst; the rest are pending right now.
   EXPECT_EQ(gate.queue_depth(), 7u);
@@ -162,14 +173,15 @@ TEST(QosGate, PriorityPolicyAdmitsReadsBeforeQueuedWrites) {
   QosGate gate(sim, cfg, sched_cfg);
   std::vector<int> order;
   // Exhaust the burst, then queue writes before a read.
-  gate.admit(1000000, [&] { order.push_back(-1); });
+  gate.admit(1000000, sched::SchedTag{},
+             [&](SimTime) { order.push_back(-1); });
   for (int i = 0; i < 3; ++i) {
     gate.admit(1000000,
                sched::SchedTag{0, sched::IoClass::kFgWrite, 0},
-               [&order, i] { order.push_back(i); });
+               [&order, i](SimTime) { order.push_back(i); });
   }
   gate.admit(1000000, sched::SchedTag{0, sched::IoClass::kFgRead, 0},
-             [&order] { order.push_back(100); });
+             [&order](SimTime) { order.push_back(100); });
   sim.run();
   ASSERT_EQ(order.size(), 5u);
   EXPECT_EQ(order[0], -1);
@@ -192,7 +204,7 @@ TEST(QosGate, SharedBudgetAcrossReadAndWriteStreams) {
   std::uint64_t bytes_admitted = 0;
   SimTime last = 0;
   for (int i = 0; i < 200; ++i) {
-    gate.admit(262144, [&] {
+    gate.admit(262144, sched::SchedTag{}, [&](SimTime) {
       bytes_admitted += 262144;
       last = sim.now();
     });

@@ -14,7 +14,6 @@
 #include "essd/essd_config.h"
 #include "sched/queued_resource.h"
 #include "sched/scheduler.h"
-#include "sim/resources.h"
 #include "sim/simulator.h"
 #include "tenant/scenarios.h"
 #include "tenant/tenant.h"
@@ -69,12 +68,14 @@ TEST(QueuedResource, TracksPerClassAndPerTenantBusyTime) {
   EXPECT_EQ(r.tenant_busy_time(7), 0u);  // never seen
 }
 
-TEST(SerialResource, LegacyInterfaceUnchanged) {
-  sim::SerialResource r;
+TEST(QueuedResource, UntaggedAcquireAccruesToTenantZeroWrites) {
+  sched::QueuedResource r;
   EXPECT_EQ(r.acquire(0, 100), 100u);
   EXPECT_EQ(r.acquire(0, 50), 150u);   // back-to-back serialization
   EXPECT_EQ(r.acquire(500, 10), 510u); // idle gap
   EXPECT_EQ(r.busy_time(), 160u);
+  EXPECT_EQ(r.class_busy_time(sched::IoClass::kFgWrite), 160u);
+  EXPECT_EQ(r.tenant_busy_time(0), 160u);
 }
 
 // -------------------------------------------------------------- DRR --

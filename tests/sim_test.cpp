@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "sched/queued_resource.h"
 #include "sim/inline_callback.h"
 #include "sim/latency_model.h"
 #include "sim/parallel.h"
@@ -184,8 +185,8 @@ TEST(Simulator, RunWhileStopsOnPredicate) {
   EXPECT_EQ(fired, 3);
 }
 
-TEST(SerialResource, SerializesBackToBack) {
-  SerialResource r;
+TEST(QueuedResource, SerializesBackToBack) {
+  sched::QueuedResource r;
   EXPECT_EQ(r.acquire(0, 100), 100u);
   EXPECT_EQ(r.acquire(0, 100), 200u);   // queued behind the first
   EXPECT_EQ(r.acquire(500, 100), 600u); // idle gap, starts immediately
@@ -200,8 +201,8 @@ TEST(BandwidthPipe, TransferTimeMatchesRate) {
   EXPECT_EQ(pipe.transfer(0, 4096), 8192u);
 }
 
-TEST(MultiServer, ParallelThenQueues) {
-  MultiServer servers(2);
+TEST(QueuedResource, ServersRunInParallelThenQueue) {
+  sched::QueuedResource servers(2);
   EXPECT_EQ(servers.acquire(0, 100), 100u);
   EXPECT_EQ(servers.acquire(0, 100), 100u);  // second server
   EXPECT_EQ(servers.acquire(0, 100), 200u);  // queues on earliest free
