@@ -174,6 +174,41 @@ TEST(ShardedHost, StaticRunMatchesPinnedDigests) {
   }
 }
 
+TEST(ShardedHost, IdleClusterRunMatchesPinnedDigests) {
+  // Unbounded pack puts both tenants on cluster 0 of 3, so clusters 1 and 2
+  // host nobody for the whole run.  An idle cluster must digest as an
+  // all-zero delta and report no occupancy, at any thread count.
+  std::vector<tenant::TenantSpec> tenants;
+  tenants.push_back(small_tenant("a", 64 * kMiB, 400, 11));
+  tenants.push_back(small_tenant("b", 64 * kMiB, 400, 22));
+  placement::PlacementConfig cfg;
+  cfg.clusters = 3;
+  cfg.policy = placement::Policy::kPack;
+  essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
+  base.cluster.spare_pool_bytes = 192 * kMiB;
+
+  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
+  const std::vector<std::uint64_t> want = {15990229853948850370ull,
+                                           10618861594055612418ull,
+                                           16949189903402991041ull};
+  for (const int threads : {1, 4}) {
+    sim::ParallelExecutor exec(threads);
+    placement::ShardedHost fleet(base, tenants, cfg);
+    const placement::PlacementResult r = fleet.run(exec);
+    fleet.check_invariants();
+    EXPECT_EQ(exec.epochs(), 2u) << threads;  // fill + measure
+    EXPECT_EQ(placement::shard_digests(plan, r), want) << threads;
+    EXPECT_EQ(r.sim_events, 1600u) << threads;
+    EXPECT_EQ(r.makespan, 38057864u) << threads;
+    EXPECT_EQ(r.initial_cluster, (std::vector<int>{0, 0}));
+    EXPECT_EQ(r.final_cluster, r.initial_cluster);
+    ASSERT_EQ(r.busy.size(), 3u);
+    EXPECT_GT(r.busy[0].signal(), 0u) << threads;
+    EXPECT_EQ(r.busy[1].signal(), 0u) << threads;
+    EXPECT_EQ(r.busy[2].signal(), 0u) << threads;
+  }
+}
+
 TEST(PrioScheduler, MigrationIsTheLowestClass) {
   sched::SchedulerConfig cfg;
   cfg.policy = sched::Policy::kPrio;
@@ -209,28 +244,33 @@ TEST(ShardedHost, OneClusterMatchesSharedHost) {
   tenant::SharedClusterHost shared(sim, base, tenants);
   const tenant::HostResult a = shared.run();
 
-  sim::ParallelExecutor exec(1);
-  placement::PlacementConfig cfg;  // one cluster, any policy
-  placement::ShardedHost fleet(base, tenants, cfg);
-  const placement::PlacementResult b = fleet.run(exec);
+  // One cluster, any policy; a watermark cannot rebalance a lone cluster.
+  for (const double watermark : {0.0, 1.5}) {
+    sim::ParallelExecutor exec(1);
+    placement::PlacementConfig cfg;
+    cfg.rebalance_watermark = watermark;
+    placement::ShardedHost fleet(base, tenants, cfg);
+    const placement::PlacementResult b = fleet.run(exec);
 
-  ASSERT_EQ(a.stats.size(), b.stats.size());
-  EXPECT_EQ(a.measure_start, b.measure_start);
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(sim.events_processed(), b.sim_events);
-  for (std::size_t i = 0; i < a.stats.size(); ++i) {
-    EXPECT_EQ(a.stats[i].total_ops(), b.stats[i].total_ops());
-    EXPECT_EQ(a.stats[i].last_complete, b.stats[i].last_complete);
-    EXPECT_EQ(a.stats[i].total_bytes(), b.stats[i].total_bytes());
-    EXPECT_DOUBLE_EQ(a.stats[i].all_latency.mean(),
-                     b.stats[i].all_latency.mean());
-    EXPECT_EQ(a.backlog_peak[i], b.backlog_peak[i]);
+    ASSERT_EQ(a.stats.size(), b.stats.size());
+    EXPECT_EQ(a.measure_start, b.measure_start) << watermark;
+    EXPECT_EQ(a.makespan, b.makespan) << watermark;
+    EXPECT_EQ(sim.events_processed(), b.sim_events) << watermark;
+    for (std::size_t i = 0; i < a.stats.size(); ++i) {
+      EXPECT_EQ(a.stats[i].total_ops(), b.stats[i].total_ops());
+      EXPECT_EQ(a.stats[i].last_complete, b.stats[i].last_complete);
+      EXPECT_EQ(a.stats[i].total_bytes(), b.stats[i].total_bytes());
+      EXPECT_DOUBLE_EQ(a.stats[i].all_latency.mean(),
+                       b.stats[i].all_latency.mean());
+      EXPECT_EQ(a.backlog_peak[i], b.backlog_peak[i]);
+    }
+    ASSERT_EQ(b.cluster.size(), 1u);
+    EXPECT_EQ(a.cluster.written_pages, b.cluster[0].written_pages);
+    EXPECT_EQ(a.cluster.read_pages, b.cluster[0].read_pages);
+    EXPECT_EQ(a.cleaner.segments_cleaned, b.cleaner[0].segments_cleaned);
+    EXPECT_EQ(a.busy.signal(), b.busy[0].signal());
+    EXPECT_TRUE(b.migrations.empty()) << watermark;
   }
-  ASSERT_EQ(b.cluster.size(), 1u);
-  EXPECT_EQ(a.cluster.written_pages, b.cluster[0].written_pages);
-  EXPECT_EQ(a.cluster.read_pages, b.cluster[0].read_pages);
-  EXPECT_EQ(a.cleaner.segments_cleaned, b.cleaner[0].segments_cleaned);
-  EXPECT_EQ(a.busy.signal(), b.busy[0].signal());
 }
 
 double mean_victim_interference(const tenant::FairnessReport& report) {
