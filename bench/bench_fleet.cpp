@@ -13,7 +13,7 @@
 //      migrations and copy bandwidth.
 //
 // Every leg runs shard-per-cluster on `--threads N` workers: legs 1 and 2
-// are static placements (two epoch barriers), and leg 3 runs the
+// are static placements (one unbounded slice), and leg 3 runs the
 // epoch-sliced engine — shards advance slice by slice, and only the
 // clusters coupled by a live migration fuse into a merged shard for the
 // copy's window.  The per-shard FNV digests printed per leg are the

@@ -325,8 +325,8 @@ int main(int argc, char** argv) {
       placement::Policy p;
       if (!placement::parse_policy(argv[i + 1], &p)) {
         std::fprintf(stderr,
-                     "error: unknown placement '%s' "
-                     "(spread|pack|least-loaded|least-weight)\n",
+                     "error: unknown placement '%s' (spread|pack|"
+                     "least-loaded|least-weight|least-interference)\n",
                      argv[i + 1]);
         return 2;
       }

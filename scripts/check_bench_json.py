@@ -606,11 +606,9 @@ def check_fleet(path, metrics):
                 "max_group_clusters"):
         if key not in sliced:
             fail(path, f"fleet rebalance sliced block missing '{key}'")
-    # A single-cluster fleet runs the static schedule (nothing to fuse),
-    # so the slice counters are only required to tick when the
-    # epoch-sliced engine actually ran.
-    if fleet["clusters"] > 1 and (sliced["slice_ms"] <= 0
-                                  or sliced["slices"] <= 0):
+    # Every fleet runs the slice loop (one that cannot rebalance runs one
+    # unbounded slice), so the counters tick at any cluster count.
+    if sliced["slice_ms"] <= 0 or sliced["slices"] <= 0:
         fail(path, "fleet rebalance must have run at least one slice")
     if len(rebalance["digests"]) != fleet["clusters"]:
         fail(path, "sliced rebalance must digest one shard per cluster "

@@ -7,15 +7,17 @@ dip in a diffable artifact rather than as folklore.  Each row snapshots the
 events/sec of the BM_EventKernel*, BM_ParallelShardReplay*,
 BM_ParallelEpochBarrier*, BM_CleanerPick*, BM_NodeCache* and
 BM_TenantStatsLifecycle families from `bench_sim_micro --json` documents,
-plus "FleetRebalanceReplay/t<threads>" from a `bench_fleet --json`
-document's epoch-sliced rebalance leg:
+plus, from a `bench_fleet --json` document, "FleetRebalanceReplay/t<threads>"
+for the rebalance leg and "FleetStatic/<policy>/t<threads>" for each
+non-rebalancing leg of its `policies` array:
 
     {
       "schema": "uc-bench-trajectory-v1",
       "rows": [
         {"label": "<commit / milestone>",
          "benchmarks": {"BM_EventKernelSteadyState": 10212300.0,
-                        "FleetRebalanceReplay/t4": 5210000.0, ...}}
+                        "FleetRebalanceReplay/t4": 5210000.0,
+                        "FleetStatic/least-loaded/t4": 5430000.0, ...}}
       ]
     }
 
@@ -37,7 +39,7 @@ SCHEMA = "uc-bench-trajectory-v1"
 TRACKED_PREFIXES = ("BM_EventKernel", "BM_ParallelShardReplay",
                     "BM_ParallelEpochBarrier", "BM_CleanerPick",
                     "BM_NodeCache", "BM_TenantStatsLifecycle",
-                    "FleetRebalanceReplay")
+                    "FleetRebalanceReplay", "FleetStatic")
 
 
 def fail(msg):
@@ -76,13 +78,20 @@ def extract_rates(bench_doc):
             if name.startswith(TRACKED_PREFIXES):
                 rates[name] = b.get("events_per_sec")
     elif bench == "fleet":
-        # The fleet's rebalance leg is the end-to-end artifact for the
-        # epoch-sliced engine: whole-run events/sec at this thread count.
+        # The fleet legs are the end-to-end artifacts of the sharded engine:
+        # whole-run events/sec at this thread count, with and without
+        # rebalancing.
         fleet = bench_doc.get("metrics", {}).get("fleet", {})
+        threads = fleet.get("threads")
         rebalance = fleet.get("rebalance", {})
-        if "events_per_sec" in rebalance and "threads" in fleet:
-            rates[f"FleetRebalanceReplay/t{fleet['threads']}"] = \
+        if "events_per_sec" in rebalance and threads is not None:
+            rates[f"FleetRebalanceReplay/t{threads}"] = \
                 rebalance["events_per_sec"]
+        for leg in fleet.get("policies", []):
+            if "events_per_sec" in leg and "policy" in leg \
+                    and threads is not None:
+                rates[f"FleetStatic/{leg['policy']}/t{threads}"] = \
+                    leg["events_per_sec"]
     else:
         fail("bench document must be a sim_micro or fleet envelope")
     if not rates:

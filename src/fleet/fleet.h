@@ -82,10 +82,9 @@ struct FleetSpec {
 
   // --- control plane under test ---
   placement::Policy policy = placement::Policy::kLeastInterference;
-  /// > 1 enables watermark rebalancing, which runs the epoch-sliced
-  /// shard-per-cluster engine (coupled clusters fuse only while a migration
-  /// is live — see `compute_shard_plan` and `ShardedHost`); <= 1 leaves
-  /// placement static and the fleet shard-per-cluster parallel.
+  /// > 1 enables watermark rebalancing: the shard-per-cluster engine cuts
+  /// fixed slices and fuses coupled clusters only while a migration is live
+  /// (see `ShardedHost`); <= 1 leaves placement static, one unbounded slice.
   double rebalance_watermark = 0.0;
   SimTime rebalance_interval = 50 * units::kMs;
   placement::MigrationBudget budget;

@@ -1,6 +1,7 @@
 #include "placement/placement.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -47,6 +48,31 @@ bool parse_policy(const std::string& text, Policy* out) {
 std::vector<Policy> all_policies() {
   return {Policy::kSpread, Policy::kPack, Policy::kLeastLoadedBytes,
           Policy::kLeastLoadedWeight, Policy::kLeastInterference};
+}
+
+Status PlacementConfig::validate() const {
+  const auto bad = [](const char* what) {
+    return Status::invalid_argument(what);
+  };
+  if (clusters < 1) return bad("placement needs at least one cluster");
+  if (budget.max_concurrent < 1) return bad("migration budget has no slot");
+  if (budget.max_total < 0) return bad("negative migration total cap");
+  if (!std::isfinite(budget.copy_bandwidth_bps) ||
+      budget.copy_bandwidth_bps < 0.0) {
+    return bad("copy bandwidth must be finite and >= 0");
+  }
+  if (!std::isfinite(rebalance_watermark) || rebalance_watermark < 0.0) {
+    return bad("rebalance watermark must be finite and >= 0");
+  }
+  if (rebalancing() && slice == 0 && rebalance_interval == 0) {
+    return bad("rebalancing needs a positive slice or interval");
+  }
+  if (migration.copy_bytes == 0 ||
+      migration.copy_bytes % kLogicalPageBytes != 0) {
+    return bad("migration copy fragment must be a positive page multiple");
+  }
+  if (migration.max_precopy_passes < 1) return bad("no pre-copy pass");
+  return Status::ok();
 }
 
 double expected_offered_bps(const tenant::TenantSpec& t) {
@@ -265,13 +291,12 @@ ShardedHost::ShardedHost(const essd::EssdConfig& base,
                          const PlacementConfig& cfg)
     : cfg_(cfg), tenants_(std::move(tenants)) {
   UC_ASSERT(!tenants_.empty(), "host needs at least one tenant");
-  UC_ASSERT(cfg_.budget.max_concurrent >= 1,
-            "migration budget needs at least one slot");
+  UC_ASSERT(cfg_.validate().is_ok(), "invalid placement configuration");
   planned_ = plan_placement(cfg_, tenants_);
   plan_ = compute_shard_plan(cfg_);
-  sliced_ = cfg_.clusters > 1 && cfg_.rebalance_watermark > 1.0;
-  slice_ = cfg_.slice > 0 ? cfg_.slice : cfg_.rebalance_interval;
-  UC_ASSERT(!sliced_ || slice_ > 0, "sliced run needs a positive slice");
+  if (cfg_.rebalancing()) {
+    slice_ = cfg_.slice > 0 ? cfg_.slice : cfg_.rebalance_interval;
+  }
 
   // One shard per cluster, so shard index == cluster index throughout.
   shards_.resize(plan_.shards());
@@ -282,12 +307,11 @@ ShardedHost::ShardedHost(const essd::EssdConfig& base,
     local.push_back(i);
   }
 
+  // Every cluster gets a host, idle ones included: an idle cluster can
+  // become a migration destination at any barrier, and its node caches
+  // allocate lazily, so it costs a few small vectors.
   for (std::size_t c = 0; c < shards_.size(); ++c) {
     Shard& sh = shards_[c];
-    // Idle clusters need no simulator on the static schedule; the sliced
-    // one instantiates every shard (an idle cluster can become a migration
-    // destination at any barrier).
-    if (sh.tenant.empty() && !sliced_) continue;
     essd::EssdConfig cluster_base = base;
     const std::uint64_t stride =
         kClusterSeedStride * static_cast<std::uint64_t>(c);
@@ -309,74 +333,11 @@ ShardedHost::ShardedHost(const essd::EssdConfig& base,
 PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
   UC_ASSERT(!ran_, "host already ran");
   ran_ = true;
-  return sliced_ ? run_sliced(exec) : run_static(exec);
-}
-
-PlacementResult ShardedHost::run_static(sim::ParallelExecutor& exec) {
-  // Epoch 1: every shard preconditions and drains its own simulator.
-  exec.run_epoch(shards_.size(), [this](std::size_t s) {
-    if (shards_[s].host != nullptr) shards_[s].host->run_fill();
-  });
-  // Barrier: the fleet's measured window opens at the slowest drain.
-  SimTime t0 = 0;
-  for (const Shard& sh : shards_) {
-    if (sh.sim != nullptr) t0 = std::max(t0, sh.sim->now());
-  }
-  // Epoch 2: the measured runs, all opening at t0.
-  std::vector<tenant::HostResult> part(shards_.size());
-  exec.run_epoch(shards_.size(), [this, &part, t0](std::size_t s) {
-    Shard& sh = shards_[s];
-    if (sh.host == nullptr) return;
-    sh.host->begin_measure(t0);
-    sh.sim->run();
-    part[s] = sh.host->collect();
-  });
-  return merge_parts(std::move(part), t0);
-}
-
-PlacementResult ShardedHost::merge_parts(std::vector<tenant::HostResult> part,
-                                         SimTime measure_start) const {
-  // Coordinator merge: restore spec order for tenants.  Shards without a
-  // host leave default (all-zero) cluster and cleaner deltas — exactly what
-  // an idle cluster contributes.
-  const std::size_t n = tenants_.size();
-  PlacementResult result;
-  result.measure_start = measure_start;
-  result.stats.resize(n);
-  result.backlog_peak.resize(n);
-  result.traces.resize(n);
-  result.initial_cluster = planned_;
-  result.final_cluster = fleet_cluster_of_;
-  result.migrations = records_;
-  result.peak_concurrent_migrations = peak_concurrent_;
-  result.sliced = slice_stats_;
-  result.cluster.resize(shards_.size());
-  result.cleaner.resize(shards_.size());
-  result.busy.resize(shards_.size());
-  for (std::size_t c = 0; c < shards_.size(); ++c) {
-    const Shard& sh = shards_[c];
-    if (sh.host == nullptr) continue;
-    tenant::HostResult& r = part[c];
-    for (std::size_t j = 0; j < sh.tenant.size(); ++j) {
-      const std::size_t g = sh.tenant[j];
-      result.stats[g] = std::move(r.stats[j]);
-      result.backlog_peak[g] = r.backlog_peak[j];
-      result.traces[g] = std::move(r.traces[j]);
-    }
-    result.cluster[c] = r.cluster;
-    result.cleaner[c] = std::move(r.cleaner);
-    result.busy[c] = r.busy;
-    result.makespan = std::max(result.makespan, r.makespan);
-    result.sim_events += sh.sim->events_processed();
-  }
-  return result;
-}
-
-PlacementResult ShardedHost::run_sliced(sim::ParallelExecutor& exec) {
   // Epoch 1: every shard preconditions and drains its own simulator (idle
   // clusters are a no-op fill).
   exec.run_epoch(shards_.size(),
                  [this](std::size_t s) { shards_[s].host->run_fill(); });
+  // Barrier: the fleet's measured window opens at the slowest drain.
   SimTime t0 = 0;
   for (const Shard& sh : shards_) t0 = std::max(t0, sh.sim->now());
   // Opening the measured window is cheap (clock alignment, stats snapshots,
@@ -393,22 +354,29 @@ PlacementResult ShardedHost::run_sliced(sim::ParallelExecutor& exec) {
 
   // The slice loop: advance every fused group one slice, then decide at the
   // barrier.  The partition is rebuilt from the live couplings each time,
-  // so fusion and splitting both fall out of `coupled_groups`.
+  // so fusion and splitting both fall out of `coupled_groups`.  A fleet
+  // that cannot rebalance runs one unbounded slice, which drains every
+  // load: its shards collect inside that epoch, on the workers (the trace
+  // summaries scan every replayed event) without a third barrier, and its
+  // one barrier finds nothing to repair.
   std::vector<std::vector<std::size_t>> groups = coupled_groups();
+  std::vector<tenant::HostResult> part(shards_.size());
+  bool collected = false;
   SimTime tk = t0;
   for (;;) {
-    bool pending = false;
-    for (const Shard& sh : shards_) {
-      if (!sh.sim->idle()) {
-        pending = true;
-        break;
-      }
+    if (std::all_of(shards_.begin(), shards_.end(),
+                    [](const Shard& sh) { return sh.sim->idle(); })) {
+      break;
     }
-    if (!pending) break;
-    tk += slice_;
-    exec.run_epoch(groups.size(), [this, &groups, tk](std::size_t g) {
+    tk = slice_ == kNoTime ? kNoTime : tk + slice_;
+    exec.run_epoch(groups.size(), [this, &groups, &part, tk](std::size_t g) {
       advance_group(groups[g], tk);
+      if (tk != kNoTime) return;
+      for (const std::size_t m : groups[g]) {
+        part[m] = shards_[m].host->collect();
+      }
     });
+    collected = tk == kNoTime;
     ++slice_stats_.slices;
     reconcile_pacers();  // a group that split must not keep sharing a pacer
     fleet_rebalance();
@@ -425,11 +393,42 @@ PlacementResult ShardedHost::run_sliced(sim::ParallelExecutor& exec) {
     groups = std::move(next);
   }
 
-  std::vector<tenant::HostResult> part(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    part[s] = shards_[s].host->collect();
+  if (!collected) {
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      part[s] = shards_[s].host->collect();
+    }
   }
-  return merge_parts(std::move(part), t0);
+  // Coordinator merge: restore spec order for tenants.
+  const std::size_t n = tenants_.size();
+  PlacementResult result;
+  result.measure_start = t0;
+  result.stats.resize(n);
+  result.backlog_peak.resize(n);
+  result.traces.resize(n);
+  result.initial_cluster = planned_;
+  result.final_cluster = fleet_cluster_of_;
+  result.migrations = records_;
+  result.peak_concurrent_migrations = peak_concurrent_;
+  result.sliced = slice_stats_;
+  result.cluster.resize(shards_.size());
+  result.cleaner.resize(shards_.size());
+  result.busy.resize(shards_.size());
+  for (std::size_t c = 0; c < shards_.size(); ++c) {
+    const Shard& sh = shards_[c];
+    tenant::HostResult& r = part[c];
+    for (std::size_t j = 0; j < sh.tenant.size(); ++j) {
+      const std::size_t g = sh.tenant[j];
+      result.stats[g] = std::move(r.stats[j]);
+      result.backlog_peak[g] = r.backlog_peak[j];
+      result.traces[g] = std::move(r.traces[j]);
+    }
+    result.cluster[c] = r.cluster;
+    result.cleaner[c] = std::move(r.cleaner);
+    result.busy[c] = r.busy;
+    result.makespan = std::max(result.makespan, r.makespan);
+    result.sim_events += sh.sim->events_processed();
+  }
+  return result;
 }
 
 void ShardedHost::advance_group(const std::vector<std::size_t>& members,
@@ -451,7 +450,11 @@ void ShardedHost::advance_group(const std::vector<std::size_t>& members,
       for (const std::size_t m : members) shards_[m].sim->run_until(t);
     }
   }
-  for (const std::size_t m : members) shards_[m].sim->run_until(bound);
+  for (const std::size_t m : members) {
+    sim::Simulator& sim = *shards_[m].sim;
+    // An unbounded slice must not park the clock at kNoTime.
+    bound == kNoTime ? sim.run() : sim.run_until(bound);
+  }
 }
 
 std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
@@ -708,15 +711,11 @@ void ShardedHost::reconcile_pacers() {
 }
 
 const ebs::StorageCluster& ShardedHost::cluster(int c) const {
-  const Shard& sh = shards_[static_cast<std::size_t>(c)];
-  UC_ASSERT(sh.host != nullptr, "cluster was never built");
-  return sh.host->cluster();
+  return shards_[static_cast<std::size_t>(c)].host->cluster();
 }
 
 void ShardedHost::check_invariants() const {
-  for (const Shard& sh : shards_) {
-    if (sh.host != nullptr) sh.host->cluster().check_invariants();
-  }
+  for (const Shard& sh : shards_) sh.host->cluster().check_invariants();
 }
 
 wl::JobStats ShardedHost::run_solo(std::size_t i) const {

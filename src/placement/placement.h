@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "sim/parallel.h"
@@ -109,6 +110,12 @@ struct PlacementConfig {
   /// default) uses `rebalance_interval`, so rebalance decisions keep the
   /// watermark check's cadence.
   SimTime slice = 0;
+
+  /// A watermark above 1 over several clusters: volumes may move live.
+  bool rebalancing() const { return clusters > 1 && rebalance_watermark > 1.0; }
+  /// Rejects a cluster count, budget, watermark, slice or migration copy
+  /// setting the engine cannot run.
+  Status validate() const;
 };
 
 /// Pure placement planning (exposed for tests): cluster index per tenant,
@@ -123,9 +130,9 @@ struct MigrationRecord {
   MigrationStats stats;
 };
 
-/// Accounting for the epoch-sliced parallel run (defaults on the static
-/// schedule).  Reported, never digest-mixed: the partition evolution
-/// depends only on config + signals, so these are themselves
+/// Accounting for the epoch-sliced parallel run (one slice, no fusion when
+/// the fleet cannot rebalance).  Reported, never digest-mixed: the partition
+/// evolution depends only on config + signals, so these are themselves
 /// thread-count-invariant, but they describe the engine, not the fleet.
 struct SliceExecStats {
   std::uint64_t slices = 0;   ///< slice barriers crossed
@@ -160,7 +167,7 @@ struct PlacementResult {
   /// Events processed by the shard simulators over fill + measure, summed
   /// — the numerator of the parallel engine's events/sec trajectory.
   std::uint64_t sim_events = 0;
-  /// Slice/fusion accounting when the run used the epoch-sliced engine.
+  /// Slice/fusion accounting of the epoch-sliced engine.
   SliceExecStats sliced;
 };
 
@@ -201,40 +208,33 @@ std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
 /// the WFQ weights of the tenants planned onto it folded in attach order,
 /// so a one-cluster fleet reproduces `SharedClusterHost::run()` exactly.
 ///
-/// Non-rebalancing fleets run the *static* schedule: two epoch barriers
-/// (after the precondition fill, and after the measured run).  Shards share
-/// no state between barriers, and the fill barrier opens the measured
-/// window for every shard at the max drain time across shards.
+/// Every fleet runs one *epoch-sliced* schedule.  A fill epoch's barrier
+/// opens the measured window for every shard at the max drain time across
+/// shards; the window is then cut into slices; within a slice each fused
+/// shard group advances independently; at each slice barrier the
+/// coordinator reads the per-cluster busy/stall signals, runs the placement
+/// policy (at most one migration per barrier, under the `MigrationBudget`),
+/// and fuses exactly the coupled source/dest/home shards of live migrations
+/// into merged groups that advance in event-timestamp lockstep.  After
+/// cutover, the coupling shrinks to {home, destination} until the tenant's
+/// load drains, then the group splits back.  A fleet that cannot rebalance
+/// never fuses, so its window is one unbounded slice: two epochs in all.
 ///
-/// Rebalancing fleets (`rebalance_watermark > 1.0`, > 1 cluster) run the
-/// *epoch-sliced* schedule: the measured window is cut into fixed-length
-/// slices; within a slice each fused shard group advances independently; at
-/// each slice barrier the coordinator reads the per-cluster busy/stall
-/// signals, runs the placement policy (at most one migration per barrier,
-/// under the `MigrationBudget`), and fuses exactly the coupled
-/// source/dest/home shards of live migrations into merged groups that
-/// advance in event-timestamp lockstep.  After cutover, the coupling
-/// shrinks to {home, destination} until the tenant's load drains, then the
-/// group splits back.
-///
-/// Neither schedule depends on the thread count, so per-shard digests are
-/// bit-identical at any `--threads` value.
+/// The schedule does not depend on the thread count, so per-shard digests
+/// are bit-identical at any `--threads` value.
 class ShardedHost {
  public:
   ShardedHost(const essd::EssdConfig& base,
               std::vector<tenant::TenantSpec> tenants,
               const PlacementConfig& cfg);
 
-  /// Static: two epochs on `exec` (fill, measure) + a coordinator merge.
-  /// Sliced: a fill epoch, then one epoch per slice over the fused groups.
+  /// A fill epoch on `exec`, then one epoch per slice over the fused
+  /// groups, then a coordinator merge.
   PlacementResult run(sim::ParallelExecutor& exec);
 
   const ShardPlan& plan() const { return plan_; }
   std::size_t tenant_count() const { return tenants_.size(); }
-  /// Whether `run` uses the epoch-sliced schedule (rebalancing fleets).
-  bool sliced() const { return sliced_; }
-  /// Cluster `c`.  On the static schedule a cluster no tenant was planned
-  /// onto is never built, and asking for it asserts.
+  /// Cluster `c`, built whether or not a tenant was planned onto it.
   const ebs::StorageCluster& cluster(int c) const;
   void check_invariants() const;
   /// Solo baseline for tenant `i`: alone on a private cluster derived from
@@ -245,22 +245,15 @@ class ShardedHost {
  private:
   struct Shard {
     std::vector<std::size_t> tenant;  ///< global spec index per local index
-    std::unique_ptr<sim::Simulator> sim;  ///< null when never built
+    std::unique_ptr<sim::Simulator> sim;
     std::unique_ptr<tenant::SharedClusterHost> host;
   };
 
-  PlacementResult run_static(sim::ParallelExecutor& exec);
-  PlacementResult run_sliced(sim::ParallelExecutor& exec);
-  /// Coordinator merge shared by both schedules (local -> global indices,
-  /// the migration ledger, makespan/event folds).
-  PlacementResult merge_parts(std::vector<tenant::HostResult> part,
-                              SimTime measure_start) const;
-
   // --- epoch-sliced engine (coordinator side, barriers only) ---
-  /// Advances every member simulator of one fused group to `bound`,
-  /// stepping the members in event-timestamp lockstep so cross-simulator
-  /// callbacks (migration copies, a cutover tenant's remote cluster) always
-  /// observe aligned clocks.
+  /// Advances every member simulator of one fused group to `bound`
+  /// (`kNoTime`: until drained), stepping the members in event-timestamp
+  /// lockstep so cross-simulator callbacks (migration copies, a cutover
+  /// tenant's remote cluster) always observe aligned clocks.
   void advance_group(const std::vector<std::size_t>& members, SimTime bound);
   /// The current shard partition: union-find over the live couplings
   /// (active migrations couple {home, source, dest}; a cutover-but-
@@ -294,10 +287,9 @@ class ShardedHost {
   // Coordinator state.  Mutated either at barriers (single threaded) or
   // from migration done-callbacks, which run on the worker advancing the
   // migration's fused group — distinct tenants/records per group, and
-  // byte-sized flags, so groups never race.  The static schedule never
-  // migrates, so there it stays at the plan.
-  bool sliced_ = false;
-  SimTime slice_ = 0;
+  // byte-sized flags, so groups never race.  A fleet that cannot rebalance
+  // never migrates, so there it stays at the plan.
+  SimTime slice_ = kNoTime;  ///< kNoTime: one unbounded slice
   std::vector<int> fleet_cluster_of_;          ///< current cluster per tenant
   std::vector<std::uint8_t> fleet_migrating_;  ///< mid-migration
   std::vector<std::uint8_t> fleet_migrated_;   ///< moved once (signal path)

@@ -8,8 +8,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 #include "ebs/cluster.h"
 #include "essd/essd_config.h"
@@ -98,6 +100,71 @@ TEST(PlanPlacement, LeastWeightBalancesWeights) {
             (std::vector<int>{0, 1, 1, 1}));
 }
 
+TEST(PlacementConfig, ValidateRejectsEachBadField) {
+  EXPECT_TRUE(placement::PlacementConfig{}.validate().is_ok());
+
+  struct Row {
+    const char* field;
+    void (*spoil)(placement::PlacementConfig&);
+  };
+  const Row rows[] = {
+      {"clusters", [](placement::PlacementConfig& c) { c.clusters = 0; }},
+      {"budget.max_concurrent",
+       [](placement::PlacementConfig& c) { c.budget.max_concurrent = 0; }},
+      {"budget.max_total",
+       [](placement::PlacementConfig& c) { c.budget.max_total = -1; }},
+      {"budget.copy_bandwidth_bps (negative)",
+       [](placement::PlacementConfig& c) {
+         c.budget.copy_bandwidth_bps = -1.0;
+       }},
+      {"budget.copy_bandwidth_bps (non-finite)",
+       [](placement::PlacementConfig& c) {
+         c.budget.copy_bandwidth_bps = std::numeric_limits<double>::infinity();
+       }},
+      {"rebalance_watermark (negative)",
+       [](placement::PlacementConfig& c) { c.rebalance_watermark = -0.5; }},
+      {"rebalance_watermark (non-finite)",
+       [](placement::PlacementConfig& c) {
+         c.rebalance_watermark = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"rebalance_interval",
+       [](placement::PlacementConfig& c) {
+         c.clusters = 2;
+         c.rebalance_watermark = 1.2;
+         c.rebalance_interval = 0;
+       }},
+      {"migration.copy_bytes (zero)",
+       [](placement::PlacementConfig& c) { c.migration.copy_bytes = 0; }},
+      {"migration.copy_bytes (not a page multiple)",
+       [](placement::PlacementConfig& c) {
+         c.migration.copy_bytes = kLogicalPageBytes + 512;
+       }},
+      {"migration.max_precopy_passes",
+       [](placement::PlacementConfig& c) {
+         c.migration.max_precopy_passes = 0;
+       }},
+  };
+  for (const Row& row : rows) {
+    placement::PlacementConfig cfg;
+    row.spoil(cfg);
+    EXPECT_EQ(cfg.validate().code(), StatusCode::kInvalidArgument)
+        << row.field;
+  }
+
+  // A zero interval is fine while a slice length is set, or while nothing
+  // can rebalance.
+  placement::PlacementConfig sliced;
+  sliced.clusters = 2;
+  sliced.rebalance_watermark = 1.2;
+  sliced.rebalance_interval = 0;
+  sliced.slice = 5 * kMs;
+  EXPECT_TRUE(sliced.validate().is_ok());
+  placement::PlacementConfig lone = sliced;
+  lone.clusters = 1;
+  lone.slice = 0;
+  EXPECT_TRUE(lone.validate().is_ok());
+}
+
 TEST(ShardPlan, OneShardPerClusterWithoutRebalancing) {
   placement::PlacementConfig cfg;
   cfg.clusters = 4;
@@ -135,8 +202,8 @@ TEST(ShardPlan, SingleClusterIsOneShard) {
 }
 
 TEST(ShardedHost, StaticRunMatchesPinnedDigests) {
-  // Three tenants over three clusters, one tenant each, on the static
-  // schedule.  The pins were captured from the retired single-simulator
+  // Three tenants over three clusters, one tenant each, with rebalancing
+  // off.  The pins were captured from the retired single-simulator
   // host (one event queue for the whole fleet), so they prove the
   // per-cluster shards and the coordinator merge reproduce it exactly, at
   // any thread count.
@@ -157,10 +224,10 @@ TEST(ShardedHost, StaticRunMatchesPinnedDigests) {
   for (const int threads : {1, 4}) {
     sim::ParallelExecutor exec(threads);
     placement::ShardedHost fleet(base, tenants, cfg);
-    EXPECT_FALSE(fleet.sliced());
     const placement::PlacementResult r = fleet.run(exec);
     fleet.check_invariants();
     EXPECT_EQ(exec.epochs(), 2u) << threads;  // fill + measure
+    EXPECT_EQ(r.sliced.slices, 1u) << threads;
     EXPECT_EQ(placement::shard_digests(plan, r), want) << threads;
     EXPECT_EQ(r.sim_events, 2400u) << threads;
     EXPECT_EQ(r.makespan, 37640029u) << threads;
@@ -197,6 +264,7 @@ TEST(ShardedHost, IdleClusterRunMatchesPinnedDigests) {
     const placement::PlacementResult r = fleet.run(exec);
     fleet.check_invariants();
     EXPECT_EQ(exec.epochs(), 2u) << threads;  // fill + measure
+    EXPECT_EQ(r.sliced.slices, 1u) << threads;
     EXPECT_EQ(placement::shard_digests(plan, r), want) << threads;
     EXPECT_EQ(r.sim_events, 1600u) << threads;
     EXPECT_EQ(r.makespan, 38057864u) << threads;
@@ -231,7 +299,7 @@ TEST(PrioScheduler, MigrationIsTheLowestClass) {
 
 // A one-cluster fleet must reproduce SharedClusterHost::run() exactly: the
 // shard body *is* a SharedClusterHost, cluster 0 adds no seed stride, and
-// the static schedule's fill barrier is the host's own drain time.
+// the fill barrier of a one-cluster fleet is the host's own drain time.
 TEST(ShardedHost, OneClusterMatchesSharedHost) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 128 * kMiB;
@@ -414,7 +482,6 @@ TEST(SlicedShardedHost, FusedRebalanceIsThreadCountInvariant) {
   const auto run_with = [&](int threads) {
     sim::ParallelExecutor exec(threads);
     placement::ShardedHost host(base, tenants, cfg);
-    EXPECT_TRUE(host.sliced());
     placement::PlacementResult r = host.run(exec);
     host.check_invariants();
     // One fill epoch, then exactly one epoch per slice.
