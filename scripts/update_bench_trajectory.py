@@ -83,15 +83,15 @@ def extract_rates(bench_doc):
         # rebalancing.
         fleet = bench_doc.get("metrics", {}).get("fleet", {})
         threads = fleet.get("threads")
-        rebalance = fleet.get("rebalance", {})
-        if "events_per_sec" in rebalance and threads is not None:
-            rates[f"FleetRebalanceReplay/t{threads}"] = \
-                rebalance["events_per_sec"]
-        for leg in fleet.get("policies", []):
-            if "events_per_sec" in leg and "policy" in leg \
-                    and threads is not None:
-                rates[f"FleetStatic/{leg['policy']}/t{threads}"] = \
-                    leg["events_per_sec"]
+        if threads is not None:
+            rebalance = fleet.get("rebalance", {})
+            if "events_per_sec" in rebalance:
+                rates[f"FleetRebalanceReplay/t{threads}"] = \
+                    rebalance["events_per_sec"]
+            for leg in fleet.get("policies", []):
+                if "events_per_sec" in leg and "policy" in leg:
+                    rates[f"FleetStatic/{leg['policy']}/t{threads}"] = \
+                        leg["events_per_sec"]
     else:
         fail("bench document must be a sim_micro or fleet envelope")
     if not rates:
