@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
+#include "common/digest.h"
+#include "common/rng.h"
 #include "common/units.h"
 #include "ssd/ssd_device.h"
 #include "workload/trace.h"
@@ -33,6 +38,187 @@ TraceGenConfig small_config() {
   cfg.write_fraction = 0.7;
   cfg.seed = 99;
   return cfg;
+}
+
+// The perfbench `essd_read_burst` shape, shortened: 25K base IOPS swinging
+// +-50%, and many short 30K-IOPS bursts.
+TraceGenConfig read_burst_config() {
+  TraceGenConfig cfg;
+  cfg.duration = 1 * kSec;
+  cfg.base_iops = 25000.0;
+  cfg.diurnal_amplitude = 0.5;
+  cfg.diurnal_period = 4 * kSec;
+  cfg.bursts_per_s = 8.0;
+  cfg.burst_iops = 30000.0;
+  cfg.burst_duration = 30 * kMs;
+  cfg.write_fraction = 0.1;
+  cfg.zipf_theta = 0.9;
+  cfg.seed = 5;
+  return cfg;
+}
+
+// One fleet tenant as `fleet::generate_fleet` builds it: a small base rate
+// under large bursts on a fleet-wide diurnal clock, joining mid-cycle.
+TraceGenConfig fleet_tenant_config() {
+  TraceGenConfig cfg;
+  cfg.duration = 600 * kMs;
+  cfg.start_offset = 130 * kMs;
+  cfg.base_iops = 600.0;
+  cfg.diurnal_amplitude = 0.4;
+  cfg.diurnal_period = 400 * kMs;
+  cfg.bursts_per_s = 2.0;
+  cfg.burst_iops = 4000.0;
+  cfg.burst_duration = 20 * kMs;
+  cfg.write_fraction = 0.6;
+  cfg.zipf_theta = 0.9;
+  cfg.region_bytes = 32 * kMiB;
+  cfg.seed = 11;
+  return cfg;
+}
+
+struct NamedConfig {
+  const char* name;
+  TraceGenConfig cfg;
+};
+
+// The shapes whose traces are pinned: the test default, the two
+// production callers (perfbench's read burst, a fleet tenant), an amplitude
+// past 1 (the 5% floor clips the trough) and a burst-free process.
+std::vector<NamedConfig> pinned_configs() {
+  TraceGenConfig deep = small_config();
+  deep.diurnal_amplitude = 1.5;
+  TraceGenConfig calm = small_config();
+  calm.burst_iops = 0.0;
+  return {{"small_config", small_config()},
+          {"read_burst", read_burst_config()},
+          {"fleet_tenant", fleet_tenant_config()},
+          {"amplitude_1.5", deep},
+          {"no_bursts", calm}};
+}
+
+std::uint64_t trace_digest(const std::vector<TraceEvent>& trace) {
+  Fnv1a d;
+  for (const auto& ev : trace) {
+    d.mix(static_cast<std::uint64_t>(ev.arrival))
+        .mix(static_cast<std::uint64_t>(ev.op))
+        .mix(static_cast<std::uint64_t>(ev.offset))
+        .mix(static_cast<std::uint64_t>(ev.bytes));
+  }
+  return d.value();
+}
+
+// The thinning walk exactly as it was before the rate-bound shortcut: a
+// sinusoid per candidate and one `bernoulli` per thinning draw.  Kept here,
+// and only here, as the oracle `generate_trace` must match event for event.
+std::vector<TraceEvent> reference_trace(const TraceGenConfig& cfg,
+                                        const DeviceInfo& device) {
+  Rng rng(cfg.seed);
+  const std::uint64_t region_bytes =
+      cfg.region_bytes == 0 ? device.capacity_bytes - cfg.region_offset
+                            : cfg.region_bytes;
+  const std::uint64_t region_pages = region_bytes / kLogicalPageBytes;
+  ZipfGenerator zipf(region_pages, cfg.zipf_theta > 0 ? cfg.zipf_theta : 0.99);
+
+  double weight_sum = 0.0;
+  for (const auto& [bytes, w] : cfg.size_mix) weight_sum += w;
+
+  auto pick_size = [&]() -> std::uint32_t {
+    double x = rng.uniform() * weight_sum;
+    for (const auto& [bytes, w] : cfg.size_mix) {
+      if (x < w) return bytes;
+      x -= w;
+    }
+    return cfg.size_mix.back().first;
+  };
+
+  std::vector<TraceEvent> trace;
+  const double max_rate =
+      cfg.base_iops * (1.0 + cfg.diurnal_amplitude) + cfg.burst_iops;
+  SimTime burst_until = 0;
+  SimTime next_burst_check = 0;
+  double t = 0.0;
+  const double duration_s = static_cast<double>(cfg.duration) / 1e9;
+  while (true) {
+    t += rng.exponential(1.0 / max_rate);
+    if (t >= duration_s) break;
+    const auto now = cfg.start_offset + static_cast<SimTime>(t * 1e9);
+
+    while (next_burst_check <= now) {
+      if (rng.bernoulli(cfg.bursts_per_s * 0.01)) {
+        burst_until = next_burst_check + cfg.burst_duration;
+      }
+      next_burst_check += 10 * units::kMs;
+    }
+
+    double rate = cfg.base_iops *
+                  (1.0 + cfg.diurnal_amplitude *
+                             std::sin(2.0 * 3.14159265358979 *
+                                      static_cast<double>(now) /
+                                      static_cast<double>(cfg.diurnal_period)));
+    rate = std::max(rate, cfg.base_iops * 0.05);
+    if (now < burst_until) rate += cfg.burst_iops;
+    if (!rng.bernoulli(rate / max_rate)) continue;
+
+    TraceEvent ev;
+    ev.arrival = now;
+    ev.op = rng.bernoulli(cfg.write_fraction) ? IoOp::kWrite : IoOp::kRead;
+    ev.bytes = pick_size();
+    const std::uint64_t page =
+        (zipf.next(rng) * 0x9e3779b97f4a7c15ull) % region_pages;
+    ByteOffset off = cfg.region_offset + page * kLogicalPageBytes;
+    if (off + ev.bytes > cfg.region_offset + region_bytes) {
+      off = cfg.region_offset + region_bytes - ev.bytes;
+      off -= off % kLogicalPageBytes;
+    }
+    ev.offset = off;
+    trace.push_back(ev);
+  }
+  return trace;
+}
+
+TEST(TraceGenerator, PinnedTraceDigests) {
+  struct Pin {
+    std::uint64_t events;
+    std::uint64_t digest;
+  };
+  // Captured from the sinusoid-per-candidate walk; the bounded thinning
+  // walk must reproduce every trace bit for bit.
+  const Pin pins[] = {
+      {12042, 0xd0a639d386ef3b68ull},  // small_config
+      {39442, 0x5325ef6a9aead9a2ull},  // read_burst
+      {498, 0x11416512ab9e4426ull},    // fleet_tenant
+      {12481, 0xb61a8ef4de84b250ull},  // amplitude_1.5
+      {6317, 0x46eba6ccaa1b96e5ull},   // no_bursts
+  };
+  const auto configs = pinned_configs();
+  ASSERT_EQ(configs.size(), std::size(pins));
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const auto trace = generate_trace(configs[i].cfg, test_device_info());
+    EXPECT_EQ(trace.size(), pins[i].events) << configs[i].name;
+    EXPECT_EQ(trace_digest(trace), pins[i].digest) << configs[i].name;
+  }
+}
+
+TEST(TraceGenerator, BoundedThinningMatchesReference) {
+  auto configs = pinned_configs();
+  TraceGenConfig flat = small_config();
+  flat.diurnal_amplitude = 0.0;
+  configs.push_back({"amplitude_0", flat});
+  for (const NamedConfig& c : configs) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      TraceGenConfig cfg = c.cfg;
+      cfg.seed = seed;
+      const auto got = generate_trace(cfg, test_device_info());
+      const auto want = reference_trace(cfg, test_device_info());
+      ASSERT_EQ(got.size(), want.size()) << c.name << " seed " << seed;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].arrival, want[i].arrival) << c.name << " #" << i;
+        ASSERT_EQ(got[i].op, want[i].op) << c.name << " #" << i;
+        ASSERT_EQ(got[i].offset, want[i].offset) << c.name << " #" << i;
+        ASSERT_EQ(got[i].bytes, want[i].bytes) << c.name << " #" << i;
+      }
+    }
+  }
 }
 
 TEST(TraceGenerator, EventsAreOrderedAlignedAndBounded) {
