@@ -59,6 +59,8 @@ Result<std::unique_ptr<LoadSource>> make_load_source(sim::Simulator& sim,
     const Status valid = validate_trace(trace, device.info(), spec.trace_path);
     if (!valid.is_ok()) return valid;
   } else {
+    const Status valid = spec.gen.validate(device.info());
+    if (!valid.is_ok()) return valid;
     trace = generate_trace(spec.gen, device.info());
   }
   ReplayOptions opt;

@@ -71,7 +71,7 @@ TraceGenConfig derive_trace_gen(const JobSpec& job, double base_iops);
 /// Builds the source: a `JobRunner` (closed loop) or a `TraceReplayer`
 /// (open loop, trace loaded or generated against `device`).  Fails only on
 /// an unreadable/invalid `trace_path` (including events that do not fit
-/// `device`).
+/// `device`) or a generator config `TraceGenConfig::validate` rejects.
 Result<std::unique_ptr<LoadSource>> make_load_source(sim::Simulator& sim,
                                                      BlockDevice& device,
                                                      const LoadSpec& spec);

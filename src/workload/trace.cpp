@@ -16,9 +16,52 @@
 
 namespace uc::wl {
 
+Status TraceGenConfig::validate(const DeviceInfo& device) const {
+  const auto bad = [](const char* what) {
+    return Status::invalid_argument(what);
+  };
+  const auto rate_ok = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  if (!std::isfinite(base_iops) || base_iops <= 0.0) {
+    return bad("trace base_iops must be finite and positive");
+  }
+  if (!rate_ok(burst_iops)) return bad("burst_iops must be finite and >= 0");
+  if (!rate_ok(bursts_per_s)) {
+    return bad("bursts_per_s must be finite and >= 0");
+  }
+  if (!rate_ok(diurnal_amplitude)) {
+    return bad("diurnal_amplitude must be finite and >= 0");
+  }
+  if (diurnal_period == 0) return bad("diurnal_period must be positive");
+  if (!(write_fraction >= 0.0 && write_fraction <= 1.0)) {
+    return bad("write_fraction must be within [0, 1]");
+  }
+  if (size_mix.empty()) return bad("trace needs an I/O size mix");
+  std::uint32_t largest = kLogicalPageBytes;
+  for (const auto& [bytes, w] : size_mix) {
+    if (bytes == 0) return bad("size_mix has a zero-byte size");
+    if (!std::isfinite(w) || w <= 0.0) {
+      return bad("size_mix weights must be finite and positive");
+    }
+    largest = std::max(largest, bytes);
+  }
+  if (!(zipf_theta <= 10.0)) return bad("zipf_theta must be <= 10");
+  if (region_offset >= device.capacity_bytes) {
+    return bad("trace region starts past the device end");
+  }
+  const std::uint64_t room = device.capacity_bytes - region_offset;
+  const std::uint64_t region = region_bytes == 0 ? room : region_bytes;
+  if (region > room) {
+    return bad("trace region exceeds device capacity");
+  }
+  if (region < largest) {
+    return bad("trace region smaller than its largest I/O (or one page)");
+  }
+  return Status::ok();
+}
+
 std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
                                        const DeviceInfo& device) {
-  UC_ASSERT(!cfg.size_mix.empty(), "trace needs an I/O size mix");
+  UC_ASSERT(cfg.validate(device).is_ok(), "invalid trace generator config");
   Rng rng(cfg.seed);
   const std::uint64_t region_bytes =
       cfg.region_bytes == 0 ? device.capacity_bytes - cfg.region_offset
@@ -43,6 +86,21 @@ std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
   std::vector<TraceEvent> trace;
   const double max_rate =
       cfg.base_iops * (1.0 + cfg.diurnal_amplitude) + cfg.burst_iops;
+  // Bounds on the acceptance probability over a whole diurnal cycle, indexed
+  // by "in a burst".  With amplitude >= 0 and |sin| <= 1, every rounding
+  // step of rate(t) below (the product, the 5% floor, the burst add, the
+  // division) is monotone, so these bound the computed probability exactly:
+  // a draw at or above `accept_hi` is rejected and one below `accept_lo`
+  // accepted at every phase, and the sinusoid is only needed in between.
+  const double floor_rate = cfg.base_iops * 0.05;
+  const double rate_hi =
+      std::max(cfg.base_iops * (1.0 + cfg.diurnal_amplitude), floor_rate);
+  const double rate_lo =
+      std::max(cfg.base_iops * (1.0 - cfg.diurnal_amplitude), floor_rate);
+  const double accept_hi[2] = {rate_hi / max_rate,
+                               (rate_hi + cfg.burst_iops) / max_rate};
+  const double accept_lo[2] = {rate_lo / max_rate,
+                               (rate_lo + cfg.burst_iops) / max_rate};
   SimTime burst_until = 0;
   SimTime next_burst_check = 0;
   double t = 0.0;
@@ -62,14 +120,21 @@ std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
       next_burst_check += 10 * units::kMs;
     }
 
-    double rate = cfg.base_iops *
-                  (1.0 + cfg.diurnal_amplitude *
-                             std::sin(2.0 * 3.14159265358979 *
-                                      static_cast<double>(now) /
-                                      static_cast<double>(cfg.diurnal_period)));
-    rate = std::max(rate, cfg.base_iops * 0.05);
-    if (now < burst_until) rate += cfg.burst_iops;
-    if (!rng.bernoulli(rate / max_rate)) continue;
+    // The thinning draw: accept iff u < rate(now) / max_rate.
+    const bool bursting = now < burst_until;
+    const double u = rng.uniform();
+    if (u >= accept_hi[bursting]) continue;
+    if (u >= accept_lo[bursting]) {
+      double rate =
+          cfg.base_iops *
+          (1.0 + cfg.diurnal_amplitude *
+                     std::sin(2.0 * 3.14159265358979 *
+                              static_cast<double>(now) /
+                              static_cast<double>(cfg.diurnal_period)));
+      rate = std::max(rate, floor_rate);
+      if (bursting) rate += cfg.burst_iops;
+      if (!(u < rate / max_rate)) continue;
+    }
 
     TraceEvent ev;
     ev.arrival = now;

@@ -65,9 +65,27 @@ struct TraceGenConfig {
   std::uint64_t region_bytes = 0;  ///< 0 = whole device
 
   std::uint64_t seed = 2024;
+
+  /// Rejects a config the generator cannot walk: a non-positive or
+  /// non-finite base rate; a negative or non-finite burst rate, burst
+  /// frequency or diurnal amplitude; a zero diurnal period; a write
+  /// fraction outside [0, 1]; an empty size mix, a zero-byte size or a
+  /// non-positive weight; `zipf_theta > 10`; and a region that leaves
+  /// `device` or is smaller than the largest I/O size (or one page).
+  Status validate(const DeviceInfo& device) const;
 };
 
 /// Generates an arrival-ordered trace against `device`'s address space.
+/// `cfg` must pass `validate(device)`.
+///
+/// Arrivals are a thinned non-homogeneous Poisson process: candidates are
+/// drawn at the peak rate and each is kept with probability
+/// rate(t)/peak.  The thinning draw is decided from precomputed bounds on
+/// rate(t) over the diurnal cycle, and the sinusoid is evaluated only for
+/// the few draws those bounds cannot decide.  The bounds are exact for the
+/// floating-point rate, and the shortcut adds, removes and reorders no RNG
+/// draw, so every trace is the one the sinusoid-per-candidate walk
+/// produces, event for event (pinned in tests/trace_test.cpp).
 std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
                                        const DeviceInfo& device);
 

@@ -234,6 +234,18 @@ TEST(MakeLoadSource, BadTracePathFailsCleanly) {
   EXPECT_FALSE(wl::make_load_source(sim, ssd, spec).is_ok());
 }
 
+TEST(MakeLoadSource, InvalidGeneratorConfigFailsCleanly) {
+  sim::Simulator sim;
+  auto ssd = make_ssd(sim);
+  wl::LoadSpec spec;
+  spec.open_loop = true;
+  spec.gen = small_gen();
+  spec.gen.diurnal_period = 0;
+  const auto source = wl::make_load_source(sim, ssd, spec);
+  ASSERT_FALSE(source.is_ok());
+  EXPECT_EQ(source.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(MakeLoadSource, TraceEventsMustFitTheDevice) {
   // An unconverted production trace whose offsets exceed the replayed
   // volume must fail with a Status naming the event, not assert deep in

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -268,6 +269,67 @@ TEST(TraceGenerator, DeterministicPerSeed) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].arrival, b[i].arrival);
     ASSERT_EQ(a[i].offset, b[i].offset);
+  }
+}
+
+TEST(TraceGenConfig, ValidateRejectsEachBadField) {
+  const DeviceInfo dev = test_device_info();
+  EXPECT_TRUE(TraceGenConfig{}.validate(dev).is_ok());
+  EXPECT_TRUE(fleet_tenant_config().validate(dev).is_ok());
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  struct Row {
+    const char* field;
+    void (*spoil)(TraceGenConfig&);
+  };
+  const Row rows[] = {
+      {"base_iops (zero)", [](TraceGenConfig& c) { c.base_iops = 0.0; }},
+      {"base_iops (negative)", [](TraceGenConfig& c) { c.base_iops = -1.0; }},
+      {"base_iops (non-finite)",
+       [](TraceGenConfig& c) { c.base_iops = kInf; }},
+      {"burst_iops (negative)",
+       [](TraceGenConfig& c) { c.burst_iops = -1.0; }},
+      {"burst_iops (non-finite)",
+       [](TraceGenConfig& c) { c.burst_iops = kNaN; }},
+      {"bursts_per_s (negative)",
+       [](TraceGenConfig& c) { c.bursts_per_s = -0.1; }},
+      {"bursts_per_s (non-finite)",
+       [](TraceGenConfig& c) { c.bursts_per_s = kInf; }},
+      {"diurnal_amplitude (negative)",
+       [](TraceGenConfig& c) { c.diurnal_amplitude = -0.5; }},
+      {"diurnal_amplitude (non-finite)",
+       [](TraceGenConfig& c) { c.diurnal_amplitude = kNaN; }},
+      {"diurnal_period", [](TraceGenConfig& c) { c.diurnal_period = 0; }},
+      {"write_fraction (below 0)",
+       [](TraceGenConfig& c) { c.write_fraction = -0.1; }},
+      {"write_fraction (above 1)",
+       [](TraceGenConfig& c) { c.write_fraction = 1.5; }},
+      {"write_fraction (non-finite)",
+       [](TraceGenConfig& c) { c.write_fraction = kNaN; }},
+      {"size_mix (empty)", [](TraceGenConfig& c) { c.size_mix.clear(); }},
+      {"size_mix (zero-byte size)",
+       [](TraceGenConfig& c) { c.size_mix[1].first = 0; }},
+      {"size_mix (zero weight)",
+       [](TraceGenConfig& c) { c.size_mix[2].second = 0.0; }},
+      {"size_mix (negative weight)",
+       [](TraceGenConfig& c) { c.size_mix[0].second = -1.0; }},
+      {"zipf_theta", [](TraceGenConfig& c) { c.zipf_theta = 10.5; }},
+      {"region_offset (off the device)",
+       [](TraceGenConfig& c) { c.region_offset = 2 * kGiB; }},
+      {"region_bytes (past the device end)",
+       [](TraceGenConfig& c) {
+         c.region_offset = 512 * kMiB;
+         c.region_bytes = 768 * kMiB;
+       }},
+      {"region_bytes (smaller than the largest I/O)",
+       [](TraceGenConfig& c) { c.region_bytes = 128 * kKiB; }},
+  };
+  for (const Row& row : rows) {
+    TraceGenConfig cfg;
+    row.spoil(cfg);
+    EXPECT_EQ(cfg.validate(dev).code(), StatusCode::kInvalidArgument)
+        << row.field;
   }
 }
 
