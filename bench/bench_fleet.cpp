@@ -167,9 +167,13 @@ int main(int argc, char** argv) {
       ++i;
     }
   }
-  if (spec.clusters < 1 || spec.tenants < 1 || threads < 1) {
-    std::fprintf(stderr,
-                 "error: --clusters/--tenants/--threads want positives\n");
+  if (threads < 1) {
+    std::fprintf(stderr, "error: --threads wants a positive count\n");
+    return 2;
+  }
+  if (const Status valid = spec.validate(); !valid.is_ok()) {
+    std::fprintf(stderr, "error: invalid fleet spec: %s\n",
+                 valid.to_string().c_str());
     return 2;
   }
 

@@ -54,15 +54,57 @@ std::uint64_t draw_capacity(Rng& rng, const FleetSpec& spec) {
 
 }  // namespace
 
+Status FleetSpec::validate() const {
+  const auto bad = [](const char* what) {
+    return Status::invalid_argument(what);
+  };
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto fraction = [](double v) { return v >= 0.0 && v <= 1.0; };
+  if (clusters < 1) return bad("fleet needs at least one cluster");
+  if (tenants < 1) return bad("fleet needs at least one tenant");
+  if (min_capacity_bytes < kFleetChunkBytes ||
+      min_capacity_bytes % kFleetChunkBytes != 0 ||
+      max_capacity_bytes % kFleetChunkBytes != 0 ||
+      min_capacity_bytes > max_capacity_bytes) {
+    return bad("capacity range must be ordered, chunk-aligned multiples");
+  }
+  if (duration < 10 * kMs) return bad("fleet runs need a non-trivial window");
+  if (diurnal_period == 0) return bad("diurnal_period must be positive");
+  if (!non_negative(diurnal_amplitude)) {
+    return bad("diurnal_amplitude must be finite and >= 0");
+  }
+  if (!non_negative(burst_iops)) {
+    return bad("burst_iops must be finite and >= 0");
+  }
+  if (!non_negative(bursts_per_s)) {
+    return bad("bursts_per_s must be finite and >= 0");
+  }
+  if (!positive(mean_iops) || !positive(max_tenant_iops)) {
+    return bad("mean_iops and max_tenant_iops must be finite and positive");
+  }
+  if (!non_negative(size_sigma)) {
+    return bad("size_sigma must be finite and >= 0");
+  }
+  // Past 10 the Zipf weights of a large fleet's tail underflow to zero
+  // IOPS, which no tenant generator accepts.
+  if (!(heat_theta >= 0.0 && heat_theta <= 10.0)) {
+    return bad("heat_theta must be within [0, 10]");
+  }
+  if (!(zipf_theta <= 10.0)) return bad("zipf_theta must be <= 10");
+  if (!fraction(churn_fraction)) {
+    return bad("churn_fraction must be within [0, 1]");
+  }
+  if (!fraction(write_fraction)) {
+    return bad("write_fraction must be within [0, 1]");
+  }
+  return Status::ok();
+}
+
 GeneratedFleet generate_fleet(const FleetSpec& spec) {
-  UC_ASSERT(spec.clusters >= 1, "fleet needs at least one cluster");
-  UC_ASSERT(spec.tenants >= 1, "fleet needs at least one tenant");
-  UC_ASSERT(spec.min_capacity_bytes >= kFleetChunkBytes &&
-                spec.min_capacity_bytes % kFleetChunkBytes == 0 &&
-                spec.max_capacity_bytes % kFleetChunkBytes == 0 &&
-                spec.min_capacity_bytes <= spec.max_capacity_bytes,
-            "capacity range must be ordered, chunk-aligned multiples");
-  UC_ASSERT(spec.duration >= 10 * kMs, "fleet runs need a non-trivial window");
+  UC_ASSERT(spec.validate().is_ok(), "invalid fleet spec");
 
   GeneratedFleet fleet;
   fleet.spec = spec;

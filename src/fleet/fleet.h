@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "placement/placement.h"
@@ -88,6 +89,15 @@ struct FleetSpec {
   double rebalance_watermark = 0.0;
   SimTime rebalance_interval = 50 * units::kMs;
   placement::MigrationBudget budget;
+
+  /// Rejects a spec `generate_fleet` cannot draw: no cluster or tenant; a
+  /// capacity range that is unordered or not made of 4 MiB multiples; a
+  /// window under 10 ms; a zero diurnal period; a negative diurnal
+  /// amplitude, burst rate or burst frequency; a non-positive tenant rate;
+  /// any non-finite rate; a negative size spread; a heat skew outside
+  /// [0, 10] or `zipf_theta > 10`; and a churn or write fraction outside
+  /// [0, 1].
+  Status validate() const;
 };
 
 /// Where one tenant came from in the population model.
@@ -112,6 +122,7 @@ struct GeneratedFleet {
   std::uint64_t total_capacity_bytes = 0;
 };
 
+/// `spec` must pass `FleetSpec::validate`.
 GeneratedFleet generate_fleet(const FleetSpec& spec);
 
 struct FleetRunOptions {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/units.h"
@@ -31,6 +32,59 @@ FleetSpec small_spec() {
   spec.max_tenant_iops = 4000.0;
   spec.burst_iops = 2000.0;
   return spec;
+}
+
+TEST(FleetSpec, ValidateRejectsEachBadField) {
+  EXPECT_TRUE(FleetSpec{}.validate().is_ok());
+  EXPECT_TRUE(small_spec().validate().is_ok());
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  struct Row {
+    const char* field;
+    void (*spoil)(FleetSpec&);
+  };
+  const Row rows[] = {
+      {"clusters", [](FleetSpec& s) { s.clusters = 0; }},
+      {"tenants", [](FleetSpec& s) { s.tenants = 0; }},
+      {"min_capacity_bytes (under one chunk)",
+       [](FleetSpec& s) { s.min_capacity_bytes = 2 * kMiB; }},
+      {"max_capacity_bytes (not a chunk multiple)",
+       [](FleetSpec& s) { s.max_capacity_bytes = 65 * kMiB; }},
+      {"capacity range (unordered)",
+       [](FleetSpec& s) {
+         s.min_capacity_bytes = 64 * kMiB;
+         s.max_capacity_bytes = 8 * kMiB;
+       }},
+      {"duration", [](FleetSpec& s) { s.duration = 5 * kMs; }},
+      {"diurnal_period", [](FleetSpec& s) { s.diurnal_period = 0; }},
+      {"diurnal_amplitude (negative)",
+       [](FleetSpec& s) { s.diurnal_amplitude = -0.1; }},
+      {"diurnal_amplitude (non-finite)",
+       [](FleetSpec& s) { s.diurnal_amplitude = kNaN; }},
+      {"burst_iops (negative)", [](FleetSpec& s) { s.burst_iops = -1.0; }},
+      {"burst_iops (non-finite)", [](FleetSpec& s) { s.burst_iops = kInf; }},
+      {"bursts_per_s (negative)",
+       [](FleetSpec& s) { s.bursts_per_s = -0.2; }},
+      {"mean_iops (zero)", [](FleetSpec& s) { s.mean_iops = 0.0; }},
+      {"mean_iops (non-finite)", [](FleetSpec& s) { s.mean_iops = kInf; }},
+      {"max_tenant_iops (negative)",
+       [](FleetSpec& s) { s.max_tenant_iops = -5.0; }},
+      {"size_sigma", [](FleetSpec& s) { s.size_sigma = kNaN; }},
+      {"heat_theta", [](FleetSpec& s) { s.heat_theta = 200.0; }},
+      {"zipf_theta", [](FleetSpec& s) { s.zipf_theta = 11.0; }},
+      {"churn_fraction (negative)",
+       [](FleetSpec& s) { s.churn_fraction = -0.1; }},
+      {"churn_fraction (above 1)",
+       [](FleetSpec& s) { s.churn_fraction = 1.5; }},
+      {"write_fraction", [](FleetSpec& s) { s.write_fraction = 2.0; }},
+  };
+  for (const Row& row : rows) {
+    FleetSpec spec;
+    row.spoil(spec);
+    EXPECT_EQ(spec.validate().code(), StatusCode::kInvalidArgument)
+        << row.field;
+  }
 }
 
 TEST(GenerateFleet, SameSeedSameFleet) {
