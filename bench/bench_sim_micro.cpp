@@ -33,6 +33,7 @@
 #include "sim/simulator.h"
 #include "ssd/ssd_device.h"
 #include "workload/runner.h"
+#include "workload/trace.h"
 
 namespace uc {
 namespace {
@@ -266,6 +267,41 @@ void BM_ZipfDraw(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ZipfDraw);
+
+// ---------------------------------------------------------------------------
+// BM_GenerateTrace: one fleet tenant's open-loop trace, shaped as
+// `fleet::generate_fleet` builds it — 600 base IOPS swinging +-40% on a
+// 400 ms diurnal clock, 4000-IOPS bursts of 20 ms, joining 130 ms into the
+// cycle — against a 32 MiB volume.  The seed cycles so burst luck averages
+// out.  Rows carry items = trace events, so events_per_sec is generated
+// trace events per second (every fleet tenant pays this in set-up).
+// ---------------------------------------------------------------------------
+
+void BM_GenerateTrace(benchmark::State& state) {
+  wl::TraceGenConfig gen;
+  gen.duration = 600 * units::kMs;
+  gen.start_offset = 130 * units::kMs;
+  gen.base_iops = 600.0;
+  gen.diurnal_amplitude = 0.4;
+  gen.diurnal_period = 400 * units::kMs;
+  gen.bursts_per_s = 0.2;
+  gen.burst_iops = 4000.0;
+  gen.burst_duration = 20 * units::kMs;
+  gen.write_fraction = 0.6;
+  gen.zipf_theta = 0.9;
+  DeviceInfo info;
+  info.capacity_bytes = 32ull << 20;
+  std::uint64_t seed = 0;
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    gen.seed = 1 + seed++ % 64;
+    const auto trace = wl::generate_trace(gen, info);
+    events += static_cast<std::int64_t>(trace.size());
+    benchmark::DoNotOptimize(trace.data());
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_GenerateTrace);
 
 void BM_SsdSimulatedIops(benchmark::State& state) {
   for (auto _ : state) {

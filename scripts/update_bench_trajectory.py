@@ -5,8 +5,10 @@ The trajectory (BENCH_TRAJECTORY.json at the repo root) is an append-only
 record of kernel throughput over time, so a perf regression shows up as a
 dip in a diffable artifact rather than as folklore.  Each row snapshots the
 events/sec of the BM_EventKernel*, BM_ParallelShardReplay*,
-BM_ParallelEpochBarrier*, BM_CleanerPick*, BM_NodeCache* and
-BM_TenantStatsLifecycle families from `bench_sim_micro --json` documents,
+BM_ParallelEpochBarrier*, BM_CleanerPick*, BM_NodeCache*,
+BM_TenantStatsLifecycle and BM_GenerateTrace families and the end-to-end
+BM_EssdSimulatedIops / BM_SsdSimulatedIops rows (simulated I/Os per second)
+from `bench_sim_micro --json` documents,
 plus, from a `bench_fleet --json` document, "FleetRebalanceReplay/t<threads>"
 for the rebalance leg and "FleetStatic/<policy>/t<threads>" for each
 non-rebalancing leg of its `policies` array:
@@ -39,7 +41,9 @@ SCHEMA = "uc-bench-trajectory-v1"
 TRACKED_PREFIXES = ("BM_EventKernel", "BM_ParallelShardReplay",
                     "BM_ParallelEpochBarrier", "BM_CleanerPick",
                     "BM_NodeCache", "BM_TenantStatsLifecycle",
-                    "FleetRebalanceReplay", "FleetStatic")
+                    "BM_GenerateTrace", "BM_EssdSimulatedIops",
+                    "BM_SsdSimulatedIops", "FleetRebalanceReplay",
+                    "FleetStatic")
 
 
 def fail(msg):
