@@ -20,15 +20,19 @@ Status TraceGenConfig::validate(const DeviceInfo& device) const {
   const auto bad = [](const char* what) {
     return Status::invalid_argument(what);
   };
-  const auto rate_ok = [](double v) { return std::isfinite(v) && v >= 0.0; };
-  if (!std::isfinite(base_iops) || base_iops <= 0.0) {
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  if (!non_negative(base_iops) || base_iops == 0.0) {
     return bad("trace base_iops must be finite and positive");
   }
-  if (!rate_ok(burst_iops)) return bad("burst_iops must be finite and >= 0");
-  if (!rate_ok(bursts_per_s)) {
+  if (!non_negative(burst_iops)) {
+    return bad("burst_iops must be finite and >= 0");
+  }
+  if (!non_negative(bursts_per_s)) {
     return bad("bursts_per_s must be finite and >= 0");
   }
-  if (!rate_ok(diurnal_amplitude)) {
+  if (!non_negative(diurnal_amplitude)) {
     return bad("diurnal_amplitude must be finite and >= 0");
   }
   if (diurnal_period == 0) return bad("diurnal_period must be positive");

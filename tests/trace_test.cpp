@@ -108,9 +108,9 @@ std::uint64_t trace_digest(const std::vector<TraceEvent>& trace) {
   return d.value();
 }
 
-// The thinning walk exactly as it was before the rate-bound shortcut: a
-// sinusoid per candidate and one `bernoulli` per thinning draw.  Kept here,
-// and only here, as the oracle `generate_trace` must match event for event.
+// The plain thinning walk: one sinusoid per candidate and one `bernoulli`
+// per thinning draw, with no rate-bound shortcut.  Kept here, and only here,
+// as the oracle `generate_trace` must match event for event.
 std::vector<TraceEvent> reference_trace(const TraceGenConfig& cfg,
                                         const DeviceInfo& device) {
   Rng rng(cfg.seed);
@@ -182,8 +182,8 @@ TEST(TraceGenerator, PinnedTraceDigests) {
     std::uint64_t events;
     std::uint64_t digest;
   };
-  // Captured from the sinusoid-per-candidate walk; the bounded thinning
-  // walk must reproduce every trace bit for bit.
+  // Captured from the sinusoid-per-candidate walk; `generate_trace` must
+  // reproduce every trace bit for bit.
   const Pin pins[] = {
       {12042, 0xd0a639d386ef3b68ull},  // small_config
       {39442, 0x5325ef6a9aead9a2ull},  // read_burst
