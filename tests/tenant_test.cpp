@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/units.h"
 #include "ebs/cluster.h"
 #include "essd/essd_config.h"
+#include "sched/sched.h"
 #include "tenant/fairness.h"
 #include "tenant/scenarios.h"
 #include "tenant/tenant.h"
@@ -208,6 +210,145 @@ TEST(Scenarios, BurstCollisionSpikesTails) {
   }
   // ...but the shares stay symmetric.
   EXPECT_GE(result.report.jain_index, 0.95);
+}
+
+
+// Every canned scenario's outcome, pinned at quick scale: closed loop under
+// FIFO and WFQ, and open-loop replay under FIFO.  Any change to the shared
+// cluster, the scheduler, the load sources or the scenario runner that moves
+// a number here changes what the scenarios measure.  The thread count only
+// fans out the solo baselines, so threads 1 and 4 must agree.
+struct TenantPin {
+  SimTime last_complete;
+  SimTime max_latency;
+  double mean_latency;
+  double solo_p99_us;
+  double interference;
+};
+
+struct ScenarioPin {
+  tenant::Scenario scenario;
+  sched::Policy policy;
+  bool replay;
+  SimTime makespan;
+  std::uint64_t sim_events;
+  std::uint64_t written_pages;
+  SimTime append_stall_ns;
+  std::uint64_t segments_cleaned;
+  SimTime busy_signal;
+  std::uint64_t vm_tx_bytes;
+  std::vector<TenantPin> tenants;
+};
+
+TEST(Scenarios, PinnedOutcomes) {
+  const std::vector<ScenarioPin> pins = {
+      {tenant::Scenario::kNoisyNeighbor, sched::Policy::kFifo, false,
+       506427454, 10857, 156480, 325642142, 78, 3132477437, 1923312640,
+       {{591684616, 38196659, 6611212.817177914, 38005.027, 0.9961711644093819},
+        {585447482, 2551826, 525962.4815983175, 560.646, 3.199673234090674},
+        {585404744, 2614428, 527025.9030558482, 553.82, 3.3284514824311144}}},
+      {tenant::Scenario::kNoisyNeighbor, sched::Policy::kWfq, false,
+       506449021, 56008, 156480, 324763942, 78, 3133809199, 1923343360,
+       {{591702822, 38180295, 6611295.199182004, 38200.934, 0.9917185270915103},
+        {585572737, 652116, 495856.22993062437, 560.646, 1.0786111021928277},
+        {585570525, 641388, 494873.1196834817, 553.82, 1.0891192084070636}}},
+      {tenant::Scenario::kNoisyNeighbor, sched::Policy::kFifo, true,
+       2344892674, 22179, 328000, 2153126268, 170, 8120775584, 4030851328,
+       {{2430149836, 1845529494, 570636576.7248781, 1959299.208,
+         0.9225595833548664},
+        {584885902, 3737251, 560241.7549407114, 554.605, 5.459903895565312},
+        {584751906, 3775796, 566628.6312997347, 558.312, 5.266360028084655}}},
+      {tenant::Scenario::kFairShare, sched::Policy::kFifo, false,
+       501377506, 25293, 141216, 0, 45, 2530459692, 1735262208,
+       {{501340465, 1612084, 1361557.0044187626, 1561.384, 1.0071724828741682},
+        {501377506, 1621088, 1361598.901767505, 1566.885, 1.0093861387402394},
+        {501359526, 1963670, 1361586.6244051666, 1564.285,
+         1.0068229254899204}}},
+      {tenant::Scenario::kFairShare, sched::Policy::kWfq, false,
+       501377705, 109299, 141216, 0, 45, 2530459692, 1735262208,
+       {{501343970, 1614284, 1361563.4119646498, 1561.014, 1.0069057676612767},
+        {501377705, 1621279, 1361599.682188987, 1566.749, 1.00947375744296},
+        {501355870, 1950257, 1361584.629503739, 1564.285, 1.0080362593772874}}},
+      {tenant::Scenario::kFairShare, sched::Policy::kFifo, true,
+       500317488, 18339, 97776, 0, 6, 1249590048, 1201471488,
+       {{500317488, 602742, 500965.08720930235, 553.656, 1.0214682040834022},
+        {500181748, 618985, 502107.9960745829, 553.025, 1.0197170109850369},
+        {500297402, 999911, 500261.0447984072, 548.838, 1.0335180873044507}}},
+      {tenant::Scenario::kCleanerPressure, sched::Policy::kFifo, false,
+       1579037877, 8036, 183872, 827086415, 111, 5357307182, 2259419136,
+       {{1578901371, 165678806, 26083109.533960294, 16960.997,
+         8.221852819147365},
+        {1579037877, 165688295, 26175395.933194153, 16953.952,
+         8.23017594953672},
+        {1578954249, 165686796, 26173516.822546974, 16962.825,
+         8.215568161553279}}},
+      {tenant::Scenario::kCleanerPressure, sched::Policy::kWfq, false,
+       1579090545, 34678, 184128, 828111472, 111, 5360318227, 2262564864,
+       {{1578963703, 165703050, 26116919.355949897, 16960.997,
+         8.23118010102826},
+        {1579090545, 165706190, 26094654.650364205, 16953.952,
+         8.224799857873844},
+        {1579009405, 165807289, 26173593.063674323, 16962.825,
+         8.209405273001401}}},
+      {tenant::Scenario::kCleanerPressure, sched::Policy::kFifo, true,
+       3575854512, 14296, 278976, 2727970935, 182, 9981857066, 3428057088,
+       {{3491187745, 1991361538, 448634095.97933, 1101.783, 1757.8855527812648},
+        {3575404696, 2083919959, 441637351.4095494, 34283.847,
+         59.75244928026892},
+        {3575854512, 2085144978, 464754348.3669163, 35561.144,
+         57.73941299526247}}},
+      {tenant::Scenario::kBurstCollision, sched::Policy::kFifo, false,
+       1020382047, 17476, 277344, 502304102, 142, 6125031666, 3408003072,
+       {{1020230709, 56367130, 5643590.224299066, 5333.396, 7.5664027197680435},
+        {1020382047, 56964349, 5643195.1783241, 5325.652, 7.577338136250735},
+        {1020290012, 56963568, 5640738.598269897, 5328.908,
+         7.576677623257897}}},
+      {tenant::Scenario::kBurstCollision, sched::Policy::kWfq, false,
+       1020708347, 98994, 277472, 504911198, 142, 6128924826, 3409575936,
+       {{1020593597, 55839039, 5643915.671166494, 5333.396, 7.439654396560841},
+        {1020708347, 55563889, 5637451.6512271, 5325.652, 7.451565179249414},
+        {1020662091, 55535261, 5644716.103149879, 5328.908, 7.44037371258802}}},
+      {tenant::Scenario::kBurstCollision, sched::Policy::kFifo, true,
+       2009277047, 33921, 356096, 1350908276, 190, 8723989749, 4375707648,
+       {{2009277047, 1010332889, 206519391.35415107, 790.309,
+         1222.4942990653024},
+        {2009084426, 1010233879, 221331184.23809522, 796.532,
+         1219.8034956536585},
+        {2009153515, 1010289805, 150591602.82979092, 29901.455,
+         31.093028081743846}}},
+  };
+  for (const int threads : {1, 4}) {
+    for (const ScenarioPin& pin : pins) {
+      tenant::ScenarioOptions opt;
+      opt.quick = true;
+      opt.threads = threads;
+      opt.sched.policy = pin.policy;
+      opt.replay = pin.replay;
+      const auto r = tenant::run_scenario(pin.scenario, opt);
+      SCOPED_TRACE(std::string(tenant::scenario_name(pin.scenario)) + " " +
+                   sched::policy_name(pin.policy) +
+                   (pin.replay ? " replay" : " closed") + " threads " +
+                   std::to_string(threads));
+      EXPECT_EQ(r.makespan, pin.makespan);
+      EXPECT_EQ(r.sim_events, pin.sim_events);
+      EXPECT_EQ(r.cluster.written_pages, pin.written_pages);
+      EXPECT_EQ(r.cluster.append_stall_ns, pin.append_stall_ns);
+      EXPECT_EQ(r.cleaner.segments_cleaned, pin.segments_cleaned);
+      EXPECT_EQ(r.busy.signal(), pin.busy_signal);
+      EXPECT_EQ(r.fabric.vm_tx_bytes, pin.vm_tx_bytes);
+      ASSERT_EQ(r.colocated.size(), pin.tenants.size());
+      for (std::size_t i = 0; i < pin.tenants.size(); ++i) {
+        const wl::JobStats& st = r.colocated[i];
+        const tenant::TenantMetrics& m = r.report.tenants[i];
+        EXPECT_EQ(st.last_complete, pin.tenants[i].last_complete) << i;
+        EXPECT_EQ(st.all_latency.max(), pin.tenants[i].max_latency) << i;
+        EXPECT_DOUBLE_EQ(st.all_latency.mean(), pin.tenants[i].mean_latency)
+            << i;
+        EXPECT_DOUBLE_EQ(m.solo_p99_us, pin.tenants[i].solo_p99_us) << i;
+        EXPECT_DOUBLE_EQ(m.interference, pin.tenants[i].interference) << i;
+      }
+    }
+  }
 }
 
 }  // namespace
