@@ -79,46 +79,52 @@ bench::Json busy_json(const ebs::ClusterBusyStats& busy) {
   return b;
 }
 
-bench::Json fabric_json(const tenant::ScenarioResult& r) {
+// The single-cluster scenario blocks below report cluster 0: the policy
+// study and the replay study run on the default one-cluster placement.
+bench::Json fabric_json(const placement::PlacementScenarioResult& r) {
+  const net::FabricStats& fabric = r.fabric[0];
   bench::Json f = bench::Json::object();
-  f.set("vm_tx_bytes", r.fabric.vm_tx_bytes);
-  f.set("vm_rx_bytes", r.fabric.vm_rx_bytes);
+  f.set("vm_tx_bytes", fabric.vm_tx_bytes);
+  f.set("vm_rx_bytes", fabric.vm_rx_bytes);
   const double span = static_cast<double>(r.makespan);
   f.set("vm_tx_util",
-        span > 0 ? static_cast<double>(r.fabric.vm_tx_busy_ns) / span : 0.0);
+        span > 0 ? static_cast<double>(fabric.vm_tx_busy_ns) / span : 0.0);
   f.set("vm_rx_util",
-        span > 0 ? static_cast<double>(r.fabric.vm_rx_busy_ns) / span : 0.0);
+        span > 0 ? static_cast<double>(fabric.vm_rx_busy_ns) / span : 0.0);
   bench::Json tx = bench::Json::array();
   bench::Json rx = bench::Json::array();
-  for (const auto b : r.fabric.node_tx_bytes) tx.push(b);
-  for (const auto b : r.fabric.node_rx_bytes) rx.push(b);
+  for (const auto b : fabric.node_tx_bytes) tx.push(b);
+  for (const auto b : fabric.node_rx_bytes) rx.push(b);
   f.set("node_tx_bytes", std::move(tx));
   f.set("node_rx_bytes", std::move(rx));
   return f;
 }
 
-bench::Json scenario_json(const tenant::ScenarioResult& r) {
+bench::Json scenario_json(const placement::PlacementScenarioResult& r,
+                          sched::Policy policy) {
+  const ebs::ClusterStats& stats = r.cluster[0];
+  const ebs::CleanerStats& cleaner = r.cleaner[0];
   bench::Json s = bench::Json::object();
   s.set("name", tenant::scenario_name(r.scenario));
-  s.set("policy", sched::policy_name(r.policy));
+  s.set("policy", sched::policy_name(policy));
   s.set("jain_index", r.report.jain_index);
   s.set("aggregate_gbs", r.report.aggregate_gbs);
   s.set("makespan_s", static_cast<double>(r.makespan) / 1e9);
   bench::Json cluster = bench::Json::object();
-  cluster.set("stalled_writes", r.cluster.stalled_writes);
+  cluster.set("stalled_writes", stats.stalled_writes);
   cluster.set("append_stall_ms",
-              static_cast<double>(r.cluster.append_stall_ns) / 1e6);
-  cluster.set("written_pages", r.cluster.written_pages);
-  cluster.set("segments_cleaned", r.cleaner.segments_cleaned);
-  cluster.set("pages_relocated", r.cleaner.pages_relocated);
+              static_cast<double>(stats.append_stall_ns) / 1e6);
+  cluster.set("written_pages", stats.written_pages);
+  cluster.set("segments_cleaned", cleaner.segments_cleaned);
+  cluster.set("pages_relocated", cleaner.pages_relocated);
   bench::Json gc = bench::Json::array();
   for (std::size_t i = 0; i < r.tenants.size(); ++i) {
-    gc.push(r.cleaner.tenant_segments_cleaned(static_cast<std::uint32_t>(i)));
+    gc.push(cleaner.tenant_segments_cleaned(static_cast<std::uint32_t>(i)));
   }
   cluster.set("tenant_segments_cleaned", std::move(gc));
   s.set("cluster", std::move(cluster));
   s.set("fabric", fabric_json(r));
-  s.set("busy_ns", busy_json(r.busy));
+  s.set("busy_ns", busy_json(r.busy[0]));
   bench::Json tenants = bench::Json::array();
   for (const auto& m : r.report.tenants) tenants.push(tenant_json(m));
   s.set("tenants", std::move(tenants));
@@ -129,10 +135,11 @@ bench::Json scenario_json(const tenant::ScenarioResult& r) {
 // replayed trace's shape, and the contract replay checker's verdict against
 // each tenant's own provisioned budget.  The host's per-tenant summaries
 // are already computed at the replayed rate scale.
-bench::Json replay_scenario_json(const tenant::ScenarioResult& r) {
+bench::Json replay_scenario_json(const placement::PlacementScenarioResult& r,
+                                 sched::Policy policy) {
   bench::Json s = bench::Json::object();
   s.set("name", tenant::scenario_name(r.scenario));
-  s.set("policy", sched::policy_name(r.policy));
+  s.set("policy", sched::policy_name(policy));
   s.set("jain_index", r.report.jain_index);
   s.set("aggregate_gbs", r.report.aggregate_gbs);
   s.set("makespan_s", static_cast<double>(r.makespan) / 1e9);
@@ -165,7 +172,8 @@ bench::Json replay_scenario_json(const tenant::ScenarioResult& r) {
   return s;
 }
 
-double worst_victim_interference(const tenant::ScenarioResult& r) {
+double worst_victim_interference(
+    const placement::PlacementScenarioResult& r) {
   double worst = 0.0;
   for (const auto& m : r.report.tenants) {
     if (m.name.rfind("victim", 0) == 0 && m.interference > worst) {
@@ -255,17 +263,18 @@ void print_placement_scenario(const char* policy,
   }
 }
 
-void print_scenario(const tenant::ScenarioResult& r) {
+void print_scenario(const placement::PlacementScenarioResult& r,
+                    sched::Policy policy) {
   std::printf("\n--- %s [%s] ---\n(%s)\n%s", tenant::scenario_name(r.scenario),
-              sched::policy_name(r.policy), tenant::scenario_blurb(r.scenario),
+              sched::policy_name(policy), tenant::scenario_blurb(r.scenario),
               r.report.to_table().c_str());
   std::printf(
       "cluster: %llu stalled writes, %.1f ms stalled, %llu segments cleaned; "
       "vm uplink %.0f%% busy\n",
-      static_cast<unsigned long long>(r.cluster.stalled_writes),
-      static_cast<double>(r.cluster.append_stall_ns) / 1e6,
-      static_cast<unsigned long long>(r.cleaner.segments_cleaned),
-      r.makespan > 0 ? 100.0 * static_cast<double>(r.fabric.vm_tx_busy_ns) /
+      static_cast<unsigned long long>(r.cluster[0].stalled_writes),
+      static_cast<double>(r.cluster[0].append_stall_ns) / 1e6,
+      static_cast<unsigned long long>(r.cleaner[0].segments_cleaned),
+      r.makespan > 0 ? 100.0 * static_cast<double>(r.fabric[0].vm_tx_busy_ns) /
                            static_cast<double>(r.makespan)
                      : 0.0);
 }
@@ -406,10 +415,10 @@ int main(int argc, char** argv) {
       tenant::Scenario::kCleanerPressure};
 
   bench::Json scenarios = bench::Json::array();
-  std::vector<tenant::ScenarioResult> fifo_results;
+  std::vector<placement::PlacementScenarioResult> fifo_results;
   for (const tenant::Scenario s : tenant::all_scenarios()) {
-    auto result = tenant::run_scenario(s, opt);
-    print_scenario(result);
+    auto result = placement::run_placement_scenario(s, {opt, {}});
+    print_scenario(result, opt.sched.policy);
     if (s == tenant::Scenario::kNoisyNeighbor) {
       std::printf(
           "noisy-neighbour victim p99 inflation: %.2fx (target >= 2x)\n",
@@ -419,7 +428,7 @@ int main(int argc, char** argv) {
       std::printf("fair-share Jain index: %.4f (target >= 0.95)\n",
                   result.report.jain_index);
     }
-    scenarios.push(scenario_json(result));
+    scenarios.push(scenario_json(result, opt.sched.policy));
     fifo_results.push_back(std::move(result));
   }
 
@@ -436,11 +445,11 @@ int main(int argc, char** argv) {
     bench::Json bb = bench::Json::object();
     bb.set("policy", sched::policy_name(p));
     for (const tenant::Scenario s : study) {
-      const auto result = tenant::run_scenario(s, alt_opt);
-      print_scenario(result);
+      const auto result = placement::run_placement_scenario(s, {alt_opt, {}});
+      print_scenario(result, p);
       const auto base_it =
           std::find_if(fifo_results.begin(), fifo_results.end(),
-                       [s](const tenant::ScenarioResult& r) {
+                       [s](const placement::PlacementScenarioResult& r) {
                          return r.scenario == s;
                        });
       UC_ASSERT(base_it != fifo_results.end(), "no FIFO baseline for scenario");
@@ -466,7 +475,7 @@ int main(int argc, char** argv) {
       if (s == tenant::Scenario::kCleanerPressure) {
         bb.set("cleaner_pressure_jain", result.report.jain_index);
       }
-      alt_scenarios.push(scenario_json(result));
+      alt_scenarios.push(scenario_json(result, p));
     }
     bench::Json pol = bench::Json::object();
     pol.set("policy", sched::policy_name(p));
@@ -621,9 +630,9 @@ int main(int argc, char** argv) {
     const std::vector<tenant::Scenario> replay_study = {
         tenant::Scenario::kNoisyNeighbor, tenant::Scenario::kFairShare};
     bench::Json replay_scenarios = bench::Json::array();
-    std::vector<tenant::ScenarioResult> replay_fifo;
+    std::vector<placement::PlacementScenarioResult> replay_fifo;
     for (const tenant::Scenario s : replay_study) {
-      auto result = tenant::run_scenario(s, ropt);
+      auto result = placement::run_placement_scenario(s, {ropt, {}});
       std::printf("\n--- %s [replay, rate-scale %.2f] ---\n%s",
                   tenant::scenario_name(s), rate_scale,
                   result.report.to_table().c_str());
@@ -633,7 +642,7 @@ int main(int argc, char** argv) {
             "arrivals, per-tenant traces)\n",
             worst_victim_interference(result));
       }
-      replay_scenarios.push(replay_scenario_json(result));
+      replay_scenarios.push(replay_scenario_json(result, ropt.sched.policy));
       replay_fifo.push_back(std::move(result));
     }
     replay_json.set("rate_scale", rate_scale);
@@ -656,7 +665,8 @@ int main(int argc, char** argv) {
         bench::Json pol_scenarios = bench::Json::array();
         for (std::size_t si = 0; si < replay_study.size(); ++si) {
           const tenant::Scenario s = replay_study[si];
-          const auto result = tenant::run_scenario(s, palt);
+          const auto result =
+              placement::run_placement_scenario(s, {palt, {}});
           std::printf("\n--- %s [replay, %s] ---\n%s",
                       tenant::scenario_name(s), sched::policy_name(p),
                       result.report.to_table().c_str());
@@ -679,7 +689,7 @@ int main(int argc, char** argv) {
                         base.report.jain_index);
             pol.set("fair_share_jain", result.report.jain_index);
           }
-          pol_scenarios.push(replay_scenario_json(result));
+          pol_scenarios.push(replay_scenario_json(result, p));
         }
         pol.set("scenarios", std::move(pol_scenarios));
         replay_policies.push(std::move(pol));

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "placement/placement.h"
 #include "tenant/scenarios.h"
 
 int main() {
@@ -17,8 +18,8 @@ int main() {
   std::printf("Colocating 1 write hog with 2 QD1 readers on one cluster...\n");
   tenant::ScenarioOptions opt;
   opt.quick = true;  // example-sized run (~100 ms of wall time)
-  const auto result =
-      tenant::run_scenario(tenant::Scenario::kNoisyNeighbor, opt);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kNoisyNeighbor, {opt, {}});
 
   std::printf("\n%s\n", tenant::scenario_blurb(result.scenario));
   std::printf("%s\n", result.report.to_table().c_str());

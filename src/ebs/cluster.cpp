@@ -22,7 +22,7 @@ Status ClusterConfig::validate() const {
   if (node_cache_pages == 0) {
     return Status::invalid_argument("node caches need at least one page");
   }
-  return Status::ok();
+  return sched.validate();
 }
 
 // A shared cluster starts with the provider's spare capacity plus the

@@ -106,8 +106,8 @@ struct ClusterConfig {
 
   std::uint64_t seed = 99;
 
-  /// Rejects segment/chunk geometry the chunk logs cannot carve up, and an
-  /// empty node cache.
+  /// Rejects segment/chunk geometry the chunk logs cannot carve up, an
+  /// empty node cache, and an invalid `sched`.
   Status validate() const;
 };
 

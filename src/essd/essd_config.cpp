@@ -21,6 +21,9 @@ Status EssdConfig::validate() const {
   if (const Status s = cluster.validate(); !s.is_ok()) {
     return s;
   }
+  if (const Status s = sched.validate(); !s.is_ok()) {
+    return s;
+  }
   if (capacity_bytes % cluster.chunk_bytes != 0) {
     return Status::invalid_argument("capacity must be a chunk multiple");
   }

@@ -413,6 +413,7 @@ PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
   result.cluster.resize(shards_.size());
   result.cleaner.resize(shards_.size());
   result.busy.resize(shards_.size());
+  result.fabric.resize(shards_.size());
   for (std::size_t c = 0; c < shards_.size(); ++c) {
     const Shard& sh = shards_[c];
     tenant::HostResult& r = part[c];
@@ -425,6 +426,7 @@ PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
     result.cluster[c] = r.cluster;
     result.cleaner[c] = std::move(r.cleaner);
     result.busy[c] = r.busy;
+    result.fabric[c] = std::move(r.fabric);
     result.makespan = std::max(result.makespan, r.makespan);
     result.sim_events += sh.sim->events_processed();
   }
@@ -745,6 +747,7 @@ PlacementScenarioResult run_placement_scenario(
   result.cluster = std::move(run.cluster);
   result.cleaner = std::move(run.cleaner);
   result.busy = std::move(run.busy);
+  result.fabric = std::move(run.fabric);
   result.colocated = std::move(run.stats);
   result.backlog_peak = std::move(run.backlog_peak);
   result.traces = std::move(run.traces);

@@ -30,6 +30,7 @@
 #include "ebs/cluster.h"
 #include "essd/essd_config.h"
 #include "essd/essd_device.h"
+#include "net/fabric.h"
 #include "placement/migration.h"
 #include "tenant/fairness.h"
 #include "tenant/scenarios.h"
@@ -164,6 +165,8 @@ struct PlacementResult {
   /// digest-mixed (digests pin tenant- and cluster-observable outcomes;
   /// occupancy is derived accounting).
   std::vector<ebs::ClusterBusyStats> busy;
+  /// Per-cluster fabric traffic and uplink occupancy, same window.
+  std::vector<net::FabricStats> fabric;
   /// Events processed by the shard simulators over fill + measure, summed
   /// — the numerator of the parallel engine's events/sec trajectory.
   std::uint64_t sim_events = 0;
@@ -304,9 +307,11 @@ class ShardedHost {
   bool ran_ = false;
 };
 
-/// `tenant::run_scenario`, but over a multi-cluster topology: same tenant
-/// mixes, same measured window, plus per-cluster fairness slices and the
-/// migration log.
+/// The one runner for the canned tenant scenarios: builds a scenario's mix
+/// (`tenant::build_scenario`), runs it on a `ShardedHost` — one cluster with
+/// the default `PlacementConfig`, which reproduces `SharedClusterHost::run()`
+/// exactly — and reports the measured window, per-cluster fairness slices
+/// and the migration log.
 struct PlacementScenarioOptions {
   tenant::ScenarioOptions base;
   PlacementConfig placement;
@@ -330,6 +335,7 @@ struct PlacementScenarioResult {
   std::vector<ebs::ClusterStats> cluster;
   std::vector<ebs::CleanerStats> cleaner;
   std::vector<ebs::ClusterBusyStats> busy;
+  std::vector<net::FabricStats> fabric;
   SimTime makespan = 0;
   /// Per-shard FNV digests (`shard_digests` over `compute_shard_plan`) and
   /// total simulator events — always computed, so single- and multi-thread

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 
 namespace uc::sched {
@@ -83,6 +84,11 @@ struct SchedulerConfig {
     const double w = tenant < weights.size() ? weights[tenant] : default_weight;
     return w > 1e-3 ? w : 1e-3;
   }
+
+  /// Rejects a zero quantum (DRR would never accumulate deficit, so the
+  /// first WFQ dequeue spins forever) and any weight that is not finite
+  /// and positive.
+  Status validate() const;
 };
 
 }  // namespace uc::sched

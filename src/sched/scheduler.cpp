@@ -1,8 +1,11 @@
 #include "sched/scheduler.h"
 
+#include <cmath>
+#include <cstddef>
 #include <deque>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -49,6 +52,24 @@ bool parse_policy(const std::string& text, Policy* out) {
     return false;
   }
   return true;
+}
+
+Status SchedulerConfig::validate() const {
+  if (quantum_ns == 0) {
+    return Status::invalid_argument("scheduler quantum must be positive");
+  }
+  const auto positive = [](double w) { return std::isfinite(w) && w > 0.0; };
+  if (!positive(default_weight)) {
+    return Status::invalid_argument(
+        "scheduler default weight must be finite and positive");
+  }
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (!positive(weights[i])) {
+      return Status::invalid_argument("scheduler weight " + std::to_string(i) +
+                                      " must be finite and positive");
+    }
+  }
+  return Status::ok();
 }
 
 namespace {

@@ -5,9 +5,10 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
 #include "essd/essd_config.h"
-#include "sim/parallel.h"
+#include "workload/trace.h"
 
 namespace uc::tenant {
 
@@ -252,43 +253,6 @@ ScenarioSetup build_scenario(Scenario s, const ScenarioOptions& opt) {
     }
   }
   return b;
-}
-
-ScenarioResult run_scenario(Scenario s, const ScenarioOptions& opt) {
-  ScenarioSetup b = build_scenario(s, opt);
-  ScenarioResult result;
-  result.scenario = s;
-  result.policy = opt.sched.policy;
-  result.tenants = b.tenants;
-
-  sim::Simulator sim;
-  SharedClusterHost host(sim, b.base, b.tenants);
-  HostResult colocated = host.run();
-  host.cluster().check_invariants();
-  // Report the measured window only: the precondition fill phase is
-  // excluded from the makespan and already subtracted from the stats.
-  result.makespan = colocated.makespan - colocated.measure_start;
-  result.cluster = colocated.cluster;
-  result.cleaner = colocated.cleaner;
-  result.fabric = colocated.fabric;
-  result.busy = colocated.busy;
-  result.colocated = std::move(colocated.stats);
-  result.backlog_peak = std::move(colocated.backlog_peak);
-  result.traces = std::move(colocated.traces);
-  result.sim_events = sim.events_processed();
-
-  if (opt.solo_baselines) {
-    result.solo.resize(b.tenants.size());
-    // Each solo builds its own private simulator, so baselines fan out on
-    // the parallel executor; one thread reproduces today's sequential loop.
-    sim::ParallelExecutor exec(opt.threads);
-    exec.run_epoch(b.tenants.size(), [&](std::size_t i) {
-      result.solo[i] = SharedClusterHost::run_solo(b.base, b.tenants[i], i);
-    });
-  }
-  result.report =
-      build_fairness_report(b.tenants, result.colocated, result.solo);
-  return result;
 }
 
 }  // namespace uc::tenant

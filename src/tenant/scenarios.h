@@ -3,10 +3,11 @@
 /// \file scenarios.h
 /// Canned multi-tenant colocation scenarios.
 ///
-/// Each scenario builds a shared cluster, colocates a small tenant mix,
-/// runs it, optionally reruns every tenant solo on a private cluster (the
-/// interference baseline), and condenses the outcome into a
-/// `FairnessReport` plus the cluster-side counters.
+/// Each scenario is a shared-cluster base profile plus a small tenant mix
+/// (`build_scenario`).  `placement::run_placement_scenario` runs it —
+/// colocated on one cluster by default — optionally reruns every tenant solo
+/// on a private cluster (the interference baseline), and condenses the
+/// outcome into a `FairnessReport` plus the cluster-side counters.
 ///
 /// The catalogue:
 /// - **noisy-neighbour** — one random-write hog saturating the shared
@@ -27,15 +28,10 @@
 #include <string>
 #include <vector>
 
-#include "common/types.h"
-#include "ebs/cleaner.h"
-#include "ebs/cluster.h"
+#include "essd/essd_config.h"
 #include "ftl/mapping.h"
-#include "net/fabric.h"
 #include "sched/sched.h"
-#include "tenant/fairness.h"
 #include "tenant/tenant.h"
-#include "workload/trace.h"
 
 namespace uc::tenant {
 
@@ -85,50 +81,21 @@ struct ScenarioOptions {
   ftl::MappingConfig node_mapping;
 
   /// Worker threads for the parallel engine (`sim::ParallelExecutor`):
-  /// > 1 fans solo baselines out per tenant and — in
-  /// `placement::run_placement_scenario` — advances the
-  /// `placement::ShardedHost` shards concurrently.  Sets only the worker
-  /// count; results are identical at every value.
+  /// > 1 advances the `placement::ShardedHost` shards concurrently and fans
+  /// the solo baselines out per tenant.  Sets only the worker count;
+  /// results are identical at every value.
   int threads = 1;
-};
-
-struct ScenarioResult {
-  Scenario scenario = Scenario::kFairShare;
-  std::vector<TenantSpec> tenants;
-  std::vector<wl::JobStats> colocated;
-  std::vector<wl::JobStats> solo;  ///< empty when baselines disabled
-  /// Per-tenant peak outstanding I/Os and replayed-trace summaries (the
-  /// latter zero-event for closed-loop tenants); see `HostResult`.
-  std::vector<std::uint64_t> backlog_peak;
-  std::vector<wl::TraceSummary> traces;
-  FairnessReport report;
-  /// Shared-cluster activity during the measured window (precondition fill
-  /// excluded), so the numbers diff cleanly across runs and PRs.
-  ebs::ClusterStats cluster;
-  ebs::CleanerStats cleaner;
-  net::FabricStats fabric;
-  /// Shared-resource occupancy with per-IoClass slices, same window.
-  ebs::ClusterBusyStats busy;
-  sched::Policy policy = sched::Policy::kFifo;  ///< policy this run used
-  SimTime makespan = 0;  ///< measured-window duration
-  /// Events the host simulator processed (fill + measure) — the events/sec
-  /// numerator for the bench JSON contract.
-  std::uint64_t sim_events = 0;
 };
 
 /// The raw scenario ingredients — the shared-cluster base profile (with the
 /// options' scheduling policy and weight overrides already folded in) and
-/// the tenant mix — before any host is built.  `run_scenario` uses this,
-/// and `placement::run_placement_scenario` reuses the same mixes across
-/// multi-cluster topologies.
+/// the tenant mix — before any host is built.
+/// `placement::run_placement_scenario` runs them, on one cluster or many.
 struct ScenarioSetup {
   essd::EssdConfig base;
   std::vector<TenantSpec> tenants;
 };
 
 ScenarioSetup build_scenario(Scenario s, const ScenarioOptions& opt);
-
-/// Builds, runs, and analyzes one scenario.
-ScenarioResult run_scenario(Scenario s, const ScenarioOptions& opt = {});
 
 }  // namespace uc::tenant

@@ -373,8 +373,8 @@ TEST(ReplayScenario, NoisyNeighbourRunsEndToEnd) {
   tenant::ScenarioOptions opt;
   opt.quick = true;
   opt.replay = true;
-  const auto result =
-      tenant::run_scenario(tenant::Scenario::kNoisyNeighbor, opt);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kNoisyNeighbor, {opt, {}});
   ASSERT_EQ(result.colocated.size(), 3u);
   ASSERT_EQ(result.traces.size(), 3u);
   ASSERT_EQ(result.backlog_peak.size(), 3u);
@@ -398,8 +398,8 @@ TEST(ReplayScenario, PerTenantTraceFileFeedsTenantZero) {
   opt.replay = true;
   opt.solo_baselines = false;
   opt.trace_paths = {path};  // hog replays the bundled CSV
-  const auto result =
-      tenant::run_scenario(tenant::Scenario::kNoisyNeighbor, opt);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kNoisyNeighbor, {opt, {}});
   EXPECT_EQ(result.colocated[0].total_ops(), 4137u);
   EXPECT_EQ(result.traces[0].events, 4137u);
   // The other tenants keep their synthetic role traces.
@@ -413,8 +413,10 @@ TEST(ReplayScenario, RateScaleRaisesOfferedLoad) {
   calm.solo_baselines = false;
   auto hot = calm;
   hot.rate_scale = 2.0;
-  const auto a = tenant::run_scenario(tenant::Scenario::kFairShare, calm);
-  const auto b = tenant::run_scenario(tenant::Scenario::kFairShare, hot);
+  const auto a = placement::run_placement_scenario(
+      tenant::Scenario::kFairShare, {calm, {}});
+  const auto b = placement::run_placement_scenario(
+      tenant::Scenario::kFairShare, {hot, {}});
   // Same events in half the (submission) time.
   EXPECT_EQ(a.colocated[0].total_ops(), b.colocated[0].total_ops());
   EXPECT_LT(b.makespan, a.makespan);

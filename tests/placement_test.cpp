@@ -337,6 +337,14 @@ TEST(ShardedHost, OneClusterMatchesSharedHost) {
     EXPECT_EQ(a.cluster.read_pages, b.cluster[0].read_pages);
     EXPECT_EQ(a.cleaner.segments_cleaned, b.cleaner[0].segments_cleaned);
     EXPECT_EQ(a.busy.signal(), b.busy[0].signal());
+    ASSERT_EQ(b.fabric.size(), 1u);
+    EXPECT_EQ(a.fabric.vm_tx_bytes, b.fabric[0].vm_tx_bytes);
+    EXPECT_EQ(a.fabric.vm_rx_bytes, b.fabric[0].vm_rx_bytes);
+    EXPECT_EQ(a.fabric.vm_tx_busy_ns, b.fabric[0].vm_tx_busy_ns);
+    EXPECT_EQ(a.fabric.vm_rx_busy_ns, b.fabric[0].vm_rx_busy_ns);
+    EXPECT_EQ(a.fabric.node_tx_bytes, b.fabric[0].node_tx_bytes);
+    EXPECT_EQ(a.fabric.node_rx_bytes, b.fabric[0].node_rx_bytes);
+    EXPECT_GT(b.fabric[0].vm_tx_bytes, 0u);
     EXPECT_TRUE(b.migrations.empty()) << watermark;
   }
 }

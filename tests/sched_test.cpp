@@ -1,17 +1,21 @@
-// Tests for the pluggable scheduling layer: FIFO equivalence with the
-// horizon-reservation primitives, DRR quantum/weight accounting, the
-// priority policy's class ordering and starvation guard, and the isolation
-// buy-back acceptance criteria on the tenant scenarios.
+// Tests for the pluggable scheduling layer: config validation, FIFO
+// equivalence with the horizon-reservation primitives, DRR quantum/weight
+// accounting, the priority policy's class ordering and starvation guard,
+// and the isolation buy-back acceptance criteria on the tenant scenarios.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
+#include "common/status.h"
 #include "common/units.h"
+#include "ebs/cluster.h"
 #include "essd/essd_config.h"
+#include "placement/placement.h"
 #include "sched/queued_resource.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
@@ -26,6 +30,52 @@ using namespace units;
 sched::SchedTag tag(std::uint32_t tenant, sched::IoClass c,
                     std::uint64_t bytes = 0) {
   return sched::SchedTag{tenant, c, bytes};
+}
+
+// ------------------------------------------------------- validation --
+
+// One row per rejected field, plus the default config.  The cluster and
+// device configs surface the same error for the queues they configure.
+TEST(SchedulerConfig, ValidateRejectsEachBadField) {
+  using Cfg = sched::SchedulerConfig;
+  struct Row {
+    const char* name;
+    std::function<void(Cfg&)> mutate;
+    bool ok;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Row> rows = {
+      {"default", [](Cfg&) {}, true},
+      {"quantum_ns zero", [](Cfg& c) { c.quantum_ns = 0; }, false},
+      {"default_weight zero", [](Cfg& c) { c.default_weight = 0.0; }, false},
+      {"default_weight negative", [](Cfg& c) { c.default_weight = -1.0; },
+       false},
+      {"default_weight NaN", [nan](Cfg& c) { c.default_weight = nan; }, false},
+      {"default_weight infinite", [inf](Cfg& c) { c.default_weight = inf; },
+       false},
+      {"weights[1] zero", [](Cfg& c) { c.weights = {1.0, 0.0}; }, false},
+      {"weights[0] negative", [](Cfg& c) { c.weights = {-2.0}; }, false},
+      {"weights[2] NaN", [nan](Cfg& c) { c.weights = {1.0, 1.0, nan}; },
+       false},
+      {"weights[0] infinite", [inf](Cfg& c) { c.weights = {inf}; }, false},
+  };
+  for (const Row& row : rows) {
+    Cfg cfg;
+    row.mutate(cfg);
+    const Status s = cfg.validate();
+    EXPECT_EQ(s.is_ok(), row.ok) << row.name;
+    if (!row.ok) {
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << row.name;
+    }
+
+    ebs::ClusterConfig cluster;
+    cluster.sched = cfg;
+    EXPECT_EQ(cluster.validate().to_string(), s.to_string()) << row.name;
+    essd::EssdConfig device = essd::aws_io2_profile(64 * kMiB);
+    device.sched = cfg;
+    EXPECT_EQ(device.validate().to_string(), s.to_string()) << row.name;
+  }
 }
 
 // ------------------------------------------------------------- FIFO --
@@ -203,13 +253,13 @@ TEST(PrioScheduler, StarvationGuardPromotesWaitingWrites) {
 TEST(SchedulingPolicies, WfqBuysBackNoisyNeighborIsolation) {
   tenant::ScenarioOptions fifo_opt;
   fifo_opt.quick = true;
-  const auto fifo =
-      tenant::run_scenario(tenant::Scenario::kNoisyNeighbor, fifo_opt);
+  const auto fifo = placement::run_placement_scenario(
+      tenant::Scenario::kNoisyNeighbor, {fifo_opt, {}});
 
   tenant::ScenarioOptions wfq_opt = fifo_opt;
   wfq_opt.sched.policy = sched::Policy::kWfq;  // equal weights
-  const auto wfq =
-      tenant::run_scenario(tenant::Scenario::kNoisyNeighbor, wfq_opt);
+  const auto wfq = placement::run_placement_scenario(
+      tenant::Scenario::kNoisyNeighbor, {wfq_opt, {}});
 
   double fifo_worst = 0.0;
   double wfq_worst = 0.0;
@@ -234,7 +284,8 @@ TEST(SchedulingPolicies, WfqHoldsFairShareJain) {
   tenant::ScenarioOptions opt;
   opt.quick = true;
   opt.sched.policy = sched::Policy::kWfq;
-  const auto result = tenant::run_scenario(tenant::Scenario::kFairShare, opt);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kFairShare, {opt, {}});
   EXPECT_GE(result.report.jain_index, 0.95);
 }
 
@@ -242,8 +293,8 @@ TEST(SchedulingPolicies, PrioProtectsVictimReads) {
   tenant::ScenarioOptions opt;
   opt.quick = true;
   opt.sched.policy = sched::Policy::kPrio;
-  const auto result =
-      tenant::run_scenario(tenant::Scenario::kNoisyNeighbor, opt);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kNoisyNeighbor, {opt, {}});
   for (const auto& m : result.report.tenants) {
     if (m.name.rfind("victim", 0) != 0) continue;
     // Strict priority all but erases the hog from the victims' tail.
@@ -288,14 +339,14 @@ TEST(CleanerAccounting, AttributesSegmentsToOwningTenants) {
   tenant::ScenarioOptions opt;
   opt.quick = true;
   opt.solo_baselines = false;
-  const auto result =
-      tenant::run_scenario(tenant::Scenario::kCleanerPressure, opt);
-  ASSERT_GT(result.cleaner.segments_cleaned, 0u);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kCleanerPressure, {opt, {}});
+  ASSERT_GT(result.cleaner[0].segments_cleaned, 0u);
   std::uint64_t attributed = 0;
   for (std::uint32_t v = 0; v < 3; ++v) {
-    attributed += result.cleaner.tenant_segments_cleaned(v);
+    attributed += result.cleaner[0].tenant_segments_cleaned(v);
   }
-  EXPECT_EQ(attributed, result.cleaner.segments_cleaned);
+  EXPECT_EQ(attributed, result.cleaner[0].segments_cleaned);
 }
 
 }  // namespace

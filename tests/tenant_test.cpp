@@ -1,6 +1,7 @@
 // Multi-tenant subsystem tests: volume isolation on a shared cluster,
-// segment-pool/stats reconciliation, fair-share fairness, and
-// noisy-neighbour interference against the solo baseline.
+// segment-pool/stats reconciliation, fair-share fairness,
+// noisy-neighbour interference against the solo baseline, and the canned
+// scenarios' pinned outcomes.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "common/units.h"
 #include "ebs/cluster.h"
 #include "essd/essd_config.h"
+#include "placement/placement.h"
 #include "sched/sched.h"
 #include "tenant/fairness.h"
 #include "tenant/scenarios.h"
@@ -164,8 +166,8 @@ TEST(JainIndex, MatchesDefinition) {
 TEST(Scenarios, FairShareIsFair) {
   tenant::ScenarioOptions opt;
   opt.quick = true;
-  const auto result =
-      tenant::run_scenario(tenant::Scenario::kFairShare, opt);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kFairShare, {opt, {}});
   EXPECT_GE(result.report.jain_index, 0.95);
   // Healthy colocation: nobody's tail explodes against their solo run.
   for (const auto& m : result.report.tenants) {
@@ -176,8 +178,8 @@ TEST(Scenarios, FairShareIsFair) {
 TEST(Scenarios, NoisyNeighborInflatesVictimTail) {
   tenant::ScenarioOptions opt;
   opt.quick = true;
-  const auto result =
-      tenant::run_scenario(tenant::Scenario::kNoisyNeighbor, opt);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kNoisyNeighbor, {opt, {}});
   int victims = 0;
   for (const auto& m : result.report.tenants) {
     if (m.name.rfind("victim", 0) != 0) continue;
@@ -192,18 +194,18 @@ TEST(Scenarios, CleanerPressureStallsClusterWide) {
   tenant::ScenarioOptions opt;
   opt.quick = true;
   opt.solo_baselines = false;  // the cliff signal lives in the cluster stats
-  const auto result =
-      tenant::run_scenario(tenant::Scenario::kCleanerPressure, opt);
-  EXPECT_GT(result.cluster.stalled_writes, 0u);
-  EXPECT_GT(result.cluster.append_stall_ns, 0u);
-  EXPECT_GT(result.cleaner.segments_cleaned, 0u);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kCleanerPressure, {opt, {}});
+  EXPECT_GT(result.cluster[0].stalled_writes, 0u);
+  EXPECT_GT(result.cluster[0].append_stall_ns, 0u);
+  EXPECT_GT(result.cleaner[0].segments_cleaned, 0u);
 }
 
 TEST(Scenarios, BurstCollisionSpikesTails) {
   tenant::ScenarioOptions opt;
   opt.quick = true;
-  const auto result =
-      tenant::run_scenario(tenant::Scenario::kBurstCollision, opt);
+  const auto result = placement::run_placement_scenario(
+      tenant::Scenario::kBurstCollision, {opt, {}});
   // Everyone bursts together, so everyone's tail inflates vs. solo.
   for (const auto& m : result.report.tenants) {
     EXPECT_GE(m.interference, 1.5) << m.name;
@@ -324,18 +326,18 @@ TEST(Scenarios, PinnedOutcomes) {
       opt.threads = threads;
       opt.sched.policy = pin.policy;
       opt.replay = pin.replay;
-      const auto r = tenant::run_scenario(pin.scenario, opt);
+      const auto r = placement::run_placement_scenario(pin.scenario, {opt, {}});
       SCOPED_TRACE(std::string(tenant::scenario_name(pin.scenario)) + " " +
                    sched::policy_name(pin.policy) +
                    (pin.replay ? " replay" : " closed") + " threads " +
                    std::to_string(threads));
       EXPECT_EQ(r.makespan, pin.makespan);
       EXPECT_EQ(r.sim_events, pin.sim_events);
-      EXPECT_EQ(r.cluster.written_pages, pin.written_pages);
-      EXPECT_EQ(r.cluster.append_stall_ns, pin.append_stall_ns);
-      EXPECT_EQ(r.cleaner.segments_cleaned, pin.segments_cleaned);
-      EXPECT_EQ(r.busy.signal(), pin.busy_signal);
-      EXPECT_EQ(r.fabric.vm_tx_bytes, pin.vm_tx_bytes);
+      EXPECT_EQ(r.cluster[0].written_pages, pin.written_pages);
+      EXPECT_EQ(r.cluster[0].append_stall_ns, pin.append_stall_ns);
+      EXPECT_EQ(r.cleaner[0].segments_cleaned, pin.segments_cleaned);
+      EXPECT_EQ(r.busy[0].signal(), pin.busy_signal);
+      EXPECT_EQ(r.fabric[0].vm_tx_bytes, pin.vm_tx_bytes);
       ASSERT_EQ(r.colocated.size(), pin.tenants.size());
       for (std::size_t i = 0; i < pin.tenants.size(); ++i) {
         const wl::JobStats& st = r.colocated[i];
