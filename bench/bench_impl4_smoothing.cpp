@@ -46,7 +46,7 @@ ReplayResult replay(const contract::DeviceFactory& factory,
       static_cast<double>(replayer.stats().all_latency.percentile(50)) / 1e6;
   r.p999_ms =
       static_cast<double>(replayer.stats().all_latency.percentile(99.9)) / 1e6;
-  r.max_inflight = replayer.max_inflight();
+  r.max_inflight = replayer.backlog_peak();
   return r;
 }
 

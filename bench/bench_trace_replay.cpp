@@ -73,7 +73,7 @@ ReplayRun replay(const contract::DeviceFactory& factory,
   UC_ASSERT(replayer.finished(), "trace replay incomplete");
   ReplayRun r;
   r.stats = replayer.stats();
-  r.backlog_peak = replayer.max_inflight();
+  r.backlog_peak = replayer.backlog_peak();
   return r;
 }
 
@@ -351,7 +351,8 @@ int main(int argc, char** argv) {
     const double wall_s = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall_start)
                               .count();
-    const auto digests = placement::shard_digests(host.plan(), fleet);
+    const placement::ShardPlan plan = placement::compute_shard_plan(pcfg);
+    const auto digests = placement::shard_digests(plan, fleet);
     std::uint64_t replayed = 0;
     for (const auto& tr : fleet.traces) replayed += tr.events;
     const double events_per_sec =
@@ -361,7 +362,7 @@ int main(int argc, char** argv) {
         "\nmulti-cluster: %d clusters x %llu events on %d thread(s) "
         "(%zu shards) — wall %.2f s, %llu sim events, %.0f events/sec\n",
         clusters, static_cast<unsigned long long>(per_cluster),
-        exec.threads(), host.plan().shards(), wall_s,
+        exec.threads(), plan.shards(), wall_s,
         static_cast<unsigned long long>(fleet.sim_events), events_per_sec);
 
     bench::Json mc_tenants = bench::Json::array();
@@ -389,7 +390,7 @@ int main(int argc, char** argv) {
 
     multi_json.set("clusters", clusters);
     multi_json.set("threads", exec.threads());
-    multi_json.set("shards", static_cast<std::uint64_t>(host.plan().shards()));
+    multi_json.set("shards", static_cast<std::uint64_t>(plan.shards()));
     multi_json.set("wall_s", wall_s);
     multi_json.set("replayed_events", replayed);
     multi_json.set("sim_events", fleet.sim_events);

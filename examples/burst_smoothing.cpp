@@ -70,7 +70,7 @@ int main() {
            strfmt("%.1f", static_cast<double>(stats.all_latency.percentile(99)) / 1e6),
            strfmt("%.1f", static_cast<double>(stats.all_latency.percentile(99.9)) / 1e6),
            strfmt("%llu",
-                  static_cast<unsigned long long>(replayer.max_inflight()))});
+                  static_cast<unsigned long long>(replayer.backlog_peak()))});
     }
   }
   std::printf("%s", table.to_string().c_str());

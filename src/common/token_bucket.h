@@ -59,14 +59,6 @@ class TokenBucket {
   double rate_per_s() const { return rate_per_ns_ * 1e9; }
   double capacity() const { return capacity_; }
 
-  /// Re-targets the refill rate (used by the provider flow limiter when it
-  /// transitions a volume into the degraded/limited state).
-  void set_rate_per_s(SimTime now, double rate_per_s) {
-    UC_ASSERT(rate_per_s > 0.0, "token bucket rate must be positive");
-    refill(now);
-    rate_per_ns_ = rate_per_s / 1e9;
-  }
-
  private:
   void refill(SimTime now) {
     if (now <= last_refill_) return;

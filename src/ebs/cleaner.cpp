@@ -1,10 +1,28 @@
 #include "ebs/cleaner.h"
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace uc::ebs {
+
+Status CleanerConfig::validate() const {
+  if (!std::isfinite(processing_mbps) || processing_mbps <= 0.0) {
+    return Status::invalid_argument(
+        "cleaner processing rate must be finite and positive");
+  }
+  // NaN fails both comparisons, so non-finite ratios are rejected too.
+  const auto ratio = [](double r) { return r >= 0.0 && r <= 1.0; };
+  if (!ratio(min_garbage_ratio)) {
+    return Status::invalid_argument("cleaner garbage ratio must be in [0, 1]");
+  }
+  if (!ratio(start_free_ratio) || !ratio(desperate_free_ratio)) {
+    return Status::invalid_argument(
+        "cleaner free-ratio thresholds must be in [0, 1]");
+  }
+  return Status::ok();
+}
 
 Cleaner::Cleaner(sim::Simulator& sim, const CleanerConfig& cfg,
                  std::uint64_t segment_bytes,

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "ebs/segment_store.h"
 #include "sched/queued_resource.h"
@@ -30,6 +31,10 @@ struct CleanerConfig {
   double start_free_ratio = 0.75;
   /// Below this free ratio, clean any victim with nonzero garbage.
   double desperate_free_ratio = 0.05;
+
+  /// Rejects a non-finite or non-positive processing rate, and a ratio
+  /// that is not finite or lies outside [0, 1].
+  Status validate() const;
 };
 
 struct CleanerStats {

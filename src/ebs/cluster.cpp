@@ -22,6 +22,7 @@ Status ClusterConfig::validate() const {
   if (node_cache_pages == 0) {
     return Status::invalid_argument("node caches need at least one page");
   }
+  if (const Status s = cleaner.validate(); !s.is_ok()) return s;
   return sched.validate();
 }
 

@@ -107,7 +107,7 @@ struct ClusterConfig {
   std::uint64_t seed = 99;
 
   /// Rejects segment/chunk geometry the chunk logs cannot carve up, an
-  /// empty node cache, and an invalid `sched`.
+  /// empty node cache, an invalid `cleaner` and an invalid `sched`.
   Status validate() const;
 };
 

@@ -144,7 +144,7 @@ void VolumeMigrator::enter_stop_and_copy() {
 }
 
 void VolumeMigrator::cutover() {
-  if (cfg_.release_source) release_source();
+  release_source();
   device_.retarget(dst_, dst_vol_);
   stats_.cutover = sim_.now();
   stats_.frozen_ns = sim_.now() - freeze_at_;

@@ -8,10 +8,10 @@
 /// volume (preserving write stamps, which are the simulator's notion of
 /// data), re-diff and copy what the tenant dirtied meanwhile, and once a
 /// pass shrinks below the stop-and-copy threshold, freeze the tenant's
-/// device, drain its in-flight I/O, copy the last dirty pages, and cut the
-/// device over atomically.  All copy traffic is tagged
-/// `sched::IoClass::kMigration`, so it rides the same NIC pipes and node
-/// pipelines as everyone else and competes under whatever policy the
+/// device, drain its in-flight I/O, copy the last dirty pages, cut the
+/// device over atomically, and trim the stale source.  All copy traffic is
+/// tagged `sched::IoClass::kMigration`, so it rides the same NIC pipes and
+/// node pipelines as everyone else and competes under whatever policy the
 /// clusters run — FIFO interleaves it, WFQ charges it to the migrating
 /// tenant's weight, and strict priority demotes it below every other class.
 ///
@@ -41,9 +41,6 @@ struct MigrationConfig {
   /// Hard bound on pre-copy passes: a tenant dirtying faster than the copy
   /// stream converges would otherwise never cut over.
   int max_precopy_passes = 8;
-  /// Trim the source volume after cutover so the cleaner reclaims its
-  /// segments (the provider deleting the stale replica set).
-  bool release_source = true;
 };
 
 /// Shared copy-bandwidth governor: every copy fragment of every concurrent
@@ -119,6 +116,9 @@ class VolumeMigrator {
   /// migrator of the absorbed group re-targets it here (at a slice barrier,
   /// so the reservation clocks are comparable).  Null = unpaced.
   void set_pacer(MigrationPacer* pacer) { pacer_ = pacer; }
+  /// The governor in force (null = unpaced); the host reconciles pacers
+  /// from it at each barrier.
+  MigrationPacer* pacer() const { return pacer_; }
 
  private:
   /// Scans forward from `offset` for the next dirty run, copies it, and
@@ -127,6 +127,8 @@ class VolumeMigrator {
   void finish_pass(bool frozen_pass);
   void enter_stop_and_copy();
   void cutover();
+  /// Trims the source volume after cutover so the cleaner reclaims its
+  /// segments (the provider deleting the stale replica set).
   void release_source();
 
   sim::Simulator& sim_;

@@ -64,8 +64,8 @@ Status PlacementConfig::validate() const {
   if (!std::isfinite(rebalance_watermark) || rebalance_watermark < 0.0) {
     return bad("rebalance watermark must be finite and >= 0");
   }
-  if (rebalancing() && slice == 0 && rebalance_interval == 0) {
-    return bad("rebalancing needs a positive slice or interval");
+  if (rebalancing() && rebalance_interval == 0) {
+    return bad("rebalancing needs a positive interval");
   }
   if (migration.copy_bytes == 0 ||
       migration.copy_bytes % kLogicalPageBytes != 0) {
@@ -166,28 +166,13 @@ std::vector<int> plan_placement(
   return out;
 }
 
-int ShardPlan::shard_of_cluster(int c) const {
-  for (std::size_t s = 0; s < first_cluster.size(); ++s) {
-    if (c >= first_cluster[s] && c < first_cluster[s] + clusters[s]) {
-      return static_cast<int>(s);
-    }
-  }
-  UC_ASSERT(false, "cluster outside every shard");
-  return 0;
-}
-
 ShardPlan compute_shard_plan(const PlacementConfig& cfg) {
   UC_ASSERT(cfg.clusters >= 1, "placement needs at least one cluster");
   // One shard per cluster, rebalancing or not.  A VolumeMigrator touches
   // source and destination clusters inside one logical timeline, but the
   // epoch-sliced engine fuses exactly the coupled shards for exactly the
   // migration's window — the whole fleet never co-shards.
-  ShardPlan plan;
-  for (int c = 0; c < cfg.clusters; ++c) {
-    plan.first_cluster.push_back(c);
-    plan.clusters.push_back(1);
-  }
-  return plan;
+  return ShardPlan{cfg.clusters};
 }
 
 namespace {
@@ -255,11 +240,9 @@ void mix_cleaner(Fnv1a& d, const ebs::CleanerStats& c) {
 std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
                                          const PlacementResult& merged) {
   std::vector<Fnv1a> digest(plan.shards());
-  // Tenants digest into the shard that *planned* them (migration only moves
-  // tenants within a shard, since coupled clusters always co-shard).
+  // Shard == cluster.  Tenants digest into the cluster that *planned* them.
   for (std::size_t i = 0; i < merged.stats.size(); ++i) {
-    Fnv1a& d = digest[static_cast<std::size_t>(
-        plan.shard_of_cluster(merged.initial_cluster[i]))];
+    Fnv1a& d = digest[static_cast<std::size_t>(merged.initial_cluster[i])];
     d.mix(static_cast<std::uint64_t>(i));
     d.mix(static_cast<std::uint64_t>(merged.final_cluster[i]));
     d.mix(merged.backlog_peak[i]);
@@ -267,15 +250,13 @@ std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
     mix_trace(d, merged.traces[i]);
   }
   for (std::size_t c = 0; c < merged.cluster.size(); ++c) {
-    Fnv1a& d = digest[static_cast<std::size_t>(
-        plan.shard_of_cluster(static_cast<int>(c)))];
+    Fnv1a& d = digest[c];
     d.mix(static_cast<std::uint64_t>(c));
     mix_cluster(d, merged.cluster[c]);
     mix_cleaner(d, merged.cleaner[c]);
   }
   for (const MigrationRecord& m : merged.migrations) {
-    Fnv1a& d = digest[static_cast<std::size_t>(
-        plan.shard_of_cluster(m.from_cluster))];
+    Fnv1a& d = digest[static_cast<std::size_t>(m.from_cluster)];
     d.mix(static_cast<std::uint64_t>(m.tenant));
     d.mix(static_cast<std::uint64_t>(m.from_cluster));
     d.mix(static_cast<std::uint64_t>(m.to_cluster));
@@ -293,13 +274,10 @@ ShardedHost::ShardedHost(const essd::EssdConfig& base,
   UC_ASSERT(!tenants_.empty(), "host needs at least one tenant");
   UC_ASSERT(cfg_.validate().is_ok(), "invalid placement configuration");
   planned_ = plan_placement(cfg_, tenants_);
-  plan_ = compute_shard_plan(cfg_);
-  if (cfg_.rebalancing()) {
-    slice_ = cfg_.slice > 0 ? cfg_.slice : cfg_.rebalance_interval;
-  }
+  if (cfg_.rebalancing()) slice_ = cfg_.rebalance_interval;
 
   // One shard per cluster, so shard index == cluster index throughout.
-  shards_.resize(plan_.shards());
+  shards_.resize(static_cast<std::size_t>(cfg_.clusters));
   local_of_tenant_.resize(tenants_.size());
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     auto& local = shards_[static_cast<std::size_t>(planned_[i])].tenant;
@@ -476,7 +454,7 @@ std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
     if (a != b) parent[std::max(a, b)] = std::min(a, b);
   };
   for (std::size_t r = 0; r < records_.size(); ++r) {
-    if (record_migrator_[r]->finished()) continue;
+    if (migrators_[r]->finished()) continue;
     const auto home =
         static_cast<std::size_t>(planned_[records_[r].tenant]);
     unite(home, static_cast<std::size_t>(records_[r].from_cluster));
@@ -653,18 +631,14 @@ void ShardedHost::start_fleet_migration(std::size_t tenant, int to_cluster) {
   // The done-callback runs on whichever worker advances this migration's
   // fused group; it touches only this tenant's/record's slots, which no
   // other group can reach, and the coordinator reads them at barriers only.
-  auto migrator = std::make_unique<VolumeMigrator>(
+  migrators_.push_back(std::make_unique<VolumeMigrator>(
       *shards_[home].sim, dev, src, src_vol, dst, dst_vol, cfg_.migration,
       [this, tenant, to_cluster, record] {
         fleet_cluster_of_[tenant] = to_cluster;
         fleet_migrating_[tenant] = 0;
         fleet_migrated_[tenant] = 1;
-        records_[record].stats = record_migrator_[record]->stats();
-      },
-      nullptr);
-  record_migrator_.push_back(migrator.get());
-  record_pacer_.push_back(nullptr);
-  migrators_.push_back(std::move(migrator));
+        records_[record].stats = migrators_[record]->stats();
+      }));
   reconcile_pacers();
   peak_concurrent_ = std::max(peak_concurrent_, fleet_active_migrations());
   migrators_.back()->start();
@@ -686,10 +660,11 @@ void ShardedHost::reconcile_pacers() {
   }
   std::vector<MigrationPacer*> survivor(groups.size(), nullptr);
   for (std::size_t r = 0; r < records_.size(); ++r) {
-    if (record_migrator_[r]->finished()) continue;
+    VolumeMigrator& migrator = *migrators_[r];
+    if (migrator.finished()) continue;
     const std::size_t g =
         group_of[static_cast<std::size_t>(records_[r].to_cluster)];
-    MigrationPacer* const own = record_pacer_[r];
+    MigrationPacer* const own = migrator.pacer();
     if (survivor[g] == nullptr) {
       const bool claimed =
           own != nullptr &&
@@ -705,10 +680,7 @@ void ShardedHost::reconcile_pacers() {
     } else if (own != nullptr && own != survivor[g]) {
       survivor[g]->absorb(*own);
     }
-    if (own != survivor[g]) {
-      record_pacer_[r] = survivor[g];
-      record_migrator_[r]->set_pacer(survivor[g]);
-    }
+    migrator.set_pacer(survivor[g]);
   }
 }
 

@@ -98,6 +98,9 @@ struct PlacementConfig {
   /// largest volume to the least-loaded cluster (if that strictly lowers
   /// the maximum).  <= 1 disables rebalancing.
   double rebalance_watermark = 0.0;
+  /// Time between watermark checks.  It is also the slice length of the
+  /// epoch-sliced engine: each check runs at a coordinator barrier, where
+  /// shard fusion and splitting are decided too.
   SimTime rebalance_interval = 50 * units::kMs;
 
   MigrationConfig migration;
@@ -105,16 +108,9 @@ struct PlacementConfig {
   /// the single-migration, unpaced behaviour exactly).
   MigrationBudget budget;
 
-  /// Epoch-sliced parallel execution (rebalancing fleets only): length of
-  /// one slice — the interval between coordinator barriers where the
-  /// placement policy runs and shard fusion/splitting is decided.  0 (the
-  /// default) uses `rebalance_interval`, so rebalance decisions keep the
-  /// watermark check's cadence.
-  SimTime slice = 0;
-
   /// A watermark above 1 over several clusters: volumes may move live.
   bool rebalancing() const { return clusters > 1 && rebalance_watermark > 1.0; }
-  /// Rejects a cluster count, budget, watermark, slice or migration copy
+  /// Rejects a cluster count, budget, watermark, interval or migration copy
   /// setting the engine cannot run.
   Status validate() const;
 };
@@ -174,17 +170,14 @@ struct PlacementResult {
   SliceExecStats sliced;
 };
 
-/// How a fleet splits into independently-advancing shards.  Shard `s`
-/// covers the contiguous global clusters [`first_cluster[s]`,
-/// `first_cluster[s] + clusters[s]`).  The partition depends only on the
-/// placement config — never on the thread count — so per-shard results are
-/// comparable across any `--threads` value.
+/// How a fleet splits into independently-advancing shards: shard `c` is
+/// cluster `c`.  The partition depends only on the placement config —
+/// never on the thread count — so per-shard results are comparable across
+/// any `--threads` value.
 struct ShardPlan {
-  std::vector<int> first_cluster;
-  std::vector<int> clusters;
+  int clusters = 1;
 
-  std::size_t shards() const { return first_cluster.size(); }
-  int shard_of_cluster(int c) const;
+  std::size_t shards() const { return static_cast<std::size_t>(clusters); }
 };
 
 /// The partition rule (see docs/ARCHITECTURE.md, "Threading model"):
@@ -195,30 +188,32 @@ struct ShardPlan {
 /// shards for exactly that window instead of co-sharding the whole fleet.
 ShardPlan compute_shard_plan(const PlacementConfig& cfg);
 
-/// One FNV-1a digest per shard condensing everything tenant- and
-/// cluster-observable about its run: per-tenant job stats, latency/slowdown
-/// percentiles, backlog peaks, trace summaries, final placement, and
-/// per-cluster + cleaner counters.  Computed from the *merged* result, so
-/// runs at every thread count digest through the same code — "identical at
-/// every thread count" is a vector equality.
+/// One FNV-1a digest per shard, so per cluster, condensing everything
+/// tenant- and cluster-observable about its run: per-tenant job stats,
+/// latency/slowdown percentiles, backlog peaks, trace summaries, final
+/// placement, and per-cluster + cleaner counters.  A tenant digests into
+/// its planned cluster, a migration into its source.  Computed from the
+/// *merged* result, so runs at every thread count digest through the same
+/// code — "identical at every thread count" is a vector equality.
 std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
                                          const PlacementResult& merged);
 
 /// The multi-cluster engine: K clusters, each a `tenant::SharedClusterHost`
-/// on its own `Simulator` (one shard per cluster, `compute_shard_plan`),
-/// advanced concurrently on a `sim::ParallelExecutor`.  Cluster `c` is
-/// built from `base` with `c * kClusterSeedStride` added to its seeds and
-/// the WFQ weights of the tenants planned onto it folded in attach order,
-/// so a one-cluster fleet reproduces `SharedClusterHost::run()` exactly.
+/// on its own `Simulator` (shard `c` is cluster `c`), advanced concurrently
+/// on a `sim::ParallelExecutor`.  Cluster `c` is built from `base` with
+/// `c * kClusterSeedStride` added to its seeds and the WFQ weights of the
+/// tenants planned onto it folded in attach order, so a one-cluster fleet
+/// reproduces `SharedClusterHost::run()` exactly.
 ///
 /// Every fleet runs one *epoch-sliced* schedule.  A fill epoch's barrier
 /// opens the measured window for every shard at the max drain time across
-/// shards; the window is then cut into slices; within a slice each fused
-/// shard group advances independently; at each slice barrier the
-/// coordinator reads the per-cluster busy/stall signals, runs the placement
-/// policy (at most one migration per barrier, under the `MigrationBudget`),
-/// and fuses exactly the coupled source/dest/home shards of live migrations
-/// into merged groups that advance in event-timestamp lockstep.  After
+/// shards; the window is then cut into slices of `rebalance_interval`;
+/// within a slice each fused shard group advances independently; at each
+/// slice barrier the coordinator reads the per-cluster busy/stall signals,
+/// runs the placement policy (at most one migration per barrier, under the
+/// `MigrationBudget`), and fuses exactly the coupled source/dest/home
+/// shards of live migrations into merged groups that advance in
+/// event-timestamp lockstep.  After
 /// cutover, the coupling shrinks to {home, destination} until the tenant's
 /// load drains, then the group splits back.  A fleet that cannot rebalance
 /// never fuses, so its window is one unbounded slice: two epochs in all.
@@ -235,8 +230,6 @@ class ShardedHost {
   /// groups, then a coordinator merge.
   PlacementResult run(sim::ParallelExecutor& exec);
 
-  const ShardPlan& plan() const { return plan_; }
-  std::size_t tenant_count() const { return tenants_.size(); }
   /// Cluster `c`, built whether or not a tenant was planned onto it.
   const ebs::StorageCluster& cluster(int c) const;
   void check_invariants() const;
@@ -283,7 +276,6 @@ class ShardedHost {
   PlacementConfig cfg_;
   std::vector<tenant::TenantSpec> tenants_;
   std::vector<int> planned_;  ///< global cluster per tenant (the one plan)
-  ShardPlan plan_;
   std::vector<Shard> shards_;  ///< one per cluster, indexed by cluster
   std::vector<std::size_t> local_of_tenant_;
 
@@ -296,9 +288,7 @@ class ShardedHost {
   std::vector<int> fleet_cluster_of_;          ///< current cluster per tenant
   std::vector<std::uint8_t> fleet_migrating_;  ///< mid-migration
   std::vector<std::uint8_t> fleet_migrated_;   ///< moved once (signal path)
-  std::vector<std::unique_ptr<VolumeMigrator>> migrators_;
-  std::vector<VolumeMigrator*> record_migrator_;
-  std::vector<MigrationPacer*> record_pacer_;  ///< per record; null = unpaced
+  std::vector<std::unique_ptr<VolumeMigrator>> migrators_;  ///< per record
   std::vector<std::unique_ptr<MigrationPacer>> pacers_;
   std::vector<MigrationRecord> records_;
   std::vector<SimTime> signal_at_check_;

@@ -104,13 +104,10 @@ class SharedClusterHost {
   void begin_measure(SimTime measure_start);
   HostResult collect();
 
-  std::size_t tenant_count() const { return tenants_.size(); }
-  const TenantSpec& spec(std::size_t i) const { return tenants_[i]; }
   /// The base profile with the tenants' WFQ weights folded in — what every
   /// device of this host and its solo baselines derive from.
   const essd::EssdConfig& base() const { return base_; }
   const ebs::StorageCluster& cluster() const { return *cluster_; }
-  const essd::EssdDevice& device(std::size_t i) const { return *devices_[i]; }
   /// Mutable cluster/device access for a fleet coordinator, which wires
   /// cross-cluster migrations through the hosts' own objects.
   ebs::StorageCluster& cluster_mut() { return *cluster_; }

@@ -164,7 +164,6 @@ class TraceReplayer : public LoadSource {
   const JobStats& stats() const override { return stats_; }
   bool open_loop() const override { return true; }
   std::uint64_t backlog_peak() const override { return max_inflight_; }
-  std::uint64_t max_inflight() const { return max_inflight_; }
   const std::vector<TraceEvent>& trace() const { return trace_; }
   double rate_scale() const { return opt_.rate_scale; }
 

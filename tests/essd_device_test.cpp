@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "common/units.h"
 #include "essd/essd_device.h"
@@ -50,6 +51,54 @@ TEST(EssdDevice, ConfigValidationRejectsBadSegmentGeometry) {
     EssdConfig no_chunk = base;  // the capacity check would divide by zero
     no_chunk.cluster.chunk_bytes = 0;
     EXPECT_EQ(no_chunk.validate().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(CleanerConfig, ValidateRejectsEachBadField) {
+  // Each row would otherwise reach the cleaner (or its pick thresholds)
+  // unchecked; a non-positive rate aborts in the `Cleaner` constructor.
+  struct Row {
+    const char* field;
+    void (*spoil)(ebs::CleanerConfig&);
+  };
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const Row rows[] = {
+      {"default (passes)", [](ebs::CleanerConfig&) {}},
+      {"processing_mbps (zero)",
+       [](ebs::CleanerConfig& c) { c.processing_mbps = 0.0; }},
+      {"processing_mbps (negative)",
+       [](ebs::CleanerConfig& c) { c.processing_mbps = -1.0; }},
+      {"processing_mbps (NaN)",
+       [](ebs::CleanerConfig& c) { c.processing_mbps = kNaN; }},
+      {"processing_mbps (infinite)",
+       [](ebs::CleanerConfig& c) {
+         c.processing_mbps = std::numeric_limits<double>::infinity();
+       }},
+      {"min_garbage_ratio (negative)",
+       [](ebs::CleanerConfig& c) { c.min_garbage_ratio = -0.1; }},
+      {"min_garbage_ratio (NaN)",
+       [](ebs::CleanerConfig& c) { c.min_garbage_ratio = kNaN; }},
+      {"start_free_ratio (above 1)",
+       [](ebs::CleanerConfig& c) { c.start_free_ratio = 1.5; }},
+      {"start_free_ratio (NaN)",
+       [](ebs::CleanerConfig& c) { c.start_free_ratio = kNaN; }},
+      {"desperate_free_ratio (negative)",
+       [](ebs::CleanerConfig& c) { c.desperate_free_ratio = -0.05; }},
+      {"desperate_free_ratio (NaN)",
+       [](ebs::CleanerConfig& c) { c.desperate_free_ratio = kNaN; }},
+  };
+  for (const Row& row : rows) {
+    const bool ok = &row == &rows[0];
+    ebs::CleanerConfig cleaner;
+    row.spoil(cleaner);
+    EXPECT_EQ(cleaner.validate().is_ok(), ok) << row.field;
+    EssdConfig cfg = aws_io2_profile(2 * kGiB);
+    row.spoil(cfg.cluster.cleaner);
+    const Status s = cfg.validate();
+    EXPECT_EQ(s.is_ok(), ok) << row.field;
+    if (!ok) {
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << row.field;
+    }
   }
 }
 

@@ -185,7 +185,7 @@ TEST(TraceReplayer, SlowdownDivergesOnAnOverloadedDevice) {
     replayer.start();
     sim.run();
     EXPECT_TRUE(replayer.finished());
-    *backlog = replayer.max_inflight();
+    *backlog = replayer.backlog_peak();
     return replayer.stats();
   };
   std::uint64_t calm_backlog = 0;

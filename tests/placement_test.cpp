@@ -151,54 +151,28 @@ TEST(PlacementConfig, ValidateRejectsEachBadField) {
         << row.field;
   }
 
-  // A zero interval is fine while a slice length is set, or while nothing
-  // can rebalance.
-  placement::PlacementConfig sliced;
-  sliced.clusters = 2;
-  sliced.rebalance_watermark = 1.2;
-  sliced.rebalance_interval = 0;
-  sliced.slice = 5 * kMs;
-  EXPECT_TRUE(sliced.validate().is_ok());
-  placement::PlacementConfig lone = sliced;
+  // A zero interval is fine while nothing can rebalance.
+  placement::PlacementConfig lone;
   lone.clusters = 1;
-  lone.slice = 0;
+  lone.rebalance_watermark = 1.2;
+  lone.rebalance_interval = 0;
   EXPECT_TRUE(lone.validate().is_ok());
 }
 
-TEST(ShardPlan, OneShardPerClusterWithoutRebalancing) {
-  placement::PlacementConfig cfg;
-  cfg.clusters = 4;
-  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
-  ASSERT_EQ(plan.shards(), 4u);
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_EQ(plan.first_cluster[static_cast<std::size_t>(c)], c);
-    EXPECT_EQ(plan.clusters[static_cast<std::size_t>(c)], 1);
-    EXPECT_EQ(plan.shard_of_cluster(c), c);
-  }
-}
-
-TEST(ShardPlan, RebalancingFleetStaysShardPerCluster) {
+TEST(ShardPlan, OneShardPerCluster) {
   // Live migration couples specific cluster pairs for bounded windows; the
   // epoch-sliced engine fuses exactly those shards at runtime, so the plan
-  // never co-shards the whole fleet.
-  placement::PlacementConfig cfg;
-  cfg.clusters = 4;
-  cfg.rebalance_watermark = 1.25;
-  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
-  ASSERT_EQ(plan.shards(), 4u);
-  for (int c = 0; c < 4; ++c) {
-    EXPECT_EQ(plan.first_cluster[static_cast<std::size_t>(c)], c);
-    EXPECT_EQ(plan.clusters[static_cast<std::size_t>(c)], 1);
-    EXPECT_EQ(plan.shard_of_cluster(c), c);
+  // never co-shards, rebalancing or not.
+  for (const int clusters : {1, 4}) {
+    for (const double watermark : {0.0, 1.25}) {
+      placement::PlacementConfig cfg;
+      cfg.clusters = clusters;
+      cfg.rebalance_watermark = watermark;
+      const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
+      EXPECT_EQ(plan.shards(), static_cast<std::size_t>(clusters))
+          << clusters << " clusters, watermark " << watermark;
+    }
   }
-}
-
-TEST(ShardPlan, SingleClusterIsOneShard) {
-  placement::PlacementConfig cfg;
-  cfg.clusters = 1;
-  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
-  ASSERT_EQ(plan.shards(), 1u);
-  EXPECT_EQ(plan.clusters[0], 1);
 }
 
 TEST(ShardedHost, StaticRunMatchesPinnedDigests) {

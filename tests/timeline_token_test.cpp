@@ -89,15 +89,6 @@ TEST(TokenBucket, DebtAccounting) {
               250e6, 1e5);
 }
 
-TEST(TokenBucket, RateRetarget) {
-  TokenBucket bucket(1000.0, 100.0);
-  ASSERT_TRUE(bucket.try_consume(0, 100.0));
-  bucket.set_rate_per_s(0, 100.0);
-  // Now refill is 10x slower.
-  EXPECT_FALSE(bucket.try_consume(100 * kMs, 50.0));
-  EXPECT_TRUE(bucket.try_consume(kSec, 50.0));
-}
-
 // Conservation property: over any admission pattern, admitted tokens can
 // never exceed capacity + rate * elapsed.
 class TokenConservation : public ::testing::TestWithParam<std::uint64_t> {};

@@ -424,7 +424,7 @@ TEST(TraceReplayer, OpenLoopReplaysEverything) {
   sim.run();
   EXPECT_TRUE(replayer.finished());
   EXPECT_EQ(replayer.stats().total_ops(), trace.size());
-  EXPECT_GT(replayer.max_inflight(), 0u);
+  EXPECT_GT(replayer.backlog_peak(), 0u);
   // Submissions were paced by arrival time: the span covers the trace.
   EXPECT_GE(replayer.stats().last_complete, trace.back().arrival);
 }
