@@ -1,8 +1,8 @@
 // Google-benchmark micro suite for the simulation substrate itself:
 // event-queue throughput, histogram recording, token-bucket admission, RNG
-// and zipf draws, the EBS cleaner's victim cycle, the storage-node page
-// cache, one tenant's result-state lifecycle, and end-to-end
-// simulated-IOPS per wall-second for both device families.  These bound how
+// and zipf draws, the EBS cleaner's victim cycle, one chunk-log segment
+// clean, the storage-node page cache, one tenant's result-state lifecycle,
+// and end-to-end simulated-IOPS per wall-second for both device families.  These bound how
 // large an experiment the harness can run, and guard against performance
 // regressions in the hot paths.
 //
@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -404,6 +405,84 @@ void BM_CleanerPick(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(cleaned));
 }
 BENCHMARK(BM_CleanerPick)->Arg(10)->Arg(100)->Arg(1000);
+
+// ---------------------------------------------------------------------------
+// BM_ChunkLogClean: one `ChunkLog::clean_segment` of the best victim at
+// steady state.  Arg(0) is the ESSD geometry (16,384 pages, 2,048 per
+// segment), Arg(1) the fleet geometry (1,024 pages, 256 per segment).  A
+// log starts full; before each clean, 4% of a segment's worth of random
+// overwrites refills the garbage the previous clean reclaimed, so victims
+// sit about 96% live, as on `essd_read_burst` (the `victim_live` counter
+// reports the mean).  The log is rebuilt and warmed up every 128 cleans,
+// about as many as one of that workload's chunk logs sees in a rep, so
+// the number of segments a log has ever allocated stays in that range.
+// Only the clean is timed.  Rows carry items = cleans, so events_per_sec
+// is cleans per second.
+// ---------------------------------------------------------------------------
+
+struct CleanFixture {
+  static constexpr int kCleansPerLog = 128;
+  static constexpr int kWarmupCleans = 16;
+
+  CleanFixture(std::uint32_t pages, std::uint32_t pages_per_segment)
+      : pages(pages),
+        overwrites(pages_per_segment / 25),
+        pool(4 * (pages / pages_per_segment) + 8, 0),
+        log(pages, pages_per_segment) {
+    for (std::uint32_t p = 0; p < pages; ++p) log.append_page(p, ++stamp, pool);
+  }
+
+  /// Overwrites random pages and returns the best victim's seq.
+  std::uint32_t overwrite(Rng& rng) {
+    for (std::uint32_t i = 0; i < overwrites; ++i) {
+      const auto page = static_cast<std::uint32_t>(rng.uniform_u64(pages));
+      log.append_page(page, ++stamp, pool);
+    }
+    return log.pick_victim()->seq;
+  }
+
+  std::uint32_t pages;
+  std::uint32_t overwrites;
+  ebs::SegmentPool pool;
+  ebs::ChunkLog log;
+  WriteStamp stamp = 0;
+};
+
+void BM_ChunkLogClean(benchmark::State& state) {
+  const bool essd = state.range(0) == 0;
+  state.SetLabel(essd ? "essd" : "fleet");
+  const std::uint32_t pages = essd ? 16384 : 1024;
+  const std::uint32_t pages_per_segment = essd ? 2048 : 256;
+  Rng rng(13);
+  std::unique_ptr<CleanFixture> fx;
+  std::uint64_t cleans = 0;
+  std::uint64_t relocated = 0;
+  for (auto _ : state) {
+    if (cleans % CleanFixture::kCleansPerLog == 0) {
+      fx = std::make_unique<CleanFixture>(pages, pages_per_segment);
+      for (int i = 0; i < CleanFixture::kWarmupCleans; ++i) {
+        fx->log.clean_segment(fx->overwrite(rng), fx->pool, nullptr);
+      }
+    }
+    const std::uint32_t seq = fx->overwrite(rng);
+    std::uint32_t moved = 0;
+    const auto start = std::chrono::steady_clock::now();
+    const bool ok = fx->log.clean_segment(seq, fx->pool, &moved);
+    const auto stop = std::chrono::steady_clock::now();
+    if (!ok) {
+      state.SkipWithError("segment pool ran dry");
+      break;
+    }
+    ++cleans;
+    relocated += moved;
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["victim_live"] =
+      static_cast<double>(relocated) /
+      (static_cast<double>(state.iterations()) * pages_per_segment);
+}
+BENCHMARK(BM_ChunkLogClean)->Arg(0)->Arg(1)->UseManualTime();
 
 // ---------------------------------------------------------------------------
 // BM_NodeCache: one storage node's page cache (16,384 pages, the default

@@ -398,6 +398,13 @@ def check_sim_micro(path, metrics):
     if cleaner and cleaner != {"10", "100", "1000"}:
         fail(path, "BM_CleanerPick must report 10, 100 and 1000 chunk logs "
                    f"(got {sorted(cleaner)})")
+    # The chunk-log clean rung compares the ESSD and fleet geometries, so
+    # both must be present.
+    chunk_clean = {b["name"].split("/")[1] for b in benchmarks
+                   if b["name"].startswith("BM_ChunkLogClean/")}
+    if chunk_clean and chunk_clean != {"0", "1"}:
+        fail(path, "BM_ChunkLogClean must report the ESSD (0) and fleet (1) "
+                   f"geometries (got {sorted(chunk_clean)})")
     # The node-cache rung compares the read and write-invalidate mixes, so
     # both must be present.
     node_cache = {b["name"].split("/")[1] for b in benchmarks

@@ -5,7 +5,7 @@ The trajectory (BENCH_TRAJECTORY.json at the repo root) is an append-only
 record of kernel throughput over time, so a perf regression shows up as a
 dip in a diffable artifact rather than as folklore.  Each row snapshots the
 events/sec of the BM_EventKernel*, BM_ParallelShardReplay*,
-BM_ParallelEpochBarrier*, BM_CleanerPick*, BM_NodeCache*,
+BM_ParallelEpochBarrier*, BM_CleanerPick*, BM_ChunkLogClean*, BM_NodeCache*,
 BM_TenantStatsLifecycle and BM_GenerateTrace families and the end-to-end
 BM_EssdSimulatedIops / BM_SsdSimulatedIops rows (simulated I/Os per second)
 from `bench_sim_micro --json` documents,
@@ -40,7 +40,7 @@ import sys
 SCHEMA = "uc-bench-trajectory-v1"
 TRACKED_PREFIXES = ("BM_EventKernel", "BM_ParallelShardReplay",
                     "BM_ParallelEpochBarrier", "BM_CleanerPick",
-                    "BM_NodeCache", "BM_TenantStatsLifecycle",
+                    "BM_ChunkLogClean", "BM_NodeCache", "BM_TenantStatsLifecycle",
                     "BM_GenerateTrace", "BM_EssdSimulatedIops",
                     "BM_SsdSimulatedIops", "FleetRebalanceReplay",
                     "FleetStatic")
@@ -77,8 +77,10 @@ def extract_rates(bench_doc):
     if bench == "sim_micro":
         for b in bench_doc.get("metrics", {}).get("benchmarks", []):
             # Keep bench arguments ("/4096") so depth variants stay distinct
-            # rows; drop the real_time suffix, which is presentation.
-            name = b.get("name", "").removesuffix("/real_time")
+            # rows; drop the real_time / manual_time suffix, which is
+            # presentation.
+            name = (b.get("name", "").removesuffix("/real_time")
+                    .removesuffix("/manual_time"))
             if name.startswith(TRACKED_PREFIXES):
                 rates[name] = b.get("events_per_sec")
     elif bench == "fleet":

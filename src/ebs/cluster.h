@@ -21,12 +21,12 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "common/lru_cache.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/slot_pool.h"
 #include "common/status.h"
@@ -403,7 +403,7 @@ class StorageCluster {
   std::vector<std::unique_ptr<ftl::MappingPolicy>> node_index_;
   std::vector<flash::Spa> node_index_cursor_;  ///< per-node media cursor
   WriteStamp node_index_stamp_ = 0;            ///< monotone update stamps
-  std::deque<PendingWrite> append_queue_;
+  RingQueue<PendingWrite> append_queue_;
   SlotPool<WriteIo> writes_;
   SlotPool<ReadIo> reads_;
   std::uint32_t pages_per_segment_ = 0;

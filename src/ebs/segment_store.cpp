@@ -1,6 +1,7 @@
 #include "ebs/segment_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -72,13 +73,58 @@ std::optional<std::uint32_t> VictimIndex::min_slot() const {
   return static_cast<std::uint32_t>(tree_[1]);
 }
 
+namespace {
+
+std::uint32_t popcount(std::uint64_t word) {
+  return static_cast<std::uint32_t>(std::popcount(word));
+}
+
+/// The lowest `n` set bits of `word` (which has more than `n`).
+std::uint64_t lowest_set_bits(std::uint64_t word, std::uint32_t n) {
+  std::uint64_t taken = 0;
+  for (; n > 0; --n) {
+    const std::uint64_t low = word & (~word + 1);
+    taken |= low;
+    word ^= low;
+  }
+  return taken;
+}
+
+}  // namespace
+
 ChunkLog::ChunkLog(std::uint32_t pages_in_chunk,
                    std::uint32_t pages_per_segment)
     : pages_per_segment_(pages_per_segment),
-      page_seg_(pages_in_chunk, kUnwritten),
+      words_((pages_in_chunk + 63) / 64),
+      written_(words_, 0),
       page_stamp_(pages_in_chunk, 0) {
   UC_ASSERT(pages_in_chunk > 0 && pages_per_segment > 0,
             "chunk and segment sizes must be positive");
+}
+
+void ChunkLog::grow_rows() {
+  const std::uint32_t grown = row_cap_ == 0 ? 4 : 2 * row_cap_;
+  std::vector<std::uint64_t> bits(static_cast<std::size_t>(words_) * grown, 0);
+  for (std::uint32_t w = 0; w < words_; ++w) {
+    std::copy_n(column(w), rows_used_,
+                bits.begin() + static_cast<std::ptrdiff_t>(w) * grown);
+  }
+  live_bits_ = std::move(bits);
+  row_seq_.resize(grown, kNoSeq);
+  row_cap_ = grown;
+}
+
+std::uint32_t ChunkLog::claim_row(std::uint32_t seq) {
+  std::uint32_t row;
+  if (!free_rows_.empty()) {
+    row = free_rows_.back();
+    free_rows_.pop_back();
+  } else {
+    if (rows_used_ == row_cap_) grow_rows();
+    row = rows_used_++;
+  }
+  row_seq_[row] = seq;
+  return row;
 }
 
 bool ChunkLog::ensure_open_segment(SegmentPool& pool, bool privileged) {
@@ -89,20 +135,36 @@ bool ChunkLog::ensure_open_segment(SegmentPool& pool, bool privileged) {
   }
   if (!pool.try_allocate(privileged)) return false;
   const std::int64_t closed = open_seq_;
-  open_seq_ = static_cast<std::int64_t>(segments_.size());
-  segments_.push_back(Segment{});
+  const auto seq = static_cast<std::uint32_t>(segments_.size());
+  open_seq_ = seq;
+  segments_.push_back(Segment{0, 0, claim_row(seq)});
   ++allocated_segments_;
   // The previous open segment is full: it just became a cleaning candidate.
   if (closed >= 0) offer_victim(static_cast<std::uint32_t>(closed));
   return true;
 }
 
+std::uint32_t ChunkLog::row_of(std::uint32_t page) const {
+  const std::uint64_t* col = column(page / 64);
+  const std::uint64_t bit = std::uint64_t{1} << (page % 64);
+  std::uint32_t row = 0;
+  while (row < rows_used_ && (col[row] & bit) == 0) ++row;
+  UC_ASSERT(row < rows_used_, "written page is live in no segment");
+  return row;
+}
+
+std::uint32_t ChunkLog::segment_of(std::uint32_t page) const {
+  UC_DCHECK(page < page_stamp_.size(), "page beyond chunk");
+  return is_written(page) ? row_seq_[row_of(page)] : kUnwritten;
+}
+
 void ChunkLog::account_overwrite(std::uint32_t page) {
-  const std::uint32_t old_seq = page_seg_[page];
-  if (old_seq == kUnwritten) return;
+  if (!is_written(page)) return;
+  const std::uint32_t row = row_of(page);
+  column(page / 64)[row] &= ~(std::uint64_t{1} << (page % 64));
+  const std::uint32_t old_seq = row_seq_[row];
   Segment& old_seg = segments_[old_seq];
-  UC_ASSERT(old_seg.live > 0 && !old_seg.freed,
-            "overwrite accounting against a freed segment");
+  UC_ASSERT(old_seg.live > 0, "overwrite accounting against an empty segment");
   --old_seg.live;
   --live_pages_;
   if (static_cast<std::int64_t>(old_seq) != open_seq_) offer_victim(old_seq);
@@ -122,10 +184,13 @@ void ChunkLog::offer_victim(std::uint32_t seq) {
 
 std::uint32_t ChunkLog::scan_best() const {
   std::uint32_t best = kNoSeq;
-  for (std::uint32_t seq = 0; seq < segments_.size(); ++seq) {
-    const Segment& seg = segments_[seq];
-    if (seg.freed || static_cast<std::int64_t>(seq) == open_seq_) continue;
-    if (best == kNoSeq || seg.live < segments_[best].live) best = seq;
+  for (std::uint32_t row = 0; row < rows_used_; ++row) {
+    const std::uint32_t seq = row_seq_[row];
+    if (seq == kNoSeq || static_cast<std::int64_t>(seq) == open_seq_) continue;
+    if (best == kNoSeq || segments_[seq].live < segments_[best].live ||
+        (segments_[seq].live == segments_[best].live && seq < best)) {
+      best = seq;
+    }
   }
   return best;
 }
@@ -145,7 +210,7 @@ void ChunkLog::attach_index(VictimIndex* index, std::uint32_t slot) {
 
 bool ChunkLog::append_page(std::uint32_t page, WriteStamp stamp,
                            SegmentPool& pool) {
-  UC_DCHECK(page < page_seg_.size(), "page beyond chunk");
+  UC_DCHECK(page < page_stamp_.size(), "page beyond chunk");
   if (!ensure_open_segment(pool, /*privileged=*/false)) return false;
   account_overwrite(page);
   Segment& seg = segments_[static_cast<std::size_t>(open_seq_)];
@@ -153,16 +218,18 @@ bool ChunkLog::append_page(std::uint32_t page, WriteStamp stamp,
   ++seg.live;
   ++appended_alive_pages_;
   ++live_pages_;
-  page_seg_[page] = static_cast<std::uint32_t>(open_seq_);
+  const std::uint64_t bit = std::uint64_t{1} << (page % 64);
+  column(page / 64)[seg.row] |= bit;
+  written_[page / 64] |= bit;
   UC_ASSERT(stamp < (1ull << 32), "chunk log stores 32-bit stamps");
   page_stamp_[page] = static_cast<std::uint32_t>(stamp);
   return true;
 }
 
 void ChunkLog::trim_page(std::uint32_t page) {
-  UC_DCHECK(page < page_seg_.size(), "page beyond chunk");
+  UC_DCHECK(page < page_stamp_.size(), "page beyond chunk");
   account_overwrite(page);
-  page_seg_[page] = kUnwritten;
+  written_[page / 64] &= ~(std::uint64_t{1} << (page % 64));
 }
 
 std::optional<ChunkLog::Victim> ChunkLog::pick_victim() const {
@@ -173,36 +240,65 @@ std::optional<ChunkLog::Victim> ChunkLog::pick_victim() const {
 
 bool ChunkLog::clean_segment(std::uint32_t seq, SegmentPool& pool,
                              std::uint32_t* live_moved) {
-  // Note: ensure_open_segment may grow `segments_`, so the victim must be
-  // re-addressed by index — never hold a reference across it.
-  UC_ASSERT(!segments_[seq].freed, "cleaning a freed segment");
+  // Note: ensure_open_segment may grow `segments_` and re-lay out the
+  // bitmap columns, so both are re-addressed after it — never hold a
+  // reference or column pointer across it.
+  const std::uint32_t victim = segments_[seq].row;
+  UC_ASSERT(victim != kNoRow, "cleaning a freed segment");
   UC_ASSERT(static_cast<std::int64_t>(seq) != open_seq_,
             "cleaning the open segment");
 
+  // Relocate live pages into the open log in ascending page order, a word
+  // at a time (their stamps stay put).  Each pass fills the open segment or
+  // takes the rest.  Only a pass that fills it counts bits, splitting the
+  // word where the segment fills, so segments open exactly where a
+  // page-by-page relocation would open them.
   std::uint32_t moved = 0;
-  if (segments_[seq].live > 0) {
-    // Relocate live pages into the open log, preserving their stamps.
-    for (std::uint32_t page = 0;
-         page < page_seg_.size() && segments_[seq].live > 0; ++page) {
-      if (page_seg_[page] != seq) continue;
-      if (!ensure_open_segment(pool, /*privileged=*/true)) {
-        offer_victim(seq);  // partly relocated: it lost live pages
-        return false;
-      }
-      // Move without changing global live: the page stays live.
-      --segments_[seq].live;
-      Segment& open = segments_[static_cast<std::size_t>(open_seq_)];
-      ++open.appended;
-      ++open.live;
-      ++appended_alive_pages_;
-      page_seg_[page] = static_cast<std::uint32_t>(open_seq_);
-      ++moved;
+  std::uint32_t w = 0;
+  while (segments_[seq].live > 0) {
+    if (!ensure_open_segment(pool, /*privileged=*/true)) {
+      offer_victim(seq);  // partly relocated: it lost live pages
+      return false;
     }
+    Segment& open = segments_[static_cast<std::size_t>(open_seq_)];
+    Segment& from = segments_[seq];
+    const std::uint32_t n =
+        std::min(pages_per_segment_ - open.appended, from.live);
+    if (n == from.live) {
+      for (; w < words_; ++w) {
+        std::uint64_t* col = column(w);
+        col[open.row] |= col[victim];
+        col[victim] = 0;
+      }
+    } else {
+      for (std::uint32_t need = n; need > 0;) {
+        std::uint64_t* col = column(w);
+        const std::uint32_t count = popcount(col[victim]);
+        const std::uint64_t take =
+            count <= need ? col[victim] : lowest_set_bits(col[victim], need);
+        col[open.row] |= take;
+        col[victim] &= ~take;
+        if (count <= need) {
+          need -= count;
+          ++w;
+        } else {
+          need = 0;
+        }
+      }
+    }
+    // Move without changing global live: the pages stay live.
+    from.live -= n;
+    open.appended += n;
+    open.live += n;
+    appended_alive_pages_ += n;
+    moved += n;
   }
-  UC_ASSERT(segments_[seq].live == 0,
-            "victim retained live pages after relocation");
-  appended_alive_pages_ -= segments_[seq].appended;
-  segments_[seq].freed = true;
+  Segment& seg = segments_[seq];
+  UC_ASSERT(seg.live == 0, "victim retained live pages after relocation");
+  appended_alive_pages_ -= seg.appended;
+  seg.row = kNoRow;
+  row_seq_[victim] = kNoSeq;
+  free_rows_.push_back(victim);
   --allocated_segments_;
   // Settle the best victim before the release callback can append again.
   if (seq == best_seq_) {
@@ -215,20 +311,43 @@ bool ChunkLog::clean_segment(std::uint32_t seq, SegmentPool& pool,
 }
 
 bool ChunkLog::check_invariants() const {
-  std::uint64_t live_from_pages = 0;
-  for (std::size_t page = 0; page < page_seg_.size(); ++page) {
-    const std::uint32_t seq = page_seg_[page];
-    if (seq == kUnwritten) continue;
-    UC_ASSERT(seq < segments_.size(), "page maps beyond the segment list");
-    UC_ASSERT(!segments_[seq].freed, "live page maps into a freed segment");
-    ++live_from_pages;
+  // Word by word: the rows are disjoint and together hold exactly the
+  // written pages.
+  for (std::uint32_t w = 0; w < words_; ++w) {
+    const std::uint64_t* col = column(w);
+    std::uint64_t seen = 0;
+    for (std::uint32_t row = 0; row < rows_used_; ++row) {
+      UC_ASSERT((seen & col[row]) == 0, "page live in two segments");
+      seen |= col[row];
+    }
+    UC_ASSERT(seen == written_[w], "live bitmaps diverged from written pages");
   }
+  if (const std::size_t tail = page_stamp_.size() % 64; tail != 0) {
+    UC_ASSERT(written_[words_ - 1] >> tail == 0,
+              "page written beyond the chunk");
+  }
+  std::uint64_t live_from_pages = 0;
+  for (const std::uint64_t word : written_) live_from_pages += popcount(word);
+
+  // Row by row: each claimed row is one non-freed segment, and its bitmap
+  // holds that segment's live count; free rows are empty.
   std::uint64_t live_from_segments = 0;
   std::uint64_t appended_alive = 0;
   std::uint32_t allocated = 0;
-  for (std::size_t seq = 0; seq < segments_.size(); ++seq) {
+  for (std::uint32_t row = 0; row < rows_used_; ++row) {
+    std::uint32_t live_bits = 0;
+    for (std::uint32_t w = 0; w < words_; ++w) {
+      live_bits += popcount(column(w)[row]);
+    }
+    const std::uint32_t seq = row_seq_[row];
+    if (seq == kNoSeq) {
+      UC_ASSERT(live_bits == 0, "free bitmap row holds live pages");
+      continue;
+    }
+    UC_ASSERT(seq < segments_.size() && segments_[seq].row == row,
+              "bitmap row and segment disagree");
     const Segment& seg = segments_[seq];
-    if (seg.freed) continue;
+    UC_ASSERT(seg.live == live_bits, "segment live diverged from its bitmap");
     UC_ASSERT(seg.live <= seg.appended, "segment live exceeds appended");
     UC_ASSERT(seg.appended <= pages_per_segment_, "segment overfilled");
     UC_ASSERT(static_cast<std::int64_t>(seq) == open_seq_ ||
@@ -239,7 +358,7 @@ bool ChunkLog::check_invariants() const {
     ++allocated;
   }
   UC_ASSERT(live_from_pages == live_pages_,
-            "page-table live count diverged from cached live_pages");
+            "written-page count diverged from cached live_pages");
   UC_ASSERT(live_from_segments == live_pages_,
             "segment live sum diverged from cached live_pages");
   UC_ASSERT(appended_alive == appended_alive_pages_,

@@ -12,7 +12,14 @@
 /// runs dry, appends stall until the cleaner frees segments, and the
 /// volume's sustained write rate collapses to the cleaning rate — the
 /// ESSD-1 cliff in Figure 3.
+///
+/// A chunk log keeps no per-page segment map.  Each allocated segment owns
+/// one live-page bitmap row, and the rows are stored column-major (word `w`
+/// of every row side by side), so the cleaner relocates a victim by OR-ing
+/// whole 64-page words into the open segment's row, and finding a page's
+/// segment reads one column of a few rows.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -106,8 +113,10 @@ class ChunkLog {
   bool append_page(std::uint32_t page, WriteStamp stamp, SegmentPool& pool);
 
   bool is_written(std::uint32_t page) const {
-    return page_seg_[page] != kUnwritten;
+    return ((written_[page / 64] >> (page % 64)) & 1) != 0;
   }
+  /// The seq of the segment holding the page's live version, or kUnwritten.
+  std::uint32_t segment_of(std::uint32_t page) const;
   WriteStamp page_stamp(std::uint32_t page) const {
     return page_stamp_[page];
   }
@@ -151,34 +160,59 @@ class ChunkLog {
   std::uint32_t pages_per_segment() const { return pages_per_segment_; }
 
   /// Debug probe: recomputes live/appended/allocated accounting from the
-  /// page table and per-segment records and asserts the cached counters
-  /// match, that every closed segment is full, and that the tracked best
-  /// victim (and its published index key) equals a full rescan.  Returns
-  /// true so tests can write EXPECT_TRUE(log.check_...).
+  /// live-page bitmaps and per-segment records and asserts the cached
+  /// counters match, that no page is live in two segments, that every
+  /// closed segment is full, and that the tracked best victim (and its
+  /// published index key) equals a full rescan.  Costs O(words x rows), not
+  /// O(pages).  Returns true so tests can write
+  /// EXPECT_TRUE(log.check_...).
   bool check_invariants() const;
 
  private:
   static constexpr std::uint32_t kNoSeq = ~0u;
+  static constexpr std::uint32_t kNoRow = ~0u;
 
   struct Segment {
     std::uint32_t appended = 0;
     std::uint32_t live = 0;
-    bool freed = false;
+    std::uint32_t row = kNoRow;  ///< bitmap row; kNoRow once freed
   };
 
   bool ensure_open_segment(SegmentPool& pool, bool privileged);
+  /// Takes a zeroed bitmap row for segment `seq`, growing the rows if none
+  /// is free.
+  std::uint32_t claim_row(std::uint32_t seq);
+  /// Doubles the row capacity, re-laying out every column.
+  void grow_rows();
+  /// Word `word` of every row, side by side.
+  std::uint64_t* column(std::uint32_t word) {
+    return live_bits_.data() + static_cast<std::size_t>(word) * row_cap_;
+  }
+  const std::uint64_t* column(std::uint32_t word) const {
+    return live_bits_.data() + static_cast<std::size_t>(word) * row_cap_;
+  }
+  /// The row whose bitmap holds written page `page`.
+  std::uint32_t row_of(std::uint32_t page) const;
   void account_overwrite(std::uint32_t page);
   /// Closed segment `seq` just closed or lost a live page: it becomes the
   /// best victim if it now orders first by (live, seq).
   void offer_victim(std::uint32_t seq);
-  /// Full scan for the best victim; the only O(segments) path, taken when
-  /// the best segment is freed.
+  /// Scan of the rows for the best victim; the only O(segments) path,
+  /// taken when the best segment is freed.
   std::uint32_t scan_best() const;
   void publish_best();
 
   std::uint32_t pages_per_segment_;
+  std::uint32_t words_;                ///< 64-page words per bitmap row
   std::vector<Segment> segments_;      // indexed by seq; freed slots remain
-  std::vector<std::uint32_t> page_seg_;
+  /// Live-page bitmaps, column-major: bit `p % 64` of
+  /// `live_bits_[(p / 64) * row_cap_ + row]` is page p live in that row.
+  std::vector<std::uint64_t> live_bits_;
+  std::vector<std::uint32_t> row_seq_;   ///< row -> seq; kNoSeq when free
+  std::vector<std::uint32_t> free_rows_;
+  std::uint32_t row_cap_ = 0;            ///< rows per column
+  std::uint32_t rows_used_ = 0;          ///< rows ever claimed (a prefix)
+  std::vector<std::uint64_t> written_;   ///< one bit per page
   std::vector<std::uint32_t> page_stamp_;
   std::int64_t open_seq_ = -1;
   std::uint64_t live_pages_ = 0;

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/block_device.h"
+#include "common/ring_queue.h"
 #include "common/slot_pool.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -120,6 +121,26 @@ TEST(SlotPool, ReusesReleasedSlotsLastInFirstOut) {
   EXPECT_EQ(pool[b], "b");
   EXPECT_EQ(pool.claim(), a);
   EXPECT_EQ(pool.claim(), 2u);  // free list empty: the pool grows
+}
+
+TEST(RingQueue, KeepsFifoOrderAcrossWrapAndGrowth) {
+  // Interleaved pushes and pops wrap the ring before it grows, so growth
+  // must unroll a wrapped ring in order.
+  RingQueue<std::string> q;
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 3; ++i) q.push_back(std::to_string(next_in++));
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_EQ(q.front(), std::to_string(next_out++));
+      q.pop_front();
+    }
+  }
+  while (!q.empty()) {
+    ASSERT_EQ(q.front(), std::to_string(next_out++));
+    q.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
 }
 
 TEST(BlockDevice, ValidateRequestRules) {

@@ -372,5 +372,74 @@ TEST(VictimIndex, MatchesFullScanUnderPoolPressure) {
   EXPECT_GT(failed_cleans, 0u);
 }
 
+TEST(ChunkLog, MatchesPageMapReferenceAcrossWords) {
+  // Three logs whose chunks span several 64-page bitmap words and whose
+  // segment sizes do not divide 64, so relocation must split a word where
+  // the open segment fills.  One pool with no cleaner reserve is shared,
+  // so appends stall and some cleans run dry part-way.  After every step
+  // each page's segment must equal the reference page map.
+  struct Geometry {
+    std::uint32_t pages;
+    std::uint32_t pages_per_segment;
+  };
+  const std::vector<Geometry> geometries = {{200, 48}, {130, 7}, {1000, 256}};
+  SegmentPool pool(34, 0);  // a few groups over the live data
+  std::vector<ChunkLog> logs;
+  std::vector<ReferenceLog> refs;
+  logs.reserve(geometries.size());
+  for (const Geometry& g : geometries) {
+    logs.emplace_back(g.pages, g.pages_per_segment);
+    refs.emplace_back(g.pages, g.pages_per_segment);
+  }
+  Rng rng(21);
+  std::uint64_t stalls = 0;
+  std::uint64_t cleans = 0;
+  std::uint64_t failed_cleans = 0;
+  for (int step = 0; step < 10000; ++step) {
+    const auto c = static_cast<std::uint32_t>(rng.uniform_u64(logs.size()));
+    const auto page =
+        static_cast<std::uint32_t>(rng.uniform_u64(geometries[c].pages));
+    const std::uint64_t op = rng.uniform_u64(100);
+    bool clean = op >= 85;
+    if (op < 70) {
+      if (logs[c].append_page(page, static_cast<WriteStamp>(step + 1), pool)) {
+        refs[c].append(page);
+      } else {
+        ++stalls;
+        clean = true;  // pool dry: the cleaner's turn
+      }
+    } else if (op < 85) {
+      logs[c].trim_page(page);
+      refs[c].drop(page);
+    }
+    if (const auto want = refs[c].pick_victim(); clean && want.has_value()) {
+      const std::uint64_t free_before = pool.free_groups();
+      const bool ok = logs[c].clean_segment(want->seq, pool, nullptr);
+      ASSERT_EQ(ok, refs[c].clean(want->seq, free_before)) << "step " << step;
+      ++(ok ? cleans : failed_cleans);
+    }
+    for (std::uint32_t i = 0; i < logs.size(); ++i) {
+      ASSERT_TRUE(logs[i].check_invariants());
+      for (std::uint32_t p = 0; p < geometries[i].pages; ++p) {
+        ASSERT_EQ(logs[i].segment_of(p), refs[i].page_seg[p])
+            << "step " << step << " log " << i << " page " << p;
+        ASSERT_EQ(logs[i].is_written(p),
+                  refs[i].page_seg[p] != ReferenceLog::kNone);
+      }
+      const auto mine = logs[i].pick_victim();
+      const auto ref = refs[i].pick_victim();
+      ASSERT_EQ(mine.has_value(), ref.has_value()) << "step " << step;
+      if (ref.has_value()) {
+        ASSERT_EQ(mine->seq, ref->seq) << "step " << step;
+        ASSERT_EQ(mine->live_pages, ref->live_pages) << "step " << step;
+      }
+    }
+  }
+  // The stream must actually have exercised the pressure paths.
+  EXPECT_GT(stalls, 100u);
+  EXPECT_GT(cleans, 500u);
+  EXPECT_GT(failed_cleans, 100u);
+}
+
 }  // namespace
 }  // namespace uc::ebs
