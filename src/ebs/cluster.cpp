@@ -12,6 +12,12 @@
 namespace uc::ebs {
 
 Status ClusterConfig::validate() const {
+  if (fabric.nodes < 1) {
+    return Status::invalid_argument("a cluster needs at least one node");
+  }
+  if (replication < 1 || replication > fabric.nodes) {
+    return Status::invalid_argument("replication must fit the node count");
+  }
   if (segment_bytes == 0 || segment_bytes % kLogicalPageBytes != 0) {
     return Status::invalid_argument("segment size must be a 4 KiB multiple");
   }
@@ -83,17 +89,6 @@ StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg,
   for (int n = 0; n < cfg.fabric.nodes; ++n) {
     node_append_[static_cast<std::size_t>(n)].configure(sim_, cfg.sched);
     node_read_[static_cast<std::size_t>(n)].configure(sim_, cfg.sched);
-  }
-  if (cfg.model_node_index) {
-    UC_ASSERT(cfg.node_mapping.validate().is_ok(),
-              "invalid node_mapping config");
-    UC_ASSERT(cfg.node_index_window_pages > 0,
-              "node index window must be positive");
-    node_index_cursor_.assign(static_cast<std::size_t>(cfg.fabric.nodes), 0);
-    for (int n = 0; n < cfg.fabric.nodes; ++n) {
-      node_index_.push_back(ftl::make_mapping_policy(
-          cfg.node_mapping, cfg.node_index_window_pages));
-    }
   }
   cleaner_ = std::make_unique<Cleaner>(sim_, cfg.cleaner, cfg.segment_bytes,
                                        all_logs_, log_owner_, pool_, cfg.sched);
@@ -200,14 +195,6 @@ void StorageCluster::pump_appends() {
         }
         cleaner_->notify();
         return;
-      }
-      if (!node_index_.empty()) {
-        // Every replica node records the accepted page in its own flash
-        // index (after the append, so a pool stall cannot double-count).
-        for (const int node : v.map.replicas(op.chunk)) {
-          node_index_note_write(
-              node, node_index_key(v, op.chunk, op.first_page + op.cursor));
-        }
       }
       ++op.cursor;
     }
@@ -333,7 +320,6 @@ void StorageCluster::serve_read(std::uint32_t slot, SimTime t_req) {
   const ChunkLog& log = v.logs[r.chunk];
 
   std::uint32_t miss_pages = 0;
-  std::uint32_t index_faults = 0;
   r.ready = t_req;
   for (std::uint32_t i = 0; i < r.pages; ++i) {
     const std::uint32_t page = r.first_page + i;
@@ -349,9 +335,6 @@ void StorageCluster::serve_read(std::uint32_t slot, SimTime t_req) {
       continue;
     }
     ++miss_pages;
-    // Only media-bound pages consult the node's flash index; cache hits
-    // are served from DRAM without a translation.
-    index_faults += node_index_translate(r.node, v, r.chunk, page);
   }
   if (r.pages == 0) {
     respond(slot, r.ready);
@@ -359,14 +342,13 @@ void StorageCluster::serve_read(std::uint32_t slot, SimTime t_req) {
   }
 
   // Cache-served reads still occupy the node's read pipeline briefly;
-  // misses pay the media transfer and any index faults on top.
+  // misses pay the media transfer on top.
   stats_.media_read_pages += miss_pages;
   v.stats.media_read_pages += miss_pages;
   r.miss_bytes = static_cast<std::uint64_t>(miss_pages) * kLogicalPageBytes;
   const auto svc = static_cast<SimTime>(
-                       cfg_.node_read_op_us * 1e3 +
-                       read_ns_per_byte_ * static_cast<double>(r.miss_bytes)) +
-                   node_index_penalty_ns(r.node, index_faults);
+      cfg_.node_read_op_us * 1e3 +
+      read_ns_per_byte_ * static_cast<double>(r.miss_bytes));
   const sched::SchedTag tag = r.tag;
   node_read_[static_cast<std::size_t>(r.node)].submit(
       t_req, tag, svc,
@@ -475,62 +457,9 @@ void StorageCluster::trim(VolumeId vol, ByteOffset offset,
       ++v.stats.trimmed_pages;
     }
     log.trim_page(first_page + i);
-    for (const int node : v.map.replicas(chunk)) {
-      node_index_note_trim(node, node_index_key(v, chunk, first_page + i));
-    }
   }
   invalidate_cached(v, chunk, first_page, pages);
   cleaner_->notify();
-}
-
-// ----------------------------------------------------- node flash index --
-
-void StorageCluster::node_index_note_write(int node, std::uint64_t key) {
-  if (node_index_.empty()) return;
-  auto& cursor = node_index_cursor_[static_cast<std::size_t>(node)];
-  node_index_[static_cast<std::size_t>(node)]->update(key, cursor++,
-                                                      ++node_index_stamp_);
-}
-
-void StorageCluster::node_index_note_trim(int node, std::uint64_t key) {
-  if (node_index_.empty()) return;
-  node_index_[static_cast<std::size_t>(node)]->invalidate(key,
-                                                          ++node_index_stamp_);
-}
-
-std::uint32_t StorageCluster::node_index_translate(int node, const Volume& v,
-                                                   ChunkId chunk,
-                                                   std::uint32_t page) {
-  if (node_index_.empty()) return 0;
-  return node_index_[static_cast<std::size_t>(node)]
-      ->translate(node_index_key(v, chunk, page))
-      .flash_reads;
-}
-
-SimTime StorageCluster::node_index_penalty_ns(int node, std::uint32_t faults) {
-  if (faults == 0) return 0;
-  const auto ns = static_cast<SimTime>(
-      static_cast<double>(faults) * cfg_.node_mapping.miss_penalty_us * 1e3);
-  node_index_[static_cast<std::size_t>(node)]->add_miss_penalty_ns(ns);
-  return ns;
-}
-
-ftl::MappingStats StorageCluster::node_index_stats() const {
-  ftl::MappingStats agg;
-  for (const auto& m : node_index_) {
-    const auto& s = m->stats();
-    agg.lookups += s.lookups;
-    agg.cache_hits += s.cache_hits;
-    agg.cache_misses += s.cache_misses;
-    agg.table_bytes += s.table_bytes;
-    agg.miss_penalty_ns_total += s.miss_penalty_ns_total;
-    agg.evict_writebacks += s.evict_writebacks;
-    agg.group_rmw_pages += s.group_rmw_pages;
-    agg.learned_hits += s.learned_hits;
-    agg.learned_segments += s.learned_segments;
-    agg.fallback_entries += s.fallback_entries;
-  }
-  return agg;
 }
 
 bool StorageCluster::is_written(VolumeId vol, ByteOffset offset) const {

@@ -34,7 +34,6 @@
 #include "ebs/chunk_map.h"
 #include "ebs/cleaner.h"
 #include "ebs/segment_store.h"
-#include "ftl/mapping.h"
 #include "net/fabric.h"
 #include "sched/queued_resource.h"
 #include "sched/sched.h"
@@ -91,23 +90,11 @@ struct ClusterConfig {
   /// and traffic classes.  `sched.weights` is indexed by VolumeId.
   sched::SchedulerConfig sched;
 
-  /// Node-local flash-index model.  When enabled, every storage node runs a
-  /// `ftl::MappingPolicy` over a windowed page-key space and media reads pay
-  /// `node_mapping.miss_penalty_us` per translation fault on that node's
-  /// read pipeline.  This models the *node's own* SSD indexing cost (the
-  /// ESSD data path has no device FTL of its own — the nodes do), at
-  /// accounting granularity: page keys alias into a fixed window
-  /// (`key = global_page % node_index_window_pages`) so the index footprint
-  /// is bounded per node.  Off by default; the default keeps every pinned
-  /// digest bit-identical.
-  bool model_node_index = false;
-  ftl::MappingConfig node_mapping;
-  std::uint64_t node_index_window_pages = 1ull << 20;  ///< 4 GiB per node
-
   std::uint64_t seed = 99;
 
-  /// Rejects segment/chunk geometry the chunk logs cannot carve up, an
-  /// empty node cache, an invalid `cleaner` and an invalid `sched`.
+  /// Rejects an empty fabric, a replication factor the nodes cannot hold,
+  /// segment/chunk geometry the chunk logs cannot carve up, an empty node
+  /// cache, an invalid `cleaner` and an invalid `sched`.
   Status validate() const;
 };
 
@@ -194,17 +181,6 @@ class StorageCluster {
   /// Drops the pages, leaving garbage for the cleaner.
   void trim(VolumeId vol, ByteOffset offset, std::uint32_t bytes);
 
-  // Single-volume conveniences (VolumeId 0), matching the original API.
-  void write(ByteOffset offset, std::uint32_t bytes, WriteStamp first_stamp,
-             std::function<void()> done) {
-    write(0, offset, bytes, first_stamp, std::move(done));
-  }
-  void read(ByteOffset offset, std::uint32_t bytes,
-            std::function<void()> done) {
-    read(0, offset, bytes, std::move(done));
-  }
-  void trim(ByteOffset offset, std::uint32_t bytes) { trim(0, offset, bytes); }
-
   // --- probes ---
   const ChunkMap& chunks(VolumeId vol = 0) const { return volume(vol).map; }
   const SegmentPool& pool() const { return pool_; }
@@ -219,12 +195,6 @@ class StorageCluster {
   /// Cumulative occupancy across every shared resource (subtract two
   /// snapshots to scope a measurement or rebalance window).
   ClusterBusyStats busy_stats() const;
-
-  /// True when `cfg.model_node_index` built per-node mapping policies.
-  bool models_node_index() const { return !node_index_.empty(); }
-  /// Aggregate mapping stats summed across every node's index (zeros when
-  /// the model is off).
-  ftl::MappingStats node_index_stats() const;
 
   std::uint32_t volume_count() const {
     return static_cast<std::uint32_t>(volumes_.size());
@@ -254,10 +224,6 @@ class StorageCluster {
   std::uint64_t live_pages(VolumeId vol) const;
   std::uint64_t garbage_pages(VolumeId vol) const;
 
-  bool is_written(ByteOffset offset) const { return is_written(0, offset); }
-  WriteStamp page_stamp(ByteOffset offset) const {
-    return page_stamp(0, offset);
-  }
   /// Cluster-wide totals (all volumes).
   std::uint64_t live_pages() const;
   std::uint64_t garbage_pages() const;
@@ -342,7 +308,7 @@ class StorageCluster {
   void issue_write_io(PendingWrite& op);
   void append_replica(std::uint32_t slot, int node, SimTime delivered);
   void commit_replica(std::uint32_t slot, SimTime appended);
-  // The read chain: request hop -> cache/index lookup -> node read pipeline
+  // The read chain: request hop -> cache lookup -> node read pipeline
   // (-> media) -> read-ahead and response hop.
   void serve_read(std::uint32_t slot, SimTime t_req);
   void read_media(std::uint32_t slot, SimTime piped);
@@ -354,25 +320,6 @@ class StorageCluster {
   void invalidate_cached(const Volume& v, ChunkId chunk,
                          std::uint32_t first_page, std::uint32_t pages);
 
-  // --- node flash-index model (no-ops while `node_index_` is empty) ---
-  /// Windowed page key: global-chunk-scoped page aliased into the node
-  /// index's bounded address space.
-  std::uint64_t node_index_key(const Volume& v, ChunkId chunk,
-                               std::uint32_t page) const {
-    return cache_key(v, chunk, page) % cfg_.node_index_window_pages;
-  }
-  /// Records an accepted append on `node`'s index (fresh stamp, monotone
-  /// per-node media cursor as the physical address).
-  void node_index_note_write(int node, std::uint64_t key);
-  /// Records a trim on `node`'s index with a fresh stamp.
-  void node_index_note_trim(int node, std::uint64_t key);
-  /// Consults `node`'s index for a media read of `page`; returns the number
-  /// of translation faults the lookup incurred.
-  std::uint32_t node_index_translate(int node, const Volume& v, ChunkId chunk,
-                                     std::uint32_t page);
-  /// Converts translation faults into service nanoseconds on `node`'s read
-  /// pipeline and accrues them in the node's mapping stats.
-  SimTime node_index_penalty_ns(int node, std::uint32_t faults);
   /// Node-cache keys are global-chunk scoped so colocated tenants share the
   /// cache honestly (no cross-volume key collisions).
   std::uint64_t cache_key(const Volume& v, ChunkId chunk,
@@ -399,10 +346,6 @@ class StorageCluster {
   std::vector<sched::QueuedResource> node_append_;
   std::vector<sched::QueuedResource> node_read_;
   std::vector<LruReadyCache<std::uint64_t>> node_caches_;
-  /// Per-node flash index (empty unless `cfg.model_node_index`).
-  std::vector<std::unique_ptr<ftl::MappingPolicy>> node_index_;
-  std::vector<flash::Spa> node_index_cursor_;  ///< per-node media cursor
-  WriteStamp node_index_stamp_ = 0;            ///< monotone update stamps
   RingQueue<PendingWrite> append_queue_;
   SlotPool<WriteIo> writes_;
   SlotPool<ReadIo> reads_;

@@ -15,25 +15,11 @@ Status EssdConfig::validate() const {
   if (qos.bw_bytes_per_s <= 0.0 || qos.iops <= 0.0) {
     return Status::invalid_argument("QoS budgets must be positive");
   }
-  if (cluster.replication < 1 || cluster.replication > cluster.fabric.nodes) {
-    return Status::invalid_argument("replication must fit the node count");
-  }
   if (const Status s = cluster.validate(); !s.is_ok()) {
-    return s;
-  }
-  if (const Status s = sched.validate(); !s.is_ok()) {
     return s;
   }
   if (capacity_bytes % cluster.chunk_bytes != 0) {
     return Status::invalid_argument("capacity must be a chunk multiple");
-  }
-  if (cluster.model_node_index) {
-    if (const Status s = cluster.node_mapping.validate(); !s.is_ok()) {
-      return s;
-    }
-    if (cluster.node_index_window_pages == 0) {
-      return Status::invalid_argument("node index window must be positive");
-    }
   }
   return Status::ok();
 }

@@ -17,7 +17,6 @@
 #include "common/status.h"
 #include "ebs/cluster.h"
 #include "essd/qos.h"
-#include "sched/sched.h"
 #include "sim/latency_model.h"
 
 namespace uc::essd {
@@ -39,12 +38,11 @@ struct EssdConfig {
   /// QD sweeps saturate: latency stays ~flat while IOPS ~ QD / this cost).
   double frontend_op_us = 15.0;
 
+  /// The storage cluster behind the volume.  `cluster.sched` also sets the
+  /// device-local queue discipline (QoS-gate admission order and the
+  /// block-server frontend pipe), minus its per-volume weights: a device's
+  /// queues only ever carry its own volume's traffic.
   ebs::ClusterConfig cluster;
-
-  /// Device-local queue discipline (QoS-gate admission order and the
-  /// block-server frontend pipe).  The cluster-side policy lives in
-  /// `cluster.sched`; `uc::tenant` sets both from one knob.
-  sched::SchedulerConfig sched;
 
   /// Published ceilings for DeviceInfo / Table I.
   double guaranteed_bw_gbs = 0.0;

@@ -4,6 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "sched/sched.h"
+
 namespace uc::essd {
 
 EssdDevice::EssdDevice(sim::Simulator& sim, const EssdConfig& cfg)
@@ -27,8 +29,12 @@ EssdDevice::EssdDevice(sim::Simulator& sim, const EssdConfig& cfg,
   info_.logical_block_bytes = kLogicalPageBytes;
   info_.guaranteed_bw_gbs = cfg_.guaranteed_bw_gbs;
   info_.guaranteed_iops = cfg_.guaranteed_iops;
-  qos_ = std::make_unique<QosGate>(sim_, cfg_.qos, cfg_.sched);
-  frontend_pipe_.configure(sim_, cfg_.sched);
+  // The device-local queues follow the cluster's policy.  They only ever
+  // carry this volume's tags, so the cluster's per-volume weights are moot.
+  sched::SchedulerConfig local_sched = cfg_.cluster.sched;
+  local_sched.weights.clear();
+  qos_ = std::make_unique<QosGate>(sim_, cfg_.qos, local_sched);
+  frontend_pipe_.configure(sim_, local_sched);
   if (shared == nullptr) {
     owned_cluster_ = std::make_unique<ebs::StorageCluster>(sim_, cfg_.cluster,
                                                            cfg_.capacity_bytes);

@@ -38,9 +38,6 @@ Status MappingConfig::validate() const {
     return Status::invalid_argument(
         "learned-range needs runs of at least 2 pages");
   }
-  if (miss_penalty_us < 0.0) {
-    return Status::invalid_argument("miss penalty cannot be negative");
-  }
   return Status::ok();
 }
 

@@ -60,10 +60,6 @@ struct MappingConfig {
   /// learned segment.
   std::uint32_t min_run_pages = 8;
 
-  /// Per-miss penalty for consumers without a flash layer underneath
-  /// (the ESSD node-index model); the FTL charges real NAND reads instead.
-  double miss_penalty_us = 25.0;
-
   Status validate() const;
 };
 
@@ -149,8 +145,8 @@ class MappingPolicy {
     return stats_;
   }
 
-  /// The layer that charges misses (FTL via NAND, cluster via its service
-  /// model) reports the latency it added here.
+  /// The FTL, which charges misses as NAND reads, reports the latency it
+  /// added here.
   void add_miss_penalty_ns(SimTime ns) { stats_.miss_penalty_ns_total += ns; }
 
  protected:

@@ -231,13 +231,10 @@ Built build(Scenario s, const ScenarioOptions& opt) {
 
 ScenarioSetup build_scenario(Scenario s, const ScenarioOptions& opt) {
   ScenarioSetup b = build(s, opt);
-  // One knob steers every queue: the shared cluster resources and each
-  // device's own gate/frontend.  Per-tenant weights come from the specs
-  // (the host folds them into cluster.sched by VolumeId).
+  // One knob steers every queue: `cluster.sched` drives the shared cluster
+  // resources and each device's own gate/frontend.  Per-tenant weights come
+  // from the specs (the host folds them into cluster.sched by VolumeId).
   b.base.cluster.sched = opt.sched;
-  b.base.sched = opt.sched;
-  b.base.cluster.model_node_index = opt.model_node_index;
-  b.base.cluster.node_mapping = opt.node_mapping;
   for (std::size_t i = 0; i < opt.weights.size() && i < b.tenants.size(); ++i) {
     b.tenants[i].weight = opt.weights[i];
   }

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "essd/essd_config.h"
-#include "ftl/mapping.h"
 #include "sched/sched.h"
 #include "tenant/tenant.h"
 
@@ -72,13 +71,6 @@ struct ScenarioOptions {
   double rate_scale = 1.0;
   /// Optional per-tenant cap on replayed events (0 = whole trace).
   std::uint64_t replay_events = 0;
-
-  /// Node-local flash-index model on the shared cluster: each storage node
-  /// runs a `ftl::MappingPolicy` (`node_mapping.kind`) and media reads pay
-  /// per-fault translation penalties.  Off by default — the pinned
-  /// scenario digests assume no node index.
-  bool model_node_index = false;
-  ftl::MappingConfig node_mapping;
 
   /// Worker threads for the parallel engine (`sim::ParallelExecutor`):
   /// > 1 advances the `placement::ShardedHost` shards concurrently and fans

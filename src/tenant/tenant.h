@@ -78,7 +78,7 @@ struct HostResult {
 /// every tenant's load concurrently on the host's simulator.  Frontend and
 /// cluster latency parameters come from `base`; capacity, QoS, and workload
 /// come from each `TenantSpec`.  The scheduling policy knob is
-/// `base.cluster.sched` (+ `base.sched` for the device-local queues); the
+/// `base.cluster.sched`, which also sets each device's local queues; the
 /// host overwrites `cluster.sched.weights` with the tenants' weights in
 /// attach order.
 class SharedClusterHost {

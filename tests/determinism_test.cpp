@@ -82,7 +82,6 @@ tenant::HostResult run_three_tenants(
   using namespace units;
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 192 * kMiB;
-  base.sched.policy = policy;
   base.cluster.sched.policy = policy;
   std::vector<tenant::TenantSpec> tenants(3);
   for (int i = 0; i < 3; ++i) {

@@ -56,7 +56,7 @@ struct Harness {
     SimTime t1 = 0;
     const WriteStamp first = stamp + 1;
     stamp += bytes / kLogicalPageBytes;
-    cluster.write(off, bytes, first, [&] {
+    cluster.write(0, off, bytes, first, [&] {
       done = true;
       t1 = sim.now();
     });
@@ -68,7 +68,7 @@ struct Harness {
     bool done = false;
     const SimTime t0 = sim.now();
     SimTime t1 = 0;
-    cluster.read(off, bytes, [&] {
+    cluster.read(0, off, bytes, [&] {
       done = true;
       t1 = sim.now();
     });
@@ -81,11 +81,11 @@ struct Harness {
 TEST(StorageCluster, WriteRecordsStampsPerPage) {
   Harness h(test_config());
   h.write(0, 16384);  // pages 0-3, stamps 1-4
-  EXPECT_TRUE(h.cluster.is_written(0));
-  EXPECT_TRUE(h.cluster.is_written(12288));
-  EXPECT_FALSE(h.cluster.is_written(16384));
-  EXPECT_EQ(h.cluster.page_stamp(0), 1u);
-  EXPECT_EQ(h.cluster.page_stamp(12288), 4u);
+  EXPECT_TRUE(h.cluster.is_written(0, 0));
+  EXPECT_TRUE(h.cluster.is_written(0, 12288));
+  EXPECT_FALSE(h.cluster.is_written(0, 16384));
+  EXPECT_EQ(h.cluster.page_stamp(0, 0), 1u);
+  EXPECT_EQ(h.cluster.page_stamp(0, 12288), 4u);
   EXPECT_EQ(h.cluster.stats().written_pages, 4u);
 }
 
@@ -93,7 +93,7 @@ TEST(StorageCluster, OverwriteKeepsLatestStamp) {
   Harness h(test_config());
   h.write(4096, 4096);
   h.write(4096, 4096);
-  EXPECT_EQ(h.cluster.page_stamp(4096), 2u);
+  EXPECT_EQ(h.cluster.page_stamp(0, 4096), 2u);
   EXPECT_EQ(h.cluster.live_pages(), 1u);
   EXPECT_EQ(h.cluster.garbage_pages(), 1u);
 }
@@ -169,10 +169,10 @@ TEST(StorageCluster, OnlyPrimaryReplicasCacheChunkPages) {
         mix(sim.now() * 31 + static_cast<std::uint64_t>(k));
       };
       if (dice >= 0.25 && dice < 0.6) {
-        cluster.write(off, bytes, stamp + 1, done);
+        cluster.write(0, off, bytes, stamp + 1, done);
         stamp += pages;
       } else {
-        cluster.read(off, bytes, done);
+        cluster.read(0, off, bytes, done);
       }
     }
     sim.run();
@@ -229,9 +229,9 @@ TEST(StorageCluster, TrimDropsPagesAndInvalidatesCaches) {
   Harness h(test_config());
   h.write(0, 8192);
   h.read(0, 8192);
-  h.cluster.trim(0, 8192);
-  EXPECT_FALSE(h.cluster.is_written(0));
-  EXPECT_FALSE(h.cluster.is_written(4096));
+  h.cluster.trim(0, 0, 8192);
+  EXPECT_FALSE(h.cluster.is_written(0, 0));
+  EXPECT_FALSE(h.cluster.is_written(0, 4096));
   EXPECT_EQ(h.cluster.live_pages(), 0u);
   // A later read is served as zeros, not from a stale cache.
   h.read(0, 4096);
@@ -255,7 +255,7 @@ TEST(StorageCluster, PoolExhaustionStallsUntilCleanerFrees) {
     const ByteOffset off =
         rng.uniform_u64(8 * kMiB / kLogicalPageBytes) * kLogicalPageBytes;
     h.stamp += 1;
-    h.cluster.write(off, 4096, h.stamp, [&] { ++completed; });
+    h.cluster.write(0, off, 4096, h.stamp, [&] { ++completed; });
   }
   h.sim.run();
   ASSERT_EQ(completed, 3000);
@@ -288,13 +288,13 @@ TEST(StorageCluster, StalledWriteDropsCachedPageBeforeItLands) {
   for (std::uint32_t i = 0; i < 160; ++i) {
     const ByteOffset off = 4 * kMiB + (i % 64) * ByteOffset{kBlock};
     h.stamp += kBlock / kLogicalPageBytes;
-    h.cluster.write(off, kBlock, h.stamp, [&] { ++completed; });
+    h.cluster.write(0, off, kBlock, h.stamp, [&] { ++completed; });
   }
   ASSERT_EQ(h.cluster.stats().stalled_writes, 0u);
 
   bool landed = false;
   h.stamp += 1;
-  h.cluster.write(0, 4096, h.stamp, [&] { landed = true; });
+  h.cluster.write(0, 0, 4096, h.stamp, [&] { landed = true; });
   ASSERT_EQ(h.cluster.stats().stalled_writes, 1u);
 
   // While the overwrite of page 0 is stalled, a read of page 0 must miss
@@ -303,7 +303,7 @@ TEST(StorageCluster, StalledWriteDropsCachedPageBeforeItLands) {
   // ~210 ms to clean.)
   const auto media = h.cluster.stats().media_read_pages;
   bool read_done = false;
-  h.cluster.read(0, 4096, [&] { read_done = true; });
+  h.cluster.read(0, 0, 4096, [&] { read_done = true; });
   h.sim.run_until(h.sim.now() + 50 * kMs);
   ASSERT_TRUE(read_done);
   EXPECT_FALSE(landed);
@@ -334,73 +334,13 @@ TEST(StorageCluster, StampsSurviveCleaning) {
   }
   for (std::uint64_t page = 0; page < shadow.size(); ++page) {
     if (shadow[page] == 0) {
-      EXPECT_FALSE(h.cluster.is_written(page * kLogicalPageBytes));
+      EXPECT_FALSE(h.cluster.is_written(0, page * kLogicalPageBytes));
     } else {
-      ASSERT_TRUE(h.cluster.is_written(page * kLogicalPageBytes));
-      EXPECT_EQ(h.cluster.page_stamp(page * kLogicalPageBytes), shadow[page])
+      ASSERT_TRUE(h.cluster.is_written(0, page * kLogicalPageBytes));
+      EXPECT_EQ(h.cluster.page_stamp(0, page * kLogicalPageBytes), shadow[page])
           << "page " << page;
     }
   }
-}
-
-TEST(StorageCluster, NodeIndexModelIsOffByDefault) {
-  Harness h(test_config());
-  h.write(0, 64 * 1024);
-  h.read(0, 64 * 1024);
-  EXPECT_FALSE(h.cluster.models_node_index());
-  const auto s = h.cluster.node_index_stats();
-  EXPECT_EQ(s.lookups, 0u);
-  EXPECT_EQ(s.table_bytes, 0u);
-}
-
-TEST(StorageCluster, NodeIndexChargesFaultPenaltyOnMediaReads) {
-  // Two identical clusters, one with a deliberately thrashing demand-paged
-  // node index: every media read must consult the index, faults must show
-  // up in the aggregate stats, and the fault penalty must make the indexed
-  // cluster's reads strictly slower.
-  auto cfg = test_config();
-  cfg.node_cache_pages = 1;  // nearly everything goes to media
-  auto idx = cfg;
-  idx.model_node_index = true;
-  idx.node_mapping.kind = ftl::MappingKind::kDftl;
-  idx.node_mapping.cmt_capacity_pages = 1;
-  idx.node_mapping.translation_page_bytes = 64;  // 8 entries/tp: constant miss
-  idx.node_mapping.miss_penalty_us = 50.0;
-
-  Harness plain(cfg);
-  Harness faulty(idx);
-  for (int i = 0; i < 8; ++i) {
-    plain.write(static_cast<ByteOffset>(i) * 64 * 1024, 64 * 1024);
-    faulty.write(static_cast<ByteOffset>(i) * 64 * 1024, 64 * 1024);
-  }
-  SimTime plain_total = 0;
-  SimTime faulty_total = 0;
-  for (int i = 7; i >= 0; --i) {
-    plain_total += plain.read(static_cast<ByteOffset>(i) * 64 * 1024, 64 * 1024);
-    faulty_total += faulty.read(static_cast<ByteOffset>(i) * 64 * 1024, 64 * 1024);
-  }
-  EXPECT_TRUE(faulty.cluster.models_node_index());
-  const auto s = faulty.cluster.node_index_stats();
-  EXPECT_EQ(s.lookups, s.cache_hits + s.cache_misses);
-  EXPECT_GT(s.cache_misses, 0u);
-  EXPECT_GT(s.table_bytes, 0u);
-  EXPECT_GT(s.miss_penalty_ns_total, 0u);
-  EXPECT_GT(faulty_total, plain_total);
-}
-
-TEST(StorageCluster, NodeIndexTrimInvalidatesWithFreshStamps) {
-  auto cfg = test_config();
-  cfg.model_node_index = true;
-  cfg.node_mapping.kind = ftl::MappingKind::kPage;
-  Harness h(cfg);
-  h.write(0, 256 * 1024);
-  const auto before = h.cluster.node_index_stats();
-  h.cluster.trim(0, 256 * 1024);
-  h.sim.run();
-  const auto after = h.cluster.node_index_stats();
-  // Every replica of every trimmed page records an invalidation lookup.
-  EXPECT_GT(after.lookups, before.lookups);
-  EXPECT_EQ(after.lookups, after.cache_hits + after.cache_misses);
 }
 
 }  // namespace

@@ -102,6 +102,73 @@ TEST(CleanerConfig, ValidateRejectsEachBadField) {
   }
 }
 
+TEST(ClusterConfig, ValidateRejectsEachBadField) {
+  // Every row runs through the cluster's own validator and through the
+  // device's, which must agree.  A config the validator accepts must then
+  // build a cluster and attach a volume without aborting: an empty fabric
+  // used to abort in the `Fabric` constructor and a replication factor
+  // above the node count in `ChunkMap`, both after validating.
+  struct Row {
+    const char* field;
+    void (*spoil)(ebs::ClusterConfig&);
+    bool ok;
+  };
+  const Row rows[] = {
+      {"default (passes)", [](ebs::ClusterConfig&) {}, true},
+      {"replication == nodes (passes)",
+       [](ebs::ClusterConfig& c) {
+         c.fabric.nodes = 3;
+         c.replication = 3;
+       },
+       true},
+      {"one node, one replica (passes)",
+       [](ebs::ClusterConfig& c) {
+         c.fabric.nodes = 1;
+         c.replication = 1;
+       },
+       true},
+      {"fabric.nodes (zero)",
+       [](ebs::ClusterConfig& c) { c.fabric.nodes = 0; }, false},
+      {"fabric.nodes (negative)",
+       [](ebs::ClusterConfig& c) { c.fabric.nodes = -1; }, false},
+      {"replication (above nodes)",
+       [](ebs::ClusterConfig& c) {
+         c.fabric.nodes = 2;
+         c.replication = 3;
+       },
+       false},
+      {"replication (zero)", [](ebs::ClusterConfig& c) { c.replication = 0; },
+       false},
+      {"segment_bytes (zero)",
+       [](ebs::ClusterConfig& c) { c.segment_bytes = 0; }, false},
+      {"segment_bytes (not 4 KiB aligned)",
+       [](ebs::ClusterConfig& c) { c.segment_bytes = kMiB + 512; }, false},
+      {"chunk_bytes (zero)", [](ebs::ClusterConfig& c) { c.chunk_bytes = 0; },
+       false},
+      {"chunk_bytes (not a segment multiple)",
+       [](ebs::ClusterConfig& c) { c.segment_bytes = 3 * kMiB; }, false},
+      {"node_cache_pages (zero)",
+       [](ebs::ClusterConfig& c) { c.node_cache_pages = 0; }, false},
+  };
+  for (const Row& row : rows) {
+    ebs::ClusterConfig cluster;
+    row.spoil(cluster);
+    const Status s = cluster.validate();
+    EXPECT_EQ(s.is_ok(), row.ok) << row.field;
+    if (!s.is_ok()) {
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << row.field;
+    }
+    EssdConfig device = aws_io2_profile(2 * kGiB);
+    row.spoil(device.cluster);
+    EXPECT_EQ(device.validate().is_ok(), row.ok) << row.field;
+    if (s.is_ok()) {
+      sim::Simulator sim;
+      ebs::StorageCluster built(sim, cluster);
+      EXPECT_EQ(built.attach_volume(64 * kMiB), 0u) << row.field;
+    }
+  }
+}
+
 TEST(EssdDevice, WriteReadRoundTrip) {
   sim::Simulator sim;
   EssdDevice dev(sim, alibaba_pl3_profile(1 * kGiB));
@@ -113,8 +180,8 @@ TEST(EssdDevice, WriteReadRoundTrip) {
              });
   sim.run();
   ASSERT_TRUE(wrote);
-  EXPECT_TRUE(dev.cluster().is_written(0));
-  EXPECT_TRUE(dev.cluster().is_written(61440));
+  EXPECT_TRUE(dev.cluster().is_written(0, 0));
+  EXPECT_TRUE(dev.cluster().is_written(0, 61440));
 
   bool read_done = false;
   dev.submit(IoRequest{2, IoOp::kRead, 0, 65536},
@@ -135,8 +202,8 @@ TEST(EssdDevice, IoSpanningChunksCompletesOnce) {
              [&](const IoResult&) { ++completions; });
   sim.run();
   EXPECT_EQ(completions, 1);
-  EXPECT_TRUE(dev.cluster().is_written(boundary - 4096));
-  EXPECT_TRUE(dev.cluster().is_written(boundary));
+  EXPECT_TRUE(dev.cluster().is_written(0, boundary - 4096));
+  EXPECT_TRUE(dev.cluster().is_written(0, boundary));
 }
 
 TEST(EssdDevice, TrimAndFlushComplete) {
@@ -152,7 +219,7 @@ TEST(EssdDevice, TrimAndFlushComplete) {
              [&](const IoResult&) { trimmed = true; });
   sim.run();
   EXPECT_TRUE(trimmed);
-  EXPECT_FALSE(dev.cluster().is_written(0));
+  EXPECT_FALSE(dev.cluster().is_written(0, 0));
   bool flushed = false;
   dev.submit(IoRequest{3, IoOp::kFlush, 0, 0},
              [&](const IoResult&) { flushed = true; });

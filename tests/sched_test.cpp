@@ -73,7 +73,7 @@ TEST(SchedulerConfig, ValidateRejectsEachBadField) {
     cluster.sched = cfg;
     EXPECT_EQ(cluster.validate().to_string(), s.to_string()) << row.name;
     essd::EssdConfig device = essd::aws_io2_profile(64 * kMiB);
-    device.sched = cfg;
+    device.cluster.sched = cfg;
     EXPECT_EQ(device.validate().to_string(), s.to_string()) << row.name;
   }
 }
@@ -309,7 +309,6 @@ TEST(SchedulingPolicies, WfqWeightsSkewThroughputShares) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 512 * kMiB;  // no GC interference
   base.cluster.sched.policy = sched::Policy::kWfq;
-  base.sched.policy = sched::Policy::kWfq;
   std::vector<tenant::TenantSpec> tenants(2);
   for (int i = 0; i < 2; ++i) {
     tenants[static_cast<std::size_t>(i)].name = i == 0 ? "heavy" : "light";

@@ -120,11 +120,10 @@ TEST(SharedCluster, LegacySingleVolumePathIsVolumeZero) {
   EXPECT_EQ(cluster.volume_count(), 1u);
   EXPECT_EQ(cluster.volume_bytes(0), 16 * kMiB);
   bool done = false;
-  cluster.write(0, 4096, 1, [&] { done = true; });
+  cluster.write(0, 0, 4096, 1, [&] { done = true; });
   sim.run();
   EXPECT_TRUE(done);
-  EXPECT_TRUE(cluster.is_written(0));        // legacy accessor
-  EXPECT_TRUE(cluster.is_written(0, 0));     // volume-qualified accessor
+  EXPECT_TRUE(cluster.is_written(0, 0));
   EXPECT_TRUE(cluster.check_invariants());
 }
 
