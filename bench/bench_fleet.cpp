@@ -150,26 +150,22 @@ int main(int argc, char** argv) {
   spec.diurnal_period = spec.duration / 2;
   int threads = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--clusters") == 0 && i + 1 < argc) {
-      spec.clusters = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tenants") == 0 && i + 1 < argc) {
-      spec.tenants = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      spec.seed = std::strtoull(argv[i + 1], nullptr, 10);
-      ++i;
-    } else if (std::strcmp(argv[i], "--mean-iops") == 0 && i + 1 < argc) {
-      spec.mean_iops = std::strtod(argv[i + 1], nullptr);
-      ++i;
-    } else if (std::strcmp(argv[i], "--max-iops") == 0 && i + 1 < argc) {
-      spec.max_tenant_iops = std::strtod(argv[i + 1], nullptr);
-      ++i;
+    if (std::strcmp(argv[i], "--clusters") == 0) {
+      spec.clusters = std::atoi(bench::flag_value(argc, argv, i));
+    } else if (std::strcmp(argv[i], "--tenants") == 0) {
+      spec.tenants = std::atoi(bench::flag_value(argc, argv, i));
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      threads = bench::threads_value(argc, argv, i);
+    } else if (std::strcmp(argv[i], "--seed") == 0) {
+      spec.seed = std::strtoull(bench::flag_value(argc, argv, i), nullptr, 10);
+    } else if (std::strcmp(argv[i], "--mean-iops") == 0) {
+      spec.mean_iops = std::strtod(bench::flag_value(argc, argv, i), nullptr);
+    } else if (std::strcmp(argv[i], "--max-iops") == 0) {
+      spec.max_tenant_iops =
+          std::strtod(bench::flag_value(argc, argv, i), nullptr);
+    } else {
+      bench::skip_scale_flag_or_die(argc, argv, i);
     }
-  }
-  if (threads < 1) {
-    std::fprintf(stderr, "error: --threads wants a positive count\n");
-    return 2;
   }
   if (const Status valid = spec.validate(); !valid.is_ok()) {
     std::fprintf(stderr, "error: invalid fleet spec: %s\n",

@@ -301,59 +301,52 @@ int main(int argc, char** argv) {
   std::vector<std::string> trace_paths;
   double rate_scale = 1.0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--trace") == 0) {
       // Repeatable: the k-th --trace feeds tenant k of each replay
       // scenario (missing tenants fall back to their synthetic role
       // traces).
-      trace_paths.emplace_back(argv[i + 1]);
-      ++i;
+      trace_paths.emplace_back(bench::flag_value(argc, argv, i));
     } else if (std::strcmp(argv[i], "--trace-gen") == 0) {
       trace_gen = true;
-    } else if (std::strcmp(argv[i], "--rate-scale") == 0 && i + 1 < argc) {
-      rate_scale = std::strtod(argv[i + 1], nullptr);
+    } else if (std::strcmp(argv[i], "--rate-scale") == 0) {
+      rate_scale = std::strtod(bench::flag_value(argc, argv, i), nullptr);
       if (rate_scale <= 0.0) {
         std::fprintf(stderr, "error: --rate-scale wants a positive factor\n");
         return 2;
       }
-      ++i;
-    } else if (std::strcmp(argv[i], "--clusters") == 0 && i + 1 < argc) {
-      clusters = std::atoi(argv[i + 1]);
+    } else if (std::strcmp(argv[i], "--clusters") == 0) {
+      clusters = std::atoi(bench::flag_value(argc, argv, i));
       if (clusters < 1) {
         std::fprintf(stderr, "error: --clusters wants a positive count\n");
         return 2;
       }
-      ++i;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[i + 1]);
-      if (threads < 1) {
-        std::fprintf(stderr, "error: --threads wants a positive count\n");
-        return 2;
-      }
-      ++i;
-    } else if (std::strcmp(argv[i], "--placement") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      threads = bench::threads_value(argc, argv, i);
+    } else if (std::strcmp(argv[i], "--placement") == 0) {
+      const char* name = bench::flag_value(argc, argv, i);
       placement::Policy p;
-      if (!placement::parse_policy(argv[i + 1], &p)) {
+      if (!placement::parse_policy(name, &p)) {
         std::fprintf(stderr,
                      "error: unknown placement '%s' (spread|pack|"
                      "least-loaded|least-weight|least-interference)\n",
-                     argv[i + 1]);
+                     name);
         return 2;
       }
       placements.push_back(p);
-      ++i;
-    } else if (std::strcmp(argv[i], "--sched") == 0 && i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--sched") == 0) {
+      const char* name = bench::flag_value(argc, argv, i);
       sched::Policy p;
-      if (!sched::parse_policy(argv[i + 1], &p)) {
+      if (!sched::parse_policy(name, &p)) {
         std::fprintf(stderr, "error: unknown policy '%s' (fifo|wfq|prio)\n",
-                     argv[i + 1]);
+                     name);
         return 2;
       }
       want_wfq = p == sched::Policy::kWfq;
       want_prio = p == sched::Policy::kPrio;
       sched_given = true;
-      ++i;
-    } else if (std::strcmp(argv[i], "--weights") == 0 && i + 1 < argc) {
-      const char* s = argv[i + 1];
+    } else if (std::strcmp(argv[i], "--weights") == 0) {
+      const char* list = bench::flag_value(argc, argv, i);
+      const char* s = list;
       for (;;) {
         char* end = nullptr;
         const double w = std::strtod(s, &end);
@@ -361,14 +354,15 @@ int main(int argc, char** argv) {
           std::fprintf(stderr,
                        "error: --weights wants positive numbers like 2,1,1 "
                        "(got '%s')\n",
-                       argv[i + 1]);
+                       list);
           return 2;
         }
         weights.push_back(w);
         if (*end == '\0') break;
         s = end + 1;
       }
-      ++i;
+    } else {
+      bench::skip_scale_flag_or_die(argc, argv, i);
     }
   }
 

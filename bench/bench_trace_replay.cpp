@@ -132,30 +132,27 @@ int main(int argc, char** argv) {
   int clusters = 1;
   int threads = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--events") == 0 && i + 1 < argc) {
-      want_events = std::strtoull(argv[i + 1], nullptr, 10);
-      ++i;
-    } else if (std::strcmp(argv[i], "--rate-scale") == 0 && i + 1 < argc) {
-      rate_scale = std::strtod(argv[i + 1], nullptr);
+    if (std::strcmp(argv[i], "--trace") == 0) {
+      trace_path = bench::flag_value(argc, argv, i);
+    } else if (std::strcmp(argv[i], "--events") == 0) {
+      want_events =
+          std::strtoull(bench::flag_value(argc, argv, i), nullptr, 10);
+    } else if (std::strcmp(argv[i], "--rate-scale") == 0) {
+      rate_scale = std::strtod(bench::flag_value(argc, argv, i), nullptr);
       if (rate_scale <= 0.0) {
         std::fprintf(stderr, "error: --rate-scale wants a positive factor\n");
         return 2;
       }
-      ++i;
-    } else if (std::strcmp(argv[i], "--clusters") == 0 && i + 1 < argc) {
-      clusters = std::atoi(argv[++i]);
+    } else if (std::strcmp(argv[i], "--clusters") == 0) {
+      clusters = std::atoi(bench::flag_value(argc, argv, i));
       if (clusters < 1) {
         std::fprintf(stderr, "error: --clusters wants a positive count\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-      if (threads < 1) {
-        std::fprintf(stderr, "error: --threads wants a positive count\n");
-        return 2;
-      }
+    } else if (std::strcmp(argv[i], "--threads") == 0) {
+      threads = bench::threads_value(argc, argv, i);
+    } else {
+      bench::skip_scale_flag_or_die(argc, argv, i);
     }
   }
 

@@ -28,6 +28,7 @@
 #include "common/units.h"
 #include "contract/suite.h"
 #include "essd/essd_device.h"
+#include "sim/parallel.h"
 #include "ssd/ssd_device.h"
 
 namespace uc::bench {
@@ -68,6 +69,48 @@ inline Scale parse_scale(int argc, char** argv, bool supports_json = false) {
     s.essd_capacity = 16ull << 30;
   }
   return s;
+}
+
+// Strict flag parsing for benches with flags of their own: the main loop
+// reads each value through `flag_value` and hands every argument it does
+// not define to `skip_scale_flag_or_die`, so a typo exits 2 instead of
+// silently running the default study.
+
+/// The value of the flag at `argv[i]`, advancing `i` past it; exits 2
+/// naming the flag when the value is missing.
+inline const char* flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    std::fprintf(stderr, "error: %s requires a value\n", argv[i]);
+    std::exit(2);
+  }
+  return argv[++i];
+}
+
+/// Steps over `--quick`, `--full` and `--json <path>` (already read by
+/// `parse_scale`); exits 2 naming any other argument.
+inline void skip_scale_flag_or_die(int argc, char** argv, int& i) {
+  if (std::strcmp(argv[i], "--quick") == 0 ||
+      std::strcmp(argv[i], "--full") == 0) {
+    return;
+  }
+  if (std::strcmp(argv[i], "--json") == 0) {
+    flag_value(argc, argv, i);
+    return;
+  }
+  std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+  std::exit(2);
+}
+
+/// The `--threads` value at `argv[i]` (see `flag_value`); exits 2 unless
+/// it lies in [1, sim::ParallelExecutor::kMaxThreads].
+inline int threads_value(int argc, char** argv, int& i) {
+  const int threads = std::atoi(flag_value(argc, argv, i));
+  if (threads < 1 || threads > sim::ParallelExecutor::kMaxThreads) {
+    std::fprintf(stderr, "error: --threads wants a count in [1, %d]\n",
+                 sim::ParallelExecutor::kMaxThreads);
+    std::exit(2);
+  }
+  return threads;
 }
 
 // ---------------------------------------------------------------- JSON --

@@ -17,7 +17,7 @@
 ///
 /// Determinism contract: a `FleetSpec` fully determines the generated
 /// population (same seed ⇒ identical tenants), and a generated fleet runs
-/// thread-count-invariant — `shard_digests` over the merged result are
+/// thread-count-invariant — `shard_digests` over the fleet result are
 /// identical at any `--threads` value (asserted in tests/fleet_test.cpp
 /// and CI).
 
@@ -151,7 +151,7 @@ struct FleetReport {
   int peak_concurrent_migrations = 0;
   std::uint64_t migration_bytes_copied = 0;
 
-  /// Per-shard FNV digests of the merged result — identical across thread
+  /// Per-shard FNV digests of the fleet result — identical across thread
   /// counts by construction; the determinism artifact CI compares.
   std::vector<std::uint64_t> digests;
   std::uint64_t sim_events = 0;

@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "common/digest.h"
+#include "workload/load_source.h"
+#include "workload/trace.h"
 
 namespace uc::placement {
 
@@ -238,24 +240,24 @@ void mix_cleaner(Fnv1a& d, const ebs::CleanerStats& c) {
 }  // namespace
 
 std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
-                                         const PlacementResult& merged) {
+                                         const PlacementResult& result) {
   std::vector<Fnv1a> digest(plan.shards());
   // Shard == cluster.  Tenants digest into the cluster that *planned* them.
-  for (std::size_t i = 0; i < merged.stats.size(); ++i) {
-    Fnv1a& d = digest[static_cast<std::size_t>(merged.initial_cluster[i])];
+  for (std::size_t i = 0; i < result.stats.size(); ++i) {
+    Fnv1a& d = digest[static_cast<std::size_t>(result.initial_cluster[i])];
     d.mix(static_cast<std::uint64_t>(i));
-    d.mix(static_cast<std::uint64_t>(merged.final_cluster[i]));
-    d.mix(merged.backlog_peak[i]);
-    mix_job(d, merged.stats[i]);
-    mix_trace(d, merged.traces[i]);
+    d.mix(static_cast<std::uint64_t>(result.final_cluster[i]));
+    d.mix(result.backlog_peak[i]);
+    mix_job(d, result.stats[i]);
+    mix_trace(d, result.traces[i]);
   }
-  for (std::size_t c = 0; c < merged.cluster.size(); ++c) {
+  for (std::size_t c = 0; c < result.cluster.size(); ++c) {
     Fnv1a& d = digest[c];
     d.mix(static_cast<std::uint64_t>(c));
-    mix_cluster(d, merged.cluster[c]);
-    mix_cleaner(d, merged.cleaner[c]);
+    mix_cluster(d, result.cluster[c]);
+    mix_cleaner(d, result.cleaner[c]);
   }
-  for (const MigrationRecord& m : merged.migrations) {
+  for (const MigrationRecord& m : result.migrations) {
     Fnv1a& d = digest[static_cast<std::size_t>(m.from_cluster)];
     d.mix(static_cast<std::uint64_t>(m.tenant));
     d.mix(static_cast<std::uint64_t>(m.from_cluster));
@@ -285,22 +287,35 @@ ShardedHost::ShardedHost(const essd::EssdConfig& base,
     local.push_back(i);
   }
 
-  // Every cluster gets a host, idle ones included: an idle cluster can
-  // become a migration destination at any barrier, and its node caches
-  // allocate lazily, so it costs a few small vectors.
+  // Every cluster is built, idle ones included: an idle cluster can become
+  // a migration destination at any barrier, and its node caches allocate
+  // lazily, so it costs a few small vectors.
   for (std::size_t c = 0; c < shards_.size(); ++c) {
     Shard& sh = shards_[c];
-    essd::EssdConfig cluster_base = base;
+    sh.sim = std::make_unique<sim::Simulator>();
+    sh.base = base;
     const std::uint64_t stride =
         kClusterSeedStride * static_cast<std::uint64_t>(c);
-    cluster_base.seed += stride;
-    cluster_base.cluster.seed += stride;
-    std::vector<tenant::TenantSpec> specs;
-    specs.reserve(sh.tenant.size());
-    for (const std::size_t g : sh.tenant) specs.push_back(tenants_[g]);
-    sh.sim = std::make_unique<sim::Simulator>();
-    sh.host = std::make_unique<tenant::SharedClusterHost>(
-        *sh.sim, cluster_base, std::move(specs));
+    sh.base.seed += stride;
+    sh.base.cluster.seed += stride;
+    // Local tenant j attaches as VolumeId j, so the WFQ weights are the
+    // planned tenants' weights in attach order.
+    sh.base.cluster.sched.weights.clear();
+    for (const std::size_t g : sh.tenant) {
+      sh.base.cluster.sched.weights.push_back(tenants_[g].weight);
+    }
+    sh.cluster = std::make_unique<ebs::StorageCluster>(*sh.sim,
+                                                       sh.base.cluster);
+    sh.devices.reserve(sh.tenant.size());
+    sh.sources.reserve(sh.tenant.size());
+    for (std::size_t j = 0; j < sh.tenant.size(); ++j) {
+      const tenant::TenantSpec& t = tenants_[sh.tenant[j]];
+      const ebs::VolumeId vol = sh.cluster->attach_volume(t.capacity_bytes);
+      sh.devices.push_back(std::make_unique<essd::EssdDevice>(
+          *sh.sim, tenant::tenant_config(sh.base, t, j), *sh.cluster, vol));
+      sh.sources.push_back(wl::make_load_source_or_die(
+          *sh.sim, *sh.devices.back(), t.load, "tenant " + t.name));
+    }
   }
 
   fleet_cluster_of_ = planned_;
@@ -313,22 +328,32 @@ PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
   ran_ = true;
   // Epoch 1: every shard preconditions and drains its own simulator (idle
   // clusters are a no-op fill).
-  exec.run_epoch(shards_.size(),
-                 [this](std::size_t s) { shards_[s].host->run_fill(); });
+  exec.run_epoch(shards_.size(), [this](std::size_t s) { fill(shards_[s]); });
   // Barrier: the fleet's measured window opens at the slowest drain.
   SimTime t0 = 0;
   for (const Shard& sh : shards_) t0 = std::max(t0, sh.sim->now());
   // Opening the measured window is cheap (clock alignment, stats snapshots,
   // source starts), so the coordinator does it serially.
-  for (Shard& sh : shards_) sh.host->begin_measure(t0);
+  for (Shard& sh : shards_) begin_measure(sh, t0);
   if (cfg_.policy == Policy::kLeastInterference) {
     // Signal baseline: the first rebalance window opens at measure start,
     // so fill-phase occupancy never counts.
     signal_at_check_.clear();
     for (const Shard& sh : shards_) {
-      signal_at_check_.push_back(sh.host->cluster().busy_stats().signal());
+      signal_at_check_.push_back(sh.cluster->busy_stats().signal());
     }
   }
+  // Pre-sized, so each shard collects into its own slots.
+  const std::size_t n = tenants_.size();
+  PlacementResult result;
+  result.measure_start = t0;
+  result.stats.resize(n);
+  result.backlog_peak.resize(n);
+  result.traces.resize(n);
+  result.cluster.resize(shards_.size());
+  result.cleaner.resize(shards_.size());
+  result.busy.resize(shards_.size());
+  result.fabric.resize(shards_.size());
 
   // The slice loop: advance every fused group one slice, then decide at the
   // barrier.  The partition is rebuilt from the live couplings each time,
@@ -338,7 +363,6 @@ PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
   // summaries scan every replayed event) without a third barrier, and its
   // one barrier finds nothing to repair.
   std::vector<std::vector<std::size_t>> groups = coupled_groups();
-  std::vector<tenant::HostResult> part(shards_.size());
   bool collected = false;
   SimTime tk = t0;
   for (;;) {
@@ -347,12 +371,10 @@ PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
       break;
     }
     tk = slice_ == kNoTime ? kNoTime : tk + slice_;
-    exec.run_epoch(groups.size(), [this, &groups, &part, tk](std::size_t g) {
+    exec.run_epoch(groups.size(), [this, &groups, &result, tk](std::size_t g) {
       advance_group(groups[g], tk);
       if (tk != kNoTime) return;
-      for (const std::size_t m : groups[g]) {
-        part[m] = shards_[m].host->collect();
-      }
+      for (const std::size_t m : groups[g]) collect(m, result);
     });
     collected = tk == kNoTime;
     ++slice_stats_.slices;
@@ -372,43 +394,58 @@ PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
   }
 
   if (!collected) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      part[s] = shards_[s].host->collect();
-    }
+    for (std::size_t c = 0; c < shards_.size(); ++c) collect(c, result);
   }
-  // Coordinator merge: restore spec order for tenants.
-  const std::size_t n = tenants_.size();
-  PlacementResult result;
-  result.measure_start = t0;
-  result.stats.resize(n);
-  result.backlog_peak.resize(n);
-  result.traces.resize(n);
   result.initial_cluster = planned_;
   result.final_cluster = fleet_cluster_of_;
   result.migrations = records_;
   result.peak_concurrent_migrations = peak_concurrent_;
   result.sliced = slice_stats_;
-  result.cluster.resize(shards_.size());
-  result.cleaner.resize(shards_.size());
-  result.busy.resize(shards_.size());
-  result.fabric.resize(shards_.size());
-  for (std::size_t c = 0; c < shards_.size(); ++c) {
-    const Shard& sh = shards_[c];
-    tenant::HostResult& r = part[c];
-    for (std::size_t j = 0; j < sh.tenant.size(); ++j) {
-      const std::size_t g = sh.tenant[j];
-      result.stats[g] = std::move(r.stats[j]);
-      result.backlog_peak[g] = r.backlog_peak[j];
-      result.traces[g] = std::move(r.traces[j]);
-    }
-    result.cluster[c] = r.cluster;
-    result.cleaner[c] = std::move(r.cleaner);
-    result.busy[c] = r.busy;
-    result.fabric[c] = std::move(r.fabric);
-    result.makespan = std::max(result.makespan, r.makespan);
+  for (const wl::JobStats& s : result.stats) {
+    result.makespan = std::max(result.makespan, s.last_complete);
+  }
+  for (const Shard& sh : shards_) {
     result.sim_events += sh.sim->events_processed();
   }
   return result;
+}
+
+void ShardedHost::fill(Shard& sh) {
+  std::vector<std::unique_ptr<wl::JobRunner>> fills;
+  for (std::size_t j = 0; j < sh.tenant.size(); ++j) {
+    std::unique_ptr<wl::JobRunner> f = tenant::start_precondition(
+        *sh.sim, *sh.devices[j], tenants_[sh.tenant[j]]);
+    if (f) fills.push_back(std::move(f));
+  }
+  if (!fills.empty()) sh.sim->run();
+}
+
+void ShardedHost::begin_measure(Shard& sh, SimTime t0) {
+  // The queue is already drained, so this only advances the clock (a no-op
+  // on the shard whose drain set `t0`).
+  sh.sim->run_until(t0);
+  sh.cluster_before = sh.cluster->stats();
+  sh.cleaner_before = sh.cluster->cleaner().stats();
+  sh.fabric_before = sh.cluster->fabric().stats();
+  sh.busy_before = sh.cluster->busy_stats();
+  for (auto& source : sh.sources) source->start();
+}
+
+void ShardedHost::collect(std::size_t c, PlacementResult& result) const {
+  const Shard& sh = shards_[c];
+  for (std::size_t j = 0; j < sh.tenant.size(); ++j) {
+    const wl::LoadSource& source = *sh.sources[j];
+    UC_ASSERT(source.finished(), "simulator drained but a tenant load hung");
+    const std::size_t g = sh.tenant[j];
+    result.stats[g] = source.stats();
+    result.backlog_peak[g] = source.backlog_peak();
+    result.traces[g] = wl::load_source_trace_summary(source);
+  }
+  const ebs::StorageCluster& cl = *sh.cluster;
+  result.cluster[c] = subtract(cl.stats(), sh.cluster_before);
+  result.cleaner[c] = subtract(cl.cleaner().stats(), sh.cleaner_before);
+  result.fabric[c] = net::subtract(cl.fabric().stats(), sh.fabric_before);
+  result.busy[c] = subtract(cl.busy_stats(), sh.busy_before);
 }
 
 void ShardedHost::advance_group(const std::vector<std::size_t>& members,
@@ -482,7 +519,8 @@ std::vector<std::vector<std::size_t>> ShardedHost::coupled_groups() const {
 
 bool ShardedHost::fleet_tenant_finished(std::size_t tenant) const {
   return shards_[static_cast<std::size_t>(planned_[tenant])]
-      .host->tenant_finished(local_of_tenant_[tenant]);
+      .sources[local_of_tenant_[tenant]]
+      ->finished();
 }
 
 int ShardedHost::fleet_active_migrations() const {
@@ -574,8 +612,7 @@ bool ShardedHost::fleet_rebalance_signal() {
   std::size_t busiest = 0;
   std::size_t coolest = 0;
   for (std::size_t c = 0; c < k; ++c) {
-    const SimTime now_signal =
-        shards_[c].host->cluster().busy_stats().signal();
+    const SimTime now_signal = shards_[c].cluster->busy_stats().signal();
     delta[c] = now_signal - signal_at_check_[c];
     signal_at_check_[c] = now_signal;
     total += delta[c];
@@ -610,13 +647,12 @@ bool ShardedHost::fleet_rebalance_signal() {
 void ShardedHost::start_fleet_migration(std::size_t tenant, int to_cluster) {
   const auto home = static_cast<std::size_t>(planned_[tenant]);
   const int from = fleet_cluster_of_[tenant];
-  tenant::SharedClusterHost& home_host = *shards_[home].host;
   // The tenant's device lives in its home shard forever; its *current*
   // cluster (after earlier migrations) is whatever the device targets.
-  essd::EssdDevice& dev = home_host.device_mut(local_of_tenant_[tenant]);
+  essd::EssdDevice& dev = *shards_[home].devices[local_of_tenant_[tenant]];
   ebs::StorageCluster& src = dev.cluster();
   ebs::StorageCluster& dst =
-      shards_[static_cast<std::size_t>(to_cluster)].host->cluster_mut();
+      *shards_[static_cast<std::size_t>(to_cluster)].cluster;
   const ebs::VolumeId src_vol = dev.volume();
   const ebs::VolumeId dst_vol =
       dst.attach_volume(tenants_[tenant].capacity_bytes);
@@ -685,18 +721,16 @@ void ShardedHost::reconcile_pacers() {
 }
 
 const ebs::StorageCluster& ShardedHost::cluster(int c) const {
-  return shards_[static_cast<std::size_t>(c)].host->cluster();
+  return *shards_[static_cast<std::size_t>(c)].cluster;
 }
 
 void ShardedHost::check_invariants() const {
-  for (const Shard& sh : shards_) sh.host->cluster().check_invariants();
+  for (const Shard& sh : shards_) sh.cluster->check_invariants();
 }
 
 wl::JobStats ShardedHost::run_solo(std::size_t i) const {
-  const tenant::SharedClusterHost& host =
-      *shards_[static_cast<std::size_t>(planned_[i])].host;
-  return tenant::SharedClusterHost::run_solo(host.base(), tenants_[i],
-                                             local_of_tenant_[i]);
+  return tenant::run_solo(shards_[static_cast<std::size_t>(planned_[i])].base,
+                          tenants_[i], local_of_tenant_[i]);
 }
 
 PlacementScenarioResult run_placement_scenario(

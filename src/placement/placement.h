@@ -12,9 +12,9 @@
 /// migration converts a bad initial decision into copy traffic that itself
 /// competes on the shared pipes (`sched::IoClass::kMigration`).
 ///
-/// `ShardedHost` is the engine: one `tenant::SharedClusterHost` per
-/// cluster, so a one-cluster fleet reproduces the shared-cluster host
-/// exactly (same seeds, same attach order, same weight fold).
+/// `ShardedHost` is the engine, and its per-cluster shard is the
+/// shared-cluster host: one `StorageCluster` with a per-tenant
+/// `EssdDevice` + `wl::LoadSource`, on the shard's own simulator.
 
 #include <cstddef>
 #include <cstdint>
@@ -141,8 +141,10 @@ struct SliceExecStats {
 /// Outcome of a multi-cluster colocated run.
 struct PlacementResult {
   std::vector<wl::JobStats> stats;  ///< per tenant, spec order
-  /// Per-tenant peak outstanding I/Os and replayed-trace summaries (the
-  /// latter zero-event for closed-loop tenants); see `tenant::HostResult`.
+  /// Per-tenant peak outstanding I/Os (the queue depth for closed-loop
+  /// tenants, the open-loop backlog for replayed ones) and replayed-trace
+  /// summaries (zero-event for closed-loop tenants; the contract replay
+  /// checker's input).
   std::vector<std::uint64_t> backlog_peak;
   std::vector<wl::TraceSummary> traces;
   std::vector<int> initial_cluster;
@@ -151,9 +153,11 @@ struct PlacementResult {
   /// Most live migrations in flight at once — must never exceed the
   /// configured `MigrationBudget::max_concurrent`.
   int peak_concurrent_migrations = 0;
-  SimTime makespan = 0;
-  SimTime measure_start = 0;
-  /// Per-cluster activity within the measured window.
+  SimTime makespan = 0;       ///< latest completion across tenants
+  SimTime measure_start = 0;  ///< when measured loads began (after fill)
+  /// Per-cluster activity within the measured window only — the
+  /// precondition fill is subtracted out, so these diff cleanly across
+  /// runs.
   std::vector<ebs::ClusterStats> cluster;
   std::vector<ebs::CleanerStats> cleaner;
   /// Per-cluster shared-resource occupancy (busy + stall, per-class slices)
@@ -193,17 +197,22 @@ ShardPlan compute_shard_plan(const PlacementConfig& cfg);
 /// latency/slowdown percentiles, backlog peaks, trace summaries, final
 /// placement, and per-cluster + cleaner counters.  A tenant digests into
 /// its planned cluster, a migration into its source.  Computed from the
-/// *merged* result, so runs at every thread count digest through the same
-/// code — "identical at every thread count" is a vector equality.
+/// whole-fleet result, so runs at every thread count digest through the
+/// same code — "identical at every thread count" is a vector equality.
 std::vector<std::uint64_t> shard_digests(const ShardPlan& plan,
-                                         const PlacementResult& merged);
+                                         const PlacementResult& result);
 
-/// The multi-cluster engine: K clusters, each a `tenant::SharedClusterHost`
-/// on its own `Simulator` (shard `c` is cluster `c`), advanced concurrently
-/// on a `sim::ParallelExecutor`.  Cluster `c` is built from `base` with
+/// The multi-cluster engine: K clusters, each on its own `Simulator`
+/// (shard `c` is cluster `c`), advanced concurrently on a
+/// `sim::ParallelExecutor`.  Cluster `c` is built from `base` with
 /// `c * kClusterSeedStride` added to its seeds and the WFQ weights of the
-/// tenants planned onto it folded in attach order, so a one-cluster fleet
-/// reproduces `SharedClusterHost::run()` exactly.
+/// tenants planned onto it folded in attach order (local tenant `j` is
+/// VolumeId `j`); each tenant gets an `EssdDevice` from
+/// `tenant::tenant_config` and a `wl::LoadSource`.  Frontend and cluster
+/// latency parameters come from `base`; capacity, QoS and load come from
+/// each `TenantSpec`; `base.cluster.sched` is the scheduling policy of the
+/// shared cluster and of every device's local queues.  A one-cluster fleet
+/// is the single shared-cluster host: cluster 0 adds no seed stride.
 ///
 /// Every fleet runs one *epoch-sliced* schedule.  A fill epoch's barrier
 /// opens the measured window for every shard at the max drain time across
@@ -227,7 +236,7 @@ class ShardedHost {
               const PlacementConfig& cfg);
 
   /// A fill epoch on `exec`, then one epoch per slice over the fused
-  /// groups, then a coordinator merge.
+  /// groups; each shard collects into its own slots of the result.
   PlacementResult run(sim::ParallelExecutor& exec);
 
   /// Cluster `c`, built whether or not a tenant was planned onto it.
@@ -239,11 +248,36 @@ class ShardedHost {
   wl::JobStats run_solo(std::size_t i) const;
 
  private:
+  /// One cluster and the tenants planned onto it.  A tenant's device and
+  /// load source stay in its home shard for the whole run, even after a
+  /// migration moves its volume to another cluster.
   struct Shard {
     std::vector<std::size_t> tenant;  ///< global spec index per local index
     std::unique_ptr<sim::Simulator> sim;
-    std::unique_ptr<tenant::SharedClusterHost> host;
+    /// `base` with this cluster's seed stride and its tenants' WFQ weights
+    /// folded in: what its devices and their solo baselines derive from.
+    essd::EssdConfig base;
+    std::unique_ptr<ebs::StorageCluster> cluster;
+    std::vector<std::unique_ptr<essd::EssdDevice>> devices;  ///< per local
+    std::vector<std::unique_ptr<wl::LoadSource>> sources;    ///< per local
+    /// Snapshots taken when the measured window opens, so `collect`
+    /// reports measured-window deltas.
+    ebs::ClusterStats cluster_before;
+    ebs::CleanerStats cleaner_before;
+    net::FabricStats fabric_before;
+    ebs::ClusterBusyStats busy_before;
   };
+
+  // --- shard phases ---
+  /// Starts every tenant's precondition fill, then drains once.
+  void fill(Shard& sh);
+  /// Advances the drained shard's clock to the fleet-wide window start
+  /// `t0`, snapshots the before-stats, and starts every load.
+  static void begin_measure(Shard& sh, SimTime t0);
+  /// Writes cluster `c`'s tenants' and counters' slots of the pre-sized
+  /// `result`.  Shards own disjoint slots, so workers may collect
+  /// concurrently.
+  void collect(std::size_t c, PlacementResult& result) const;
 
   // --- epoch-sliced engine (coordinator side, barriers only) ---
   /// Advances every member simulator of one fused group to `bound`
@@ -299,9 +333,8 @@ class ShardedHost {
 
 /// The one runner for the canned tenant scenarios: builds a scenario's mix
 /// (`tenant::build_scenario`), runs it on a `ShardedHost` — one cluster with
-/// the default `PlacementConfig`, which reproduces `SharedClusterHost::run()`
-/// exactly — and reports the measured window, per-cluster fairness slices
-/// and the migration log.
+/// the default `PlacementConfig` — and reports the measured window,
+/// per-cluster fairness slices and the migration log.
 struct PlacementScenarioOptions {
   tenant::ScenarioOptions base;
   PlacementConfig placement;

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/status.h"
+
 namespace uc::sim {
 
 ParallelExecutor::ParallelExecutor(int threads)
     : threads_(threads < 1 ? 1 : threads) {
+  UC_ASSERT(threads_ <= kMaxThreads, "too many executor threads");
   // `threads - 1` pool workers: the coordinating thread is the remaining
   // worker, so `threads_` bodies can run concurrently while dispatch stays
   // a condvar wake instead of a per-epoch thread spawn.
@@ -27,7 +30,7 @@ ParallelExecutor::~ParallelExecutor() {
 
 int ParallelExecutor::max_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return hw == 0 ? 1 : std::min(static_cast<int>(hw), kMaxThreads);
 }
 
 void ParallelExecutor::drain_shards() {

@@ -51,8 +51,14 @@ namespace uc::sim {
 
 class ParallelExecutor {
  public:
-  /// `threads` < 1 is clamped to 1 (sequential).  Spawns `threads - 1`
-  /// persistent workers; no thread is ever created after construction.
+  /// Most worker threads one executor may run.  A fleet has at most one
+  /// shard per cluster, so more threads than this only cost OS threads;
+  /// the CLIs reject a larger `--threads`.
+  static constexpr int kMaxThreads = 256;
+
+  /// `threads` < 1 is clamped to 1 (sequential); above `kMaxThreads` is a
+  /// caller bug and asserts.  Spawns `threads - 1` persistent workers; no
+  /// thread is ever created after construction.
   explicit ParallelExecutor(int threads = 1);
   ~ParallelExecutor();
   ParallelExecutor(const ParallelExecutor&) = delete;
@@ -74,7 +80,8 @@ class ParallelExecutor {
   void run_epoch(std::size_t shards,
                  const std::function<void(std::size_t)>& body);
 
-  /// Hardware concurrency for CLI `--threads` defaults (>= 1).
+  /// Hardware concurrency for CLI `--threads` defaults, in
+  /// [1, kMaxThreads].
   static int max_threads();
 
  private:

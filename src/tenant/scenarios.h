@@ -4,9 +4,10 @@
 /// Canned multi-tenant colocation scenarios.
 ///
 /// Each scenario is a shared-cluster base profile plus a small tenant mix
-/// (`build_scenario`).  `placement::run_placement_scenario` runs it —
-/// colocated on one cluster by default — optionally reruns every tenant solo
-/// on a private cluster (the interference baseline), and condenses the
+/// (`build_scenario`).  `placement::run_placement_scenario` runs it on a
+/// `placement::ShardedHost` — colocated on one cluster, a single shard, by
+/// default — optionally reruns every tenant solo on a private cluster
+/// (`tenant::run_solo`, the interference baseline), and condenses the
 /// outcome into a `FairnessReport` plus the cluster-side counters.
 ///
 /// The catalogue:

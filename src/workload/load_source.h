@@ -11,9 +11,10 @@
 /// loop is how production traffic actually arrives (implications 4 and 5):
 /// submissions follow trace timestamps whether or not the device keeps up,
 /// so overload shows as divergent slowdown and backlog instead of a gentle
-/// throughput plateau.  Every consumer — `tenant::SharedClusterHost` (and
-/// through it `placement::ShardedHost`), the benches — drives a
-/// `LoadSource` and therefore runs either mode unchanged.
+/// throughput plateau.  Every consumer — `placement::ShardedHost`'s
+/// per-cluster shards, the solo baselines (`tenant::run_solo`), the
+/// benches — drives a `LoadSource` and therefore runs either mode
+/// unchanged.
 
 #include <cstdint>
 #include <memory>

@@ -77,7 +77,7 @@ TEST(Determinism, DifferentSeedsDiverge) {
   EXPECT_NE(a.last_complete, b.last_complete);
 }
 
-tenant::HostResult run_three_tenants(
+placement::PlacementResult run_three_tenants(
     std::uint64_t seed, sched::Policy policy = sched::Policy::kFifo) {
   using namespace units;
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
@@ -100,9 +100,9 @@ tenant::HostResult run_three_tenants(
     job.total_ops = 800;
     job.seed = seed + static_cast<std::uint64_t>(i);
   }
-  sim::Simulator sim;
-  tenant::SharedClusterHost host(sim, base, tenants);
-  return host.run();
+  sim::ParallelExecutor exec(1);
+  placement::ShardedHost host(base, tenants, placement::PlacementConfig{});
+  return host.run(exec);
 }
 
 TEST(Determinism, ThreeTenantSharedClusterIsBitIdentical) {
@@ -158,7 +158,7 @@ struct ThreeTenantPin {
   double mean_latency[3];
 };
 
-void expect_three_tenant_pin(const tenant::HostResult& r,
+void expect_three_tenant_pin(const placement::PlacementResult& r,
                              const ThreeTenantPin& pin) {
   EXPECT_EQ(r.makespan, pin.makespan);
   ASSERT_EQ(r.stats.size(), 3u);

@@ -1,5 +1,5 @@
-// Cross-cluster placement tests: policy planning, single-cluster
-// equivalence of ShardedHost with SharedClusterHost, spread-vs-pack
+// Cross-cluster placement tests: policy planning, a lone cluster's
+// indifference to the rebalance watermark, spread-vs-pack
 // isolation on the noisy-neighbour scenario, and live volume migration
 // (data integrity, source release, and watermark-driven rebalancing of a
 // packed placement).
@@ -16,6 +16,7 @@
 #include "ebs/cluster.h"
 #include "essd/essd_config.h"
 #include "essd/essd_device.h"
+#include "net/fabric.h"
 #include "placement/migration.h"
 #include "placement/placement.h"
 #include "sched/sched.h"
@@ -271,10 +272,11 @@ TEST(PrioScheduler, MigrationIsTheLowestClass) {
   EXPECT_STREQ(sched::io_class_name(sched::IoClass::kMigration), "migration");
 }
 
-// A one-cluster fleet must reproduce SharedClusterHost::run() exactly: the
-// shard body *is* a SharedClusterHost, cluster 0 adds no seed stride, and
-// the fill barrier of a one-cluster fleet is the host's own drain time.
-TEST(ShardedHost, OneClusterMatchesSharedHost) {
+// A watermark cannot rebalance a lone cluster: a one-cluster fleet at
+// watermark 1.5 must run exactly the fleet at watermark 0, field for field,
+// with no migration.  Tenant t1's precondition fill puts the measured
+// window's start after time 0, so the before-snapshots are subtracted too.
+TEST(ShardedHost, LoneClusterIgnoresWatermark) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 128 * kMiB;
   std::vector<tenant::TenantSpec> tenants;
@@ -282,45 +284,71 @@ TEST(ShardedHost, OneClusterMatchesSharedHost) {
   tenants.push_back(small_tenant("t1", 64 * kMiB, 400, 12));
   tenants[1].precondition_bytes = 8 * kMiB;
 
-  sim::Simulator sim;
-  tenant::SharedClusterHost shared(sim, base, tenants);
-  const tenant::HostResult a = shared.run();
-
-  // One cluster, any policy; a watermark cannot rebalance a lone cluster.
-  for (const double watermark : {0.0, 1.5}) {
+  const auto run = [&](double watermark) {
     sim::ParallelExecutor exec(1);
     placement::PlacementConfig cfg;
     cfg.rebalance_watermark = watermark;
     placement::ShardedHost fleet(base, tenants, cfg);
-    const placement::PlacementResult b = fleet.run(exec);
+    placement::PlacementResult r = fleet.run(exec);
+    fleet.check_invariants();
+    return r;
+  };
+  const placement::PlacementResult a = run(0.0);
+  const placement::PlacementResult b = run(1.5);
 
-    ASSERT_EQ(a.stats.size(), b.stats.size());
-    EXPECT_EQ(a.measure_start, b.measure_start) << watermark;
-    EXPECT_EQ(a.makespan, b.makespan) << watermark;
-    EXPECT_EQ(sim.events_processed(), b.sim_events) << watermark;
-    for (std::size_t i = 0; i < a.stats.size(); ++i) {
-      EXPECT_EQ(a.stats[i].total_ops(), b.stats[i].total_ops());
-      EXPECT_EQ(a.stats[i].last_complete, b.stats[i].last_complete);
-      EXPECT_EQ(a.stats[i].total_bytes(), b.stats[i].total_bytes());
-      EXPECT_DOUBLE_EQ(a.stats[i].all_latency.mean(),
-                       b.stats[i].all_latency.mean());
-      EXPECT_EQ(a.backlog_peak[i], b.backlog_peak[i]);
-    }
-    ASSERT_EQ(b.cluster.size(), 1u);
-    EXPECT_EQ(a.cluster.written_pages, b.cluster[0].written_pages);
-    EXPECT_EQ(a.cluster.read_pages, b.cluster[0].read_pages);
-    EXPECT_EQ(a.cleaner.segments_cleaned, b.cleaner[0].segments_cleaned);
-    EXPECT_EQ(a.busy.signal(), b.busy[0].signal());
-    ASSERT_EQ(b.fabric.size(), 1u);
-    EXPECT_EQ(a.fabric.vm_tx_bytes, b.fabric[0].vm_tx_bytes);
-    EXPECT_EQ(a.fabric.vm_rx_bytes, b.fabric[0].vm_rx_bytes);
-    EXPECT_EQ(a.fabric.vm_tx_busy_ns, b.fabric[0].vm_tx_busy_ns);
-    EXPECT_EQ(a.fabric.vm_rx_busy_ns, b.fabric[0].vm_rx_busy_ns);
-    EXPECT_EQ(a.fabric.node_tx_bytes, b.fabric[0].node_tx_bytes);
-    EXPECT_EQ(a.fabric.node_rx_bytes, b.fabric[0].node_rx_bytes);
-    EXPECT_GT(b.fabric[0].vm_tx_bytes, 0u);
-    EXPECT_TRUE(b.migrations.empty()) << watermark;
+  EXPECT_GT(a.measure_start, 0u);
+  EXPECT_EQ(a.measure_start, b.measure_start);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.sim_events, b.sim_events);
+  ASSERT_EQ(a.stats.size(), 2u);
+  ASSERT_EQ(b.stats.size(), 2u);
+  for (std::size_t i = 0; i < a.stats.size(); ++i) {
+    const wl::JobStats& x = a.stats[i];
+    const wl::JobStats& y = b.stats[i];
+    EXPECT_EQ(x.read_ops, y.read_ops) << i;
+    EXPECT_EQ(x.write_ops, y.write_ops) << i;
+    EXPECT_EQ(x.read_bytes, y.read_bytes) << i;
+    EXPECT_EQ(x.write_bytes, y.write_bytes) << i;
+    EXPECT_EQ(x.first_submit, y.first_submit) << i;
+    EXPECT_EQ(x.last_complete, y.last_complete) << i;
+    EXPECT_EQ(x.all_latency.count(), y.all_latency.count()) << i;
+    EXPECT_EQ(x.all_latency.max(), y.all_latency.max()) << i;
+    EXPECT_DOUBLE_EQ(x.all_latency.mean(), y.all_latency.mean()) << i;
+    EXPECT_EQ(x.all_latency.percentile(99), y.all_latency.percentile(99))
+        << i;
+    EXPECT_EQ(a.backlog_peak[i], b.backlog_peak[i]) << i;
   }
+
+  ASSERT_EQ(a.cluster.size(), 1u);
+  ASSERT_EQ(b.cluster.size(), 1u);
+  const ebs::ClusterStats& ca = a.cluster[0];
+  const ebs::ClusterStats& cb = b.cluster[0];
+  EXPECT_EQ(ca.writes, cb.writes);
+  EXPECT_EQ(ca.written_pages, cb.written_pages);
+  EXPECT_EQ(ca.reads, cb.reads);
+  EXPECT_EQ(ca.read_pages, cb.read_pages);
+  EXPECT_EQ(ca.cache_hit_pages, cb.cache_hit_pages);
+  EXPECT_EQ(ca.media_read_pages, cb.media_read_pages);
+  EXPECT_EQ(ca.stalled_writes, cb.stalled_writes);
+  EXPECT_EQ(ca.append_stall_ns, cb.append_stall_ns);
+  EXPECT_EQ(a.cleaner[0].segments_cleaned, b.cleaner[0].segments_cleaned);
+  EXPECT_EQ(a.cleaner[0].pages_relocated, b.cleaner[0].pages_relocated);
+  EXPECT_EQ(a.cleaner[0].bytes_processed, b.cleaner[0].bytes_processed);
+  EXPECT_EQ(a.busy[0].busy_ns, b.busy[0].busy_ns);
+  EXPECT_EQ(a.busy[0].class_busy_ns, b.busy[0].class_busy_ns);
+  EXPECT_EQ(a.busy[0].stall_ns, b.busy[0].stall_ns);
+  const net::FabricStats& fa = a.fabric[0];
+  const net::FabricStats& fb = b.fabric[0];
+  EXPECT_EQ(fa.vm_tx_bytes, fb.vm_tx_bytes);
+  EXPECT_EQ(fa.vm_rx_bytes, fb.vm_rx_bytes);
+  EXPECT_EQ(fa.vm_tx_busy_ns, fb.vm_tx_busy_ns);
+  EXPECT_EQ(fa.vm_rx_busy_ns, fb.vm_rx_busy_ns);
+  EXPECT_EQ(fa.node_tx_bytes, fb.node_tx_bytes);
+  EXPECT_EQ(fa.node_rx_bytes, fb.node_rx_bytes);
+  EXPECT_GT(fa.vm_tx_bytes, 0u);
+  EXPECT_TRUE(a.migrations.empty());
+  EXPECT_TRUE(b.migrations.empty());
+  EXPECT_EQ(b.final_cluster, b.initial_cluster);
 }
 
 double mean_victim_interference(const tenant::FairnessReport& report) {

@@ -325,9 +325,9 @@ TEST(SchedulingPolicies, WfqWeightsSkewThroughputShares) {
   }
   tenants[0].weight = 3.0;
   tenants[1].weight = 1.0;
-  sim::Simulator sim;
-  tenant::SharedClusterHost host(sim, base, tenants);
-  const auto result = host.run();
+  sim::ParallelExecutor exec(1);
+  placement::ShardedHost host(base, tenants, placement::PlacementConfig{});
+  const auto result = host.run(exec);
   const auto heavy = static_cast<double>(result.stats[0].total_bytes());
   const auto light = static_cast<double>(result.stats[1].total_bytes());
   EXPECT_GT(heavy, 1.5 * light)

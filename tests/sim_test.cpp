@@ -527,6 +527,14 @@ TEST(ParallelExecutor, ClampsThreadsAndCountsEpochs) {
   exec.run_epoch(3, [](std::size_t) {});
   EXPECT_EQ(exec.epochs(), 1u);
   EXPECT_GE(ParallelExecutor::max_threads(), 1);
+  EXPECT_LE(ParallelExecutor::max_threads(), ParallelExecutor::kMaxThreads);
+}
+
+TEST(ParallelExecutorDeathTest, RejectsThreadsAboveTheCap) {
+  // The cap is checked before any worker is spawned, so the dying child
+  // never asks the OS for the threads.
+  EXPECT_DEATH(ParallelExecutor(ParallelExecutor::kMaxThreads + 1),
+               "too many executor threads");
 }
 
 TEST(ParallelExecutor, ShardExceptionRethrownAtTheBarrier) {

@@ -127,7 +127,7 @@ TEST(SharedCluster, LegacySingleVolumePathIsVolumeZero) {
   EXPECT_TRUE(cluster.check_invariants());
 }
 
-TEST(SharedClusterHost, RunsTenantsConcurrently) {
+TEST(ShardedHost, RunsTenantsConcurrentlyOnOneCluster) {
   essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
   base.cluster.spare_pool_bytes = 128 * kMiB;
   std::vector<tenant::TenantSpec> tenants(2);
@@ -141,19 +141,19 @@ TEST(SharedClusterHost, RunsTenantsConcurrently) {
     tenants[i].load.job.total_ops = 500;
     tenants[i].load.job.seed = 11 + i;
   }
-  sim::Simulator sim;
-  tenant::SharedClusterHost host(sim, base, tenants);
-  const auto result = host.run();
+  sim::ParallelExecutor exec(1);
+  placement::ShardedHost host(base, tenants, placement::PlacementConfig{});
+  const auto result = host.run(exec);
   ASSERT_EQ(result.stats.size(), 2u);
   EXPECT_EQ(result.stats[0].total_ops(), 500u);
   EXPECT_EQ(result.stats[1].total_ops(), 500u);
   EXPECT_GT(result.makespan, 0u);
-  EXPECT_TRUE(host.cluster().check_invariants());
+  const ebs::StorageCluster& cluster = host.cluster(0);
+  EXPECT_TRUE(cluster.check_invariants());
   // Both tenants really ran on the one cluster.
-  EXPECT_EQ(host.cluster().volume_count(), 2u);
-  EXPECT_EQ(host.cluster().stats().writes,
-            host.cluster().volume_stats(0).writes +
-                host.cluster().volume_stats(1).writes);
+  EXPECT_EQ(cluster.volume_count(), 2u);
+  EXPECT_EQ(cluster.stats().writes,
+            cluster.volume_stats(0).writes + cluster.volume_stats(1).writes);
 }
 
 TEST(JainIndex, MatchesDefinition) {
