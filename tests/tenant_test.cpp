@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -225,6 +227,8 @@ struct TenantPin {
   double mean_latency;
   double solo_p99_us;
   double interference;
+  std::uint64_t cleaned_segments;  ///< cleaner slices of the tenant's volume
+  std::uint64_t relocated_pages;
 };
 
 struct ScenarioPin {
@@ -236,87 +240,129 @@ struct ScenarioPin {
   std::uint64_t written_pages;
   SimTime append_stall_ns;
   std::uint64_t segments_cleaned;
+  std::uint64_t pages_relocated;
+  std::uint64_t bytes_processed;
   SimTime busy_signal;
+  SimTime busy_ns;
   std::uint64_t vm_tx_bytes;
+  std::uint64_t vm_rx_bytes;
+  std::array<SimTime, sched::kIoClassCount> class_busy_ns;
   std::vector<TenantPin> tenants;
 };
 
 TEST(Scenarios, PinnedOutcomes) {
   const std::vector<ScenarioPin> pins = {
       {tenant::Scenario::kNoisyNeighbor, sched::Policy::kFifo, false,
-       506427454, 10857, 156480, 325642142, 78, 3132477437, 1923312640,
-       {{591684616, 38196659, 6611212.817177914, 38005.027, 0.9961711644093819},
-        {585447482, 2551826, 525962.4815983175, 560.646, 3.199673234090674},
-        {585404744, 2614428, 527025.9030558482, 553.82, 3.3284514824311144}}},
+       506427454, 10857, 156480, 325642142, 78, 35968, 654311424, 3132477437,
+       2806835295, 1923312640, 7782400,
+       {35015802, 1213935165, 1557884328, 0, 0},
+       {{591684616, 38196659, 6611212.817177914, 38005.027, 0.9961711644093819,
+         78, 35968},
+        {585447482, 2551826, 525962.4815983175, 560.646, 3.199673234090674, 0,
+         0},
+        {585404744, 2614428, 527025.9030558482, 553.82, 3.3284514824311144, 0,
+         0}}},
       {tenant::Scenario::kNoisyNeighbor, sched::Policy::kWfq, false,
-       506449021, 56008, 156480, 324763942, 78, 3133809199, 1923343360,
-       {{591702822, 38180295, 6611295.199182004, 38200.934, 0.9917185270915103},
-        {585572737, 652116, 495856.22993062437, 560.646, 1.0786111021928277},
-        {585570525, 641388, 494873.1196834817, 553.82, 1.0891192084070636}}},
+       506449021, 56008, 156480, 324763942, 78, 35968, 654311424, 3133809199,
+       2809045257, 1923343360, 8273920,
+       {37225764, 1213935165, 1557884328, 0, 0},
+       {{591702822, 38180295, 6611295.199182004, 38200.934, 0.9917185270915103,
+         78, 35968},
+        {585572737, 652116, 495856.22993062437, 560.646, 1.0786111021928277, 0,
+         0},
+        {585570525, 641388, 494873.1196834817, 553.82, 1.0891192084070636, 0,
+         0}}},
       {tenant::Scenario::kNoisyNeighbor, sched::Policy::kFifo, true,
-       2344892674, 22179, 328000, 2153126268, 170, 8120775584, 4030851328,
+       2344892674, 22179, 328000, 2153126268, 170, 52710, 1426063360,
+       8120775584, 5967649316, 4030851328, 6197248,
+       {27227301, 2545033095, 3395388920, 0, 0},
        {{2430149836, 1845529494, 570636576.7248781, 1959299.208,
-         0.9225595833548664},
-        {584885902, 3737251, 560241.7549407114, 554.605, 5.459903895565312},
-        {584751906, 3775796, 566628.6312997347, 558.312, 5.266360028084655}}},
+         0.9225595833548664, 170, 52710},
+        {584885902, 3737251, 560241.7549407114, 554.605, 5.459903895565312, 0,
+         0},
+        {584751906, 3775796, 566628.6312997347, 558.312, 5.266360028084655, 0,
+         0}}},
       {tenant::Scenario::kFairShare, sched::Policy::kFifo, false,
-       501377506, 25293, 141216, 0, 45, 2530459692, 1735262208,
-       {{501340465, 1612084, 1361557.0044187626, 1561.384, 1.0071724828741682},
-        {501377506, 1621088, 1361598.901767505, 1566.885, 1.0093861387402394},
-        {501359526, 1963670, 1361586.6244051666, 1564.285,
-         1.0068229254899204}}},
+       501377506, 25293, 141216, 0, 45, 38096, 377487360, 2530459692,
+       2530459692, 1735262208, 0, {0, 1631680272, 898779420, 0, 0},
+       {{501340465, 1612084, 1361557.0044187626, 1561.384, 1.0071724828741682,
+         15, 12816},
+        {501377506, 1621088, 1361598.901767505, 1566.885, 1.0093861387402394,
+         15, 12512},
+        {501359526, 1963670, 1361586.6244051666, 1564.285, 1.0068229254899204,
+         15, 12768}}},
       {tenant::Scenario::kFairShare, sched::Policy::kWfq, false,
-       501377705, 109299, 141216, 0, 45, 2530459692, 1735262208,
-       {{501343970, 1614284, 1361563.4119646498, 1561.014, 1.0069057676612767},
-        {501377705, 1621279, 1361599.682188987, 1566.749, 1.00947375744296},
-        {501355870, 1950257, 1361584.629503739, 1564.285, 1.0080362593772874}}},
+       501377705, 109299, 141216, 0, 45, 38096, 377487360, 2530459692,
+       2530459692, 1735262208, 0, {0, 1631680272, 898779420, 0, 0},
+       {{501343970, 1614284, 1361563.4119646498, 1561.014, 1.0069057676612767,
+         15, 12816},
+        {501377705, 1621279, 1361599.682188987, 1566.749, 1.00947375744296, 15,
+         12512},
+        {501355870, 1950257, 1361584.629503739, 1564.285, 1.0080362593772874,
+         15, 12768}}},
       {tenant::Scenario::kFairShare, sched::Policy::kFifo, true,
-       500317488, 18339, 97776, 0, 6, 1249590048, 1201471488,
-       {{500317488, 602742, 500965.08720930235, 553.656, 1.0214682040834022},
-        {500181748, 618985, 502107.9960745829, 553.025, 1.0197170109850369},
-        {500297402, 999911, 500261.0447984072, 548.838, 1.0335180873044507}}},
+       500317488, 18339, 97776, 0, 6, 3401, 50331648, 1249590048, 1249590048,
+       1201471488, 0, {0, 1129752792, 119837256, 0, 0},
+       {{500317488, 602742, 500965.08720930235, 553.656, 1.0214682040834022, 3,
+         1671},
+        {500181748, 618985, 502107.9960745829, 553.025, 1.0197170109850369, 2,
+         1198},
+        {500297402, 999911, 500261.0447984072, 548.838, 1.0335180873044507, 1,
+         532}}},
       {tenant::Scenario::kCleanerPressure, sched::Policy::kFifo, false,
-       1579037877, 8036, 183872, 827086415, 111, 5357307182, 2259419136,
+       1579037877, 8036, 183872, 827086415, 111, 126848, 931135488, 5357307182,
+       4530220767, 2259419136, 0, {0, 1426435881, 3103784886, 0, 0},
        {{1578901371, 165678806, 26083109.533960294, 16960.997,
-         8.221852819147365},
-        {1579037877, 165688295, 26175395.933194153, 16953.952,
-         8.23017594953672},
+         8.221852819147365, 37, 42240},
+        {1579037877, 165688295, 26175395.933194153, 16953.952, 8.23017594953672,
+         37, 42688},
         {1578954249, 165686796, 26173516.822546974, 16962.825,
-         8.215568161553279}}},
+         8.215568161553279, 37, 41920}}},
       {tenant::Scenario::kCleanerPressure, sched::Policy::kWfq, false,
-       1579090545, 34678, 184128, 828111472, 111, 5360318227, 2262564864,
-       {{1578963703, 165703050, 26116919.355949897, 16960.997,
-         8.23118010102826},
+       1579090545, 34678, 184128, 828111472, 111, 126592, 931135488, 5360318227,
+       4532206755, 2262564864, 0, {0, 1428421869, 3103784886, 0, 0},
+       {{1578963703, 165703050, 26116919.355949897, 16960.997, 8.23118010102826,
+         37, 42176},
         {1579090545, 165706190, 26094654.650364205, 16953.952,
-         8.224799857873844},
+         8.224799857873844, 37, 42496},
         {1579009405, 165807289, 26173593.063674323, 16962.825,
-         8.209405273001401}}},
+         8.209405273001401, 37, 41920}}},
       {tenant::Scenario::kCleanerPressure, sched::Policy::kFifo, true,
-       3575854512, 14296, 278976, 2727970935, 182, 9981857066, 3428057088,
-       {{3491187745, 1991361538, 448634095.97933, 1101.783, 1757.8855527812648},
+       3575854512, 14296, 278976, 2727970935, 182, 174782, 1526726656,
+       9981857066, 7253886131, 3428057088, 0, {0, 2164797399, 5089088732, 0, 0},
+       {{3491187745, 1991361538, 448634095.97933, 1101.783, 1757.8855527812648,
+         58, 55974},
         {3575404696, 2083919959, 441637351.4095494, 34283.847,
-         59.75244928026892},
+         59.75244928026892, 63, 60893},
         {3575854512, 2085144978, 464754348.3669163, 35561.144,
-         57.73941299526247}}},
+         57.73941299526247, 61, 57915}}},
       {tenant::Scenario::kBurstCollision, sched::Policy::kFifo, false,
-       1020382047, 17476, 277344, 502304102, 142, 6125031666, 3408003072,
-       {{1020230709, 56367130, 5643590.224299066, 5333.396, 7.5664027197680435},
-        {1020382047, 56964349, 5643195.1783241, 5325.652, 7.577338136250735},
-        {1020290012, 56963568, 5640738.598269897, 5328.908,
-         7.576677623257897}}},
+       1020382047, 17476, 277344, 502304102, 142, 106080, 1191182336,
+       6125031666, 5622727564, 3408003072, 0, {0, 2786579172, 2836148392, 0, 0},
+       {{1020230709, 56367130, 5643590.224299066, 5333.396, 7.5664027197680435,
+         48, 36544},
+        {1020382047, 56964349, 5643195.1783241, 5325.652, 7.577338136250735, 47,
+         34624},
+        {1020290012, 56963568, 5640738.598269897, 5328.908, 7.576677623257897,
+         47, 34912}}},
       {tenant::Scenario::kBurstCollision, sched::Policy::kWfq, false,
-       1020708347, 98994, 277472, 504911198, 142, 6128924826, 3409575936,
-       {{1020593597, 55839039, 5643915.671166494, 5333.396, 7.439654396560841},
-        {1020708347, 55563889, 5637451.6512271, 5325.652, 7.451565179249414},
-        {1020662091, 55535261, 5644716.103149879, 5328.908, 7.44037371258802}}},
+       1020708347, 98994, 277472, 504911198, 142, 105952, 1191182336,
+       6128924826, 5624013628, 3409575936, 0, {0, 2787865236, 2836148392, 0, 0},
+       {{1020593597, 55839039, 5643915.671166494, 5333.396, 7.439654396560841,
+         48, 36544},
+        {1020708347, 55563889, 5637451.6512271, 5325.652, 7.451565179249414, 47,
+         34464},
+        {1020662091, 55535261, 5644716.103149879, 5328.908, 7.44037371258802,
+         47, 34944}}},
       {tenant::Scenario::kBurstCollision, sched::Policy::kFifo, true,
-       2009277047, 33921, 356096, 1350908276, 190, 8723989749, 4375707648,
+       2009277047, 33921, 356096, 1350908276, 190, 116735, 1593835520,
+       8723989749, 7373081473, 4375707648, 0, {0, 3578235033, 3794846440, 0, 0},
        {{2009277047, 1010332889, 206519391.35415107, 790.309,
-         1222.4942990653024},
+         1222.4942990653024, 45, 32680},
         {2009084426, 1010233879, 221331184.23809522, 796.532,
-         1219.8034956536585},
+         1219.8034956536585, 45, 33278},
         {2009153515, 1010289805, 150591602.82979092, 29901.455,
-         31.093028081743846}}},
+         31.093028081743846, 100, 50777}}},
   };
   for (const int threads : {1, 4}) {
     for (const ScenarioPin& pin : pins) {
@@ -335,8 +381,17 @@ TEST(Scenarios, PinnedOutcomes) {
       EXPECT_EQ(r.cluster[0].written_pages, pin.written_pages);
       EXPECT_EQ(r.cluster[0].append_stall_ns, pin.append_stall_ns);
       EXPECT_EQ(r.cleaner[0].segments_cleaned, pin.segments_cleaned);
+      EXPECT_EQ(r.cleaner[0].pages_relocated, pin.pages_relocated);
+      EXPECT_EQ(r.cleaner[0].bytes_processed, pin.bytes_processed);
       EXPECT_EQ(r.busy[0].signal(), pin.busy_signal);
+      EXPECT_EQ(r.busy[0].busy_ns, pin.busy_ns);
+      for (int c = 0; c < sched::kIoClassCount; ++c) {
+        EXPECT_EQ(r.busy[0].class_busy_ns[static_cast<std::size_t>(c)],
+                  pin.class_busy_ns[static_cast<std::size_t>(c)])
+            << sched::io_class_name(static_cast<sched::IoClass>(c));
+      }
       EXPECT_EQ(r.fabric[0].vm_tx_bytes, pin.vm_tx_bytes);
+      EXPECT_EQ(r.fabric[0].vm_rx_bytes, pin.vm_rx_bytes);
       ASSERT_EQ(r.colocated.size(), pin.tenants.size());
       for (std::size_t i = 0; i < pin.tenants.size(); ++i) {
         const wl::JobStats& st = r.colocated[i];
@@ -347,6 +402,13 @@ TEST(Scenarios, PinnedOutcomes) {
             << i;
         EXPECT_DOUBLE_EQ(m.solo_p99_us, pin.tenants[i].solo_p99_us) << i;
         EXPECT_DOUBLE_EQ(m.interference, pin.tenants[i].interference) << i;
+        const auto vol = static_cast<std::uint32_t>(i);
+        EXPECT_EQ(r.cleaner[0].tenant_segments_cleaned(vol),
+                  pin.tenants[i].cleaned_segments)
+            << i;
+        EXPECT_EQ(r.cleaner[0].tenant_pages_relocated(vol),
+                  pin.tenants[i].relocated_pages)
+            << i;
       }
     }
   }
