@@ -59,7 +59,7 @@ contract::GcCliff gc_cliff(const essd::EssdConfig& cfg, double multiples) {
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
   const std::uint64_t capacity = scale.quick ? (8ull << 30) : (16ull << 30);
   const SimTime duration = scale.quick ? units::kSec / 2 : units::kSec;
 

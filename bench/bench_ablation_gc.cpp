@@ -77,7 +77,7 @@ AblationResult run(std::uint64_t capacity, ftl::GcPolicy policy,
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
   const std::uint64_t capacity = scale.quick ? (8ull << 30) : (16ull << 30);
   const double multiples = scale.quick ? 2.0 : 2.5;
 

@@ -151,7 +151,7 @@ ScenarioResult run_one(std::uint64_t capacity, ftl::MappingKind kind,
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
   const std::uint64_t capacity = scale.quick ? (1ull << 30) : (4ull << 30);
 
   bench::print_header(

@@ -44,7 +44,7 @@ bench::Json matrix_json(const contract::LatencyMatrix& matrix,
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
 
   contract::SuiteConfig cfg;
   cfg.sizes = {4096, 16384, 65536, 262144};

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
   const double multiples = scale.quick ? 1.5 : 3.0;
 
   bench::print_header(

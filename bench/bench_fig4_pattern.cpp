@@ -17,7 +17,7 @@
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
 
   bench::print_header(
       "Figure 4 — random vs sequential write throughput",

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
 
   bench::print_header(
       "Figure 5 — throughput vs read/write mix",

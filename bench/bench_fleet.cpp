@@ -141,7 +141,10 @@ void print_leg(const char* name, const LegOutcome& leg) {
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(
+      argc, argv,
+      {"--clusters", "--tenants", "--threads", "--seed", "--mean-iops",
+       "--max-iops"});
 
   fleet::FleetSpec spec;
   spec.clusters = scale.quick ? 16 : 64;
@@ -163,8 +166,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--max-iops") == 0) {
       spec.max_tenant_iops =
           std::strtod(bench::flag_value(argc, argv, i), nullptr);
-    } else {
-      bench::skip_scale_flag_or_die(argc, argv, i);
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      ++i;  // the path, read by parse_scale
     }
   }
   if (const Status valid = spec.validate(); !valid.is_ok()) {

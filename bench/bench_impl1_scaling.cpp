@@ -44,7 +44,7 @@ Cell run_one(const contract::DeviceFactory& factory, std::uint32_t io_bytes,
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
   const std::uint64_t move = scale.quick ? (64ull << 20) : (512ull << 20);
 
   bench::print_header(

@@ -68,7 +68,7 @@ double run_log_structured(const contract::DeviceFactory& factory,
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
   const std::uint64_t region = 2ull << 30;
   const std::uint64_t user_bytes = scale.quick ? (512ull << 20) : (2ull << 30);
 

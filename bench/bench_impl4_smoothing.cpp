@@ -69,7 +69,7 @@ contract::DeviceFactory budgeted_essd(std::uint64_t capacity, double gbs,
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
 
   bench::print_header(
       "Implication 4 — smooth bursts below the throughput budget",

@@ -55,7 +55,7 @@ RunResult run(const contract::DeviceFactory& factory,
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
   const std::uint64_t volume = scale.quick ? (256ull << 20) : (1ull << 30);
 
   bench::print_header(

@@ -284,7 +284,11 @@ void print_scenario(const placement::PlacementScenarioResult& r,
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(
+      argc, argv,
+      {"--trace", "--rate-scale", "--clusters", "--threads", "--placement",
+       "--sched", "--weights"},
+      {"--trace-gen"});
 
   // --sched restricts the study to one alternative policy (or to FIFO
   // alone); --weights sets per-tenant WFQ weights by tenant index.
@@ -361,8 +365,8 @@ int main(int argc, char** argv) {
         if (*end == '\0') break;
         s = end + 1;
       }
-    } else {
-      bench::skip_scale_flag_or_die(argc, argv, i);
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      ++i;  // the path, read by parse_scale
     }
   }
 

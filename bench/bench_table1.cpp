@@ -86,7 +86,7 @@ Measured measure(const contract::DeviceFactory& factory, SimTime duration) {
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(argc, argv);
   const SimTime duration = scale.quick ? units::kSec / 2 : 2 * units::kSec;
 
   bench::print_header(

@@ -124,7 +124,9 @@ void print_verdict(const char* leg, const contract::ReplayVerdict& v) {
 
 int main(int argc, char** argv) {
   using namespace uc;
-  const auto scale = bench::parse_scale(argc, argv, /*supports_json=*/true);
+  const auto scale = bench::parse_scale(
+      argc, argv,
+      {"--trace", "--events", "--rate-scale", "--clusters", "--threads"});
 
   std::string trace_path;
   std::uint64_t want_events = 0;
@@ -151,8 +153,8 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       threads = bench::threads_value(argc, argv, i);
-    } else {
-      bench::skip_scale_flag_or_die(argc, argv, i);
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      ++i;  // the path, read by parse_scale
     }
   }
 

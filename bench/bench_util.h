@@ -2,7 +2,7 @@
 
 /// \file bench_util.h
 /// Shared helpers for the benchmark harness: device factories at bench
-/// scale, --quick / --json parsing, paper-reference printing, and the
+/// scale, strict --quick / --full / --json parsing, paper-reference printing, and the
 /// machine-readable result schema.
 ///
 /// Every bench that supports `--json <path>` writes one document with the
@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -40,42 +41,6 @@ struct Scale {
   std::string json_path;  ///< empty = no JSON output
 };
 
-/// `supports_json` guards against silently accepting --json in benches
-/// that never call maybe_write_json(); pass true once a bench emits the
-/// shared schema.
-inline Scale parse_scale(int argc, char** argv, bool supports_json = false) {
-  Scale s;
-  bool quick = std::getenv("UC_BENCH_QUICK") != nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--full") == 0) quick = false;
-    if (std::strcmp(argv[i], "--json") == 0) {
-      if (!supports_json) {
-        std::fprintf(stderr,
-                     "error: this bench does not emit --json output yet\n");
-        std::exit(2);
-      }
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --json requires a path argument\n");
-        std::exit(2);
-      }
-      s.json_path = argv[i + 1];
-      ++i;
-    }
-  }
-  if (quick) {
-    s.quick = true;
-    s.ssd_capacity = 8ull << 30;
-    s.essd_capacity = 16ull << 30;
-  }
-  return s;
-}
-
-// Strict flag parsing for benches with flags of their own: the main loop
-// reads each value through `flag_value` and hands every argument it does
-// not define to `skip_scale_flag_or_die`, so a typo exits 2 instead of
-// silently running the default study.
-
 /// The value of the flag at `argv[i]`, advancing `i` past it; exits 2
 /// naming the flag when the value is missing.
 inline const char* flag_value(int argc, char** argv, int& i) {
@@ -86,19 +51,43 @@ inline const char* flag_value(int argc, char** argv, int& i) {
   return argv[++i];
 }
 
-/// Steps over `--quick`, `--full` and `--json <path>` (already read by
-/// `parse_scale`); exits 2 naming any other argument.
-inline void skip_scale_flag_or_die(int argc, char** argv, int& i) {
-  if (std::strcmp(argv[i], "--quick") == 0 ||
-      std::strcmp(argv[i], "--full") == 0) {
-    return;
+/// Reads `--quick`, `--full` and `--json <path>` and exits 2 naming any
+/// other argument, so a typo cannot silently run the default study.  A
+/// bench with flags of its own names them here — `value_flags` take the
+/// next argument as their value, `switch_flags` stand alone — and reads
+/// them in its own loop (values through `flag_value`).
+inline Scale parse_scale(int argc, char** argv,
+                         std::initializer_list<const char*> value_flags = {},
+                         std::initializer_list<const char*> switch_flags = {}) {
+  const auto listed = [](std::initializer_list<const char*> flags,
+                         const char* arg) {
+    for (const char* flag : flags) {
+      if (std::strcmp(flag, arg) == 0) return true;
+    }
+    return false;
+  };
+  Scale s;
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      quick = true;
+    } else if (std::strcmp(argv[i], "--full") == 0) {
+      quick = false;
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      s.json_path = flag_value(argc, argv, i);
+    } else if (listed(value_flags, argv[i])) {
+      flag_value(argc, argv, i);
+    } else if (!listed(switch_flags, argv[i])) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+      std::exit(2);
+    }
   }
-  if (std::strcmp(argv[i], "--json") == 0) {
-    flag_value(argc, argv, i);
-    return;
+  if (quick) {
+    s.quick = true;
+    s.ssd_capacity = 8ull << 30;
+    s.essd_capacity = 16ull << 30;
   }
-  std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
-  std::exit(2);
+  return s;
 }
 
 /// The `--threads` value at `argv[i]` (see `flag_value`); exits 2 unless

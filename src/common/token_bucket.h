@@ -56,7 +56,6 @@ class TokenBucket {
     return tokens_;
   }
 
-  double rate_per_s() const { return rate_per_ns_ * 1e9; }
   double capacity() const { return capacity_; }
 
  private:

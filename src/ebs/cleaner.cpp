@@ -87,7 +87,7 @@ void Cleaner::run_cycle() {
   // cleaning bandwidth; replicas are cleaned in parallel on their nodes.
   // The bandwidth is a sched-tagged pipe: the cleaner itself stays strictly
   // serial (one victim in flight), so FIFO timing is unchanged, but the
-  // occupancy is attributed to the victim's owning tenant.
+  // reservation is tagged with the victim's owning tenant (its WFQ flow).
   const double seconds =
       static_cast<double>(segment_bytes_) / (cfg_.processing_mbps * 1e6);
   UC_ASSERT(target.chunk < owners_.size(),
@@ -102,18 +102,25 @@ void Cleaner::run_cycle() {
           const bool ok = logs_[target.chunk]->clean_segment(
               target.victim.seq, pool_, &moved);
           UC_ASSERT(ok, "cleaner reserve exhausted");
-          ++stats_.segments_cleaned;
-          stats_.pages_relocated += moved;
-          stats_.bytes_processed += segment_bytes_;
-          if (owner >= stats_.tenant_segments.size()) {
-            stats_.tenant_segments.resize(owner + 1, 0);
-            stats_.tenant_pages.resize(owner + 1, 0);
+          if (owner >= tenant_segments_.size()) {
+            tenant_segments_.resize(owner + 1, 0);
+            tenant_pages_.resize(owner + 1, 0);
           }
-          ++stats_.tenant_segments[owner];
-          stats_.tenant_pages[owner] += moved;
+          ++tenant_segments_[owner];
+          tenant_pages_[owner] += moved;
           run_cycle();
         });
       });
+}
+
+CleanerStats Cleaner::stats() const {
+  CleanerStats s;
+  s.tenant_segments = tenant_segments_;
+  s.tenant_pages = tenant_pages_;
+  for (const std::uint64_t n : tenant_segments_) s.segments_cleaned += n;
+  for (const std::uint64_t n : tenant_pages_) s.pages_relocated += n;
+  s.bytes_processed = s.segments_cleaned * segment_bytes_;
+  return s;
 }
 
 CleanerStats subtract(const CleanerStats& a, const CleanerStats& b) {

@@ -37,13 +37,15 @@ struct CleanerConfig {
   Status validate() const;
 };
 
+/// The cleaner stores only the per-tenant slices; `Cleaner::stats()` derives
+/// the totals from them on read.
 struct CleanerStats {
-  std::uint64_t segments_cleaned = 0;
-  std::uint64_t pages_relocated = 0;
-  std::uint64_t bytes_processed = 0;
-  /// Per-tenant slices of the same counters, indexed by the VolumeId that
-  /// owned each cleaned victim — who is actually consuming the shared
-  /// background reclaim bandwidth.
+  std::uint64_t segments_cleaned = 0;  ///< sum of `tenant_segments`
+  std::uint64_t pages_relocated = 0;   ///< sum of `tenant_pages`
+  std::uint64_t bytes_processed = 0;   ///< segments_cleaned x segment size
+  /// Per-tenant slices, indexed by the VolumeId that owned each cleaned
+  /// victim — who is actually consuming the shared background reclaim
+  /// bandwidth.
   std::vector<std::uint64_t> tenant_segments;
   std::vector<std::uint64_t> tenant_pages;
 
@@ -53,6 +55,8 @@ struct CleanerStats {
   std::uint64_t tenant_pages_relocated(std::uint32_t vol) const {
     return vol < tenant_pages.size() ? tenant_pages[vol] : 0;
   }
+
+  bool operator==(const CleanerStats&) const = default;
 };
 
 /// Component-wise `a - b` for measurement windows (mirrors `net::subtract`).
@@ -69,7 +73,7 @@ class Cleaner {
   /// is the parallel registry of owning volumes (per-tenant GC accounting).
   /// One cleaner therefore serves every tenant from the same background
   /// bandwidth, which is routed through a sched-tagged `QueuedResource` so
-  /// reports can attribute it.
+  /// the cluster policy arbitrates it and reports see its class busy time.
   Cleaner(sim::Simulator& sim, const CleanerConfig& cfg,
           std::uint64_t segment_bytes, const std::vector<ChunkLog*>& logs,
           const std::vector<std::uint32_t>& owners, SegmentPool& pool,
@@ -84,8 +88,8 @@ class Cleaner {
   }
 
   bool busy() const { return busy_; }
-  const CleanerStats& stats() const { return stats_; }
-  /// The background-bandwidth pipe (per-tenant busy-time attribution).
+  CleanerStats stats() const;
+  /// The background-bandwidth pipe (its `kCleanerGc` busy time).
   const sched::QueuedResource& pipe() const { return pipe_; }
 
  private:
@@ -108,7 +112,8 @@ class Cleaner {
   const std::vector<std::uint32_t>& owners_;
   SegmentPool& pool_;
   VictimIndex index_;  ///< (best live, global chunk) over `logs_`
-  CleanerStats stats_;
+  std::vector<std::uint64_t> tenant_segments_;  ///< per owning VolumeId
+  std::vector<std::uint64_t> tenant_pages_;
   sched::QueuedResource pipe_;
   bool busy_ = false;
 };

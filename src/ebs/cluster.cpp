@@ -32,34 +32,13 @@ Status ClusterConfig::validate() const {
   return sched.validate();
 }
 
-// A shared cluster starts with the provider's spare capacity plus the
-// cleaner reserve; every attach_volume() grows the pool by the volume's
-// live + open-segment share.  Both pool helpers run before the constructor
-// body, so they check the geometry they divide by.
+// A cluster starts with the provider's spare capacity plus the cleaner
+// reserve; every attach_volume() grows the pool by the volume's live +
+// open-segment share.  This runs before the constructor body, so it checks
+// the geometry it divides by.
 std::uint64_t StorageCluster::shared_pool_groups(const ClusterConfig& cfg) {
   UC_ASSERT(cfg.validate().is_ok(), "invalid cluster configuration");
   return cfg.spare_pool_bytes / cfg.segment_bytes + cfg.cleaner_reserve_groups;
-}
-
-// Pool sizing of the original single-volume cluster, reproduced exactly:
-// live data + spare + one open segment per chunk, plus the cleaner reserve.
-std::uint64_t StorageCluster::legacy_pool_groups(const ClusterConfig& cfg,
-                                                 std::uint64_t volume_bytes) {
-  UC_ASSERT(cfg.validate().is_ok(), "invalid cluster configuration");
-  const std::uint64_t chunks =
-      (volume_bytes + cfg.chunk_bytes - 1) / cfg.chunk_bytes;
-  return (volume_bytes + cfg.spare_pool_bytes) / cfg.segment_bytes + chunks +
-         cfg.cleaner_reserve_groups;
-}
-
-StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg)
-    : StorageCluster(sim, cfg, shared_pool_groups(cfg), 0) {}
-
-StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg,
-                               std::uint64_t volume_bytes)
-    : StorageCluster(sim, cfg, legacy_pool_groups(cfg, volume_bytes), 0) {
-  // The pool already covers the volume (legacy sizing), so don't grow it.
-  attach_volume_internal(volume_bytes, /*grow_pool=*/false);
 }
 
 net::FabricConfig StorageCluster::fabric_config(const ClusterConfig& cfg) {
@@ -69,12 +48,17 @@ net::FabricConfig StorageCluster::fabric_config(const ClusterConfig& cfg) {
 }
 
 StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg,
-                               std::uint64_t initial_pool_groups, int /*tag*/)
+                               std::uint64_t volume_bytes)
+    : StorageCluster(sim, cfg) {
+  attach_volume(volume_bytes);
+}
+
+StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg)
     : sim_(sim),
       cfg_(cfg),
       rng_(cfg.seed),
       fabric_(fabric_config(cfg), Rng(cfg.seed ^ 0xfab71cull), &sim),
-      pool_(initial_pool_groups, cfg.cleaner_reserve_groups),
+      pool_(shared_pool_groups(cfg), cfg.cleaner_reserve_groups),
       replica_write_(cfg.replica_write),
       replica_read_(cfg.replica_read),
       append_ns_per_byte_(units::ns_per_byte_from_mbps(cfg.node_append_mbps)),
@@ -95,10 +79,6 @@ StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg,
   pool_.set_release_callback([this] { pump_appends(); });
 }
 
-VolumeId StorageCluster::attach_volume(std::uint64_t volume_bytes) {
-  return attach_volume_internal(volume_bytes, /*grow_pool=*/true);
-}
-
 void StorageCluster::set_volume_weight(VolumeId vol, double weight) {
   UC_ASSERT(vol < volumes_.size(), "unknown volume");
   UC_ASSERT(weight > 0.0, "weights must be positive");
@@ -112,8 +92,7 @@ void StorageCluster::set_volume_weight(VolumeId vol, double weight) {
   cleaner_->set_tenant_weight(vol, weight);
 }
 
-VolumeId StorageCluster::attach_volume_internal(std::uint64_t volume_bytes,
-                                                bool grow_pool) {
+VolumeId StorageCluster::attach_volume(std::uint64_t volume_bytes) {
   UC_ASSERT(volume_bytes > 0 && volume_bytes % kLogicalPageBytes == 0,
             "volume size must be a positive 4 KiB multiple");
   const auto id = static_cast<VolumeId>(volumes_.size());
@@ -132,10 +111,8 @@ VolumeId StorageCluster::attach_volume_internal(std::uint64_t volume_bytes,
     vol->logs.emplace_back(vol->map.pages_per_chunk(), pages_per_segment_);
   }
   vol->readahead_cursor.assign(chunks, ~0ull);
-  if (grow_pool) {
-    pool_.grow((volume_bytes + cfg_.segment_bytes - 1) / cfg_.segment_bytes +
-               chunks);
-  }
+  pool_.grow((volume_bytes + cfg_.segment_bytes - 1) / cfg_.segment_bytes +
+             chunks);
   // `logs` never resizes after this point, so the registry pointers are
   // stable for the cluster's lifetime.
   for (std::uint32_t c = 0; c < chunks; ++c) {
@@ -155,7 +132,6 @@ void StorageCluster::write(VolumeId vol, ByteOffset offset,
   Volume& v = volume(vol);
   UC_ASSERT(v.map.offset_in_chunk(offset) + bytes <= v.map.chunk_bytes(),
             "write fragment crosses a chunk boundary");
-  ++stats_.writes;
   ++v.stats.writes;
   PendingWrite op;
   op.vol = vol;
@@ -190,7 +166,6 @@ void StorageCluster::pump_appends() {
         if (!stalled_) {
           stalled_ = true;
           stall_since_ = sim_.now();
-          ++stats_.stalled_writes;
           ++v.stats.stalled_writes;
         }
         cleaner_->notify();
@@ -203,11 +178,8 @@ void StorageCluster::pump_appends() {
                       op.pages - run_start);
     if (stalled_) {
       stalled_ = false;
-      const SimTime stalled_for = sim_.now() - stall_since_;
-      stats_.append_stall_ns += stalled_for;
-      v.stats.append_stall_ns += stalled_for;
+      v.stats.append_stall_ns += sim_.now() - stall_since_;
     }
-    stats_.written_pages += op.pages;
     v.stats.written_pages += op.pages;
     issue_write_io(op);
     append_queue_.pop_front();
@@ -276,13 +248,11 @@ void StorageCluster::read(VolumeId vol, ByteOffset offset, std::uint32_t bytes,
   Volume& v = volume(vol);
   UC_ASSERT(v.map.offset_in_chunk(offset) + bytes <= v.map.chunk_bytes(),
             "read fragment crosses a chunk boundary");
-  ++stats_.reads;
   ++v.stats.reads;
   const ChunkId chunk = v.map.chunk_of(offset);
   const auto first_page = static_cast<std::uint32_t>(
       v.map.offset_in_chunk(offset) / kLogicalPageBytes);
   const std::uint32_t pages = bytes / kLogicalPageBytes;
-  stats_.read_pages += pages;
   v.stats.read_pages += pages;
 
   // Reads route to the chunk's primary replica: caches and read-ahead
@@ -324,12 +294,10 @@ void StorageCluster::serve_read(std::uint32_t slot, SimTime t_req) {
   for (std::uint32_t i = 0; i < r.pages; ++i) {
     const std::uint32_t page = r.first_page + i;
     if (!log.is_written(page)) {
-      ++stats_.unwritten_read_pages;  // served as zeros from metadata
-      ++v.stats.unwritten_read_pages;
+      ++v.stats.unwritten_read_pages;  // served as zeros from metadata
       continue;
     }
     if (auto hit = cache.lookup(cache_key(v, r.chunk, page)); hit.has_value()) {
-      ++stats_.cache_hit_pages;
       ++v.stats.cache_hit_pages;
       r.ready = std::max(r.ready, *hit);
       continue;
@@ -343,7 +311,6 @@ void StorageCluster::serve_read(std::uint32_t slot, SimTime t_req) {
 
   // Cache-served reads still occupy the node's read pipeline briefly;
   // misses pay the media transfer on top.
-  stats_.media_read_pages += miss_pages;
   v.stats.media_read_pages += miss_pages;
   r.miss_bytes = static_cast<std::uint64_t>(miss_pages) * kLogicalPageBytes;
   const auto svc = static_cast<SimTime>(
@@ -391,7 +358,6 @@ void StorageCluster::respond(std::uint32_t slot, SimTime ready) {
       ++ra_pages;
     }
     if (ra_pages > 0) {
-      ++stats_.readahead_fetches;
       ++v.stats.readahead_fetches;
       r.ra_bytes = static_cast<std::uint64_t>(ra_pages) * kLogicalPageBytes;
       const auto svc = static_cast<SimTime>(
@@ -445,17 +411,13 @@ void StorageCluster::trim(VolumeId vol, ByteOffset offset,
   const auto first_page = static_cast<std::uint32_t>(
       v.map.offset_in_chunk(offset) / kLogicalPageBytes);
   const std::uint32_t pages = bytes / kLogicalPageBytes;
-  ++stats_.trims;
   ++v.stats.trims;
   for (std::uint32_t i = 0; i < pages; ++i) {
     ChunkLog& log = v.logs[chunk];
     // Only pages that were actually written turn into garbage; counting
     // no-op trims used to make trimmed_pages impossible to reconcile with
     // the live/garbage deltas.
-    if (log.is_written(first_page + i)) {
-      ++stats_.trimmed_pages;
-      ++v.stats.trimmed_pages;
-    }
+    if (log.is_written(first_page + i)) ++v.stats.trimmed_pages;
     log.trim_page(first_page + i);
   }
   invalidate_cached(v, chunk, first_page, pages);
@@ -485,6 +447,27 @@ WriteStamp StorageCluster::page_stamp(VolumeId vol, ByteOffset offset) const {
   return v.logs[chunk].page_stamp(static_cast<std::uint32_t>(
       v.map.offset_in_chunk(offset) / kLogicalPageBytes));
 }
+
+namespace {
+
+ClusterStats add(const ClusterStats& a, const ClusterStats& b) {
+  ClusterStats s;
+  s.writes = a.writes + b.writes;
+  s.written_pages = a.written_pages + b.written_pages;
+  s.reads = a.reads + b.reads;
+  s.read_pages = a.read_pages + b.read_pages;
+  s.cache_hit_pages = a.cache_hit_pages + b.cache_hit_pages;
+  s.media_read_pages = a.media_read_pages + b.media_read_pages;
+  s.unwritten_read_pages = a.unwritten_read_pages + b.unwritten_read_pages;
+  s.readahead_fetches = a.readahead_fetches + b.readahead_fetches;
+  s.trims = a.trims + b.trims;
+  s.trimmed_pages = a.trimmed_pages + b.trimmed_pages;
+  s.stalled_writes = a.stalled_writes + b.stalled_writes;
+  s.append_stall_ns = a.append_stall_ns + b.append_stall_ns;
+  return s;
+}
+
+}  // namespace
 
 ClusterStats subtract(const ClusterStats& a, const ClusterStats& b) {
   ClusterStats d;
@@ -516,24 +499,30 @@ ClusterBusyStats subtract(const ClusterBusyStats& a,
   return d;
 }
 
+ClusterStats StorageCluster::stats() const {
+  ClusterStats total;
+  for (const auto& v : volumes_) total = add(total, v->stats);
+  return total;
+}
+
 ClusterBusyStats StorageCluster::busy_stats() const {
   ClusterBusyStats s;
-  const auto add = [&s](const sched::QueuedResource& q) {
+  const auto add_pipe = [&s](const sched::QueuedResource& q) {
     s.busy_ns += q.busy_time();
     for (int c = 0; c < sched::kIoClassCount; ++c) {
       s.class_busy_ns[static_cast<std::size_t>(c)] +=
           q.class_busy_time(static_cast<sched::IoClass>(c));
     }
   };
-  for (const auto& r : node_append_) add(r);
-  for (const auto& r : node_read_) add(r);
-  add(cleaner_->pipe());
+  for (const auto& r : node_append_) add_pipe(r);
+  for (const auto& r : node_read_) add_pipe(r);
+  add_pipe(cleaner_->pipe());
   s.busy_ns += fabric_.total_busy_ns();
   for (int c = 0; c < sched::kIoClassCount; ++c) {
     s.class_busy_ns[static_cast<std::size_t>(c)] +=
         fabric_.class_busy_ns(static_cast<sched::IoClass>(c));
   }
-  s.stall_ns = stats_.append_stall_ns;
+  s.stall_ns = stats().append_stall_ns;
   return s;
 }
 
@@ -575,24 +564,6 @@ bool StorageCluster::check_invariants() const {
   }
   UC_ASSERT(allocated_groups == pool_.total_groups() - pool_.free_groups(),
             "chunk-log segment ownership diverged from the pool totals");
-  // The per-volume slices must add up to the cluster totals.
-  ClusterStats sum;
-  for (const auto& v : volumes_) {
-    sum.writes += v->stats.writes;
-    sum.written_pages += v->stats.written_pages;
-    sum.reads += v->stats.reads;
-    sum.read_pages += v->stats.read_pages;
-    sum.trims += v->stats.trims;
-    sum.trimmed_pages += v->stats.trimmed_pages;
-    sum.stalled_writes += v->stats.stalled_writes;
-  }
-  UC_ASSERT(sum.writes == stats_.writes && sum.reads == stats_.reads &&
-                sum.written_pages == stats_.written_pages &&
-                sum.read_pages == stats_.read_pages &&
-                sum.trims == stats_.trims &&
-                sum.trimmed_pages == stats_.trimmed_pages &&
-                sum.stalled_writes == stats_.stalled_writes,
-            "per-volume stats slices diverged from the cluster totals");
   return true;
 }
 

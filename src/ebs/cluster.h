@@ -16,8 +16,15 @@
 /// on top of the shared node pipelines, node caches, fabric, segment pool,
 /// and the single cluster-wide cleaner.  This is how real EBS clusters
 /// multiplex tenants, and it is the interference medium for every
-/// `uc::tenant` scenario.  The single-volume constructor preserves the
-/// original one-volume-per-cluster behaviour bit for bit.
+/// `uc::tenant` scenario.  There is one construction path: a cluster starts
+/// with the shared spare pool and grows it on every attach; the
+/// single-volume constructor is that path plus one `attach_volume()`.
+///
+/// Every data-path counter is stored once, in the narrowest slice that
+/// sees it: `ClusterStats` per volume, busy time per traffic class on each
+/// pipe, fabric bytes per node, cleaner work per tenant.  The cluster-wide
+/// totals (`stats()`, `busy_stats()`) are sums derived on read, so a
+/// cross-layer audit compares independent numbers, not copies.
 
 #include <array>
 #include <cstdint>
@@ -111,6 +118,8 @@ struct ClusterStats {
   std::uint64_t trimmed_pages = 0;
   std::uint64_t stalled_writes = 0;
   SimTime append_stall_ns = 0;
+
+  bool operator==(const ClusterStats&) const = default;
 };
 
 /// Component-wise `a - b` for measurement windows (mirrors `net::subtract`).
@@ -139,13 +148,15 @@ ClusterBusyStats subtract(const ClusterBusyStats& a, const ClusterBusyStats& b);
 
 class StorageCluster {
  public:
-  /// Multi-volume cluster: starts with only the shared spare pool (plus the
-  /// cleaner reserve); call `attach_volume()` for each tenant volume.
+  /// Starts with only the shared spare pool (plus the cleaner reserve);
+  /// call `attach_volume()` for each tenant volume.
   StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg);
 
-  /// Single-volume compatibility path: sizes the pool exactly as the
-  /// original one-volume cluster did and attaches the volume as VolumeId 0.
-  /// `determinism_test` pins this path bit for bit.
+  /// Single-volume shorthand: `StorageCluster(sim, cfg)` followed by
+  /// `attach_volume(volume_bytes)`, which becomes VolumeId 0.  For a volume
+  /// that is a segment multiple the pool comes out at the original
+  /// one-volume size, live data + spare + one open segment per chunk + the
+  /// cleaner reserve; `determinism_test` pins this path bit for bit.
   StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg,
                  std::uint64_t volume_bytes);
 
@@ -185,9 +196,9 @@ class StorageCluster {
   const ChunkMap& chunks(VolumeId vol = 0) const { return volume(vol).map; }
   const SegmentPool& pool() const { return pool_; }
   const Cleaner& cleaner() const { return *cleaner_; }
-  /// Cluster-wide totals across all volumes.
-  const ClusterStats& stats() const { return stats_; }
-  /// Per-volume slice of the same counters.
+  /// Cluster-wide totals: the per-volume slices summed on read.
+  ClusterStats stats() const;
+  /// Per-volume slice: the only stored copy of these counters.
   const ClusterStats& volume_stats(VolumeId vol) const {
     return volume(vol).stats;
   }
@@ -228,10 +239,10 @@ class StorageCluster {
   std::uint64_t live_pages() const;
   std::uint64_t garbage_pages() const;
 
-  /// Debug probe: asserts that per-volume live/garbage accounting and the
-  /// segment-pool totals reconcile (every allocated group is owned by
-  /// exactly one non-freed chunk-log segment).  Returns true for use in
-  /// EXPECT_TRUE.
+  /// Debug probe: asserts every chunk log's own invariants and that the
+  /// segment-pool totals reconcile with them (every allocated group is
+  /// owned by exactly one non-freed chunk-log segment).  Returns true for
+  /// use in EXPECT_TRUE.
   bool check_invariants() const;
 
  private:
@@ -261,14 +272,8 @@ class StorageCluster {
     std::function<void()> done;
   };
 
-  StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg,
-                 std::uint64_t initial_pool_groups, int tag);
-
   static std::uint64_t shared_pool_groups(const ClusterConfig& cfg);
-  static std::uint64_t legacy_pool_groups(const ClusterConfig& cfg,
-                                          std::uint64_t volume_bytes);
 
-  VolumeId attach_volume_internal(std::uint64_t volume_bytes, bool grow_pool);
   Volume& volume(VolumeId vol) {
     UC_DCHECK(vol < volumes_.size(), "unknown volume");
     return *volumes_[vol];
@@ -333,7 +338,6 @@ class StorageCluster {
 
   sim::Simulator& sim_;
   ClusterConfig cfg_;
-  ClusterStats stats_;
   Rng rng_;
   net::Fabric fabric_;
   SegmentPool pool_;

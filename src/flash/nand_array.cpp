@@ -78,13 +78,4 @@ NandOpResult NandArray::erase_on_die(SimTime now, int die) {
   return {done, failed};
 }
 
-SimTime NandArray::die_busy_time(int die) const {
-  const Die& d = dies_[static_cast<std::size_t>(die)];
-  return d.program_unit.busy_time() + d.read_port.busy_time();
-}
-
-SimTime NandArray::channel_busy_time(int channel) const {
-  return channels_[static_cast<std::size_t>(channel)].busy_time();
-}
-
 }  // namespace uc::flash

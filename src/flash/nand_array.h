@@ -67,10 +67,6 @@ class NandArray {
   const FlashTiming& timing() const { return timing_; }
   const NandCounters& counters() const { return counters_; }
 
-  /// Utilization probes for the ablation benches.
-  SimTime die_busy_time(int die) const;
-  SimTime channel_busy_time(int channel) const;
-
  private:
   struct Die {
     sched::QueuedResource program_unit;  // programs + erases

@@ -13,12 +13,6 @@
 
 namespace uc::ftl {
 
-double FtlConfig::op_ratio() const {
-  const double phys = static_cast<double>(geometry.physical_bytes());
-  const double user = static_cast<double>(user_capacity_bytes);
-  return user <= 0.0 ? 0.0 : phys / user - 1.0;
-}
-
 Status FtlConfig::validate() const {
   if (Status s = geometry.validate(); !s.is_ok()) return s;
   if (user_capacity_bytes == 0 ||

@@ -48,8 +48,6 @@ struct FtlConfig {
   std::uint64_t user_pages() const {
     return user_capacity_bytes / kLogicalPageBytes;
   }
-  /// Over-provisioning factor, e.g. 0.08 for 8% spare.
-  double op_ratio() const;
 
   Status validate() const;
 };
@@ -100,7 +98,6 @@ class Ftl {
   const MappingPolicy& mapping() const { return *mapping_; }
   const MappingStats& mapping_stats() const { return mapping_->stats(); }
   bool write_buffer_empty() const { return wb_->empty(); }
-  bool gc_active() const { return gc_->active(); }
 
   /// Host-write to NAND-program amplification (>= 1 once flushing starts).
   double write_amplification() const;

@@ -97,12 +97,6 @@ WriteStamp PageMapping::stamp_of(Lpn lpn) const {
   return entries_[lpn].stamp;
 }
 
-void PageMapping::grow(std::uint64_t new_logical_pages) {
-  UC_ASSERT(new_logical_pages >= logical_pages_, "mapping cannot shrink");
-  entries_.resize(new_logical_pages);
-  logical_pages_ = new_logical_pages;
-}
-
 void PageMapping::refresh_stats(MappingStats& out) const {
   out.table_bytes = logical_pages_ * sizeof(Entry);
 }

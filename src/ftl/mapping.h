@@ -133,10 +133,6 @@ class MappingPolicy {
   virtual flash::Spa peek(Lpn lpn) const = 0;
   virtual WriteStamp stamp_of(Lpn lpn) const = 0;
 
-  /// Extends the logical address space (elastic volume growth).  New pages
-  /// start unmapped; `new_logical_pages >= logical_pages()` is required.
-  virtual void grow(std::uint64_t new_logical_pages) = 0;
-
   bool is_mapped(Lpn lpn) const { return peek(lpn) != flash::kInvalidSpa; }
 
   /// Snapshot with `table_bytes` (and policy-specific gauges) refreshed.
@@ -188,7 +184,6 @@ class PageMapping final : public MappingPolicy {
   UpdateResult invalidate(Lpn lpn, WriteStamp trim_stamp) override;
   flash::Spa peek(Lpn lpn) const override;
   WriteStamp stamp_of(Lpn lpn) const override;
-  void grow(std::uint64_t new_logical_pages) override;
 
  private:
   void refresh_stats(MappingStats& out) const override;

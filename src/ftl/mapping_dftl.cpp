@@ -81,13 +81,6 @@ WriteStamp DftlMapping::stamp_of(Lpn lpn) const {
   return entries_[lpn].stamp;
 }
 
-void DftlMapping::grow(std::uint64_t new_logical_pages) {
-  UC_ASSERT(new_logical_pages >= logical_pages_, "mapping cannot shrink");
-  entries_.resize(new_logical_pages);
-  logical_pages_ = new_logical_pages;
-  num_tps_ = (new_logical_pages + tp_entries_ - 1) / tp_entries_;
-}
-
 void DftlMapping::refresh_stats(MappingStats& out) const {
   out.table_bytes =
       cmt_.size() * cfg_.translation_page_bytes + num_tps_ * 8;

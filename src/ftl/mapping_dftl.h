@@ -35,7 +35,6 @@ class DftlMapping final : public MappingPolicy {
   UpdateResult invalidate(Lpn lpn, WriteStamp trim_stamp) override;
   flash::Spa peek(Lpn lpn) const override;
   WriteStamp stamp_of(Lpn lpn) const override;
-  void grow(std::uint64_t new_logical_pages) override;
 
   std::uint64_t cached_translation_pages() const { return cmt_.size(); }
   std::uint64_t translation_pages() const { return num_tps_; }

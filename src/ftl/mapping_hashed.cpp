@@ -108,11 +108,6 @@ WriteStamp HashedGroupMapping::stamp_of(Lpn lpn) const {
   return g->entries[lpn % cfg_.group_pages].stamp;
 }
 
-void HashedGroupMapping::grow(std::uint64_t new_logical_pages) {
-  UC_ASSERT(new_logical_pages >= logical_pages_, "mapping cannot shrink");
-  logical_pages_ = new_logical_pages;  // groups materialize on first touch
-}
-
 std::uint64_t HashedGroupMapping::compact_groups() const {
   std::uint64_t n = 0;
   for (const auto& [idx, g] : groups_) {

@@ -157,11 +157,6 @@ WriteStamp LearnedRangeMapping::stamp_of(Lpn lpn) const {
   return point_get(lpn, &from_segment).stamp;
 }
 
-void LearnedRangeMapping::grow(std::uint64_t new_logical_pages) {
-  UC_ASSERT(new_logical_pages >= logical_pages_, "mapping cannot shrink");
-  logical_pages_ = new_logical_pages;  // both structures are sparse
-}
-
 void LearnedRangeMapping::refresh_stats(MappingStats& out) const {
   out.learned_segments = segments_.size();
   out.fallback_entries = fallback_.size();

@@ -35,7 +35,6 @@ class LearnedRangeMapping final : public MappingPolicy {
   UpdateResult invalidate(Lpn lpn, WriteStamp trim_stamp) override;
   flash::Spa peek(Lpn lpn) const override;
   WriteStamp stamp_of(Lpn lpn) const override;
-  void grow(std::uint64_t new_logical_pages) override;
 
   std::uint64_t segment_count() const { return segments_.size(); }
   std::uint64_t fallback_count() const { return fallback_.size(); }

@@ -128,7 +128,6 @@ void SuperblockManager::on_erased(int sb, bool retired) {
   ++info.erase_count;
   if (retired) {
     info.state = SbState::kRetired;
-    ++retired_;
     return;
   }
   info.state = SbState::kFree;

@@ -94,7 +94,6 @@ class SuperblockManager {
   // --- GC support ---
 
   int free_count() const { return static_cast<int>(free_list_.size()); }
-  int retired_count() const { return retired_; }
 
   /// Best victim under `policy`, or -1 if no closed superblock exists.
   int pick_victim(GcPolicy policy, SimTime now) const;
@@ -131,7 +130,6 @@ class SuperblockManager {
   std::vector<SuperblockInfo> superblocks_;
   std::deque<int> free_list_;
   StreamState streams_[kStreamCount];
-  int retired_ = 0;
   std::uint64_t total_valid_ = 0;
 
   // Flat per-slot metadata, indexed by Spa.

@@ -59,10 +59,22 @@ void Fabric::set_tenant_weight(std::uint32_t tenant, double weight) {
   for (auto& pipe : node_rx_) pipe.set_tenant_weight(tenant, weight);
 }
 
+std::uint64_t Fabric::vm_tx_bytes() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : node_rx_bytes_) total += b;
+  return total;
+}
+
+std::uint64_t Fabric::vm_rx_bytes() const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t b : node_tx_bytes_) total += b;
+  return total;
+}
+
 FabricStats Fabric::stats() const {
   FabricStats s;
-  s.vm_tx_bytes = vm_tx_bytes_;
-  s.vm_rx_bytes = vm_rx_bytes_;
+  s.vm_tx_bytes = vm_tx_bytes();
+  s.vm_rx_bytes = vm_rx_bytes();
   s.vm_tx_busy_ns = vm_tx_.busy_time();
   s.vm_rx_busy_ns = vm_rx_.busy_time();
   s.node_tx_bytes = node_tx_bytes_;

@@ -37,6 +37,8 @@ struct FabricConfig {
 };
 
 /// Per-direction byte totals and pipe occupancy, VM-side and per node.
+/// The fabric stores bytes only per node; the VM-side byte totals are
+/// their sums (every transfer has the VM at one end), derived on read.
 struct FabricStats {
   std::uint64_t vm_tx_bytes = 0;
   std::uint64_t vm_rx_bytes = 0;
@@ -63,7 +65,6 @@ class Fabric {
   void to_node(SimTime arrival, int node, std::uint64_t bytes,
                const sched::SchedTag& tag, F&& done) {
     UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-    vm_tx_bytes_ += bytes;
     node_rx_bytes_[static_cast<std::size_t>(node)] += bytes;
     send(vm_tx_, node_rx_[static_cast<std::size_t>(node)], arrival, bytes, tag,
          std::forward<F>(done));
@@ -73,7 +74,6 @@ class Fabric {
   void to_vm(SimTime arrival, int node, std::uint64_t bytes,
              const sched::SchedTag& tag, F&& done) {
     UC_ASSERT(node >= 0 && node < nodes(), "node out of range");
-    vm_rx_bytes_ += bytes;
     node_tx_bytes_[static_cast<std::size_t>(node)] += bytes;
     send(node_tx_[static_cast<std::size_t>(node)], vm_rx_, arrival, bytes, tag,
          std::forward<F>(done));
@@ -95,8 +95,10 @@ class Fabric {
 
   int nodes() const { return static_cast<int>(node_tx_.size()); }
 
-  std::uint64_t vm_tx_bytes() const { return vm_tx_bytes_; }
-  std::uint64_t vm_rx_bytes() const { return vm_rx_bytes_; }
+  /// VM-side byte totals: the sums of the per-node receive (transmit)
+  /// bytes.
+  std::uint64_t vm_tx_bytes() const;
+  std::uint64_t vm_rx_bytes() const;
   std::uint64_t node_tx_bytes(int node) const {
     return node_tx_bytes_[static_cast<std::size_t>(node)];
   }
@@ -106,12 +108,6 @@ class Fabric {
   /// Pipe occupancy so far (divide by elapsed time for utilization).
   SimTime vm_tx_busy_ns() const { return vm_tx_.busy_time(); }
   SimTime vm_rx_busy_ns() const { return vm_rx_.busy_time(); }
-  SimTime node_tx_busy_ns(int node) const {
-    return node_tx_[static_cast<std::size_t>(node)].busy_time();
-  }
-  SimTime node_rx_busy_ns(int node) const {
-    return node_rx_[static_cast<std::size_t>(node)].busy_time();
-  }
 
   /// Snapshot of all byte/occupancy counters (subtract two snapshots to
   /// scope a measurement window).
@@ -145,8 +141,6 @@ class Fabric {
   sim::BandwidthPipe vm_rx_;
   std::vector<sim::BandwidthPipe> node_tx_;
   std::vector<sim::BandwidthPipe> node_rx_;
-  std::uint64_t vm_tx_bytes_ = 0;
-  std::uint64_t vm_rx_bytes_ = 0;
   std::vector<std::uint64_t> node_tx_bytes_;
   std::vector<std::uint64_t> node_rx_bytes_;
 };

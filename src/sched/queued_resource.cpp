@@ -14,8 +14,6 @@ QueuedResource::QueuedResource(QueuedResource&& other) noexcept
       sched_(std::move(other.sched_)),
       free_at_(std::move(other.free_at_)),
       busy_until_(other.busy_until_),
-      busy_time_(other.busy_time_),
-      tenant_busy_(std::move(other.tenant_busy_)),
       depth_peak_(other.depth_peak_) {
   UC_ASSERT(!other.timer_armed_ && !other.pumping_ &&
                 (sched_ == nullptr || sched_->empty()),
@@ -27,7 +25,7 @@ QueuedResource::QueuedResource(QueuedResource&& other) noexcept
 
 void QueuedResource::configure(sim::Simulator& sim,
                                const SchedulerConfig& cfg) {
-  UC_ASSERT(busy_time_ == 0 && (sched_ == nullptr || sched_->empty()),
+  UC_ASSERT(busy_time() == 0 && (sched_ == nullptr || sched_->empty()),
             "configure() must precede traffic");
   sim_ = &sim;
   cfg_ = cfg;
@@ -49,11 +47,14 @@ SimTime QueuedResource::reserve(SimTime arrival, SimTime duration,
   const SimTime end = start + duration;
   free_at_.replace_min(end);
   if (end > busy_until_) busy_until_ = end;
-  busy_time_ += duration;
   class_busy_[static_cast<int>(tag.io_class)] += duration;
-  if (tag.tenant >= tenant_busy_.size()) tenant_busy_.resize(tag.tenant + 1, 0);
-  tenant_busy_[tag.tenant] += duration;
   return end;
+}
+
+SimTime QueuedResource::busy_time() const {
+  SimTime total = 0;
+  for (const SimTime t : class_busy_) total += t;
+  return total;
 }
 
 SimTime QueuedResource::acquire(SimTime now, SimTime duration,

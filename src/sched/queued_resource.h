@@ -16,8 +16,9 @@
 /// `acquire()` returns the same FIFO reservation directly, for resources
 /// that never take a policy (flash dies, reducer CPUs).
 ///
-/// The resource also keeps per-class and per-tenant busy-time slices so a
-/// report can say who actually occupied the pipe.
+/// The resource keeps one busy-time slice per traffic class, so a report
+/// can say what occupied the pipe; the total busy time is their sum,
+/// derived on read.
 
 #include <array>
 #include <cstddef>
@@ -120,14 +121,11 @@ class QueuedResource {
 
   /// Horizon of the most recently placed reservation.
   SimTime busy_until() const { return busy_until_; }
-  /// Total busy time across all servers (utilization accounting).
-  SimTime busy_time() const { return busy_time_; }
+  /// Total busy time across all servers (utilization accounting): the sum
+  /// of the class slices.
+  SimTime busy_time() const;
   SimTime class_busy_time(IoClass c) const {
     return class_busy_[static_cast<int>(c)];
-  }
-  /// Busy time attributed to `tenant` (0 for tenants never seen).
-  SimTime tenant_busy_time(std::uint32_t tenant) const {
-    return tenant < tenant_busy_.size() ? tenant_busy_[tenant] : 0;
   }
   /// Pending (queued, not yet dispatched) reservations right now.
   std::size_t queue_depth() const { return sched_ ? sched_->size() : 0; }
@@ -145,9 +143,7 @@ class QueuedResource {
   std::unique_ptr<Scheduler> sched_;  ///< null under FIFO (no queue needed)
   ServerHorizons free_at_;
   SimTime busy_until_ = 0;
-  SimTime busy_time_ = 0;
   SimTime class_busy_[kIoClassCount] = {};
-  std::vector<SimTime> tenant_busy_;
   std::size_t depth_peak_ = 0;
   bool pumping_ = false;
   bool timer_armed_ = false;

@@ -1,6 +1,5 @@
 #include "sim/parallel.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/status.h"
@@ -26,11 +25,6 @@ ParallelExecutor::~ParallelExecutor() {
   }
   cv_work_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-int ParallelExecutor::max_threads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : std::min(static_cast<int>(hw), kMaxThreads);
 }
 
 void ParallelExecutor::drain_shards() {

@@ -80,10 +80,6 @@ class ParallelExecutor {
   void run_epoch(std::size_t shards,
                  const std::function<void(std::size_t)>& body);
 
-  /// Hardware concurrency for CLI `--threads` defaults, in
-  /// [1, kMaxThreads].
-  static int max_threads();
-
  private:
   void worker_loop();
   /// Claims shards off `next_` until exhausted, capturing the first thrown

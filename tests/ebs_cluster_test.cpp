@@ -238,6 +238,21 @@ TEST(StorageCluster, TrimDropsPagesAndInvalidatesCaches) {
   EXPECT_GE(h.cluster.stats().unwritten_read_pages, 1u);
 }
 
+// Submits far more 4 KiB random writes to volume 0 than the pool holds,
+// all *concurrently* (a synchronous drain between writes would let the
+// cleaner always catch up), then drains.  Returns how many completed.
+int flood_writes(sim::Simulator& sim, StorageCluster& cluster) {
+  Rng rng(17);
+  int completed = 0;
+  for (WriteStamp stamp = 1; stamp <= 3000; ++stamp) {
+    const ByteOffset off =
+        rng.uniform_u64(8 * kMiB / kLogicalPageBytes) * kLogicalPageBytes;
+    cluster.write(0, off, 4096, stamp, [&] { ++completed; });
+  }
+  sim.run();
+  return completed;
+}
+
 TEST(StorageCluster, PoolExhaustionStallsUntilCleanerFrees) {
   auto cfg = test_config();
   // Tiny pool: volume 8 MiB + spare 1 MiB, with a cleaner slower than the
@@ -246,28 +261,29 @@ TEST(StorageCluster, PoolExhaustionStallsUntilCleanerFrees) {
   cfg.cleaner.processing_mbps = 25.0;
   cfg.cleaner.start_free_ratio = 0.5;
   Harness h(cfg, /*volume=*/8 * kMiB);
-  Rng rng(17);
-  // Submit far more than pool capacity *concurrently* (a synchronous
-  // drain between writes would let the cleaner always catch up); every
-  // write must still complete, with stalls resolved through cleaning.
-  int completed = 0;
-  for (int i = 0; i < 3000; ++i) {
-    const ByteOffset off =
-        rng.uniform_u64(8 * kMiB / kLogicalPageBytes) * kLogicalPageBytes;
-    h.stamp += 1;
-    h.cluster.write(0, off, 4096, h.stamp, [&] { ++completed; });
-  }
-  h.sim.run();
-  ASSERT_EQ(completed, 3000);
+  // Every write must still complete, with stalls resolved through cleaning.
+  ASSERT_EQ(flood_writes(h.sim, h.cluster), 3000);
   EXPECT_GT(h.cluster.stats().stalled_writes, 0u);
   EXPECT_GT(h.cluster.stats().append_stall_ns, 0u);
   EXPECT_GT(h.cluster.cleaner().stats().segments_cleaned, 0u);
   // Live accounting stays consistent through all the cleaning.
   EXPECT_LE(h.cluster.live_pages(), 8 * kMiB / kLogicalPageBytes);
+
+  // The single-volume constructor is the shared constructor plus
+  // attach_volume(), so the same flood ends in the same pool, stats and
+  // cleaner state either way.
+  sim::Simulator sim;
+  StorageCluster shared(sim, cfg);
+  shared.attach_volume(8 * kMiB);
+  ASSERT_EQ(flood_writes(sim, shared), 3000);
+  EXPECT_EQ(shared.total_pool_bytes(), h.cluster.total_pool_bytes());
+  EXPECT_EQ(shared.free_pool_bytes(), h.cluster.free_pool_bytes());
+  EXPECT_EQ(shared.stats(), h.cluster.stats());
+  EXPECT_EQ(shared.cleaner().stats(), h.cluster.cleaner().stats());
 }
 
 TEST(StorageCluster, StalledWriteDropsCachedPageBeforeItLands) {
-  // Pool sizing (legacy single volume): 8 MiB live + 1 MiB spare + one
+  // Pool sizing (single volume): 8 MiB live + 1 MiB spare + one
   // open segment per chunk = 11 usable 1 MiB groups over the 2-group
   // cleaner reserve.  Chunk 0 takes one group, chunk 1 the other ten, so
   // the next append into chunk 0 needs a group the pool no longer has.

@@ -146,22 +146,6 @@ TEST(MappingPolicy, InvalidateOfUnmappedIsNoop) {
   }
 }
 
-TEST(MappingPolicy, GrowKeepsEntriesAndNeverShrinksTable) {
-  for (const MappingKind kind : all_kinds()) {
-    SCOPED_TRACE(to_string(kind));
-    auto m = make(kind, 8);
-    ASSERT_TRUE(m->update(3, 70, 1).applied);
-    const std::uint64_t before = m->stats().table_bytes;
-    m->grow(32);
-    EXPECT_EQ(m->logical_pages(), 32u);
-    EXPECT_EQ(m->peek(3), 70u);
-    EXPECT_EQ(m->peek(31), flash::kInvalidSpa);
-    EXPECT_GE(m->stats().table_bytes, before);
-    EXPECT_TRUE(m->update(31, 90, 2).applied);
-    EXPECT_EQ(m->translate(31).spa, 90u);
-  }
-}
-
 // ------------------------------------------------------ DFTL specifics --
 
 TEST(DftlMapping, CmtCapacityOneStaysCorrect) {

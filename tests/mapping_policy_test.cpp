@@ -4,10 +4,9 @@
 // sequential runs (so learned segments form), stale writers, trims, and
 // GC relocations — including relocations racing translates that evict
 // demand-paged translation entries.  Stats invariants are asserted
-// throughout: hits + misses == lookups, table_bytes monotone under pure
-// address-space growth, and the learned fallback never answering with a
-// wrong physical page (implied by equivalence, asserted explicitly via
-// the final full-table sweep).
+// throughout: hits + misses == lookups, and the learned fallback never
+// answering with a wrong physical page (implied by equivalence, asserted
+// explicitly via the final full-table sweep).
 
 #include <gtest/gtest.h>
 
@@ -78,7 +77,7 @@ struct StreamParams {
   MappingConfig cfg;
   std::uint64_t seed = 1;
   std::uint64_t ops = 100000;
-  std::uint64_t start_pages = 4096;
+  std::uint64_t pages = 4096;
 };
 
 void check_stats_invariants(const MappingPolicy& m) {
@@ -90,11 +89,11 @@ void check_stats_invariants(const MappingPolicy& m) {
 // asserting equivalence on every operation's outcome and, periodically
 // and at the end, over the whole table.
 void run_stream(const StreamParams& p) {
-  auto m = make_mapping_policy(p.cfg, p.start_pages);
+  auto m = make_mapping_policy(p.cfg, p.pages);
   ReferenceModel ref;
   Rng rng(p.seed);
 
-  std::uint64_t pages = p.start_pages;
+  const std::uint64_t pages = p.pages;
   WriteStamp stamp = 0;
   flash::Spa spa_cursor = 0;
   // Stale writers replay (lpn, spa, stamp) triples captured earlier, the
@@ -115,9 +114,6 @@ void run_stream(const StreamParams& p) {
       old_stamps[at] = s;
     }
   };
-
-  std::uint64_t grow_at = p.ops / 3;
-  std::uint64_t last_table_bytes_at_growth = 0;
 
   for (std::uint64_t op = 0; op < p.ops; ++op) {
     const std::uint64_t kindp = rng.uniform_u64(100);
@@ -181,17 +177,6 @@ void run_stream(const StreamParams& p) {
       const auto want = ref.update(old_lpns[at], old_spas[at], old_stamps[at]);
       ASSERT_TRUE(got.applied == want.applied);
       ASSERT_EQ(got.previous, want.previous);
-    }
-
-    if (op == grow_at) {
-      // Elastic growth mid-stream: entries survive, the table never
-      // shrinks, and the new tail starts unmapped.
-      last_table_bytes_at_growth = m->stats().table_bytes;
-      pages += pages / 2;
-      m->grow(pages);
-      ASSERT_GE(m->stats().table_bytes, last_table_bytes_at_growth);
-      ASSERT_EQ(m->peek(pages - 1), flash::kInvalidSpa);
-      grow_at += p.ops / 3;
     }
 
     if ((op & 0x3fff) == 0x3fff) {

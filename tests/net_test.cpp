@@ -88,14 +88,15 @@ TEST(Fabric, PerNodeByteCountersAndUtilization) {
   EXPECT_EQ(fabric.node_tx_bytes(2), 0u);
   // Occupancy: 1 ns/byte pipes.
   EXPECT_EQ(fabric.vm_tx_busy_ns(), 8192u);
-  EXPECT_EQ(fabric.node_rx_busy_ns(2), 8192u);
-  EXPECT_EQ(fabric.node_tx_busy_ns(1), 8192u);
   EXPECT_EQ(fabric.vm_rx_busy_ns(), 8192u);
-  EXPECT_EQ(fabric.node_rx_busy_ns(0), 0u);
 
   const FabricStats s = fabric.stats();
   EXPECT_EQ(s.vm_tx_bytes, 8192u);
+  EXPECT_EQ(s.vm_rx_bytes, 8192u);
   EXPECT_EQ(s.node_rx_bytes[2], 8192u);
+  EXPECT_EQ(s.node_rx_busy_ns[2], 8192u);
+  EXPECT_EQ(s.node_tx_busy_ns[1], 8192u);
+  EXPECT_EQ(s.node_rx_busy_ns[0], 0u);
   const FabricStats d = subtract(fabric.stats(), s);
   EXPECT_EQ(d.vm_tx_bytes, 0u);
   EXPECT_EQ(d.node_rx_bytes[2], 0u);

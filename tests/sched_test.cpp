@@ -103,7 +103,7 @@ TEST(QueuedResource, FifoSubmitMatchesAcquireArithmetic) {
   EXPECT_EQ(a.busy_until(), b.busy_until());
 }
 
-TEST(QueuedResource, TracksPerClassAndPerTenantBusyTime) {
+TEST(QueuedResource, TracksPerClassBusyTime) {
   sched::QueuedResource r;
   r.submit(0, tag(0, sched::IoClass::kFgRead), 100, [](SimTime) {});
   r.submit(0, tag(1, sched::IoClass::kFgWrite), 200, [](SimTime) {});
@@ -113,9 +113,6 @@ TEST(QueuedResource, TracksPerClassAndPerTenantBusyTime) {
   EXPECT_EQ(r.class_busy_time(sched::IoClass::kFgWrite), 200u);
   EXPECT_EQ(r.class_busy_time(sched::IoClass::kCleanerGc), 300u);
   EXPECT_EQ(r.class_busy_time(sched::IoClass::kPrefetch), 0u);
-  EXPECT_EQ(r.tenant_busy_time(0), 100u);
-  EXPECT_EQ(r.tenant_busy_time(1), 500u);
-  EXPECT_EQ(r.tenant_busy_time(7), 0u);  // never seen
 }
 
 TEST(QueuedResource, UntaggedAcquireAccruesToTenantZeroWrites) {
@@ -125,7 +122,6 @@ TEST(QueuedResource, UntaggedAcquireAccruesToTenantZeroWrites) {
   EXPECT_EQ(r.acquire(500, 10), 510u); // idle gap
   EXPECT_EQ(r.busy_time(), 160u);
   EXPECT_EQ(r.class_busy_time(sched::IoClass::kFgWrite), 160u);
-  EXPECT_EQ(r.tenant_busy_time(0), 160u);
 }
 
 // -------------------------------------------------------------- DRR --
