@@ -99,12 +99,6 @@ class Fabric {
   /// bytes.
   std::uint64_t vm_tx_bytes() const;
   std::uint64_t vm_rx_bytes() const;
-  std::uint64_t node_tx_bytes(int node) const {
-    return node_tx_bytes_[static_cast<std::size_t>(node)];
-  }
-  std::uint64_t node_rx_bytes(int node) const {
-    return node_rx_bytes_[static_cast<std::size_t>(node)];
-  }
   /// Pipe occupancy so far (divide by elapsed time for utilization).
   SimTime vm_tx_busy_ns() const { return vm_tx_.busy_time(); }
   SimTime vm_rx_busy_ns() const { return vm_rx_.busy_time(); }

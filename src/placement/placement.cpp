@@ -431,13 +431,13 @@ void ShardedHost::begin_measure(Shard& sh, SimTime t0) {
   for (auto& source : sh.sources) source->start();
 }
 
-void ShardedHost::collect(std::size_t c, PlacementResult& result) const {
-  const Shard& sh = shards_[c];
+void ShardedHost::collect(std::size_t c, PlacementResult& result) {
+  Shard& sh = shards_[c];
   for (std::size_t j = 0; j < sh.tenant.size(); ++j) {
-    const wl::LoadSource& source = *sh.sources[j];
+    wl::LoadSource& source = *sh.sources[j];
     UC_ASSERT(source.finished(), "simulator drained but a tenant load hung");
     const std::size_t g = sh.tenant[j];
-    result.stats[g] = source.stats();
+    result.stats[g] = source.take_stats();
     result.backlog_peak[g] = source.backlog_peak();
     result.traces[g] = wl::load_source_trace_summary(source);
   }

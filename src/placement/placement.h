@@ -275,9 +275,9 @@ class ShardedHost {
   /// `t0`, snapshots the before-stats, and starts every load.
   static void begin_measure(Shard& sh, SimTime t0);
   /// Writes cluster `c`'s tenants' and counters' slots of the pre-sized
-  /// `result`.  Shards own disjoint slots, so workers may collect
-  /// concurrently.
-  void collect(std::size_t c, PlacementResult& result) const;
+  /// `result`, moving each finished tenant's `JobStats` out of its source.
+  /// Shards own disjoint slots, so workers may collect concurrently.
+  void collect(std::size_t c, PlacementResult& result);
 
   // --- epoch-sliced engine (coordinator side, barriers only) ---
   /// Advances every member simulator of one fused group to `bound`

@@ -13,8 +13,7 @@ QueuedResource::QueuedResource(QueuedResource&& other) noexcept
       cfg_(std::move(other.cfg_)),
       sched_(std::move(other.sched_)),
       free_at_(std::move(other.free_at_)),
-      busy_until_(other.busy_until_),
-      depth_peak_(other.depth_peak_) {
+      busy_until_(other.busy_until_) {
   UC_ASSERT(!other.timer_armed_ && !other.pumping_ &&
                 (sched_ == nullptr || sched_->empty()),
             "cannot move a QueuedResource with in-flight dispatch state");
@@ -81,7 +80,6 @@ void QueuedResource::submit_queued(SimTime arrival, const SchedTag& tag,
 void QueuedResource::enqueue(const SchedTag& tag, SimTime duration,
                              Grant grant) {
   sched_->push(Item{tag, sim_->now(), duration, std::move(grant)});
-  if (sched_->size() > depth_peak_) depth_peak_ = sched_->size();
   pump();
 }
 

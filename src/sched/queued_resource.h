@@ -127,9 +127,6 @@ class QueuedResource {
   SimTime class_busy_time(IoClass c) const {
     return class_busy_[static_cast<int>(c)];
   }
-  /// Pending (queued, not yet dispatched) reservations right now.
-  std::size_t queue_depth() const { return sched_ ? sched_->size() : 0; }
-  std::size_t queue_depth_peak() const { return depth_peak_; }
 
  private:
   SimTime reserve(SimTime arrival, SimTime duration, const SchedTag& tag);
@@ -144,7 +141,6 @@ class QueuedResource {
   ServerHorizons free_at_;
   SimTime busy_until_ = 0;
   SimTime class_busy_[kIoClassCount] = {};
-  std::size_t depth_peak_ = 0;
   bool pumping_ = false;
   bool timer_armed_ = false;
 };

@@ -89,7 +89,7 @@ JobStats run_load_to_completion(sim::Simulator& sim, BlockDevice& device,
   sim.run();
   UC_ASSERT(source->finished(),
             "simulator drained but the load source is incomplete");
-  return source->stats();
+  return source->take_stats();
 }
 
 }  // namespace uc::wl

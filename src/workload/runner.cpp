@@ -1,6 +1,7 @@
 #include "workload/runner.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/strfmt.h"
 
@@ -28,12 +29,16 @@ Status JobSpec::validate(const DeviceInfo& device) const {
   return Status::ok();
 }
 
+JobStats LoadSource::take_stats() {
+  UC_ASSERT(finished(), "take_stats() on an unfinished load");
+  return std::exchange(stats_, JobStats{});
+}
+
 JobRunner::JobRunner(sim::Simulator& sim, BlockDevice& device,
                      const JobSpec& spec)
     : sim_(sim),
       device_(device),
       spec_(spec),
-      stats_(),
       offsets_(spec.pattern, spec.region_offset,
                spec.effective_region_bytes(device.info()) / spec.io_bytes *
                    spec.io_bytes,
@@ -115,7 +120,7 @@ JobStats JobRunner::run_to_completion(sim::Simulator& sim, BlockDevice& device,
   runner.start();
   sim.run();
   UC_ASSERT(runner.finished(), "simulator drained but job incomplete");
-  return runner.stats();
+  return runner.take_stats();
 }
 
 }  // namespace uc::wl

@@ -85,9 +85,22 @@ std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
     return cfg.size_mix.back().first;
   };
 
+  // One allocation for a typical trace: reserve 10% over the count the
+  // config implies (the diurnal sinusoid averages to the base rate).
+  constexpr double kReserveSlack = 1.1;
+  const double duration_s = static_cast<double>(cfg.duration) / 1e9;
+  const double burst_share = std::min(
+      1.0, cfg.bursts_per_s * static_cast<double>(cfg.burst_duration) / 1e9);
+  const double expected_events =
+      duration_s * (cfg.base_iops + cfg.burst_iops * burst_share);
+  std::vector<TraceEvent> trace;
+  // Clamped before the cast: a double past `size_t`'s range does not convert.
+  trace.reserve(static_cast<std::size_t>(
+      std::min(expected_events * kReserveSlack + 64,
+               static_cast<double>(trace.max_size()))));
+
   // Thinned non-homogeneous Poisson: walk in small steps, drawing arrivals
   // at the max rate and accepting with probability rate(t)/max_rate.
-  std::vector<TraceEvent> trace;
   const double max_rate =
       cfg.base_iops * (1.0 + cfg.diurnal_amplitude) + cfg.burst_iops;
   // Bounds on the acceptance probability over a whole diurnal cycle, indexed
@@ -108,7 +121,6 @@ std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
   SimTime burst_until = 0;
   SimTime next_burst_check = 0;
   double t = 0.0;
-  const double duration_s = static_cast<double>(cfg.duration) / 1e9;
   while (true) {
     t += rng.exponential(1.0 / max_rate);
     if (t >= duration_s) break;

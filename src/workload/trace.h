@@ -26,12 +26,15 @@
 
 namespace uc::wl {
 
+/// Widest field first, so an event packs to 24 bytes: a generated trace is
+/// the largest thing an open-loop replay keeps resident.
 struct TraceEvent {
   SimTime arrival = 0;
-  IoOp op = IoOp::kWrite;
   ByteOffset offset = 0;
   std::uint32_t bytes = kLogicalPageBytes;
+  IoOp op = IoOp::kWrite;
 };
+static_assert(sizeof(TraceEvent) == 24, "TraceEvent must stay packed");
 
 struct TraceGenConfig {
   SimTime duration = 60 * units::kSec;
@@ -86,6 +89,11 @@ struct TraceGenConfig {
 /// floating-point rate, and the shortcut adds, removes and reorders no RNG
 /// draw, so every trace is the one the sinusoid-per-candidate walk
 /// produces, event for event (pinned in tests/trace_test.cpp).
+///
+/// The event vector is reserved once, at 1.1x the count the config implies
+/// (mean diurnal rate plus the burst rate times the fraction of time spent
+/// bursting) plus 64, so a typical trace never regrows; a longer one still
+/// grows as usual.
 std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
                                        const DeviceInfo& device);
 
@@ -161,7 +169,6 @@ class TraceReplayer : public LoadSource {
     return started_ && submitted_ == trace_.size() && inflight_ == 0;
   }
 
-  const JobStats& stats() const override { return stats_; }
   bool open_loop() const override { return true; }
   std::uint64_t backlog_peak() const override { return max_inflight_; }
   const std::vector<TraceEvent>& trace() const { return trace_; }
@@ -176,7 +183,6 @@ class TraceReplayer : public LoadSource {
   BlockDevice& device_;
   std::vector<TraceEvent> trace_;
   ReplayOptions opt_;
-  JobStats stats_;
   std::size_t submitted_ = 0;
   std::uint64_t inflight_ = 0;
   std::uint64_t max_inflight_ = 0;

@@ -9,7 +9,8 @@
 // until it records outside its span, and that a steady-state ESSD I/O runs
 // its whole service chain (QoS gate, frontend, fabric, node pipelines)
 // without allocating, while a steady-state local-SSD I/O stays under a pinned
-// ceiling.  Without the option the tests skip (the
+// ceiling, and that the trace generator allocates its event vector once.
+// Without the option the tests skip (the
 // rest of the suite does not want a global allocator override), and the
 // option refuses to combine with UC_SANITIZE because sanitizers interpose the
 // allocator themselves.
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/lru_cache.h"
@@ -31,6 +33,7 @@
 #include "ssd/ssd_config.h"
 #include "ssd/ssd_device.h"
 #include "workload/runner.h"
+#include "workload/trace.h"
 
 #if defined(UC_PROFILE_ALLOC)
 
@@ -342,6 +345,36 @@ TEST(AllocProfile, HistogramRecordInsideSpanIsAllocationFree) {
   EXPECT_EQ(allocations() - before, 0u)
       << "recording inside the stored span must not grow it";
   EXPECT_EQ(h.count(), 100002u);
+#endif
+}
+
+TEST(AllocProfile, TraceGeneratorReservesItsEventsOnce) {
+  UC_REQUIRE_ALLOC_PROFILING();
+#if defined(UC_PROFILE_ALLOC)
+  // The shape perfbench's `essd_read_burst` replays: 12 s at 25K IOPS,
+  // +-50% on a 4 s cycle, 8 bursts/s of 30 ms at 30K IOPS.  Its config
+  // implies 12 * (25000 + 30000 * 0.24) * 1.1 + 64 = 425,104 events of room;
+  // seeds 1-4 generate 363K-388K.
+  wl::TraceGenConfig gen;
+  gen.duration = 12 * units::kSec;
+  gen.base_iops = 25000.0;
+  gen.diurnal_amplitude = 0.5;
+  gen.diurnal_period = 4 * units::kSec;
+  gen.bursts_per_s = 8.0;
+  gen.burst_iops = 30000.0;
+  gen.burst_duration = 30 * units::kMs;
+  gen.write_fraction = 0.1;
+  DeviceInfo info;
+  info.capacity_bytes = 1024 * units::kMiB;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    gen.seed = seed;
+    const std::uint64_t before = allocations();
+    const std::vector<wl::TraceEvent> trace = wl::generate_trace(gen, info);
+    EXPECT_EQ(allocations() - before, 1u)
+        << "seed " << seed << ": the event vector must not regrow";
+    EXPECT_EQ(trace.capacity(), 425104u) << seed;
+    EXPECT_GT(trace.size(), 300000u) << seed;
+  }
 #endif
 }
 

@@ -253,8 +253,12 @@ TEST(MakeLoadSource, TraceEventsMustFitTheDevice) {
   const std::string path = ::testing::TempDir() + "/oversized_trace.csv";
   {
     std::vector<wl::TraceEvent> trace(2);
-    trace[0] = {1000, IoOp::kWrite, 0, 4096};
-    trace[1] = {2000, IoOp::kWrite, 8ull << 30, 4096};  // beyond 1 GiB
+    trace[0] = {.arrival = 1000, .offset = 0, .bytes = 4096,
+                .op = IoOp::kWrite};
+    trace[1] = {.arrival = 2000,
+                .offset = 8ull << 30,  // beyond 1 GiB
+                .bytes = 4096,
+                .op = IoOp::kWrite};
     ASSERT_TRUE(wl::save_trace_csv(trace, path).is_ok());
   }
   sim::Simulator sim;
@@ -352,12 +356,17 @@ TEST(SummarizeTrace, ByteAndEventBurstinessDiverge) {
   // distinction the bursts-exceed-budget rule judges bytes by.
   std::vector<wl::TraceEvent> trace;
   for (int i = 0; i < 100; ++i) {
-    trace.push_back({static_cast<SimTime>(i) * 10 * units::kMs, IoOp::kWrite,
-                     0, 256 * 1024});
+    trace.push_back({.arrival = static_cast<SimTime>(i) * 10 * units::kMs,
+                     .offset = 0,
+                     .bytes = 256 * 1024,
+                     .op = IoOp::kWrite});
   }
   for (int i = 0; i < 400; ++i) {
-    trace.push_back({500 * units::kMs + static_cast<SimTime>(i) * 100'000,
-                     IoOp::kWrite, 0, 4096});
+    trace.push_back(
+        {.arrival = 500 * units::kMs + static_cast<SimTime>(i) * 100'000,
+         .offset = 0,
+         .bytes = 4096,
+         .op = IoOp::kWrite});
   }
   std::sort(trace.begin(), trace.end(),
             [](const wl::TraceEvent& a, const wl::TraceEvent& b) {

@@ -82,10 +82,6 @@ TEST(Fabric, PerNodeByteCountersAndUtilization) {
   fabric.to_vm(0, 1, 8192, kTag);
   EXPECT_EQ(fabric.vm_tx_bytes(), 8192u);
   EXPECT_EQ(fabric.vm_rx_bytes(), 8192u);
-  EXPECT_EQ(fabric.node_rx_bytes(2), 8192u);
-  EXPECT_EQ(fabric.node_rx_bytes(1), 0u);
-  EXPECT_EQ(fabric.node_tx_bytes(1), 8192u);
-  EXPECT_EQ(fabric.node_tx_bytes(2), 0u);
   // Occupancy: 1 ns/byte pipes.
   EXPECT_EQ(fabric.vm_tx_busy_ns(), 8192u);
   EXPECT_EQ(fabric.vm_rx_busy_ns(), 8192u);
@@ -94,6 +90,9 @@ TEST(Fabric, PerNodeByteCountersAndUtilization) {
   EXPECT_EQ(s.vm_tx_bytes, 8192u);
   EXPECT_EQ(s.vm_rx_bytes, 8192u);
   EXPECT_EQ(s.node_rx_bytes[2], 8192u);
+  EXPECT_EQ(s.node_rx_bytes[1], 0u);
+  EXPECT_EQ(s.node_tx_bytes[1], 8192u);
+  EXPECT_EQ(s.node_tx_bytes[2], 0u);
   EXPECT_EQ(s.node_rx_busy_ns[2], 8192u);
   EXPECT_EQ(s.node_tx_busy_ns[1], 8192u);
   EXPECT_EQ(s.node_rx_busy_ns[0], 0u);

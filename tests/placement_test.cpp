@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -23,6 +24,7 @@
 #include "sched/scheduler.h"
 #include "tenant/scenarios.h"
 #include "tenant/tenant.h"
+#include "workload/load_source.h"
 #include "workload/runner.h"
 
 namespace uc {
@@ -249,6 +251,49 @@ TEST(ShardedHost, IdleClusterRunMatchesPinnedDigests) {
     EXPECT_GT(r.busy[0].signal(), 0u) << threads;
     EXPECT_EQ(r.busy[1].signal(), 0u) << threads;
     EXPECT_EQ(r.busy[2].signal(), 0u) << threads;
+  }
+}
+
+TEST(LoadSource, TakeStatsLeavesAnEmptyJobStats) {
+  // `ShardedHost::collect` moves each finished tenant's stats into the
+  // result; the source keeps an empty `JobStats`, and taking from a load
+  // that has not finished is a bug.  Both loops share the base-class path.
+  tenant::TenantSpec closed = small_tenant("closed", 64 * kMiB, 200, 5);
+  tenant::TenantSpec open = closed;
+  open.load.open_loop = true;
+  open.load.job.duration = 50 * kMs;
+  open.load.gen = wl::derive_trace_gen(open.load.job, 3000.0);
+  for (const tenant::TenantSpec& t : {closed, open}) {
+    sim::Simulator sim;
+    essd::EssdDevice dev(sim, essd::aws_io2_profile(t.capacity_bytes));
+    const std::unique_ptr<wl::LoadSource> source =
+        wl::make_load_source_or_die(sim, dev, t.load, t.name);
+    EXPECT_DEATH(source->take_stats(), "unfinished load") << t.name;
+    source->start();
+    sim.run();
+    ASSERT_TRUE(source->finished()) << t.name;
+    const std::uint64_t ops = source->stats().total_ops();
+    const std::uint64_t bytes = source->stats().total_bytes();
+    const std::uint64_t p99 = source->stats().all_latency.percentile(99);
+    ASSERT_GT(ops, 0u) << t.name;
+
+    const wl::JobStats taken = source->take_stats();
+    EXPECT_EQ(taken.total_ops(), ops) << t.name;
+    EXPECT_EQ(taken.total_bytes(), bytes) << t.name;
+    EXPECT_EQ(taken.all_latency.count(), ops) << t.name;
+    EXPECT_EQ(taken.all_latency.percentile(99), p99) << t.name;
+    EXPECT_EQ(taken.timeline.total_ops(), ops) << t.name;
+
+    const wl::JobStats& left = source->stats();
+    EXPECT_EQ(left.total_ops(), 0u) << t.name;
+    EXPECT_EQ(left.total_bytes(), 0u) << t.name;
+    EXPECT_TRUE(left.all_latency.empty()) << t.name;
+    EXPECT_TRUE(left.read_latency.empty()) << t.name;
+    EXPECT_TRUE(left.write_latency.empty()) << t.name;
+    EXPECT_TRUE(left.slowdown.empty()) << t.name;
+    EXPECT_EQ(left.timeline.total_ops(), 0u) << t.name;
+    EXPECT_EQ(left.first_submit, 0u) << t.name;
+    EXPECT_EQ(left.last_complete, 0u) << t.name;
   }
 }
 
