@@ -202,8 +202,9 @@ TEST(Determinism, SoloEssdDigestMatchesPreSchedSeed) {
 // and GC/flash counters after a GC-heavy mixed job, so any behavioral
 // drift in the extracted interface — an extra flash read, a reordered
 // event, a stats-driven branch — lands here.  Captured at the commit
-// immediately before the MappingPolicy extraction.
-std::uint64_t ssd_mapping_digest() {
+// immediately before the MappingPolicy extraction.  `lookups`, if given,
+// receives the page map's counters after the job and trim.
+std::uint64_t ssd_mapping_digest(ftl::MappingStats* lookups = nullptr) {
   sim::Simulator sim;
   ssd::SsdDevice dev(sim, ssd::samsung_970pro_scaled(1 * kGiB));
 
@@ -233,11 +234,22 @@ std::uint64_t ssd_mapping_digest() {
   d.mix(dev.ftl().gc_stats().victims_collected);
   d.mix(dev.ftl().stats().user_programmed_slots);
   d.mix(dev.ftl().stats().flash_read_pages);
+  if (lookups != nullptr) *lookups = dev.ftl().mapping_stats();
   return d.value();
 }
 
 TEST(Determinism, PageMapDigestMatchesPreMappingRefactorHead) {
   EXPECT_EQ(ssd_mapping_digest(), 9238988344121643801ull);
+}
+
+// perfbench reports ftl.mapping_lookups and ftl.mapping_hits from these two
+// counters; a translate/update/trim/relocate path that stops counting would
+// move them without touching the digest above.
+TEST(Determinism, PageMapLookupCountIsPinned) {
+  ftl::MappingStats st;
+  ssd_mapping_digest(&st);
+  EXPECT_EQ(st.lookups, 807936u);
+  EXPECT_EQ(st.cache_hits, 807936u);
 }
 
 TEST(Determinism, ThreeTenantSeedsDiverge) {
