@@ -317,53 +317,6 @@ def check_ablation_gc(path, metrics):
             fail(path, f"unknown gc policy: {row['policy']}")
 
 
-def check_ablation_mapping(path, metrics):
-    mapping = metrics.get("mapping")
-    if not isinstance(mapping, dict):
-        fail(path, "metrics.mapping must be an object")
-    policies = mapping.get("policies")
-    if not isinstance(policies, list) or not policies:
-        fail(path, "metrics.mapping.policies must be a non-empty array")
-    expected = {"page", "dftl", "hashed-group", "learned-range"}
-    by_name = {}
-    for p in policies:
-        for key in ("policy", "table_bytes", "lookups", "hit_ratio",
-                    "miss_penalty_ms", "tp_flash_reads", "group_rmw_pages",
-                    "learned_segments", "scenarios"):
-            if key not in p:
-                fail(path, f"mapping policy entry missing '{key}'")
-        if p["policy"] not in expected:
-            fail(path, f"unknown mapping policy: {p['policy']}")
-        by_name[p["policy"]] = p
-        scenarios = p["scenarios"]
-        if not isinstance(scenarios, list) or len(scenarios) != 4:
-            fail(path, f"mapping policy '{p['policy']}' needs 4 scenarios")
-        for s in scenarios:
-            for key in ("name", "p99_read_us", "p99_write_us", "gbs", "wa"):
-                if key not in s:
-                    fail(path, f"mapping scenario row missing '{key}'")
-        if not (0.0 <= p["hit_ratio"] <= 1.0 + 1e-9):
-            fail(path, f"mapping policy '{p['policy']}' hit_ratio out of "
-                       "[0, 1]")
-    if set(by_name) != expected:
-        fail(path, f"missing mapping policies: {sorted(expected - set(by_name))}")
-    # The trade the ablation exists to show: the demand-paged map must be
-    # dramatically smaller than the flat page map, and it must have paid for
-    # that with real translation faults that reach the read tail.
-    page, dftl = by_name["page"], by_name["dftl"]
-    if not dftl["table_bytes"] < page["table_bytes"]:
-        fail(path, "dftl table_bytes must undercut the flat page map")
-    if dftl["miss_penalty_ms"] <= 0 or dftl["tp_flash_reads"] <= 0:
-        fail(path, "dftl must report translation faults charged to flash")
-    page_rw = next(s for s in page["scenarios"]
-                   if s["name"] == "random-write")
-    dftl_rw = next(s for s in dftl["scenarios"]
-                   if s["name"] == "random-write")
-    if not dftl_rw["p99_read_us"] > page_rw["p99_read_us"]:
-        fail(path, "dftl translation misses must show up in the "
-                   "random-write p99 read latency")
-
-
 def check_sim_micro(path, metrics):
     benchmarks = metrics.get("benchmarks")
     if not isinstance(benchmarks, list) or not benchmarks:
@@ -640,7 +593,6 @@ CHECKS = {
     "fig5_budget": check_fig5,
     "ablation_essd": check_ablation_essd,
     "ablation_gc": check_ablation_gc,
-    "ablation_mapping": check_ablation_mapping,
     "sim_micro": check_sim_micro,
     "impl1_scaling": check_impl1,
     "impl3_randseq": check_impl3,

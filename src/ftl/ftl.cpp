@@ -15,13 +15,15 @@ namespace uc::ftl {
 
 Status FtlConfig::validate() const {
   if (Status s = geometry.validate(); !s.is_ok()) return s;
+  if (Status s = gc.validate(geometry); !s.is_ok()) return s;
   if (user_capacity_bytes == 0 ||
       user_capacity_bytes % kLogicalPageBytes != 0) {
     return Status::invalid_argument("user capacity must be 4 KiB aligned");
   }
   // GC needs working headroom: at least the stop watermark plus two
-  // superblocks of true spare beyond the user capacity.
-  const std::uint64_t spare_sbs = gc.stop_free_sbs + 2;
+  // superblocks of true spare beyond the user capacity (gc.validate()
+  // guarantees the spare is smaller than the whole device).
+  const auto spare_sbs = static_cast<std::uint64_t>(gc.stop_free_sbs) + 2;
   const std::uint64_t max_user =
       geometry.physical_bytes() - spare_sbs * geometry.superblock_bytes();
   if (user_capacity_bytes > max_user) {
@@ -40,22 +42,30 @@ Status FtlConfig::validate() const {
   if (read_cache_slots == 0) {
     return Status::invalid_argument("read cache needs at least one slot");
   }
-  if (Status s = mapping.validate(); !s.is_ok()) return s;
   return Status::ok();
 }
 
+namespace {
+
+const FtlConfig& validated(const FtlConfig& cfg) {
+  UC_ASSERT(cfg.validate().is_ok(), "invalid FTL configuration");
+  return cfg;
+}
+
+}  // namespace
+
 Ftl::Ftl(sim::Simulator& sim, const FtlConfig& cfg, Rng rng)
-    : sim_(sim), cfg_(cfg) {
-  UC_ASSERT(cfg_.validate().is_ok(), "invalid FTL configuration");
-  user_pages_ = cfg_.user_pages();
+    : sim_(sim),
+      cfg_(validated(cfg)),
+      user_pages_(cfg_.user_pages()),
+      mapping_(user_pages_) {
   nand_ = std::make_unique<flash::NandArray>(cfg_.geometry, cfg_.timing,
                                              rng.fork());
   sm_ = std::make_unique<SuperblockManager>(cfg_.geometry);
-  mapping_ = make_mapping_policy(cfg_.mapping, user_pages_);
   wb_ = std::make_unique<WriteBuffer>(cfg_.write_buffer_slots);
   cache_ = std::make_unique<ReadCache>(cfg_.read_cache_slots);
   prefetcher_ = std::make_unique<SequentialPrefetcher>(cfg_.prefetch);
-  gc_ = std::make_unique<GcController>(sim_, *nand_, *sm_, *mapping_, cfg_.gc);
+  gc_ = std::make_unique<GcController>(sim_, *nand_, *sm_, mapping_, cfg_.gc);
   gc_->set_space_freed_callback([this] {
     if (alloc_stalled_) {
       alloc_stalled_ = false;
@@ -125,7 +135,6 @@ void Ftl::pump_flusher() {
     }
 
     std::vector<FlushItem> batch;
-    bool from_retry = false;
     if (retrying) {
       const std::size_t take =
           std::min<std::size_t>(retry_items_.size(), spr);
@@ -133,7 +142,6 @@ void Ftl::pump_flusher() {
                    retry_items_.begin() + static_cast<long>(take));
       retry_items_.erase(retry_items_.begin(),
                          retry_items_.begin() + static_cast<long>(take));
-      from_retry = true;
     } else {
       wb_->take_flush_batch(spr, batch);
       UC_ASSERT(!batch.empty(), "dirty slots present but none flushable");
@@ -145,16 +153,15 @@ void Ftl::pump_flusher() {
     ++outstanding_flushes_;
     sim_.schedule_at(res.done,
                      sim::boxed([this, row = *alloc, batch = std::move(batch),
-                                 failed = res.failed, from_retry]() mutable {
-                       on_flush_programmed(row, std::move(batch), failed,
-                                           from_retry);
+                                 failed = res.failed]() mutable {
+                       on_flush_programmed(row, std::move(batch), failed);
                      }));
     gc_->maybe_start();
   }
 }
 
 void Ftl::on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch,
-                              bool failed, bool /*from_retry*/) {
+                              bool failed) {
   --outstanding_flushes_;
   if (failed) {
     // Slots of this row are dead; program the same data into a fresh row.
@@ -167,10 +174,7 @@ void Ftl::on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch,
     const FlushItem& item = batch[i];
     const flash::Spa spa = sm_->row_slot_spa(row, static_cast<int>(i));
     sm_->fill_slot(spa, item.lpn, item.stamp);
-    const auto upd = mapping_->update(item.lpn, spa, item.stamp);
-    // A CMT miss on the write path charges the die but never blocks the
-    // mapping update itself (the flusher already owns the data).
-    charge_translation_reads(upd.flash_reads, upd.tp_index);
+    const auto upd = mapping_.update(item.lpn, spa, item.stamp);
     if (!upd.applied) {
       // Newer data (or a trim) reached the mapping first; this copy is dead.
       sm_->invalidate_if_valid(spa);
@@ -230,20 +234,13 @@ void Ftl::read(Lpn start, std::uint32_t pages, std::function<void()> done) {
       ready_floor = std::max(ready_floor, *ready + dram_ns);
       continue;
     }
-    const auto tr = mapping_->translate(lpn);
-    if (tr.flash_reads > 0) {
-      // Demand-paged mapping miss: the translation page is read from
-      // flash before the data read can be issued, so the whole request
-      // waits at least that long.
-      ready_floor = std::max(
-          ready_floor, charge_translation_reads(tr.flash_reads, tr.tp_index));
-    }
-    if (tr.spa == flash::kInvalidSpa) {
+    const flash::Spa spa = mapping_.translate(lpn);
+    if (spa == flash::kInvalidSpa) {
       ++stats_.unmapped_read_pages;
       continue;
     }
     ++stats_.flash_read_pages;
-    groups[tr.spa / static_cast<flash::Spa>(cfg_.geometry.slots_per_page())] +=
+    groups[spa / static_cast<flash::Spa>(cfg_.geometry.slots_per_page())] +=
         1;
   }
 
@@ -294,9 +291,8 @@ void Ftl::issue_prefetch(Lpn start, std::uint32_t pages) {
     const Lpn lpn = start + i;
     if (cache_->contains(lpn)) continue;
     if (wb_->read_lookup(lpn).has_value()) continue;
-    // Speculative: peek never faults translation pages into a demand-paged
-    // mapping, so prefetch probes cannot thrash the CMT.
-    const flash::Spa spa = mapping_->peek(lpn);
+    // Speculative: peek leaves the lookup counters alone.
+    const flash::Spa spa = mapping_.peek(lpn);
     if (spa == flash::kInvalidSpa) continue;
     const flash::Ppa ppa = spa / static_cast<flash::Spa>(g.slots_per_page());
     const int die = g.die_of_ppa(ppa);
@@ -348,25 +344,11 @@ void Ftl::trim(Lpn start, std::uint32_t pages) {
     const Lpn lpn = start + i;
     cache_->invalidate(lpn);
     wb_->discard(lpn);
-    const auto inv = mapping_->invalidate(lpn, next_stamp());
-    charge_translation_reads(inv.flash_reads, inv.tp_index);
+    const auto inv = mapping_.invalidate(lpn, next_stamp());
     if (inv.previous != flash::kInvalidSpa) {
       sm_->invalidate_if_valid(inv.previous);
     }
   }
-}
-
-SimTime Ftl::charge_translation_reads(std::uint32_t reads,
-                                      std::uint64_t tp_index) {
-  if (reads == 0) return sim_.now();
-  const int die = static_cast<int>(
-      tp_index % static_cast<std::uint64_t>(cfg_.geometry.total_dies()));
-  const auto res = nand_->read_page(
-      sim_.now(), die,
-      static_cast<std::uint64_t>(reads) * cfg_.mapping.translation_page_bytes);
-  stats_.mapping_tp_reads += reads;
-  mapping_->add_miss_penalty_ns(res.done - sim_.now());
-  return res.done;
 }
 
 // ------------------------------------------------------------- integrity --
@@ -385,7 +367,7 @@ Status Ftl::check_integrity() const {
   }
   std::uint64_t mapped_seen = 0;
   for (Lpn lpn = 0; lpn < user_pages_; ++lpn) {
-    const flash::Spa spa = mapping_->peek(lpn);
+    const flash::Spa spa = mapping_.peek(lpn);
     if (spa == flash::kInvalidSpa) continue;
     ++mapped_seen;
     if (!sm_->slot_valid(spa)) {
@@ -401,13 +383,13 @@ Status Ftl::check_integrity() const {
                  static_cast<unsigned long long>(sm_->slot_lpn(spa)),
                  static_cast<unsigned long long>(lpn)));
     }
-    if (sm_->slot_stamp(spa) != mapping_->stamp_of(lpn)) {
+    if (sm_->slot_stamp(spa) != mapping_.stamp_of(lpn)) {
       return Status::internal(
           strfmt("stamp mismatch at lpn %llu",
                  static_cast<unsigned long long>(lpn)));
     }
   }
-  if (mapped_seen != mapping_->mapped_count()) {
+  if (mapped_seen != mapping_.mapped_count()) {
     return Status::internal("mapped_count disagrees with table scan");
   }
   if (sm_->total_valid_slots() != mapped_seen) {

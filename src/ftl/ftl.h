@@ -3,7 +3,7 @@
 /// \file ftl.h
 /// The flash translation layer facade: logical 4 KiB page reads/writes/trims
 /// against the NAND array, with DRAM write buffering, sequential prefetch,
-/// page-level mapping and background GC (paper §II-A).
+/// one page-level map (`PageMapping`) and background GC (paper §II-A).
 ///
 /// Latency shaping that belongs to the host interface (firmware command
 /// overhead, host link transfer) lives in `uc::ssd::SsdDevice`; the FTL
@@ -33,7 +33,6 @@ struct FtlConfig {
   flash::FlashGeometry geometry;
   flash::FlashTiming timing;
   GcConfig gc;
-  MappingConfig mapping;  ///< L2P policy (page / dftl / hashed / learned)
 
   /// Host-visible capacity; the rest of the physical space is
   /// over-provisioning for GC.
@@ -64,8 +63,6 @@ struct FtlStats {
   std::uint64_t user_programmed_slots = 0;  ///< host slots flushed to flash
   std::uint64_t padded_slots = 0;           ///< forced partial-row padding
   std::uint64_t program_retries = 0;
-  std::uint64_t mapping_tp_reads = 0;  ///< translation-page flash reads
-                                       ///< charged on the host path
   SimTime user_stall_ns = 0;  ///< flusher time blocked on free space
 };
 
@@ -94,9 +91,8 @@ class Ftl {
   const FtlStats& stats() const { return stats_; }
   const GcStats& gc_stats() const { return gc_->stats(); }
   const flash::NandArray& nand() const { return *nand_; }
-  const SuperblockManager& superblocks() const { return *sm_; }
-  const MappingPolicy& mapping() const { return *mapping_; }
-  const MappingStats& mapping_stats() const { return mapping_->stats(); }
+  const PageMapping& mapping() const { return mapping_; }
+  const MappingStats& mapping_stats() const { return mapping_.stats(); }
   bool write_buffer_empty() const { return wb_->empty(); }
 
   /// Host-write to NAND-program amplification (>= 1 once flushing starts).
@@ -121,13 +117,9 @@ class Ftl {
   void drain_pending_writes();
   void pump_flusher();
   void on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch,
-                           bool failed, bool from_retry);
+                           bool failed);
   void complete_flush_waiters();
   void issue_prefetch(Lpn start, std::uint32_t pages);
-  /// Charges `reads` translation-page flash reads (DFTL CMT misses)
-  /// against a deterministic die; returns when the reads complete.
-  SimTime charge_translation_reads(std::uint32_t reads,
-                                   std::uint64_t tp_index);
   WriteStamp next_stamp() { return ++stamp_counter_; }
 
   sim::Simulator& sim_;
@@ -137,7 +129,7 @@ class Ftl {
 
   std::unique_ptr<flash::NandArray> nand_;
   std::unique_ptr<SuperblockManager> sm_;
-  std::unique_ptr<MappingPolicy> mapping_;
+  PageMapping mapping_;
   std::unique_ptr<WriteBuffer> wb_;
   std::unique_ptr<ReadCache> cache_;
   std::unique_ptr<SequentialPrefetcher> prefetcher_;

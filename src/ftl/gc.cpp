@@ -7,10 +7,38 @@
 
 namespace uc::ftl {
 
+Status GcConfig::validate(const flash::FlashGeometry& geometry) const {
+  if (user_reserve_sbs < 0) {
+    return Status::invalid_argument("GC user reserve must be >= 0");
+  }
+  if (trigger_free_sbs < user_reserve_sbs) {
+    return Status::invalid_argument(
+        "GC must trigger before the user reserve is reached");
+  }
+  if (trigger_free_sbs < 1) {
+    // Triggered only once the pool is empty, GC has nowhere to relocate.
+    return Status::invalid_argument(
+        "GC must trigger while a superblock is still free");
+  }
+  if (stop_free_sbs < trigger_free_sbs) {
+    return Status::invalid_argument("GC stop watermark below its trigger");
+  }
+  if (rows_in_flight < 1) {
+    return Status::invalid_argument("GC needs pipeline depth >= 1");
+  }
+  // Compared before FtlConfig::validate() subtracts the spare from the
+  // physical capacity, so an oversized watermark cannot underflow there.
+  if (static_cast<std::int64_t>(stop_free_sbs) + 2 >=
+      geometry.superblock_count()) {
+    return Status::invalid_argument(
+        "GC spare (stop watermark + 2 superblocks) leaves no user space");
+  }
+  return Status::ok();
+}
+
 GcController::GcController(sim::Simulator& sim, flash::NandArray& nand,
                            SuperblockManager& superblocks,
-                           MappingPolicy& mapping,
-                           const GcConfig& cfg)
+                           PageMapping& mapping, const GcConfig& cfg)
     : sim_(sim), nand_(nand), sm_(superblocks), mapping_(mapping), cfg_(cfg) {
   UC_ASSERT(cfg_.trigger_free_sbs >= cfg_.user_reserve_sbs,
             "GC must trigger before the user reserve is reached");
@@ -126,20 +154,6 @@ void GcController::on_gc_program_done(RowAlloc row, std::vector<RelocItem> batch
     // Source slot dies either way (its superblock is about to be erased).
     sm_.invalidate_if_valid(item.src);
     const auto upd = mapping_.on_gc_relocate(item.lpn, dst, item.stamp);
-    if (upd.flash_reads > 0) {
-      // GC pays its own translation-page faults: the read occupies the die
-      // (competing with foreground I/O) but never blocks the relocation,
-      // whose data is already in the GC write stream.
-      const int die = static_cast<int>(
-          upd.tp_index %
-          static_cast<std::uint64_t>(sm_.geometry().total_dies()));
-      const auto res = nand_.read_page(
-          sim_.now(), die,
-          static_cast<std::uint64_t>(upd.flash_reads) *
-              mapping_.config().translation_page_bytes);
-      stats_.mapping_tp_reads += upd.flash_reads;
-      mapping_.add_miss_penalty_ns(res.done - sim_.now());
-    }
     if (!upd.applied) {
       // The host wrote newer data onto flash mid-relocation.
       sm_.invalidate_if_valid(dst);

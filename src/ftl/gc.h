@@ -18,7 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
+#include "flash/geometry.h"
 #include "flash/nand_array.h"
 #include "ftl/mapping.h"
 #include "ftl/superblock.h"
@@ -37,6 +39,11 @@ struct GcConfig {
   int user_reserve_sbs = 3;
   /// Victim-row read pipeline depth (parallelism GC steals from the array).
   int rows_in_flight = 8;
+
+  /// Rejects watermarks that are negative or out of order, a trigger at
+  /// zero free superblocks, an empty read pipeline, and a spare (`stop_free_sbs + 2` superblocks) that does not
+  /// fit in `geometry`.
+  Status validate(const flash::FlashGeometry& geometry) const;
 };
 
 struct GcStats {
@@ -46,13 +53,12 @@ struct GcStats {
   std::uint64_t erased_superblocks = 0;
   std::uint64_t retired_superblocks = 0;
   std::uint64_t stale_relocations = 0;  ///< overwritten mid-relocation
-  std::uint64_t mapping_tp_reads = 0;   ///< translation-page reads GC paid
 };
 
 class GcController {
  public:
   GcController(sim::Simulator& sim, flash::NandArray& nand,
-               SuperblockManager& superblocks, MappingPolicy& mapping,
+               SuperblockManager& superblocks, PageMapping& mapping,
                const GcConfig& cfg);
 
   /// Invoked whenever a superblock is freed (user writes may unstall).
@@ -63,8 +69,6 @@ class GcController {
   /// Kicks the controller if the free pool is at/below the trigger.
   void maybe_start();
 
-  bool active() const { return active_; }
-  const GcConfig& config() const { return cfg_; }
   const GcStats& stats() const { return stats_; }
 
  private:
@@ -88,7 +92,7 @@ class GcController {
   sim::Simulator& sim_;
   flash::NandArray& nand_;
   SuperblockManager& sm_;
-  MappingPolicy& mapping_;
+  PageMapping& mapping_;
   GcConfig cfg_;
   GcStats stats_;
   std::function<void()> space_freed_;

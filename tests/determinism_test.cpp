@@ -196,13 +196,13 @@ TEST(Determinism, SoloEssdDigestMatchesPreSchedSeed) {
   EXPECT_DOUBLE_EQ(s.all_latency.mean(), 374043.842);
 }
 
-// The mapping refactor's contract: with the default page-map policy the
-// FTL must reproduce the pre-MappingPolicy tree bit for bit.  The digest
+// The page map's contract: the FTL must reproduce the tree from before the
+// L2P table was pulled out of the FTL bit for bit.  The digest
 // covers the entire L2P table (slot + stamp per page) plus job latencies
 // and GC/flash counters after a GC-heavy mixed job, so any behavioral
 // drift in the extracted interface — an extra flash read, a reordered
 // event, a stats-driven branch — lands here.  Captured at the commit
-// immediately before the MappingPolicy extraction.  `lookups`, if given,
+// immediately before that extraction.  `lookups`, if given,
 // receives the page map's counters after the job and trim.
 std::uint64_t ssd_mapping_digest(ftl::MappingStats* lookups = nullptr) {
   sim::Simulator sim;
@@ -350,9 +350,7 @@ TEST(Determinism, ParallelReplayMatrixIsThreadCountInvariant) {
 
 // The same invariance one level up: the replay fleet's per-shard digests
 // (which fold in every ESSD-path event) must match the pre-refactor HEAD
-// at 1, 2 and 4 worker threads.  Guards the FtlConfig/ClusterConfig
-// threading added for mapping ablation: with the policy knob at its
-// default, no fleet-visible event may move.
+// at 1, 2 and 4 worker threads: no fleet-visible event may move.
 TEST(Determinism, FleetDigestsMatchPreMappingRefactorHead) {
   for (const int threads : {1, 2, 4}) {
     const auto r = run_replay_fleet(threads);

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "ftl/ftl.h"
 #include "sim/simulator.h"
+#include "ssd/ssd_config.h"
 
 namespace uc::ftl {
 namespace {
@@ -196,6 +198,63 @@ TEST(Ftl, ConfigValidationRejectsZeroReadCache) {
   EXPECT_TRUE(cfg.validate().is_ok());
   cfg.read_cache_slots = 0;  // the cache constructor would abort
   EXPECT_EQ(cfg.validate().code(), StatusCode::kInvalidArgument);
+}
+
+// Each GC field out of range must be rejected by FtlConfig::validate() and,
+// through it, SsdConfig::validate(), not abort later (in the GcController
+// constructor, or in GC's row allocation when it triggers on an empty pool)
+// or underflow the spare-capacity arithmetic.  The 1 GiB
+// scaled profile has 14 superblocks and watermarks trigger 3 / stop 5 /
+// reserve 2.
+TEST(GcConfig, ValidateRejectsEachBadField) {
+  struct Row {
+    const char* name;
+    void (*edit)(GcConfig&);
+    const char* error;  ///< expected message fragment; nullptr = valid
+  };
+  const Row rows[] = {
+      {"default", [](GcConfig&) {}, nullptr},
+      {"negative reserve", [](GcConfig& g) { g.user_reserve_sbs = -1; },
+       "user reserve"},
+      {"all watermarks negative",
+       [](GcConfig& g) {
+         g.user_reserve_sbs = -3;
+         g.trigger_free_sbs = -2;
+         g.stop_free_sbs = -1;
+       },
+       "user reserve"},
+      {"trigger below reserve", [](GcConfig& g) { g.trigger_free_sbs = 1; },
+       "user reserve is reached"},
+      {"trigger at zero free",
+       [](GcConfig& g) {
+         g.user_reserve_sbs = 0;
+         g.trigger_free_sbs = 0;
+       },
+       "still free"},
+      {"stop below trigger", [](GcConfig& g) { g.stop_free_sbs = 2; },
+       "stop watermark"},
+      {"no read pipeline", [](GcConfig& g) { g.rows_in_flight = 0; },
+       "pipeline depth"},
+      {"spare fills the device", [](GcConfig& g) { g.stop_free_sbs = 12; },
+       "no user space"},
+      {"spare beyond the device", [](GcConfig& g) { g.stop_free_sbs = 24; },
+       "no user space"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    auto cfg = ssd::samsung_970pro_scaled(1 * kGiB);
+    ASSERT_EQ(cfg.ftl.geometry.superblock_count(), 14);
+    row.edit(cfg.ftl.gc);
+    for (const Status& st : {cfg.ftl.validate(), cfg.validate()}) {
+      if (row.error == nullptr) {
+        EXPECT_TRUE(st.is_ok()) << st.message();
+        continue;
+      }
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(st.message().find(row.error), std::string::npos)
+          << st.message();
+    }
+  }
 }
 
 // Property sweep: after an arbitrary mix of writes, overwrites, trims and

@@ -1,17 +1,13 @@
-// Reference-model property harness for the mapping policies: every policy
-// must return bit-identical translations to a naive exact map under a
-// seeded randomized operation stream (~100k ops) mixing random updates,
-// sequential runs (so learned segments form), stale writers, trims, and
-// GC relocations — including relocations racing translates that evict
-// demand-paged translation entries.  Stats invariants are asserted
-// throughout: hits + misses == lookups, and the learned fallback never
-// answering with a wrong physical page (implied by equivalence, asserted
-// explicitly via the final full-table sweep).
+// Reference-model property harness for the page map: it must return
+// bit-identical translations to a naive exact map under a seeded
+// randomized operation stream (~100k ops) mixing random updates,
+// sequential runs, stale writers, trims, and GC relocations.  The lookup
+// counters are asserted throughout: every translate, update, invalidate
+// and relocation is one lookup and one hit.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -21,7 +17,7 @@
 namespace uc::ftl {
 namespace {
 
-// The specification the policies must match: a flat exact map applying
+// The specification the page map must match: a flat exact map applying
 // the stamp rule (update iff stamp >= current; trims record their own
 // stamp so older in-flight programs cannot resurrect the page).
 class ReferenceModel {
@@ -74,26 +70,26 @@ class ReferenceModel {
 };
 
 struct StreamParams {
-  MappingConfig cfg;
   std::uint64_t seed = 1;
   std::uint64_t ops = 100000;
   std::uint64_t pages = 4096;
 };
 
-void check_stats_invariants(const MappingPolicy& m) {
-  const auto& st = m.stats();
-  ASSERT_EQ(st.lookups, st.cache_hits + st.cache_misses);
+void check_stats_invariants(const PageMapping& m, std::uint64_t calls) {
+  ASSERT_EQ(m.stats().lookups, calls);
+  ASSERT_EQ(m.stats().cache_hits, calls);
 }
 
-// Drives one policy and the reference through the same op stream,
+// Drives the page map and the reference through the same op stream,
 // asserting equivalence on every operation's outcome and, periodically
 // and at the end, over the whole table.
 void run_stream(const StreamParams& p) {
-  auto m = make_mapping_policy(p.cfg, p.pages);
+  PageMapping m(p.pages);
   ReferenceModel ref;
   Rng rng(p.seed);
 
   const std::uint64_t pages = p.pages;
+  std::uint64_t calls = 0;  // counted page-map calls made so far
   WriteStamp stamp = 0;
   flash::Spa spa_cursor = 0;
   // Stale writers replay (lpn, spa, stamp) triples captured earlier, the
@@ -122,49 +118,53 @@ void run_stream(const StreamParams& p) {
       const Lpn lpn = rng.uniform_u64(pages);
       const flash::Spa spa = spa_cursor++;
       const WriteStamp s = ++stamp;
-      const auto got = m->update(lpn, spa, s);
+      const auto got = m.update(lpn, spa, s);
+      ++calls;
       const auto want = ref.update(lpn, spa, s);
       ASSERT_TRUE(got.applied == want.applied);
       ASSERT_EQ(got.previous, want.previous);
       remember(lpn, spa, s);
     } else if (kindp < 55) {
       // Sequential burst with consecutive stamps and slots — the flush
-      // path's signature, and the learned map's segment feedstock.
+      // path's signature.
       const std::uint64_t len = rng.uniform_range(4, 32);
       const Lpn base = rng.uniform_u64(pages > len ? pages - len : 1);
       for (std::uint64_t i = 0; i < len; ++i) {
         const flash::Spa spa = spa_cursor++;
         const WriteStamp s = ++stamp;
-        const auto got = m->update(base + i, spa, s);
+        const auto got = m.update(base + i, spa, s);
+        ++calls;
         const auto want = ref.update(base + i, spa, s);
         ASSERT_TRUE(got.applied && want.applied);
         ASSERT_EQ(got.previous, want.previous);
         // Remember one page per burst so GC relocations also hit
-        // segment-resident entries, forcing learned-map splits.
+        // burst-written entries.
         if (i == len / 2) remember(base + i, spa, s);
       }
     } else if (kindp < 75) {
       // Translate (the hot read path); must match the reference exactly.
       const Lpn lpn = rng.uniform_u64(pages);
-      ASSERT_EQ(m->translate(lpn).spa, ref.peek(lpn)) << "lpn " << lpn;
+      ASSERT_EQ(m.translate(lpn), ref.peek(lpn)) << "lpn " << lpn;
+      ++calls;
     } else if (kindp < 83) {
       // Trim with a globally fresh stamp.
       const Lpn lpn = rng.uniform_u64(pages);
       const WriteStamp s = ++stamp;
-      const auto got = m->invalidate(lpn, s);
+      const auto got = m.invalidate(lpn, s);
+      ++calls;
       const auto want = ref.invalidate(lpn, s);
       ASSERT_EQ(got.previous, want.previous);
-      ASSERT_EQ(m->stamp_of(lpn), s);
+      ASSERT_EQ(m.stamp_of(lpn), s);
     } else if (kindp < 93 && !old_lpns.empty()) {
       // GC relocation: re-home a previously written page at its original
       // stamp.  If the host overwrote or trimmed it since, the stamp rule
-      // must reject the move (equal wins, older loses) — racing the
-      // demand-paged evictions the translates above keep forcing.
+      // must reject the move (equal wins, older loses).
       const std::uint64_t at = rng.uniform_u64(old_lpns.size());
       const Lpn lpn = old_lpns[at];
       const flash::Spa dst = spa_cursor++;
       const WriteStamp s = old_stamps[at];
-      const auto got = m->on_gc_relocate(lpn, dst, s);
+      const auto got = m.on_gc_relocate(lpn, dst, s);
+      ++calls;
       const auto want = ref.update(lpn, dst, s);
       ASSERT_TRUE(got.applied == want.applied);
       ASSERT_EQ(got.previous, want.previous);
@@ -173,20 +173,21 @@ void run_stream(const StreamParams& p) {
       // Replayed verbatim it is an equal-stamp win; after an overwrite it
       // must lose.
       const std::uint64_t at = rng.uniform_u64(old_lpns.size());
-      const auto got = m->update(old_lpns[at], old_spas[at], old_stamps[at]);
+      const auto got = m.update(old_lpns[at], old_spas[at], old_stamps[at]);
+      ++calls;
       const auto want = ref.update(old_lpns[at], old_spas[at], old_stamps[at]);
       ASSERT_TRUE(got.applied == want.applied);
       ASSERT_EQ(got.previous, want.previous);
     }
 
     if ((op & 0x3fff) == 0x3fff) {
-      check_stats_invariants(*m);
-      ASSERT_EQ(m->mapped_count(), ref.mapped_count());
+      check_stats_invariants(m, calls);
+      ASSERT_EQ(m.mapped_count(), ref.mapped_count());
       // Spot-check a stripe of the address space.
       const Lpn base = rng.uniform_u64(pages);
       for (Lpn lpn = base; lpn < base + 64 && lpn < pages; ++lpn) {
-        ASSERT_EQ(m->peek(lpn), ref.peek(lpn)) << "lpn " << lpn;
-        ASSERT_EQ(m->stamp_of(lpn), ref.stamp_of(lpn)) << "lpn " << lpn;
+        ASSERT_EQ(m.peek(lpn), ref.peek(lpn)) << "lpn " << lpn;
+        ASSERT_EQ(m.stamp_of(lpn), ref.stamp_of(lpn)) << "lpn " << lpn;
       }
     }
   }
@@ -194,71 +195,15 @@ void run_stream(const StreamParams& p) {
   // Final full-table sweep: every translation and stamp must be
   // bit-identical to the reference.
   for (Lpn lpn = 0; lpn < pages; ++lpn) {
-    ASSERT_EQ(m->peek(lpn), ref.peek(lpn)) << "lpn " << lpn;
-    ASSERT_EQ(m->stamp_of(lpn), ref.stamp_of(lpn)) << "lpn " << lpn;
+    ASSERT_EQ(m.peek(lpn), ref.peek(lpn)) << "lpn " << lpn;
+    ASSERT_EQ(m.stamp_of(lpn), ref.stamp_of(lpn)) << "lpn " << lpn;
   }
-  ASSERT_EQ(m->mapped_count(), ref.mapped_count());
-  check_stats_invariants(*m);
-}
-
-MappingConfig config_for(MappingKind kind) {
-  MappingConfig cfg;
-  cfg.kind = kind;
-  cfg.cmt_capacity_pages = 4;       // small enough to miss constantly
-  cfg.translation_page_bytes = 512;  // 64 entries per translation page
-  cfg.group_pages = 16;
-  cfg.min_run_pages = 8;
-  return cfg;
+  ASSERT_EQ(m.mapped_count(), ref.mapped_count());
+  check_stats_invariants(m, calls);
 }
 
 TEST(MappingPolicyProperty, PageMatchesReference) {
-  run_stream({config_for(MappingKind::kPage), 42});
-}
-
-TEST(MappingPolicyProperty, DftlMatchesReference) {
-  run_stream({config_for(MappingKind::kDftl), 43});
-}
-
-TEST(MappingPolicyProperty, DftlCmtCapacityOneMatchesReference) {
-  auto cfg = config_for(MappingKind::kDftl);
-  cfg.cmt_capacity_pages = 1;  // every tp switch is a miss + writeback
-  run_stream({cfg, 44});
-}
-
-TEST(MappingPolicyProperty, HashedGroupMatchesReference) {
-  run_stream({config_for(MappingKind::kHashedGroup), 45});
-}
-
-TEST(MappingPolicyProperty, LearnedRangeMatchesReference) {
-  run_stream({config_for(MappingKind::kLearnedRange), 46});
-}
-
-TEST(MappingPolicyProperty, LearnedRangeShortRunsMatchReference) {
-  auto cfg = config_for(MappingKind::kLearnedRange);
-  cfg.min_run_pages = 2;  // aggressive segment formation, heavy splitting
-  run_stream({cfg, 47});
-}
-
-TEST(MappingPolicyProperty, DftlMissAccountingIsConsistent) {
-  // With a CMT far smaller than the touched translation pages, misses must
-  // dominate, and every miss must have reported exactly one flash read.
-  auto cfg = config_for(MappingKind::kDftl);
-  cfg.cmt_capacity_pages = 2;
-  auto m = make_mapping_policy(cfg, 1 << 16);
-  Rng rng(7);
-  std::uint64_t reported_reads = 0;
-  for (int i = 0; i < 20000; ++i) {
-    const Lpn lpn = rng.uniform_u64(1 << 16);
-    if (rng.bernoulli(0.5)) {
-      reported_reads += m->update(lpn, i, i + 1).flash_reads;
-    } else {
-      reported_reads += m->translate(lpn).flash_reads;
-    }
-  }
-  const auto& st = m->stats();
-  EXPECT_EQ(st.lookups, st.cache_hits + st.cache_misses);
-  EXPECT_EQ(st.cache_misses, reported_reads);
-  EXPECT_GT(st.cache_misses, st.cache_hits);
+  run_stream({42});
 }
 
 }  // namespace
