@@ -484,6 +484,96 @@ void BM_ChunkLogClean(benchmark::State& state) {
 BENCHMARK(BM_ChunkLogClean)->Arg(0)->Arg(1)->UseManualTime();
 
 // ---------------------------------------------------------------------------
+// BM_ChunkLogAppendRun: `ChunkLog::append_run` of 25-page overwrite runs
+// (the mean write run of `fleet_rebalance`) at steady state.  Arg(0) is the
+// ESSD geometry (16,384 pages, 2,048 per segment), Arg(1) the fleet
+// geometry (1,024 pages, 256 per segment).  A log starts full, and each run
+// starts at a random page (clipped at the chunk end), so it overwrites
+// pages of several segments and often crosses a 64-page word.  One
+// iteration times a batch of 32 runs; between batches the best victims are
+// cleaned, untimed, until the pool has room for the next batch.  The pool
+// holds about twice the live data, so a log spans about twice as many
+// segments (bitmap rows) as its live pages fill.  As in
+// BM_ChunkLogClean, the log is rebuilt and warmed up every 256 batches, so
+// the number of segments it has ever allocated stays bounded.  Rows carry
+// items = runs, so events_per_sec is runs per second.
+// ---------------------------------------------------------------------------
+
+struct AppendRunFixture {
+  static constexpr int kBatchesPerLog = 256;
+  static constexpr int kWarmupBatches = 32;
+  static constexpr std::uint32_t kRunsPerBatch = 32;
+  static constexpr std::uint32_t kRunPages = 25;
+  static constexpr std::uint64_t kFreeGroups = 8;  // > a batch's segments
+
+  AppendRunFixture(std::uint32_t pages, std::uint32_t pages_per_segment)
+      : pages(pages),
+        pool(2 * (pages / pages_per_segment) + kFreeGroups + 1, 0),
+        log(pages, pages_per_segment) {
+    log.append_run(0, pages, 1, pool);
+    stamp = pages;
+  }
+
+  /// One batch of runs; returns false if the pool ran dry.
+  bool batch(Rng& rng) {
+    for (std::uint32_t i = 0; i < kRunsPerBatch; ++i) {
+      const auto first = static_cast<std::uint32_t>(rng.uniform_u64(pages));
+      const std::uint32_t n = std::min(kRunPages, pages - first);
+      if (log.append_run(first, n, stamp + 1, pool) != n) return false;
+      stamp += n;
+    }
+    return true;
+  }
+
+  /// Cleans the best victims until the next batch cannot run dry.
+  bool refill() {
+    while (pool.free_groups() < kFreeGroups) {
+      if (!log.clean_segment(log.pick_victim()->seq, pool, nullptr)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::uint32_t pages;
+  ebs::SegmentPool pool;
+  ebs::ChunkLog log;
+  WriteStamp stamp = 0;
+};
+
+void BM_ChunkLogAppendRun(benchmark::State& state) {
+  const bool essd = state.range(0) == 0;
+  state.SetLabel(essd ? "essd" : "fleet");
+  const std::uint32_t pages = essd ? 16384 : 1024;
+  const std::uint32_t pages_per_segment = essd ? 2048 : 256;
+  Rng rng(17);
+  std::unique_ptr<AppendRunFixture> fx;
+  std::uint64_t batches = 0;
+  for (auto _ : state) {
+    bool ok = true;
+    if (batches % AppendRunFixture::kBatchesPerLog == 0) {
+      fx = std::make_unique<AppendRunFixture>(pages, pages_per_segment);
+      for (int i = 0; ok && i < AppendRunFixture::kWarmupBatches; ++i) {
+        ok = fx->refill() && fx->batch(rng);
+      }
+    }
+    ok = ok && fx->refill();
+    const auto start = std::chrono::steady_clock::now();
+    ok = ok && fx->batch(rng);
+    const auto stop = std::chrono::steady_clock::now();
+    if (!ok) {
+      state.SkipWithError("segment pool ran dry");
+      break;
+    }
+    ++batches;
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          AppendRunFixture::kRunsPerBatch);
+}
+BENCHMARK(BM_ChunkLogAppendRun)->Arg(0)->Arg(1)->UseManualTime();
+
+// ---------------------------------------------------------------------------
 // BM_NodeCache: one storage node's page cache (16,384 pages, the default
 // 64 MiB) at steady state, keyed like the cluster's `(chunk << 32) | page`
 // with Zipf(0.9) popularity over 4M pages of 16,384-page chunks.  Arg(0) is

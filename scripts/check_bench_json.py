@@ -358,6 +358,12 @@ def check_sim_micro(path, metrics):
     if chunk_clean and chunk_clean != {"0", "1"}:
         fail(path, "BM_ChunkLogClean must report the ESSD (0) and fleet (1) "
                    f"geometries (got {sorted(chunk_clean)})")
+    # So does the chunk-log append-run rung.
+    append_run = {b["name"].split("/")[1] for b in benchmarks
+                  if b["name"].startswith("BM_ChunkLogAppendRun/")}
+    if append_run and append_run != {"0", "1"}:
+        fail(path, "BM_ChunkLogAppendRun must report the ESSD (0) and fleet "
+                   f"(1) geometries (got {sorted(append_run)})")
     # The node-cache rung compares the read and write-invalidate mixes, so
     # both must be present.
     node_cache = {b["name"].split("/")[1] for b in benchmarks

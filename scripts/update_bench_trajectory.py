@@ -5,8 +5,9 @@ The trajectory (BENCH_TRAJECTORY.json at the repo root) is an append-only
 record of kernel throughput over time, so a perf regression shows up as a
 dip in a diffable artifact rather than as folklore.  Each row snapshots the
 events/sec of the BM_EventKernel*, BM_ParallelShardReplay*,
-BM_ParallelEpochBarrier*, BM_CleanerPick*, BM_ChunkLogClean*, BM_NodeCache*,
-BM_TenantStatsLifecycle and BM_GenerateTrace families and the end-to-end
+BM_ParallelEpochBarrier*, BM_CleanerPick*, BM_ChunkLogClean*,
+BM_ChunkLogAppendRun*, BM_NodeCache*, BM_TenantStatsLifecycle and
+BM_GenerateTrace families and the end-to-end
 BM_EssdSimulatedIops / BM_SsdSimulatedIops rows (simulated I/Os per second)
 from `bench_sim_micro --json` documents,
 plus, from a `bench_fleet --json` document, "FleetRebalanceReplay/t<threads>"
@@ -40,7 +41,8 @@ import sys
 SCHEMA = "uc-bench-trajectory-v1"
 TRACKED_PREFIXES = ("BM_EventKernel", "BM_ParallelShardReplay",
                     "BM_ParallelEpochBarrier", "BM_CleanerPick",
-                    "BM_ChunkLogClean", "BM_NodeCache", "BM_TenantStatsLifecycle",
+                    "BM_ChunkLogClean", "BM_ChunkLogAppendRun",
+                    "BM_NodeCache", "BM_TenantStatsLifecycle",
                     "BM_GenerateTrace", "BM_EssdSimulatedIops",
                     "BM_SsdSimulatedIops", "FleetRebalanceReplay",
                     "FleetStatic")

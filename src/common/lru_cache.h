@@ -51,18 +51,27 @@ class LruReadyCache {
   }
 
   /// Inserts/updates `key`, ready at `ready` (keeps the earlier ready time
-  /// if the key is already present).
-  void insert(const Key& key, SimTime ready) {
+  /// if the key is already present).  Returns the key evicted to make room,
+  /// if any.
+  std::optional<Key> insert(const Key& key, SimTime ready) {
     if (const std::uint32_t slot = find(key); slot != kNil) {
       Entry& e = entries_[slot];
       if (ready < e.ready) e.ready = ready;
       touch(slot);
-      return;
+      return std::nullopt;
     }
+    return insert_absent(key, ready);
+  }
+
+  /// `insert` of a key the caller knows is absent, without looking it up.
+  std::optional<Key> insert_absent(const Key& key, SimTime ready) {
+    UC_DCHECK(find(key) == kNil, "insert_absent of a cached key");
+    std::optional<Key> evicted;
     std::uint32_t slot;
     if (size_ >= capacity_) {
       slot = tail_;  // evict the LRU entry and reuse its slot in place
-      erase_index(entries_[slot].key);
+      evicted = entries_[slot].key;
+      erase_index(*evicted);
       unlink(slot);
     } else {
       slot = allocate_slot();
@@ -74,6 +83,7 @@ class LruReadyCache {
     e.ready = ready;
     push_front(slot);
     index_slot(slot);
+    return evicted;
   }
 
   /// Ready time if cached (refreshes recency).

@@ -1,11 +1,13 @@
 #include "ebs/cluster.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/units.h"
 
@@ -65,6 +67,8 @@ StorageCluster::StorageCluster(sim::Simulator& sim, const ClusterConfig& cfg)
       read_ns_per_byte_(units::ns_per_byte_from_mbps(cfg.node_read_mbps)) {
   pages_per_segment_ =
       static_cast<std::uint32_t>(cfg.segment_bytes / kLogicalPageBytes);
+  resident_words_per_chunk_ = static_cast<std::uint32_t>(
+      (cfg.chunk_bytes / kLogicalPageBytes + 63) / 64);
   for (int n = 0; n < cfg.fabric.nodes; ++n) {
     node_append_.emplace_back();
     node_read_.emplace_back();
@@ -111,6 +115,12 @@ VolumeId StorageCluster::attach_volume(std::uint64_t volume_bytes) {
     vol->logs.emplace_back(vol->map.pages_per_chunk(), pages_per_segment_);
   }
   vol->readahead_cursor.assign(chunks, ~0ull);
+  // Reserved exactly: the bitmap is the cluster's largest per-page array.
+  const std::size_t resident_words =
+      resident_.size() +
+      static_cast<std::size_t>(chunks) * resident_words_per_chunk_;
+  resident_.reserve(resident_words);
+  resident_.resize(resident_words, 0);
   pool_.grow((volume_bytes + cfg_.segment_bytes - 1) / cfg_.segment_bytes +
              chunks);
   // `logs` never resizes after this point, so the registry pointers are
@@ -153,25 +163,24 @@ void StorageCluster::pump_appends() {
     Volume& v = volume(op.vol);
     ChunkLog& log = v.logs[op.chunk];
     const std::uint32_t run_start = op.cursor;
-    while (op.cursor < op.pages) {
-      if (!log.append_page(op.first_page + op.cursor,
-                           op.first_stamp + op.cursor, pool_)) {
-        // Pool dry: the cluster stalls until the cleaner frees segments.
-        // This emergent throttling *is* the provider's flow limiting — and
-        // on a shared cluster it is felt by every tenant at once.  The
-        // stalled page leaves the caches now, so reads during the stall
-        // miss; it is dropped again once its append lands.
-        invalidate_cached(v, op.chunk, op.first_page + run_start,
-                          op.cursor - run_start + 1);
-        if (!stalled_) {
-          stalled_ = true;
-          stall_since_ = sim_.now();
-          ++v.stats.stalled_writes;
-        }
-        cleaner_->notify();
-        return;
+    op.cursor += log.append_run(op.first_page + op.cursor,
+                                op.pages - op.cursor,
+                                op.first_stamp + op.cursor, pool_);
+    if (op.cursor < op.pages) {
+      // Pool dry: the cluster stalls until the cleaner frees segments.
+      // This emergent throttling *is* the provider's flow limiting — and
+      // on a shared cluster it is felt by every tenant at once.  The
+      // stalled page leaves the caches now, so reads during the stall
+      // miss; it is dropped again once its append lands.
+      invalidate_cached(v, op.chunk, op.first_page + run_start,
+                        op.cursor - run_start + 1);
+      if (!stalled_) {
+        stalled_ = true;
+        stall_since_ = sim_.now();
+        ++v.stats.stalled_writes;
       }
-      ++op.cursor;
+      cleaner_->notify();
+      return;
     }
     // Writes invalidate any cached older version of the run's pages.
     invalidate_cached(v, op.chunk, op.first_page + run_start,
@@ -194,11 +203,42 @@ void StorageCluster::invalidate_cached(const Volume& v, ChunkId chunk,
   // Reads and read-ahead insert into `replicas(chunk)[0]`'s cache alone, a
   // chunk's replica list never changes, and volumes are never detached, so
   // probing the other replicas' caches could never remove anything.
+  // The resident bitmap names the cached pages, so the probes go a word
+  // at a time over the set bits alone.
   const int primary = v.map.replicas(chunk)[0];
   auto& cache = node_caches_[static_cast<std::size_t>(primary)];
-  for (std::uint32_t i = 0; i < pages && cache.size() > 0; ++i) {
-    cache.invalidate(cache_key(v, chunk, first_page + i));
+  const std::uint32_t end = first_page + pages;
+  for (std::uint32_t page = first_page; page < end;) {
+    const std::uint32_t shift = page % 64;
+    const std::uint32_t k = std::min(end - page, 64 - shift);
+    const std::uint64_t mask = (~std::uint64_t{0} >> (64 - k)) << shift;
+    std::uint64_t& word = resident_[resident_at(v.chunk_base + chunk, page)];
+    for (std::uint64_t hits = word & mask; hits != 0; hits &= hits - 1) {
+      const auto bit = static_cast<std::uint32_t>(std::countr_zero(hits));
+      cache.invalidate(cache_key(v, chunk, page - shift + bit));
+    }
+    word &= ~mask;
+    page += k;
   }
+}
+
+void StorageCluster::cache_page(int node, const Volume& v, ChunkId chunk,
+                                std::uint32_t page, SimTime ready) {
+  auto& cache = node_caches_[static_cast<std::size_t>(node)];
+  std::uint64_t& word = resident_[resident_at(v.chunk_base + chunk, page)];
+  const std::uint64_t bit = std::uint64_t{1} << (page % 64);
+  const std::uint64_t key = cache_key(v, chunk, page);
+  if ((word & bit) != 0) {
+    cache.insert(key, ready);  // cached already: never evicts
+    return;
+  }
+  if (const auto evicted = cache.insert_absent(key, ready)) {
+    const auto evicted_page = static_cast<std::uint32_t>(*evicted);
+    resident_[resident_at(static_cast<std::uint32_t>(*evicted >> 32),
+                          evicted_page)] &=
+        ~(std::uint64_t{1} << (evicted_page % 64));
+  }
+  word |= bit;
 }
 
 void StorageCluster::issue_write_io(PendingWrite& op) {
@@ -297,12 +337,14 @@ void StorageCluster::serve_read(std::uint32_t slot, SimTime t_req) {
       ++v.stats.unwritten_read_pages;  // served as zeros from metadata
       continue;
     }
-    if (auto hit = cache.lookup(cache_key(v, r.chunk, page)); hit.has_value()) {
-      ++v.stats.cache_hit_pages;
-      r.ready = std::max(r.ready, *hit);
+    if (!resident(v, r.chunk, page)) {
+      ++miss_pages;
       continue;
     }
-    ++miss_pages;
+    const auto hit = cache.lookup(cache_key(v, r.chunk, page));
+    UC_DCHECK(hit.has_value(), "resident page missing from its cache");
+    ++v.stats.cache_hit_pages;
+    r.ready = std::max(r.ready, *hit);
   }
   if (r.pages == 0) {
     respond(slot, r.ready);
@@ -328,11 +370,10 @@ void StorageCluster::read_media(std::uint32_t slot, SimTime piped) {
   if (r.miss_bytes > 0) {
     t += replica_read_.sample(rng_, r.miss_bytes);
     const Volume& v = volume(r.vol);
-    auto& cache = node_caches_[static_cast<std::size_t>(r.node)];
     const ChunkLog& log = v.logs[r.chunk];
     for (std::uint32_t i = 0; i < r.pages; ++i) {
       const std::uint32_t page = r.first_page + i;
-      if (log.is_written(page)) cache.insert(cache_key(v, r.chunk, page), t);
+      if (log.is_written(page)) cache_page(r.node, v, r.chunk, page, t);
     }
   }
   respond(slot, std::max(r.ready, t));
@@ -346,7 +387,6 @@ void StorageCluster::respond(std::uint32_t slot, SimTime ready) {
   // priority policy demotes it.
   if (r.ra_eligible) {
     Volume& v = volume(r.vol);
-    const auto& cache = node_caches_[static_cast<std::size_t>(r.node)];
     const ChunkLog& log = v.logs[r.chunk];
     const std::uint32_t ra_first = r.first_page + r.pages;
     std::uint32_t ra_pages = 0;
@@ -354,7 +394,7 @@ void StorageCluster::respond(std::uint32_t slot, SimTime ready) {
       const std::uint32_t page = ra_first + i;
       if (page >= v.map.pages_per_chunk()) break;
       if (!log.is_written(page)) break;
-      if (cache.contains(cache_key(v, r.chunk, page))) continue;
+      if (resident(v, r.chunk, page)) continue;
       ++ra_pages;
     }
     if (ra_pages > 0) {
@@ -384,14 +424,13 @@ void StorageCluster::fill_readahead(std::uint32_t slot, SimTime fetched) {
   const ReadIo& r = reads_[slot];
   const SimTime t_ra = fetched + replica_read_.sample(rng_, r.ra_bytes);
   const Volume& v = volume(r.vol);
-  auto& cache = node_caches_[static_cast<std::size_t>(r.node)];
   const ChunkLog& log = v.logs[r.chunk];
   const std::uint32_t ra_first = r.first_page + r.pages;
   for (std::uint32_t i = 0; i < cfg_.readahead_pages; ++i) {
     const std::uint32_t page = ra_first + i;
     if (page >= v.map.pages_per_chunk()) break;
     if (!log.is_written(page)) break;
-    cache.insert(cache_key(v, r.chunk, page), t_ra);
+    cache_page(r.node, v, r.chunk, page, t_ra);
   }
   release_read(slot);
 }
@@ -439,6 +478,13 @@ bool StorageCluster::page_cached_on(int node, VolumeId vol,
       v, chunk,
       static_cast<std::uint32_t>(v.map.offset_in_chunk(offset) /
                                  kLogicalPageBytes)));
+}
+
+bool StorageCluster::page_resident(VolumeId vol, ByteOffset offset) const {
+  const Volume& v = volume(vol);
+  return resident(v, v.map.chunk_of(offset),
+                  static_cast<std::uint32_t>(v.map.offset_in_chunk(offset) /
+                                             kLogicalPageBytes));
 }
 
 WriteStamp StorageCluster::page_stamp(VolumeId vol, ByteOffset offset) const {
@@ -564,6 +610,21 @@ bool StorageCluster::check_invariants() const {
   }
   UC_ASSERT(allocated_groups == pool_.total_groups() - pool_.free_groups(),
             "chunk-log segment ownership diverged from the pool totals");
+  std::vector<std::uint64_t> resident_pages(node_caches_.size(), 0);
+  for (const auto& v : volumes_) {
+    for (ChunkId c = 0; c < v->map.chunk_count(); ++c) {
+      const std::size_t at = resident_at(v->chunk_base + c, 0);
+      std::uint64_t& count =
+          resident_pages[static_cast<std::size_t>(v->map.replicas(c)[0])];
+      for (std::uint32_t w = 0; w < resident_words_per_chunk_; ++w) {
+        count += static_cast<std::uint64_t>(std::popcount(resident_[at + w]));
+      }
+    }
+  }
+  for (std::size_t n = 0; n < node_caches_.size(); ++n) {
+    UC_ASSERT(resident_pages[n] == node_caches_[n].size(),
+              "resident bitmap diverged from a node cache's size");
+  }
   return true;
 }
 

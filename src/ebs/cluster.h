@@ -27,6 +27,7 @@
 /// cross-layer audit compares independent numbers, not copies.
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -232,6 +233,9 @@ class StorageCluster {
   WriteStamp page_stamp(VolumeId vol, ByteOffset offset) const;
   /// True when `node`'s page cache holds the page at `offset` of `vol`.
   bool page_cached_on(int node, VolumeId vol, ByteOffset offset) const;
+  /// The resident bit of the page at `offset` of `vol`: set exactly when
+  /// the page is in its chunk's primary node cache.
+  bool page_resident(VolumeId vol, ByteOffset offset) const;
   std::uint64_t live_pages(VolumeId vol) const;
   std::uint64_t garbage_pages(VolumeId vol) const;
 
@@ -239,10 +243,11 @@ class StorageCluster {
   std::uint64_t live_pages() const;
   std::uint64_t garbage_pages() const;
 
-  /// Debug probe: asserts every chunk log's own invariants and that the
+  /// Debug probe: asserts every chunk log's own invariants, that the
   /// segment-pool totals reconcile with them (every allocated group is
-  /// owned by exactly one non-freed chunk-log segment).  Returns true for
-  /// use in EXPECT_TRUE.
+  /// owned by exactly one non-freed chunk-log segment), and that each
+  /// node's cache holds as many pages as the resident bitmap marks for the
+  /// chunks it is primary for.  Returns true for use in EXPECT_TRUE.
   bool check_invariants() const;
 
  private:
@@ -320,16 +325,33 @@ class StorageCluster {
   void respond(std::uint32_t slot, SimTime ready);
   void fill_readahead(std::uint32_t slot, SimTime fetched);
   void release_read(std::uint32_t slot);
-  /// Drops pages [first_page, first_page + pages) of `chunk` from every
-  /// replica node's cache, skipping caches that are (or become) empty.
+  /// Drops pages [first_page, first_page + pages) of `chunk` from its
+  /// primary node's cache, the only cache that ever holds them; only the
+  /// pages whose resident bit is set are probed.
   void invalidate_cached(const Volume& v, ChunkId chunk,
                          std::uint32_t first_page, std::uint32_t pages);
+  /// Inserts the page into `node`'s cache (its chunk's primary), ready at
+  /// `ready`, and keeps the resident bitmap exact across the insert and
+  /// any eviction it causes.
+  void cache_page(int node, const Volume& v, ChunkId chunk,
+                  std::uint32_t page, SimTime ready);
 
   /// Node-cache keys are global-chunk scoped so colocated tenants share the
   /// cache honestly (no cross-volume key collisions).
   std::uint64_t cache_key(const Volume& v, ChunkId chunk,
                           std::uint32_t page) const {
     return (static_cast<std::uint64_t>(v.chunk_base + chunk) << 32) | page;
+  }
+  /// Index of the resident-bitmap word holding `page` of global chunk
+  /// `global_chunk`.
+  std::size_t resident_at(std::uint32_t global_chunk,
+                          std::uint32_t page) const {
+    return static_cast<std::size_t>(global_chunk) * resident_words_per_chunk_ +
+           page / 64;
+  }
+  bool resident(const Volume& v, ChunkId chunk, std::uint32_t page) const {
+    return ((resident_[resident_at(v.chunk_base + chunk, page)] >>
+             (page % 64)) & 1) != 0;
   }
 
   /// `cfg.fabric` with the cluster-wide scheduling policy folded in, so the
@@ -350,6 +372,11 @@ class StorageCluster {
   std::vector<sched::QueuedResource> node_append_;
   std::vector<sched::QueuedResource> node_read_;
   std::vector<LruReadyCache<std::uint64_t>> node_caches_;
+  /// One bit per (global chunk, page), set exactly while the page is in
+  /// its chunk's primary node cache, so writes and reads skip the hash
+  /// probes of pages that are not cached.  Sized by `attach_volume`.
+  std::vector<std::uint64_t> resident_;
+  std::uint32_t resident_words_per_chunk_ = 0;
   RingQueue<PendingWrite> append_queue_;
   SlotPool<WriteIo> writes_;
   SlotPool<ReadIo> reads_;

@@ -158,16 +158,25 @@ std::uint32_t ChunkLog::segment_of(std::uint32_t page) const {
   return is_written(page) ? row_seq_[row_of(page)] : kUnwritten;
 }
 
-void ChunkLog::account_overwrite(std::uint32_t page) {
-  if (!is_written(page)) return;
-  const std::uint32_t row = row_of(page);
-  column(page / 64)[row] &= ~(std::uint64_t{1} << (page % 64));
-  const std::uint32_t old_seq = row_seq_[row];
-  Segment& old_seg = segments_[old_seq];
-  UC_ASSERT(old_seg.live > 0, "overwrite accounting against an empty segment");
-  --old_seg.live;
-  --live_pages_;
-  if (static_cast<std::int64_t>(old_seq) != open_seq_) offer_victim(old_seq);
+void ChunkLog::drop_live(std::uint32_t word, std::uint64_t mask) {
+  // Rows are disjoint, so the walk stops once every written page in the
+  // mask has been found.
+  std::uint64_t left = written_[word] & mask;
+  std::uint64_t* col = column(word);
+  for (std::uint32_t row = 0; left != 0; ++row) {
+    UC_ASSERT(row < rows_used_, "written page is live in no segment");
+    const std::uint64_t hits = col[row] & left;
+    if (hits == 0) continue;
+    col[row] &= ~hits;
+    left &= ~hits;
+    const std::uint32_t seq = row_seq_[row];
+    Segment& seg = segments_[seq];
+    const std::uint32_t n = popcount(hits);
+    UC_ASSERT(seg.live >= n, "overwrite accounting against an empty segment");
+    seg.live -= n;
+    live_pages_ -= n;
+    if (static_cast<std::int64_t>(seq) != open_seq_) offer_victim(seq);
+  }
 }
 
 void ChunkLog::offer_victim(std::uint32_t seq) {
@@ -208,28 +217,48 @@ void ChunkLog::attach_index(VictimIndex* index, std::uint32_t slot) {
   publish_best();
 }
 
-bool ChunkLog::append_page(std::uint32_t page, WriteStamp stamp,
-                           SegmentPool& pool) {
-  UC_DCHECK(page < page_stamp_.size(), "page beyond chunk");
-  if (!ensure_open_segment(pool, /*privileged=*/false)) return false;
-  account_overwrite(page);
-  Segment& seg = segments_[static_cast<std::size_t>(open_seq_)];
-  ++seg.appended;
-  ++seg.live;
-  ++appended_alive_pages_;
-  ++live_pages_;
-  const std::uint64_t bit = std::uint64_t{1} << (page % 64);
-  column(page / 64)[seg.row] |= bit;
-  written_[page / 64] |= bit;
-  UC_ASSERT(stamp < (1ull << 32), "chunk log stores 32-bit stamps");
-  page_stamp_[page] = static_cast<std::uint32_t>(stamp);
-  return true;
+std::uint32_t ChunkLog::append_run(std::uint32_t first_page, std::uint32_t n,
+                                   WriteStamp first_stamp, SegmentPool& pool) {
+  UC_DCHECK(first_page <= page_stamp_.size() &&
+                n <= page_stamp_.size() - first_page,
+            "run beyond chunk");
+  // Each piece stays inside one 64-page word and one open segment, so a
+  // piece drops its old versions, then lands in the open row as one mask.
+  // The tracked best victim is the minimum over closed segments whatever
+  // order their counts fall in, so offering each touched segment once per
+  // piece picks what a page-by-page walk picks.
+  std::uint32_t landed = 0;
+  while (landed < n) {
+    if (!ensure_open_segment(pool, /*privileged=*/false)) break;
+    Segment& seg = segments_[static_cast<std::size_t>(open_seq_)];
+    const std::uint32_t page = first_page + landed;
+    const std::uint32_t word = page / 64;
+    const std::uint32_t shift = page % 64;
+    const std::uint32_t k =
+        std::min({n - landed, 64 - shift, pages_per_segment_ - seg.appended});
+    const std::uint64_t mask = (~std::uint64_t{0} >> (64 - k)) << shift;
+    drop_live(word, mask);
+    seg.appended += k;
+    seg.live += k;
+    appended_alive_pages_ += k;
+    live_pages_ += k;
+    column(word)[seg.row] |= mask;
+    written_[word] |= mask;
+    const WriteStamp stamp = first_stamp + landed;
+    UC_ASSERT(stamp + (k - 1) < (1ull << 32), "chunk log stores 32-bit stamps");
+    for (std::uint32_t i = 0; i < k; ++i) {
+      page_stamp_[page + i] = static_cast<std::uint32_t>(stamp + i);
+    }
+    landed += k;
+  }
+  return landed;
 }
 
 void ChunkLog::trim_page(std::uint32_t page) {
   UC_DCHECK(page < page_stamp_.size(), "page beyond chunk");
-  account_overwrite(page);
-  written_[page / 64] &= ~(std::uint64_t{1} << (page % 64));
+  const std::uint64_t bit = std::uint64_t{1} << (page % 64);
+  drop_live(page / 64, bit);
+  written_[page / 64] &= ~bit;
 }
 
 std::optional<ChunkLog::Victim> ChunkLog::pick_victim() const {

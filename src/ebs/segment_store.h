@@ -107,10 +107,19 @@ class ChunkLog {
 
   ChunkLog(std::uint32_t pages_in_chunk, std::uint32_t pages_per_segment);
 
-  /// Appends one page version.  Returns false (and changes nothing) if a
-  /// fresh segment was needed and the pool was empty — the caller stalls
-  /// the write until the cleaner frees space.
-  bool append_page(std::uint32_t page, WriteStamp stamp, SegmentPool& pool);
+  /// Appends versions of pages [first_page, first_page + n) in page order,
+  /// page `first_page + i` stamped `first_stamp + i`.  Returns how many
+  /// landed: fewer than `n` when a fresh segment was needed and the pool
+  /// was empty, and the pages from there on are unchanged — the caller
+  /// stalls the rest until the cleaner frees space.  The run moves a
+  /// 64-page word at a time, split where the word or the open segment
+  /// ends, with the same result as appending page by page.
+  std::uint32_t append_run(std::uint32_t first_page, std::uint32_t n,
+                           WriteStamp first_stamp, SegmentPool& pool);
+  /// Appends one page version; false (and nothing changed) on a dry pool.
+  bool append_page(std::uint32_t page, WriteStamp stamp, SegmentPool& pool) {
+    return append_run(page, 1, stamp, pool) == 1;
+  }
 
   bool is_written(std::uint32_t page) const {
     return ((written_[page / 64] >> (page % 64)) & 1) != 0;
@@ -193,7 +202,10 @@ class ChunkLog {
   }
   /// The row whose bitmap holds written page `page`.
   std::uint32_t row_of(std::uint32_t page) const;
-  void account_overwrite(std::uint32_t page);
+  /// Drops the live versions of the written pages in `mask` of word `word`
+  /// from their segments, offering each closed segment that lost pages to
+  /// the victim tracking once.
+  void drop_live(std::uint32_t word, std::uint64_t mask);
   /// Closed segment `seq` just closed or lost a live page: it becomes the
   /// best victim if it now orders first by (live, seq).
   void offer_victim(std::uint32_t seq);

@@ -61,7 +61,7 @@ Result<std::unique_ptr<LoadSource>> make_load_source(sim::Simulator& sim,
   } else {
     const Status valid = spec.gen.validate(device.info());
     if (!valid.is_ok()) return valid;
-    trace = generate_trace(spec.gen, device.info());
+    trace = generate_trace(spec.gen, device.info(), spec.max_events);
   }
   ReplayOptions opt;
   opt.rate_scale = spec.rate_scale;

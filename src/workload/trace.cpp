@@ -64,7 +64,8 @@ Status TraceGenConfig::validate(const DeviceInfo& device) const {
 }
 
 std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
-                                       const DeviceInfo& device) {
+                                       const DeviceInfo& device,
+                                       std::uint64_t max_events) {
   UC_ASSERT(cfg.validate(device).is_ok(), "invalid trace generator config");
   Rng rng(cfg.seed);
   const std::uint64_t region_bytes =
@@ -86,7 +87,8 @@ std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
   };
 
   // One allocation for a typical trace: reserve 10% over the count the
-  // config implies (the diurnal sinusoid averages to the base rate).
+  // config implies (the diurnal sinusoid averages to the base rate), or
+  // the cap if that is smaller.
   constexpr double kReserveSlack = 1.1;
   const double duration_s = static_cast<double>(cfg.duration) / 1e9;
   const double burst_share = std::min(
@@ -95,9 +97,10 @@ std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
       duration_s * (cfg.base_iops + cfg.burst_iops * burst_share);
   std::vector<TraceEvent> trace;
   // Clamped before the cast: a double past `size_t`'s range does not convert.
+  const double cap = max_events > 0 ? static_cast<double>(max_events)
+                                    : static_cast<double>(trace.max_size());
   trace.reserve(static_cast<std::size_t>(
-      std::min(expected_events * kReserveSlack + 64,
-               static_cast<double>(trace.max_size()))));
+      std::min(expected_events * kReserveSlack + 64, cap)));
 
   // Thinned non-homogeneous Poisson: walk in small steps, drawing arrivals
   // at the max rate and accepting with probability rate(t)/max_rate.
@@ -165,6 +168,7 @@ std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
     }
     ev.offset = off;
     trace.push_back(ev);
+    if (trace.size() == max_events) break;
   }
   return trace;
 }

@@ -94,8 +94,13 @@ struct TraceGenConfig {
 /// (mean diurnal rate plus the burst rate times the fraction of time spent
 /// bursting) plus 64, so a typical trace never regrows; a longer one still
 /// grows as usual.
+///
+/// A nonzero `max_events` stops the walk once that many events are kept
+/// and caps the reservation at it.  The kept events draw exactly what they
+/// draw uncapped, so a capped trace is a prefix of the uncapped one.
 std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
-                                       const DeviceInfo& device);
+                                       const DeviceInfo& device,
+                                       std::uint64_t max_events = 0);
 
 /// Peak-to-mean ratio of per-100ms arrival counts — the burstiness measure
 /// the smoothing experiment reports.
@@ -151,7 +156,9 @@ struct ReplayOptions {
   /// Time-warp: arrival timestamps are divided by this, so 2.0 offers the
   /// trace's load at twice its recorded rate (the overload lever).
   double rate_scale = 1.0;
-  /// Replay only the first N events (0 = the whole trace).
+  /// Replay only the first N events (0 = the whole trace).  A generated
+  /// trace arrives already capped (see `generate_trace`); a loaded CSV is
+  /// truncated here.
   std::uint64_t max_events = 0;
 };
 

@@ -204,6 +204,74 @@ TEST(StorageCluster, OnlyPrimaryReplicasCacheChunkPages) {
   EXPECT_EQ(digest, 11528424210907451115ull) << "timing digest moved";
 }
 
+TEST(StorageCluster, ResidentBitsMatchNodeCaches) {
+  // Three volumes share 64-page node caches, so reads and read-ahead evict
+  // constantly while writes and trims drop cached pages.  Every page's
+  // resident bit must track its primary's cache exactly through all of it.
+  ClusterConfig cfg = test_config();
+  cfg.readahead = true;
+  cfg.readahead_pages = 16;
+  sim::Simulator sim;
+  StorageCluster cluster(sim, cfg);
+  const std::vector<std::uint64_t> volumes = {16 * kMiB, 8 * kMiB, 12 * kMiB};
+  for (const std::uint64_t bytes : volumes) cluster.attach_volume(bytes);
+  const std::uint64_t pages_per_chunk = cfg.chunk_bytes / kLogicalPageBytes;
+
+  const auto expect_exact = [&](int round) {
+    ASSERT_TRUE(cluster.check_invariants());
+    for (VolumeId vol = 0; vol < volumes.size(); ++vol) {
+      for (ByteOffset off = 0; off < volumes[vol]; off += kLogicalPageBytes) {
+        const int primary =
+            cluster.chunks(vol).replicas(cluster.chunks(vol).chunk_of(off))[0];
+        ASSERT_EQ(cluster.page_resident(vol, off),
+                  cluster.page_cached_on(primary, vol, off))
+            << "round " << round << " volume " << vol << " offset " << off;
+      }
+    }
+  };
+
+  Rng rng(41);
+  WriteStamp stamp = 0;
+  std::vector<std::uint64_t> stream(volumes.size(), 0);  // sequential cursor
+  std::uint64_t trims = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int k = 0; k < 12; ++k) {
+      const auto vol = static_cast<VolumeId>(rng.uniform_u64(volumes.size()));
+      const std::uint64_t volume_pages = volumes[vol] / kLogicalPageBytes;
+      const double dice = rng.uniform();
+      const std::uint64_t page =
+          dice < 0.3 ? stream[vol] : rng.uniform_u64(volume_pages);
+      const auto pages = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(1 + rng.uniform_u64(24),
+                                  pages_per_chunk - page % pages_per_chunk));
+      if (dice < 0.3) stream[vol] = (page + pages) % volume_pages;
+      const ByteOffset off = page * kLogicalPageBytes;
+      const auto bytes = static_cast<std::uint32_t>(pages * kLogicalPageBytes);
+      if (dice >= 0.3 && dice < 0.65) {
+        cluster.write(vol, off, bytes, stamp + 1, [] {});
+        stamp += pages;
+      } else if (dice >= 0.65 && dice < 0.72) {
+        cluster.trim(vol, off, bytes);
+        ++trims;
+      } else {
+        cluster.read(vol, off, bytes, [] {});
+      }
+    }
+    sim.run();
+    if (round % 25 == 24) {
+      ASSERT_NO_FATAL_FAILURE(expect_exact(round));
+    }
+  }
+  const ClusterStats st = cluster.stats();
+  EXPECT_GT(st.cache_hit_pages, 0u);
+  EXPECT_GT(st.readahead_fetches, 0u);
+  EXPECT_GT(trims, 0u);
+  // Far more pages went through the caches than they can hold.
+  EXPECT_GT(st.media_read_pages, 10u * cfg.node_cache_pages *
+                                     static_cast<unsigned>(cfg.fabric.nodes));
+  ASSERT_NO_FATAL_FAILURE(expect_exact(200));
+}
+
 TEST(StorageCluster, UnwrittenReadsSkipMedia) {
   Harness h(test_config());
   const SimTime lat = h.read(1 * kMiB, 8192);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -372,16 +373,40 @@ TEST(VictimIndex, MatchesFullScanUnderPoolPressure) {
   EXPECT_GT(failed_cleans, 0u);
 }
 
+struct Geometry {
+  std::uint32_t pages;
+  std::uint32_t pages_per_segment;
+};
+
+// Each page's segment, and each log's victim and invariants, against the
+// reference page map.
+void expect_matches_reference(const std::vector<ChunkLog>& logs,
+                              const std::vector<ReferenceLog>& refs,
+                              int step) {
+  for (std::uint32_t i = 0; i < logs.size(); ++i) {
+    ASSERT_TRUE(logs[i].check_invariants());
+    for (std::uint32_t p = 0; p < refs[i].page_seg.size(); ++p) {
+      ASSERT_EQ(logs[i].segment_of(p), refs[i].page_seg[p])
+          << "step " << step << " log " << i << " page " << p;
+      ASSERT_EQ(logs[i].is_written(p),
+                refs[i].page_seg[p] != ReferenceLog::kNone);
+    }
+    const auto mine = logs[i].pick_victim();
+    const auto ref = refs[i].pick_victim();
+    ASSERT_EQ(mine.has_value(), ref.has_value()) << "step " << step;
+    if (ref.has_value()) {
+      ASSERT_EQ(mine->seq, ref->seq) << "step " << step;
+      ASSERT_EQ(mine->live_pages, ref->live_pages) << "step " << step;
+    }
+  }
+}
+
 TEST(ChunkLog, MatchesPageMapReferenceAcrossWords) {
   // Three logs whose chunks span several 64-page bitmap words and whose
   // segment sizes do not divide 64, so relocation must split a word where
   // the open segment fills.  One pool with no cleaner reserve is shared,
   // so appends stall and some cleans run dry part-way.  After every step
   // each page's segment must equal the reference page map.
-  struct Geometry {
-    std::uint32_t pages;
-    std::uint32_t pages_per_segment;
-  };
   const std::vector<Geometry> geometries = {{200, 48}, {130, 7}, {1000, 256}};
   SegmentPool pool(34, 0);  // a few groups over the live data
   std::vector<ChunkLog> logs;
@@ -418,25 +443,84 @@ TEST(ChunkLog, MatchesPageMapReferenceAcrossWords) {
       ASSERT_EQ(ok, refs[c].clean(want->seq, free_before)) << "step " << step;
       ++(ok ? cleans : failed_cleans);
     }
-    for (std::uint32_t i = 0; i < logs.size(); ++i) {
-      ASSERT_TRUE(logs[i].check_invariants());
-      for (std::uint32_t p = 0; p < geometries[i].pages; ++p) {
-        ASSERT_EQ(logs[i].segment_of(p), refs[i].page_seg[p])
-            << "step " << step << " log " << i << " page " << p;
-        ASSERT_EQ(logs[i].is_written(p),
-                  refs[i].page_seg[p] != ReferenceLog::kNone);
-      }
-      const auto mine = logs[i].pick_victim();
-      const auto ref = refs[i].pick_victim();
-      ASSERT_EQ(mine.has_value(), ref.has_value()) << "step " << step;
-      if (ref.has_value()) {
-        ASSERT_EQ(mine->seq, ref->seq) << "step " << step;
-        ASSERT_EQ(mine->live_pages, ref->live_pages) << "step " << step;
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(logs, refs, step));
   }
   // The stream must actually have exercised the pressure paths.
   EXPECT_GT(stalls, 100u);
+  EXPECT_GT(cleans, 500u);
+  EXPECT_GT(failed_cleans, 100u);
+}
+
+TEST(ChunkLog, AppendRunMatchesPageMapReferenceAcrossWords) {
+  // The multi-page twin of MatchesPageMapReferenceAcrossWords: each append
+  // is a run of 1-150 pages, so `append_run` splits it where a 64-page
+  // word ends and where the open segment fills, and a dry pool stops it
+  // part-way.  The reference appends the landed prefix page by page; the
+  // pages after it must keep their old segment and stamp.
+  const std::vector<Geometry> geometries = {{200, 48}, {130, 7}, {1000, 256}};
+  SegmentPool pool(34, 0);  // a few groups over the live data
+  std::vector<ChunkLog> logs;
+  std::vector<ReferenceLog> refs;
+  logs.reserve(geometries.size());
+  for (const Geometry& g : geometries) {
+    logs.emplace_back(g.pages, g.pages_per_segment);
+    refs.emplace_back(g.pages, g.pages_per_segment);
+  }
+  Rng rng(29);
+  WriteStamp stamp = 0;
+  std::uint64_t mid_run_stalls = 0;
+  std::uint64_t cleans = 0;
+  std::uint64_t failed_cleans = 0;
+  for (int step = 0; step < 10000; ++step) {
+    const auto c = static_cast<std::uint32_t>(rng.uniform_u64(logs.size()));
+    const std::uint32_t pages = geometries[c].pages;
+    const auto first = static_cast<std::uint32_t>(rng.uniform_u64(pages));
+    const std::uint64_t op = rng.uniform_u64(100);
+    bool clean = op >= 85;
+    if (op < 70) {
+      const auto n = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(1 + rng.uniform_u64(150), pages - first));
+      // The run's pages and the one past it, as they were.
+      const std::uint32_t end = std::min(first + n + 1, pages);
+      std::vector<WriteStamp> before;
+      for (std::uint32_t p = first; p < end; ++p) {
+        before.push_back(logs[c].page_stamp(p));
+      }
+      const std::uint32_t landed = logs[c].append_run(first, n, stamp, pool);
+      ASSERT_LE(landed, n) << "step " << step;
+      for (std::uint32_t p = first; p < end; ++p) {
+        const std::uint32_t i = p - first;
+        if (i < landed) refs[c].append(p);
+        ASSERT_EQ(logs[c].page_stamp(p), i < landed ? stamp + i : before[i])
+            << "step " << step << " page " << p;
+      }
+      stamp += n;
+      if (landed < n) {
+        mid_run_stalls += landed > 0 ? 1 : 0;
+        clean = true;  // pool dry: the cleaner's turn
+      }
+    } else if (op < 85) {
+      logs[c].trim_page(first);
+      refs[c].drop(first);
+    }
+    // A run overwrites far more than one page, so the cleaner gets up to
+    // eight turns on the best victim of any log, and stops at the first
+    // that runs dry.
+    for (int turn = 0; clean && turn < 8; ++turn) {
+      const ReferencePick want = reference_global_pick(refs);
+      if (!want.found) break;
+      const std::uint64_t free_before = pool.free_groups();
+      const bool ok =
+          logs[want.chunk].clean_segment(want.victim.seq, pool, nullptr);
+      ASSERT_EQ(ok, refs[want.chunk].clean(want.victim.seq, free_before))
+          << "step " << step;
+      ++(ok ? cleans : failed_cleans);
+      if (!ok) break;
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_matches_reference(logs, refs, step));
+  }
+  // The stream must actually have exercised the pressure paths.
+  EXPECT_GT(mid_run_stalls, 100u);
   EXPECT_GT(cleans, 500u);
   EXPECT_GT(failed_cleans, 100u);
 }

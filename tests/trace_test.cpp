@@ -222,6 +222,36 @@ TEST(TraceGenerator, BoundedThinningMatchesReference) {
   }
 }
 
+TEST(TraceGenerator, CapKeepsAPrefixOfTheUncappedTrace) {
+  // The perfbench `essd_read_burst` shape at full length (about 380K
+  // events), capped at the 240K events that workload replays.  A capped
+  // walk stops at the cap, so its events are the uncapped trace's first
+  // `cap` and its vector never reserves room past them.
+  constexpr std::uint64_t kCap = 240000;
+  TraceGenConfig cfg = read_burst_config();
+  cfg.duration = 12 * kSec;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    cfg.seed = seed;
+    const auto full = generate_trace(cfg, test_device_info());
+    const auto capped = generate_trace(cfg, test_device_info(), kCap);
+    ASSERT_GT(full.size(), kCap) << "seed " << seed;
+    ASSERT_EQ(capped.size(), kCap) << "seed " << seed;
+    EXPECT_LE(capped.capacity(), kCap) << "seed " << seed;
+    for (std::size_t i = 0; i < capped.size(); ++i) {
+      const TraceEvent& got = capped[i];
+      const TraceEvent& want = full[i];
+      ASSERT_EQ(got.arrival, want.arrival) << "seed " << seed << " #" << i;
+      ASSERT_EQ(got.op, want.op) << "seed " << seed << " #" << i;
+      ASSERT_EQ(got.offset, want.offset) << "seed " << seed << " #" << i;
+      ASSERT_EQ(got.bytes, want.bytes) << "seed " << seed << " #" << i;
+    }
+    // A cap past the trace's length changes nothing.
+    const auto loose =
+        generate_trace(cfg, test_device_info(), full.size() + 1);
+    EXPECT_EQ(trace_digest(loose), trace_digest(full)) << "seed " << seed;
+  }
+}
+
 TEST(TraceGenerator, EventsAreOrderedAlignedAndBounded) {
   const auto trace = generate_trace(small_config(), test_device_info());
   ASSERT_GT(trace.size(), 2000u);
