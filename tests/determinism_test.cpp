@@ -204,22 +204,34 @@ TEST(Determinism, SoloEssdDigestMatchesPreSchedSeed) {
 // event, a stats-driven branch — lands here.  Captured at the commit
 // immediately before that extraction.  `lookups`, if given,
 // receives the page map's counters after the job and trim.
-std::uint64_t ssd_mapping_digest(ftl::MappingStats* lookups = nullptr) {
+/// A 1 GiB local SSD after a GC-heavy job (random 64 KiB, 70% writes, 4 GiB
+/// over a 256 MiB region: ~11x overwrite, so GC must relocate) and a trim of
+/// the first 16 MiB.
+struct SsdGcRun {
   sim::Simulator sim;
-  ssd::SsdDevice dev(sim, ssd::samsung_970pro_scaled(1 * kGiB));
+  ssd::SsdDevice dev{sim, ssd::samsung_970pro_scaled(1 * kGiB)};
+  wl::JobStats stats;
 
-  wl::JobSpec spec;
-  spec.pattern = wl::AccessPattern::kRandom;
-  spec.io_bytes = 65536;
-  spec.queue_depth = 16;
-  spec.write_ratio = 0.7;
-  spec.total_bytes = 4096 * kMiB;
-  spec.region_bytes = 256 * kMiB;  // ~11x overwrite: GC must relocate
-  spec.seed = 777;
-  const auto stats = wl::JobRunner::run_to_completion(sim, dev, spec);
+  SsdGcRun() {
+    wl::JobSpec spec;
+    spec.pattern = wl::AccessPattern::kRandom;
+    spec.io_bytes = 65536;
+    spec.queue_depth = 16;
+    spec.write_ratio = 0.7;
+    spec.total_bytes = 4096 * kMiB;
+    spec.region_bytes = 256 * kMiB;
+    spec.seed = 777;
+    stats = wl::JobRunner::run_to_completion(sim, dev, spec);
 
-  dev.ftl().trim(0, 4096);  // trim a 16 MiB stripe
-  sim.run();
+    dev.ftl().trim(0, 4096);  // trim a 16 MiB stripe
+    sim.run();
+  }
+};
+
+std::uint64_t ssd_mapping_digest(ftl::MappingStats* lookups = nullptr) {
+  const SsdGcRun run;
+  const wl::JobStats& stats = run.stats;
+  const ssd::SsdDevice& dev = run.dev;
 
   Fnv1a d;
   const auto& m = dev.ftl().mapping();
@@ -250,6 +262,48 @@ TEST(Determinism, PageMapLookupCountIsPinned) {
   ssd_mapping_digest(&st);
   EXPECT_EQ(st.lookups, 807936u);
   EXPECT_EQ(st.cache_hits, 807936u);
+}
+
+// The flash, GC and FTL counters of the GC-heavy job, then of a QD1
+// sequential 128 KiB read pass over 64 MiB of mapped data with read-ahead on.
+// The digest above folds in only a few of these; the read pass is the one
+// place the prefetcher's stream table and trigger and the DRAM hit time are
+// pinned.
+TEST(Determinism, SsdFlashCountersArePinned) {
+  SsdGcRun run;
+  wl::JobSpec read;
+  read.pattern = wl::AccessPattern::kSequential;
+  read.io_bytes = 128 * 1024;
+  read.queue_depth = 1;
+  read.write_ratio = 0.0;
+  read.region_offset = 64 * kMiB;  // past the trimmed stripe
+  read.region_bytes = 64 * kMiB;
+  read.total_bytes = 64 * kMiB;
+  read.seed = 778;
+  const auto reads = wl::JobRunner::run_to_completion(run.sim, run.dev, read);
+
+  const ftl::Ftl& f = run.dev.ftl();
+  const flash::NandCounters& n = f.nand().counters();
+  EXPECT_EQ(n.page_reads, 58264u);
+  EXPECT_EQ(n.row_programs, 35087u);
+  EXPECT_EQ(n.programmed_bytes, 2299461632u);
+  EXPECT_EQ(n.superblock_die_erases, 96u);
+  const ftl::GcStats& gc = f.gc_stats();
+  EXPECT_EQ(gc.victims_collected, 3u);
+  EXPECT_EQ(gc.relocated_slots, 96u);
+  EXPECT_EQ(gc.gc_row_programs, 6u);
+  EXPECT_EQ(gc.erased_superblocks, 3u);
+  EXPECT_EQ(gc.stale_relocations, 16u);
+  const ftl::FtlStats& st = f.stats();
+  EXPECT_EQ(st.padded_slots, 0u);
+  EXPECT_EQ(st.user_stall_ns, 0);
+  EXPECT_EQ(st.prefetch_row_reads, 1159u);
+  EXPECT_EQ(st.cache_hit_pages, 17312u);
+  EXPECT_EQ(st.buffer_hit_pages, 74576u);
+  EXPECT_EQ(st.flash_read_pages, 214416u);
+  EXPECT_EQ(reads.all_latency.count(), 512u);
+  EXPECT_EQ(reads.all_latency.mean(), 84909.390625);  // 43473608 ns / 512
+  EXPECT_EQ(reads.all_latency.max(), 310790);
 }
 
 TEST(Determinism, ThreeTenantSeedsDiverge) {
