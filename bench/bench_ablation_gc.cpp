@@ -1,11 +1,10 @@
-// Design-choice ablation A (DESIGN.md): local-SSD GC policy and
-// over-provisioning sensitivity.  Sweeps greedy vs cost-benefit victim
-// selection and the spare-superblock count, reporting steady-state write
-// amplification, sustained random-write throughput, and the GC-cliff
-// position — the knobs that place the SSD curve in Figure 3.
+// Design-choice ablation A (DESIGN.md): local-SSD over-provisioning
+// sensitivity under greedy GC.  Sweeps the spare-superblock count, reporting
+// steady-state write amplification, sustained random-write throughput, and
+// the GC-cliff position — the knob that places the SSD curve in Figure 3.
 //
 // --json <path> emits the shared {bench, config, metrics} schema with one
-// row per (policy, spare-superblock) sweep point.
+// row per spare-superblock sweep point.
 
 #include <cstdint>
 #include <cstdio>
@@ -29,11 +28,10 @@ struct AblationResult {
   double stall_pct = 0.0;
 };
 
-AblationResult run(std::uint64_t capacity, ftl::GcPolicy policy,
-                   std::uint64_t spare_sbs, double multiples) {
+AblationResult run(std::uint64_t capacity, std::uint64_t spare_sbs,
+                   double multiples) {
   sim::Simulator sim;
   auto cfg = ssd::samsung_970pro_scaled(capacity);
-  cfg.ftl.gc.policy = policy;
   // Re-derive the geometry with the requested spare.
   auto g = cfg.ftl.geometry;
   const std::uint64_t user_sbs =
@@ -82,37 +80,30 @@ int main(int argc, char** argv) {
   const double multiples = scale.quick ? 2.0 : 2.5;
 
   bench::print_header(
-      "Ablation A — SSD GC policy and over-provisioning",
-      "greedy vs cost-benefit; more spare -> lower WA, later/softer cliff "
+      "Ablation A — SSD over-provisioning under greedy GC",
+      "more spare -> lower WA, later/softer cliff "
       "(the mechanism behind the paper's Figure 3 SSD curve)");
 
-  TextTable table({"policy", "spare SBs", "cliff (xcap)", "plateau GB/s",
-                   "final GB/s", "WA", "stall %"});
+  TextTable table({"spare SBs", "cliff (xcap)", "plateau GB/s", "final GB/s",
+                   "WA", "stall %"});
   bench::Json sweep = bench::Json::array();
-  for (const auto policy : {ftl::GcPolicy::kGreedy,
-                            ftl::GcPolicy::kCostBenefit}) {
-    for (const std::uint64_t spare : {8ull, 12ull, 20ull}) {
-      const auto r = run(capacity, policy, spare, multiples);
-      const char* policy_name =
-          policy == ftl::GcPolicy::kGreedy ? "greedy" : "cost-benefit";
-      table.add_row(
-          {policy_name,
-           strfmt("%llu", static_cast<unsigned long long>(spare)),
-           r.cliff_multiple > 0 ? strfmt("%.2f", r.cliff_multiple)
-                                : std::string("none"),
-           strfmt("%.2f", r.plateau_gbs), strfmt("%.2f", r.final_gbs),
-           strfmt("%.2f", r.wa), strfmt("%.1f", r.stall_pct)});
-      bench::Json row = bench::Json::object();
-      row.set("policy", policy_name);
-      row.set("spare_superblocks", spare);
-      row.set("cliff_found", r.cliff_multiple > 0);
-      row.set("cliff_xcap", r.cliff_multiple);
-      row.set("plateau_gbs", r.plateau_gbs);
-      row.set("final_gbs", r.final_gbs);
-      row.set("write_amplification", r.wa);
-      row.set("stall_pct", r.stall_pct);
-      sweep.push(std::move(row));
-    }
+  for (const std::uint64_t spare : {8ull, 12ull, 20ull}) {
+    const auto r = run(capacity, spare, multiples);
+    table.add_row(
+        {strfmt("%llu", static_cast<unsigned long long>(spare)),
+         r.cliff_multiple > 0 ? strfmt("%.2f", r.cliff_multiple)
+                              : std::string("none"),
+         strfmt("%.2f", r.plateau_gbs), strfmt("%.2f", r.final_gbs),
+         strfmt("%.2f", r.wa), strfmt("%.1f", r.stall_pct)});
+    bench::Json row = bench::Json::object();
+    row.set("spare_superblocks", spare);
+    row.set("cliff_found", r.cliff_multiple > 0);
+    row.set("cliff_xcap", r.cliff_multiple);
+    row.set("plateau_gbs", r.plateau_gbs);
+    row.set("final_gbs", r.final_gbs);
+    row.set("write_amplification", r.wa);
+    row.set("stall_pct", r.stall_pct);
+    sweep.push(std::move(row));
   }
   std::printf("%s", table.to_string().c_str());
 

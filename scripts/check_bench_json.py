@@ -308,13 +308,14 @@ def check_ablation_gc(path, metrics):
     if not isinstance(sweep, list) or not sweep:
         fail(path, "metrics.sweep must be a non-empty array")
     for row in sweep:
-        for key in ("policy", "spare_superblocks", "cliff_found", "cliff_xcap",
+        for key in ("spare_superblocks", "cliff_found", "cliff_xcap",
                     "plateau_gbs", "final_gbs", "write_amplification",
                     "stall_pct"):
             if key not in row:
                 fail(path, f"gc sweep row missing '{key}'")
-        if row["policy"] not in ("greedy", "cost-benefit"):
-            fail(path, f"unknown gc policy: {row['policy']}")
+    spares = [row["spare_superblocks"] for row in sweep]
+    if any(b <= a for a, b in zip(spares, spares[1:])):
+        fail(path, f"spare_superblocks must strictly increase: {spares}")
 
 
 def check_sim_micro(path, metrics):

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -64,8 +63,6 @@ void LatencyHistogram::record_n(SimTime value_ns, std::uint64_t count) {
   if (count == 0) return;
   count_ += count;
   sum_ += value_ns * count;
-  sum_sq_ += static_cast<double>(value_ns) * static_cast<double>(value_ns) *
-             static_cast<double>(count);
   if (value_ns < min_) min_ = value_ns;
   if (value_ns > max_) max_ = value_ns;
   const int index = bucket_index(value_ns);
@@ -94,7 +91,6 @@ void LatencyHistogram::merge(const LatencyHistogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
   if (other.min_ < min_) min_ = other.min_;
   if (other.max_ > max_) max_ = other.max_;
 }
@@ -104,17 +100,8 @@ void LatencyHistogram::reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   count_ = 0;
   sum_ = 0;
-  sum_sq_ = 0.0;
   min_ = ~static_cast<SimTime>(0);
   max_ = 0;
-}
-
-double LatencyHistogram::stddev() const {
-  if (count_ < 2) return 0.0;
-  const double n = static_cast<double>(count_);
-  const double m = static_cast<double>(sum_) / n;
-  const double var = sum_sq_ / n - m * m;
-  return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
 SimTime LatencyHistogram::percentile(double p) const {

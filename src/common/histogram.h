@@ -44,7 +44,6 @@ class LatencyHistogram {
   double mean() const {
     return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
   }
-  double stddev() const;
 
   /// Value at percentile `p` in [0, 100]; linear interpolation inside the
   /// containing bucket.  p=50 → median, p=99.9 → tail latency.
@@ -70,7 +69,6 @@ class LatencyHistogram {
   int base_ = 0;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
-  double sum_sq_ = 0.0;
   SimTime min_ = ~static_cast<SimTime>(0);
   SimTime max_ = 0;
 };

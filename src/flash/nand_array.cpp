@@ -6,8 +6,8 @@
 namespace uc::flash {
 
 NandArray::NandArray(const FlashGeometry& geometry, const FlashTiming& timing,
-                     Rng rng)
-    : geometry_(geometry), timing_(timing), rng_(rng) {
+                     Rng /*rng*/)
+    : geometry_(geometry), timing_(timing) {
   UC_ASSERT(geometry_.validate().is_ok(), "invalid flash geometry");
   dies_.resize(static_cast<std::size_t>(geometry_.total_dies()));
   channels_.reserve(static_cast<std::size_t>(geometry_.channels));
@@ -43,7 +43,7 @@ NandOpResult NandArray::read_row(SimTime now, int die, int pages,
   counters_.page_reads += static_cast<std::uint64_t>(pages);
   counters_.read_bytes +=
       static_cast<std::uint64_t>(pages) * bytes_per_page;
-  return {done, false};
+  return {done};
 }
 
 NandOpResult NandArray::program_row(SimTime now, int die, int pages) {
@@ -61,10 +61,7 @@ NandOpResult NandArray::program_row(SimTime now, int die, int pages) {
   counters_.row_programs += 1;
   counters_.programmed_bytes +=
       static_cast<std::uint64_t>(pages) * geometry_.page_bytes;
-  const bool failed = timing_.program_fail_prob > 0.0 &&
-                      rng_.bernoulli(timing_.program_fail_prob);
-  if (failed) counters_.program_failures += 1;
-  return {done, failed};
+  return {done};
 }
 
 NandOpResult NandArray::erase_on_die(SimTime now, int die) {
@@ -72,10 +69,7 @@ NandOpResult NandArray::erase_on_die(SimTime now, int die) {
   Die& d = dies_[static_cast<std::size_t>(die)];
   const SimTime done = d.program_unit.acquire(now, timing_.erase_ns());
   counters_.superblock_die_erases += 1;
-  const bool failed =
-      timing_.erase_fail_prob > 0.0 && rng_.bernoulli(timing_.erase_fail_prob);
-  if (failed) counters_.erase_failures += 1;
-  return {done, failed};
+  return {done};
 }
 
 }  // namespace uc::flash

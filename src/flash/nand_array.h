@@ -31,19 +31,17 @@ struct NandCounters {
   std::uint64_t superblock_die_erases = 0;
   std::uint64_t read_bytes = 0;
   std::uint64_t programmed_bytes = 0;
-  std::uint64_t program_failures = 0;
-  std::uint64_t erase_failures = 0;
 };
 
-/// Result of an operation reservation: when it completes and whether the
-/// operation failed (reliability injection).
+/// Result of an operation reservation: when it completes.
 struct NandOpResult {
   SimTime done = 0;
-  bool failed = false;
 };
 
 class NandArray {
  public:
+  /// The array draws no random numbers; `rng` is unused and kept so callers
+  /// that pass one still compile.
   NandArray(const FlashGeometry& geometry, const FlashTiming& timing,
             Rng rng);
 
@@ -75,7 +73,6 @@ class NandArray {
 
   FlashGeometry geometry_;
   FlashTiming timing_;
-  Rng rng_;
   std::vector<Die> dies_;
   std::vector<sim::BandwidthPipe> channels_;
   NandCounters counters_;

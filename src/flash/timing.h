@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file timing.h
-/// NAND operation timing and reliability parameters.
+/// NAND operation timing parameters.
 
 #include <cstdint>
 
@@ -17,11 +17,6 @@ struct FlashTiming {
   double channel_mbps = 560.0;         ///< half-duplex per-channel bus
   double suspend_penalty_us = 12.0;    ///< extra read latency when the die is
                                        ///< mid-program (program-suspend grant)
-
-  /// Reliability injection; zero by default.  Failures are deterministic
-  /// given the device seed (drawn from the device's RNG stream).
-  double program_fail_prob = 0.0;
-  double erase_fail_prob = 0.0;
 
   SimTime read_ns() const { return static_cast<SimTime>(read_us * 1e3); }
   SimTime program_ns() const { return static_cast<SimTime>(program_us * 1e3); }

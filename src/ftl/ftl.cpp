@@ -36,9 +36,6 @@ Status FtlConfig::validate() const {
     return Status::invalid_argument(
         "write buffer must hold at least one allocation row");
   }
-  if (flush_parallelism < 1) {
-    return Status::invalid_argument("flush parallelism must be >= 1");
-  }
   if (read_cache_slots == 0) {
     return Status::invalid_argument("read cache needs at least one slot");
   }
@@ -46,6 +43,11 @@ Status FtlConfig::validate() const {
 }
 
 namespace {
+
+/// DRAM service time of a write-buffer or read-cache hit.
+constexpr SimTime kDramHitNs = 2000;
+/// Row programs the flusher keeps outstanding.
+constexpr int kFlushParallelism = 32;
 
 const FtlConfig& validated(const FtlConfig& cfg) {
   UC_ASSERT(cfg.validate().is_ok(), "invalid FTL configuration");
@@ -59,8 +61,7 @@ Ftl::Ftl(sim::Simulator& sim, const FtlConfig& cfg, Rng rng)
       cfg_(validated(cfg)),
       user_pages_(cfg_.user_pages()),
       mapping_(user_pages_) {
-  nand_ = std::make_unique<flash::NandArray>(cfg_.geometry, cfg_.timing,
-                                             rng.fork());
+  nand_ = std::make_unique<flash::NandArray>(cfg_.geometry, cfg_.timing, rng);
   sm_ = std::make_unique<SuperblockManager>(cfg_.geometry);
   wb_ = std::make_unique<WriteBuffer>(cfg_.write_buffer_slots);
   cache_ = std::make_unique<ReadCache>(cfg_.read_cache_slots);
@@ -112,15 +113,11 @@ void Ftl::drain_pending_writes() {
 
 void Ftl::pump_flusher() {
   const auto spr = static_cast<std::uint32_t>(cfg_.geometry.slots_per_row());
-  while (outstanding_flushes_ < cfg_.flush_parallelism) {
-    const bool retrying = !retry_items_.empty();
-    if (!retrying) {
-      const bool full_row_ready = wb_->dirty_slots() >= spr;
-      const bool partial_forced = force_flush_ && wb_->dirty_slots() > 0;
-      if (!full_row_ready && !partial_forced) break;
-    }
-    auto alloc =
-        sm_->allocate_row(Stream::kUser, sim_.now(), cfg_.gc.user_reserve_sbs);
+  while (outstanding_flushes_ < kFlushParallelism) {
+    const bool full_row_ready = wb_->dirty_slots() >= spr;
+    const bool partial_forced = force_flush_ && wb_->dirty_slots() > 0;
+    if (!full_row_ready && !partial_forced) break;
+    auto alloc = sm_->allocate_row(Stream::kUser, cfg_.gc.user_reserve_sbs);
     if (!alloc.has_value()) {
       if (!alloc_stalled_) {
         alloc_stalled_ = true;
@@ -135,41 +132,24 @@ void Ftl::pump_flusher() {
     }
 
     std::vector<FlushItem> batch;
-    if (retrying) {
-      const std::size_t take =
-          std::min<std::size_t>(retry_items_.size(), spr);
-      batch.assign(retry_items_.begin(),
-                   retry_items_.begin() + static_cast<long>(take));
-      retry_items_.erase(retry_items_.begin(),
-                         retry_items_.begin() + static_cast<long>(take));
-    } else {
-      wb_->take_flush_batch(spr, batch);
-      UC_ASSERT(!batch.empty(), "dirty slots present but none flushable");
-    }
+    wb_->take_flush_batch(spr, batch);
+    UC_ASSERT(!batch.empty(), "dirty slots present but none flushable");
     if (batch.size() < spr) stats_.padded_slots += spr - batch.size();
 
     const auto res = nand_->program_row(sim_.now(), alloc->die,
                                         cfg_.geometry.planes_per_die);
     ++outstanding_flushes_;
     sim_.schedule_at(res.done,
-                     sim::boxed([this, row = *alloc, batch = std::move(batch),
-                                 failed = res.failed]() mutable {
-                       on_flush_programmed(row, std::move(batch), failed);
+                     sim::boxed([this, row = *alloc,
+                                 batch = std::move(batch)]() mutable {
+                       on_flush_programmed(row, std::move(batch));
                      }));
     gc_->maybe_start();
   }
 }
 
-void Ftl::on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch,
-                              bool failed) {
+void Ftl::on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch) {
   --outstanding_flushes_;
-  if (failed) {
-    // Slots of this row are dead; program the same data into a fresh row.
-    ++stats_.program_retries;
-    retry_items_.insert(retry_items_.end(), batch.begin(), batch.end());
-    pump_flusher();
-    return;
-  }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const FlushItem& item = batch[i];
     const flash::Spa spa = sm_->row_slot_spa(row, static_cast<int>(i));
@@ -218,8 +198,7 @@ void Ftl::read(Lpn start, std::uint32_t pages, std::function<void()> done) {
 
   const auto suggestion = prefetcher_->on_read(start, pages, user_pages_);
 
-  const SimTime dram_ns = static_cast<SimTime>(cfg_.dram_hit_us * 1e3);
-  SimTime ready_floor = sim_.now() + dram_ns;
+  SimTime ready_floor = sim_.now() + kDramHitNs;
 
   // Group flash-resident pages by physical page for coalesced reads.
   std::map<flash::Ppa, std::uint32_t> groups;
@@ -231,7 +210,7 @@ void Ftl::read(Lpn start, std::uint32_t pages, std::function<void()> done) {
     }
     if (auto ready = cache_->lookup(lpn); ready.has_value()) {
       ++stats_.cache_hit_pages;
-      ready_floor = std::max(ready_floor, *ready + dram_ns);
+      ready_floor = std::max(ready_floor, *ready + kDramHitNs);
       continue;
     }
     const flash::Spa spa = mapping_.translate(lpn);

@@ -41,8 +41,6 @@ struct FtlConfig {
   std::uint32_t write_buffer_slots = 16384;  ///< 64 MiB of 4 KiB slots
   std::uint32_t read_cache_slots = 4096;     ///< 16 MiB
   SequentialPrefetcher::Config prefetch;
-  double dram_hit_us = 2.0;       ///< DRAM service for buffer/cache hits
-  int flush_parallelism = 32;     ///< outstanding row programs
 
   std::uint64_t user_pages() const {
     return user_capacity_bytes / kLogicalPageBytes;
@@ -62,12 +60,13 @@ struct FtlStats {
   std::uint64_t prefetch_row_reads = 0;
   std::uint64_t user_programmed_slots = 0;  ///< host slots flushed to flash
   std::uint64_t padded_slots = 0;           ///< forced partial-row padding
-  std::uint64_t program_retries = 0;
   SimTime user_stall_ns = 0;  ///< flusher time blocked on free space
 };
 
 class Ftl {
  public:
+  /// The FTL draws no random numbers; `rng` is unused and kept so callers
+  /// that pass one still compile.
   Ftl(sim::Simulator& sim, const FtlConfig& cfg, Rng rng);
 
   std::uint64_t user_pages() const { return user_pages_; }
@@ -116,8 +115,7 @@ class Ftl {
 
   void drain_pending_writes();
   void pump_flusher();
-  void on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch,
-                           bool failed);
+  void on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch);
   void complete_flush_waiters();
   void issue_prefetch(Lpn start, std::uint32_t pages);
   WriteStamp next_stamp() { return ++stamp_counter_; }
@@ -138,7 +136,6 @@ class Ftl {
   WriteStamp stamp_counter_ = 0;
   std::deque<PendingWrite> pending_writes_;
   std::deque<FlushWaiter> flush_waiters_;
-  std::vector<FlushItem> retry_items_;
   int outstanding_flushes_ = 0;
   bool force_flush_ = false;
   bool alloc_stalled_ = false;

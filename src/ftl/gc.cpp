@@ -7,6 +7,13 @@
 
 namespace uc::ftl {
 
+namespace {
+
+/// Victim-row read pipeline depth (parallelism GC steals from the array).
+constexpr int kRowsInFlight = 8;
+
+}  // namespace
+
 Status GcConfig::validate(const flash::FlashGeometry& geometry) const {
   if (user_reserve_sbs < 0) {
     return Status::invalid_argument("GC user reserve must be >= 0");
@@ -22,9 +29,6 @@ Status GcConfig::validate(const flash::FlashGeometry& geometry) const {
   }
   if (stop_free_sbs < trigger_free_sbs) {
     return Status::invalid_argument("GC stop watermark below its trigger");
-  }
-  if (rows_in_flight < 1) {
-    return Status::invalid_argument("GC needs pipeline depth >= 1");
   }
   // Compared before FtlConfig::validate() subtracts the spare from the
   // physical capacity, so an oversized watermark cannot underflow there.
@@ -44,9 +48,8 @@ GcController::GcController(sim::Simulator& sim, flash::NandArray& nand,
             "GC must trigger before the user reserve is reached");
   UC_ASSERT(cfg_.stop_free_sbs >= cfg_.trigger_free_sbs,
             "GC stop watermark below its trigger");
-  UC_ASSERT(cfg_.rows_in_flight >= 1, "GC needs pipeline depth >= 1");
   reloc_buf_.reserve(static_cast<std::size_t>(
-      sm_.geometry().slots_per_row() * (cfg_.rows_in_flight + 1)));
+      sm_.geometry().slots_per_row() * (kRowsInFlight + 1)));
 }
 
 void GcController::maybe_start() {
@@ -57,7 +60,7 @@ void GcController::maybe_start() {
 }
 
 void GcController::begin_next_victim() {
-  victim_ = sm_.pick_victim(cfg_.policy, sim_.now());
+  victim_ = sm_.pick_victim();
   if (victim_ < 0) {
     // Nothing closed to collect (e.g. tiny working set): go quiescent.
     active_ = false;
@@ -66,14 +69,13 @@ void GcController::begin_next_victim() {
   sm_.begin_gc(victim_);
   row_cursor_ = 0;
   erasing_ = false;
-  erase_failed_ = false;
   pump_reads();
   maybe_finish_victim();
 }
 
 void GcController::pump_reads() {
   const int rows = sm_.rows_per_superblock();
-  while (reads_in_flight_ < cfg_.rows_in_flight && row_cursor_ < rows) {
+  while (reads_in_flight_ < kRowsInFlight && row_cursor_ < rows) {
     scratch_spas_.clear();
     sm_.valid_slots_in_row(victim_, row_cursor_, scratch_spas_);
     const int die = sm_.die_of_row(row_cursor_);
@@ -119,7 +121,7 @@ void GcController::flush_reloc_rows(bool force_partial) {
   while (reloc_buf_.size() >= spr ||
          (force_partial && !reloc_buf_.empty())) {
     const std::size_t take = reloc_buf_.size() < spr ? reloc_buf_.size() : spr;
-    auto alloc = sm_.allocate_row(Stream::kGc, sim_.now(), 0);
+    auto alloc = sm_.allocate_row(Stream::kGc, 0);
     UC_ASSERT(alloc.has_value(),
               "GC stream allocation failed: reserve sizing bug");
     std::vector<RelocItem> batch(reloc_buf_.begin(),
@@ -130,23 +132,16 @@ void GcController::flush_reloc_rows(bool force_partial) {
     ++programs_in_flight_;
     ++stats_.gc_row_programs;
     sim_.schedule_at(res.done,
-                     sim::boxed([this, row = *alloc, batch = std::move(batch),
-                                 failed = res.failed]() mutable {
-                       on_gc_program_done(row, std::move(batch), failed);
+                     sim::boxed([this, row = *alloc,
+                                 batch = std::move(batch)]() mutable {
+                       on_gc_program_done(row, std::move(batch));
                      }));
   }
 }
 
-void GcController::on_gc_program_done(RowAlloc row, std::vector<RelocItem> batch,
-                                      bool failed) {
+void GcController::on_gc_program_done(RowAlloc row,
+                                      std::vector<RelocItem> batch) {
   --programs_in_flight_;
-  if (failed) {
-    // The row's slots are dead (never filled); relocate the batch again.
-    reloc_buf_.insert(reloc_buf_.begin(), batch.begin(), batch.end());
-    flush_reloc_rows(/*force_partial=*/true);
-    maybe_finish_victim();
-    return;
-  }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const RelocItem& item = batch[i];
     const flash::Spa dst = sm_.row_slot_spa(row, static_cast<int>(i));
@@ -179,23 +174,16 @@ void GcController::maybe_finish_victim() {
   erases_pending_ = dies;
   for (int die = 0; die < dies; ++die) {
     const auto res = nand_.erase_on_die(sim_.now(), die);
-    sim_.schedule_at(res.done,
-                     [this, failed = res.failed] { on_die_erased(failed); });
+    sim_.schedule_at(res.done, [this] { on_die_erased(); });
   }
 }
 
-void GcController::on_die_erased(bool failed) {
-  if (failed) erase_failed_ = true;
+void GcController::on_die_erased() {
   if (--erases_pending_ > 0) return;
 
-  const bool retired = erase_failed_;
-  sm_.on_erased(victim_, retired);
+  sm_.on_erased(victim_);
   ++stats_.victims_collected;
-  if (retired) {
-    ++stats_.retired_superblocks;
-  } else {
-    ++stats_.erased_superblocks;
-  }
+  ++stats_.erased_superblocks;
   victim_ = -1;
   erasing_ = false;
   if (space_freed_) space_freed_();

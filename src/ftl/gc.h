@@ -6,8 +6,8 @@
 /// blocks, when the valid pages in some blocks are relocated and these
 /// blocks can be erased").
 ///
-/// GC is a real relocation pipeline, not a rate model: victims are chosen
-/// by policy over live validity counters, valid rows are read through the
+/// GC is a real relocation pipeline, not a rate model: the victim is the
+/// closed superblock with the fewest valid slots (greedy), valid rows are read through the
 /// same dies/channels foreground I/O uses, relocated slots are re-packed
 /// densely into the GC write stream, and blocks are erased before rejoining
 /// the free pool.  The throughput cliff the paper's Figure 3 shows for the
@@ -29,7 +29,6 @@
 namespace uc::ftl {
 
 struct GcConfig {
-  GcPolicy policy = GcPolicy::kGreedy;
   /// Start collecting when the free-superblock count drops to this.
   int trigger_free_sbs = 6;
   /// Keep collecting until the free count recovers to this.
@@ -37,12 +36,10 @@ struct GcConfig {
   /// User allocations may not take the last N free superblocks (the GC
   /// stream's guaranteed headroom); user writes stall instead.
   int user_reserve_sbs = 3;
-  /// Victim-row read pipeline depth (parallelism GC steals from the array).
-  int rows_in_flight = 8;
 
   /// Rejects watermarks that are negative or out of order, a trigger at
-  /// zero free superblocks, an empty read pipeline, and a spare (`stop_free_sbs + 2` superblocks) that does not
-  /// fit in `geometry`.
+  /// zero free superblocks, and a spare (`stop_free_sbs + 2` superblocks)
+  /// that does not fit in `geometry`.
   Status validate(const flash::FlashGeometry& geometry) const;
 };
 
@@ -51,7 +48,6 @@ struct GcStats {
   std::uint64_t relocated_slots = 0;
   std::uint64_t gc_row_programs = 0;
   std::uint64_t erased_superblocks = 0;
-  std::uint64_t retired_superblocks = 0;
   std::uint64_t stale_relocations = 0;  ///< overwritten mid-relocation
 };
 
@@ -84,10 +80,9 @@ class GcController {
   /// Flushes full rows from the relocation buffer; with `force_partial`,
   /// also flushes a trailing partial row (padding the remainder).
   void flush_reloc_rows(bool force_partial);
-  void on_gc_program_done(RowAlloc row, std::vector<RelocItem> batch,
-                          bool failed);
+  void on_gc_program_done(RowAlloc row, std::vector<RelocItem> batch);
   void maybe_finish_victim();
-  void on_die_erased(bool failed);
+  void on_die_erased();
 
   sim::Simulator& sim_;
   flash::NandArray& nand_;
@@ -104,7 +99,6 @@ class GcController {
   int programs_in_flight_ = 0;
   bool erasing_ = false;
   int erases_pending_ = 0;
-  bool erase_failed_ = false;
   std::vector<RelocItem> reloc_buf_;
   std::vector<flash::Spa> scratch_spas_;
 };

@@ -4,15 +4,19 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "common/status.h"
-
 namespace uc::ftl {
 
+namespace {
+
+/// Streams tracked at once.
+constexpr int kStreamTableSize = 8;
+/// Consecutive hits before a stream prefetches.
+constexpr int kTriggerHits = 2;
+
+}  // namespace
+
 SequentialPrefetcher::SequentialPrefetcher(const Config& cfg)
-    : cfg_(cfg), streams_(static_cast<std::size_t>(cfg.stream_table_size)) {
-  UC_ASSERT(cfg.stream_table_size > 0, "need at least one stream slot");
-  UC_ASSERT(cfg.trigger_hits >= 1, "trigger must be at least one hit");
-}
+    : cfg_(cfg), streams_(static_cast<std::size_t>(kStreamTableSize)) {}
 
 SequentialPrefetcher::Suggestion SequentialPrefetcher::on_read(
     Lpn lpn, std::uint32_t pages, std::uint64_t device_pages) {
@@ -40,7 +44,7 @@ SequentialPrefetcher::Suggestion SequentialPrefetcher::on_read(
   match->hits += 1;
   match->next_lpn = lpn + pages;
   match->last_use = use_counter_;
-  if (match->hits < cfg_.trigger_hits) return {};
+  if (match->hits < kTriggerHits) return {};
 
   // Hysteresis: top the window back up to read_ahead_pages only once it has
   // drained below half, so read-ahead issues in page-row-sized batches

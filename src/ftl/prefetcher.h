@@ -28,8 +28,6 @@ using ReadCache = LruReadyCache<Lpn>;
 class SequentialPrefetcher {
  public:
   struct Config {
-    int stream_table_size = 8;
-    int trigger_hits = 2;        ///< consecutive hits before prefetching
     int read_ahead_pages = 64;   ///< how far past the head to prefetch
   };
 

@@ -21,7 +21,6 @@ SuperblockManager::SuperblockManager(const flash::FlashGeometry& geometry)
 }
 
 std::optional<RowAlloc> SuperblockManager::allocate_row(Stream stream,
-                                                        SimTime now,
                                                         int user_reserve_sbs) {
   StreamState& st = streams_[static_cast<int>(stream)];
   const auto slots_per_sb =
@@ -29,7 +28,6 @@ std::optional<RowAlloc> SuperblockManager::allocate_row(Stream stream,
   if (st.open_sb >= 0 && st.next_slot >= slots_per_sb) {
     SuperblockInfo& done = superblocks_[static_cast<std::size_t>(st.open_sb)];
     done.state = SbState::kClosed;
-    done.closed_at = now;
     st.open_sb = -1;
   }
   if (st.open_sb < 0) {
@@ -87,27 +85,15 @@ int SuperblockManager::superblock_of_spa(flash::Spa spa) const {
                           geometry_.blocks_per_plane);
 }
 
-int SuperblockManager::pick_victim(GcPolicy policy, SimTime now) const {
+int SuperblockManager::pick_victim() const {
   int best = -1;
-  double best_score = 0.0;
-  const double slots_per_sb =
-      static_cast<double>(geometry_.slots_per_superblock());
   for (int sb = 0; sb < geometry_.superblock_count(); ++sb) {
     const SuperblockInfo& info = superblocks_[static_cast<std::size_t>(sb)];
     if (info.state != SbState::kClosed) continue;
-    double score = 0.0;
-    if (policy == GcPolicy::kGreedy) {
-      // Fewer valid slots -> better; score is reclaimable slots.
-      score = slots_per_sb - static_cast<double>(info.valid_slots);
-    } else {
-      const double u = static_cast<double>(info.valid_slots) / slots_per_sb;
-      const double age_s =
-          static_cast<double>(now - info.closed_at) / 1e9 + 1e-6;
-      score = u >= 1.0 ? 0.0 : age_s * (1.0 - u) / (2.0 * u + 1e-9);
-    }
-    if (best < 0 || score > best_score) {
+    if (best < 0 ||
+        info.valid_slots <
+            superblocks_[static_cast<std::size_t>(best)].valid_slots) {
       best = sb;
-      best_score = score;
     }
   }
   return best;
@@ -119,17 +105,13 @@ void SuperblockManager::begin_gc(int sb) {
   info.state = SbState::kGcVictim;
 }
 
-void SuperblockManager::on_erased(int sb, bool retired) {
+void SuperblockManager::on_erased(int sb) {
   SuperblockInfo& info = superblocks_[static_cast<std::size_t>(sb)];
   UC_ASSERT(info.state == SbState::kGcVictim, "erase completes a GC cycle");
   UC_ASSERT(info.valid_slots == 0, "erasing a superblock with valid data");
   // Clear slot validity metadata (already invalid) and reset the cursor.
   info.next_slot = 0;
   ++info.erase_count;
-  if (retired) {
-    info.state = SbState::kRetired;
-    return;
-  }
   info.state = SbState::kFree;
   free_list_.push_back(sb);
 }

@@ -31,12 +31,6 @@ enum class SbState : std::uint8_t {
   kOpen,
   kClosed,
   kGcVictim,
-  kRetired,  ///< erase failure; removed from the pool permanently
-};
-
-enum class GcPolicy {
-  kGreedy,       ///< min valid slots
-  kCostBenefit,  ///< max (age * (1-u)) / (2u)
 };
 
 struct SuperblockInfo {
@@ -44,7 +38,6 @@ struct SuperblockInfo {
   std::uint32_t valid_slots = 0;
   std::uint32_t next_slot = 0;  ///< allocation cursor within the superblock
   std::uint32_t erase_count = 0;
-  SimTime closed_at = 0;
 };
 
 /// One allocated row: `slot_spa(i)` for i in [0, slots_per_row) addresses
@@ -62,11 +55,10 @@ class SuperblockManager {
 
   // --- allocation ---
 
-  /// Allocates the next row for `stream` at time `now`.  Returns nullopt if
-  /// the stream would need a fresh superblock and none is available to it
-  /// (user allocations cannot dig into the GC reserve).
-  std::optional<RowAlloc> allocate_row(Stream stream, SimTime now,
-                                       int user_reserve_sbs);
+  /// Allocates the next row for `stream`.  Returns nullopt if the stream
+  /// would need a fresh superblock and none is available to it (user
+  /// allocations cannot dig into the GC reserve).
+  std::optional<RowAlloc> allocate_row(Stream stream, int user_reserve_sbs);
 
   flash::Spa row_slot_spa(const RowAlloc& row, int i) const {
     return geometry_.superblock_slot_spa(
@@ -95,14 +87,14 @@ class SuperblockManager {
 
   int free_count() const { return static_cast<int>(free_list_.size()); }
 
-  /// Best victim under `policy`, or -1 if no closed superblock exists.
-  int pick_victim(GcPolicy policy, SimTime now) const;
+  /// The closed superblock with the fewest valid slots (greedy; the lowest
+  /// index on a tie), or -1 if no closed superblock exists.
+  int pick_victim() const;
 
   void begin_gc(int sb);
 
-  /// Completes a GC cycle: erased superblocks rejoin the free list; a failed
-  /// erase retires the superblock instead.
-  void on_erased(int sb, bool retired);
+  /// Completes a GC cycle: the erased superblock rejoins the free list.
+  void on_erased(int sb);
 
   /// Appends the SPAs of currently-valid slots in `row` of `sb` to `out`.
   void valid_slots_in_row(int sb, int row, std::vector<flash::Spa>& out) const;

@@ -54,13 +54,9 @@ SsdConfig samsung_970pro_scaled(std::uint64_t user_capacity_bytes) {
   cfg.ftl.write_buffer_slots = 16384;  // 64 MiB
   cfg.ftl.read_cache_slots = 8192;     // 32 MiB
   cfg.ftl.prefetch.read_ahead_pages = 64;
-  cfg.ftl.prefetch.trigger_hits = 2;
-  cfg.ftl.gc.policy = ftl::GcPolicy::kGreedy;
   cfg.ftl.gc.trigger_free_sbs = 3;
   cfg.ftl.gc.stop_free_sbs = 5;
   cfg.ftl.gc.user_reserve_sbs = 2;
-  cfg.ftl.gc.rows_in_flight = 8;
-  cfg.ftl.flush_parallelism = 32;
 
   cfg.host_link_mbps = 3500.0;
   return cfg;

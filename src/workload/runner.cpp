@@ -29,6 +29,22 @@ Status JobSpec::validate(const DeviceInfo& device) const {
   return Status::ok();
 }
 
+void JobStats::record(const IoResult& result) {
+  const SimTime lat = result.latency();
+  all_latency.record(lat);
+  if (result.op == IoOp::kWrite) {
+    write_latency.record(lat);
+    ++write_ops;
+    write_bytes += result.bytes;
+  } else {
+    read_latency.record(lat);
+    ++read_ops;
+    read_bytes += result.bytes;
+  }
+  timeline.record(result.complete_time, result.bytes);
+  last_complete = result.complete_time;
+}
+
 JobStats LoadSource::take_stats() {
   UC_ASSERT(finished(), "take_stats() on an unfinished load");
   return std::exchange(stats_, JobStats{});
@@ -83,19 +99,7 @@ void JobRunner::issue_one() {
 
 void JobRunner::on_complete(const IoResult& result) {
   --outstanding_;
-  const SimTime lat = result.latency();
-  stats_.all_latency.record(lat);
-  if (result.op == IoOp::kWrite) {
-    stats_.write_latency.record(lat);
-    ++stats_.write_ops;
-    stats_.write_bytes += result.bytes;
-  } else {
-    stats_.read_latency.record(lat);
-    ++stats_.read_ops;
-    stats_.read_bytes += result.bytes;
-  }
-  stats_.timeline.record(result.complete_time, result.bytes);
-  stats_.last_complete = result.complete_time;
+  stats_.record(result);
 
   if (bound_reached()) {
     if (outstanding_ == 0) stopped_issuing_ = true;

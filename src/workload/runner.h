@@ -38,6 +38,11 @@ struct JobStats {
   SimTime first_submit = 0;
   SimTime last_complete = 0;
 
+  /// Records one completed I/O: its latency, op and byte counts, the
+  /// timeline and `last_complete` (not `slowdown`, which needs the op's
+  /// intended arrival).
+  void record(const IoResult& result);
+
   std::uint64_t total_ops() const { return read_ops + write_ops; }
   std::uint64_t total_bytes() const { return read_bytes + write_bytes; }
 

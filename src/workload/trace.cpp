@@ -384,23 +384,11 @@ void TraceReplayer::schedule_next() {
     IoRequest req{next_id_++, ev.op, ev.offset, ev.bytes};
     device_.submit(req, [this, intended](const IoResult& r) {
       --inflight_;
-      const SimTime lat = r.latency();
-      stats_.all_latency.record(lat);
+      stats_.record(r);
       // Slowdown clock: against the *intended* arrival, so host-side
       // submission delay (a frozen device, a future bounded submitter)
       // counts against the op just like device-side queueing does.
       stats_.slowdown.record(r.complete_time - intended);
-      if (r.op == IoOp::kWrite) {
-        stats_.write_latency.record(lat);
-        ++stats_.write_ops;
-        stats_.write_bytes += r.bytes;
-      } else {
-        stats_.read_latency.record(lat);
-        ++stats_.read_ops;
-        stats_.read_bytes += r.bytes;
-      }
-      stats_.timeline.record(r.complete_time, r.bytes);
-      stats_.last_complete = r.complete_time;
     });
     schedule_next();
   });

@@ -200,7 +200,6 @@ TEST(LruReadyCache, MatchesListAndMapReference) {
 
 TEST(SequentialPrefetcher, DetectsStreamAfterTrigger) {
   SequentialPrefetcher::Config cfg;
-  cfg.trigger_hits = 2;
   cfg.read_ahead_pages = 16;
   SequentialPrefetcher pf(cfg);
   // First read primes; second (consecutive) triggers.
@@ -221,7 +220,6 @@ TEST(SequentialPrefetcher, RandomReadsDoNotTrigger) {
 
 TEST(SequentialPrefetcher, HysteresisBatchesReissue) {
   SequentialPrefetcher::Config cfg;
-  cfg.trigger_hits = 2;
   cfg.read_ahead_pages = 16;
   SequentialPrefetcher pf(cfg);
   pf.on_read(0, 1, 1000000);
@@ -239,7 +237,6 @@ TEST(SequentialPrefetcher, HysteresisBatchesReissue) {
 
 TEST(SequentialPrefetcher, SuggestionBoundedByDevice) {
   SequentialPrefetcher::Config cfg;
-  cfg.trigger_hits = 2;
   cfg.read_ahead_pages = 64;
   SequentialPrefetcher pf(cfg);
   pf.on_read(90, 1, 100);
@@ -251,8 +248,6 @@ TEST(SequentialPrefetcher, SuggestionBoundedByDevice) {
 
 TEST(SequentialPrefetcher, TracksMultipleStreams) {
   SequentialPrefetcher::Config cfg;
-  cfg.stream_table_size = 4;
-  cfg.trigger_hits = 2;
   cfg.read_ahead_pages = 8;
   SequentialPrefetcher pf(cfg);
   // Two interleaved sequential streams.
@@ -297,7 +292,6 @@ TEST(SsdReadAhead, RandomReadsNeverOvergroupARowRead) {
 
 TEST(SequentialPrefetcher, MultiPageReadsAdvanceHead) {
   SequentialPrefetcher::Config cfg;
-  cfg.trigger_hits = 2;
   cfg.read_ahead_pages = 32;
   SequentialPrefetcher pf(cfg);
   pf.on_read(0, 8, 1000000);

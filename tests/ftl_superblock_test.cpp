@@ -1,6 +1,6 @@
 // Tests for the superblock pool: row allocation order, validity
 // accounting, GC victim selection, the user-reserve rule, and the erase
-// lifecycle (including retirement on failure).
+// lifecycle.
 
 #include <gtest/gtest.h>
 
@@ -25,9 +25,9 @@ flash::FlashGeometry tiny_geometry() {
 
 TEST(SuperblockManager, RowAllocationAdvancesDiesThenPages) {
   SuperblockManager sm(tiny_geometry());
-  const auto r0 = sm.allocate_row(Stream::kUser, 0, 0);
-  const auto r1 = sm.allocate_row(Stream::kUser, 0, 0);
-  const auto r2 = sm.allocate_row(Stream::kUser, 0, 0);
+  const auto r0 = sm.allocate_row(Stream::kUser, 0);
+  const auto r1 = sm.allocate_row(Stream::kUser, 0);
+  const auto r2 = sm.allocate_row(Stream::kUser, 0);
   ASSERT_TRUE(r0 && r1 && r2);
   EXPECT_EQ(r0->sb, r1->sb);
   EXPECT_EQ(r0->die, 0);
@@ -38,8 +38,8 @@ TEST(SuperblockManager, RowAllocationAdvancesDiesThenPages) {
 
 TEST(SuperblockManager, StreamsGetSeparateSuperblocks) {
   SuperblockManager sm(tiny_geometry());
-  const auto user = sm.allocate_row(Stream::kUser, 0, 0);
-  const auto gc = sm.allocate_row(Stream::kGc, 0, 0);
+  const auto user = sm.allocate_row(Stream::kUser, 0);
+  const auto gc = sm.allocate_row(Stream::kGc, 0);
   ASSERT_TRUE(user && gc);
   EXPECT_NE(user->sb, gc->sb);
 }
@@ -47,13 +47,13 @@ TEST(SuperblockManager, StreamsGetSeparateSuperblocks) {
 TEST(SuperblockManager, UserReserveBlocksUserNotGc) {
   SuperblockManager sm(tiny_geometry());
   // Reserve all 4 superblocks for GC: user allocation must fail.
-  EXPECT_FALSE(sm.allocate_row(Stream::kUser, 0, 4).has_value());
-  EXPECT_TRUE(sm.allocate_row(Stream::kGc, 0, 0).has_value());
+  EXPECT_FALSE(sm.allocate_row(Stream::kUser, 4).has_value());
+  EXPECT_TRUE(sm.allocate_row(Stream::kGc, 0).has_value());
 }
 
 TEST(SuperblockManager, FillInvalidateAccounting) {
   SuperblockManager sm(tiny_geometry());
-  const auto row = sm.allocate_row(Stream::kUser, 0, 0);
+  const auto row = sm.allocate_row(Stream::kUser, 0);
   ASSERT_TRUE(row.has_value());
   const flash::Spa spa = sm.row_slot_spa(*row, 0);
   sm.fill_slot(spa, /*lpn=*/42, /*stamp=*/7);
@@ -77,7 +77,7 @@ TEST(SuperblockManager, GreedyVictimPicksMinValid) {
   int filled_sbs[2] = {-1, -1};
   for (int s = 0; s < 2; ++s) {
     for (std::uint64_t i = 0; i < slots_per_sb / g.slots_per_row(); ++i) {
-      const auto row = sm.allocate_row(Stream::kUser, 0, 0);
+      const auto row = sm.allocate_row(Stream::kUser, 0);
       ASSERT_TRUE(row.has_value());
       filled_sbs[s] = row->sb;
       for (int k = 0; k < g.slots_per_row(); ++k) {
@@ -87,30 +87,36 @@ TEST(SuperblockManager, GreedyVictimPicksMinValid) {
     }
   }
   // Force both to close by opening a third.
-  ASSERT_TRUE(sm.allocate_row(Stream::kUser, 0, 0).has_value());
+  ASSERT_TRUE(sm.allocate_row(Stream::kUser, 0).has_value());
+  ASSERT_LT(filled_sbs[0], filled_sbs[1]);
+  // Both full: on a tie the lower index wins.
+  EXPECT_EQ(sm.pick_victim(), filled_sbs[0]);
+  // Fewer valid slots beat a lower index.
+  sm.invalidate_if_valid(g.superblock_slot_spa(filled_sbs[1], 0));
+  EXPECT_EQ(sm.pick_victim(), filled_sbs[1]);
   // Invalidate most of superblock 0.
   for (std::uint64_t i = 0; i < slots_per_sb - 1; ++i) {
     sm.invalidate_if_valid(g.superblock_slot_spa(filled_sbs[0], i));
   }
-  const int victim = sm.pick_victim(GcPolicy::kGreedy, 0);
+  const int victim = sm.pick_victim();
   EXPECT_EQ(victim, filled_sbs[0]);
 }
 
-TEST(SuperblockManager, EraseLifecycleAndRetirement) {
+TEST(SuperblockManager, EraseLifecycle) {
   auto g = tiny_geometry();
   SuperblockManager sm(g);
   // Fill one superblock completely, invalidate everything, GC it.
   int sb = -1;
   const auto rows = g.slots_per_superblock() / g.slots_per_row();
   for (std::uint64_t i = 0; i < rows; ++i) {
-    const auto row = sm.allocate_row(Stream::kUser, 0, 0);
+    const auto row = sm.allocate_row(Stream::kUser, 0);
     ASSERT_TRUE(row.has_value());
     sb = row->sb;
     for (int k = 0; k < g.slots_per_row(); ++k) {
       sm.fill_slot(sm.row_slot_spa(*row, k), static_cast<Lpn>(i * 16 + k), 1);
     }
   }
-  ASSERT_TRUE(sm.allocate_row(Stream::kUser, 0, 0).has_value());  // closes sb
+  ASSERT_TRUE(sm.allocate_row(Stream::kUser, 0).has_value());  // closes sb
   for (std::uint64_t i = 0; i < g.slots_per_superblock(); ++i) {
     sm.invalidate_if_valid(g.superblock_slot_spa(sb, i));
   }
@@ -119,21 +125,16 @@ TEST(SuperblockManager, EraseLifecycleAndRetirement) {
   const int free_before = sm.free_count();
   sm.begin_gc(sb);
   EXPECT_EQ(sm.info(sb).state, SbState::kGcVictim);
-  sm.on_erased(sb, /*retired=*/false);
+  sm.on_erased(sb);
   EXPECT_EQ(sm.info(sb).state, SbState::kFree);
   EXPECT_EQ(sm.info(sb).erase_count, 1u);
   EXPECT_EQ(sm.free_count(), free_before + 1);
-
-  // Re-collect and retire it this time.
-  // (Open it again, close it empty, then run the GC cycle with failure.)
-  const auto row = sm.allocate_row(Stream::kGc, 0, 0);
-  ASSERT_TRUE(row.has_value());
 }
 
 TEST(SuperblockManager, ValidSlotsInRowFindsExactlyValidOnes) {
   auto g = tiny_geometry();
   SuperblockManager sm(g);
-  const auto row = sm.allocate_row(Stream::kUser, 0, 0);
+  const auto row = sm.allocate_row(Stream::kUser, 0);
   ASSERT_TRUE(row.has_value());
   sm.fill_slot(sm.row_slot_spa(*row, 0), 1, 1);
   sm.fill_slot(sm.row_slot_spa(*row, 3), 2, 2);

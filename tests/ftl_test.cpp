@@ -159,31 +159,6 @@ TEST(Ftl, GcReclaimsUnderSustainedOverwrites) {
   EXPECT_TRUE(h.ftl.check_integrity().is_ok());
 }
 
-TEST(Ftl, ProgramFailuresAreRetriedTransparently) {
-  auto cfg = small_config();
-  cfg.timing.program_fail_prob = 0.05;
-  Harness h(cfg);
-  for (Lpn l = 0; l < 512; ++l) h.write(l % 128);
-  h.flush();
-  EXPECT_GT(h.ftl.stats().program_retries, 0u);
-  EXPECT_TRUE(h.ftl.check_integrity().is_ok());
-}
-
-TEST(Ftl, EraseFailuresRetireSuperblocks) {
-  auto cfg = small_config();
-  // Low per-die failure rate: a few superblocks retire over the run but the
-  // pool survives (a drive whose spare pool erodes away is simply dead).
-  cfg.timing.erase_fail_prob = 0.008;
-  Harness h(cfg);
-  Rng rng(9);
-  for (std::uint64_t i = 0; i < 2 * h.ftl.user_pages(); ++i) {
-    h.write(rng.uniform_u64(h.ftl.user_pages()));
-  }
-  h.flush();
-  EXPECT_GT(h.ftl.gc_stats().retired_superblocks, 0u);
-  EXPECT_TRUE(h.ftl.check_integrity().is_ok());
-}
-
 TEST(Ftl, ConfigValidationRejectsOversizedCapacity) {
   auto cfg = small_config();
   cfg.user_capacity_bytes = 47 * kMiB;  // physical is 48 MiB
@@ -233,8 +208,6 @@ TEST(GcConfig, ValidateRejectsEachBadField) {
        "still free"},
       {"stop below trigger", [](GcConfig& g) { g.stop_free_sbs = 2; },
        "stop watermark"},
-      {"no read pipeline", [](GcConfig& g) { g.rows_in_flight = 0; },
-       "pipeline depth"},
       {"spare fills the device", [](GcConfig& g) { g.stop_free_sbs = 12; },
        "no user space"},
       {"spare beyond the device", [](GcConfig& g) { g.stop_free_sbs = 24; },
