@@ -306,6 +306,67 @@ TEST(Determinism, SsdFlashCountersArePinned) {
   EXPECT_EQ(reads.all_latency.max(), 310790);
 }
 
+// Sustained GC on a small drive: 160 MiB of user space over 48 superblocks
+// of 4 MiB (83% full), then 4 KiB random writes at QD32 until 4x capacity is
+// written.  Unlike the job above, whose spare absorbs almost everything, GC
+// runs through most of this one, so every relocation step (victim row
+// reads, dense re-packing, GC-stream programs, erases, stale skips) and the
+// user-write stall it causes are pinned, along with the final page map.
+TEST(Determinism, SsdSustainedGcIsPinned) {
+  ssd::SsdConfig cfg = ssd::samsung_970pro_scaled(1 * kGiB);
+  flash::FlashGeometry& g = cfg.ftl.geometry;
+  g.channels = 2;
+  g.dies_per_channel = 2;
+  g.planes_per_die = 2;
+  g.pages_per_block = 32;
+  g.blocks_per_plane = 48;
+  cfg.ftl.user_capacity_bytes = 160 * kMiB;
+  cfg.ftl.write_buffer_slots = 1024;
+  cfg.ftl.read_cache_slots = 256;
+  sim::Simulator sim;
+  ssd::SsdDevice dev(sim, cfg);
+
+  wl::JobSpec spec;
+  spec.pattern = wl::AccessPattern::kRandom;
+  spec.io_bytes = 4096;
+  spec.queue_depth = 32;
+  spec.write_ratio = 1.0;
+  spec.total_bytes = 4 * 160 * kMiB;
+  spec.seed = 4242;
+  const auto stats = wl::JobRunner::run_to_completion(sim, dev, spec);
+
+  const ftl::Ftl& f = dev.ftl();
+  const flash::NandCounters& n = f.nand().counters();
+  EXPECT_EQ(n.page_reads, 70550u);
+  EXPECT_EQ(n.row_programs, 47327u);
+  EXPECT_EQ(n.superblock_die_erases, 1308u);
+  EXPECT_EQ(n.read_bytes, 1155891200u);
+  EXPECT_EQ(n.programmed_bytes, 1550811136u);
+  const ftl::GcStats& gc = f.gc_stats();
+  EXPECT_EQ(gc.victims_collected, 327u);
+  EXPECT_EQ(gc.relocated_slots, 216836u);
+  EXPECT_EQ(gc.gc_row_programs, 27243u);
+  EXPECT_EQ(gc.stale_relocations, 661u);
+  const ftl::FtlStats& st = f.stats();
+  EXPECT_EQ(st.host_write_pages, 163840u);
+  EXPECT_EQ(st.user_programmed_slots, 160672u);
+  EXPECT_EQ(st.padded_slots, 0u);
+  EXPECT_EQ(st.host_read_pages, 0u);
+  EXPECT_EQ(st.flash_read_pages, 0u);
+  EXPECT_EQ(st.user_stall_ns, 4212932644);
+  EXPECT_EQ(stats.all_latency.count(), 163840u);
+  EXPECT_EQ(stats.all_latency.mean(), 1612411.05078125);
+  EXPECT_EQ(stats.all_latency.max(), 57915180);
+  EXPECT_EQ(stats.all_latency.percentile(99), 34957910);
+  EXPECT_EQ(stats.last_complete, 8255846649);
+  Fnv1a d;
+  const auto& m = f.mapping();
+  for (Lpn lpn = 0; lpn < m.logical_pages(); ++lpn) {
+    d.mix(m.peek(lpn)).mix(m.stamp_of(lpn));
+  }
+  EXPECT_EQ(d.value(), 9558309515262791308ull);  // the whole page map
+}
+
 TEST(Determinism, ThreeTenantSeedsDiverge) {
   const auto a = run_three_tenants(1);
   const auto b = run_three_tenants(2);
