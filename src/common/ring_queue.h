@@ -20,6 +20,7 @@ template <typename T>
 class RingQueue {
  public:
   bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
   T& front() { return slots_[head_]; }
 

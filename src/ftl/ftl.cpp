@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -131,29 +130,30 @@ void Ftl::pump_flusher() {
       stats_.user_stall_ns += sim_.now() - stall_since_;
     }
 
-    std::vector<FlushItem> batch;
-    wb_->take_flush_batch(spr, batch);
-    UC_ASSERT(!batch.empty(), "dirty slots present but none flushable");
-    if (batch.size() < spr) stats_.padded_slots += spr - batch.size();
+    const std::uint32_t slot = flush_ops_.claim();
+    FlushOp& op = flush_ops_[slot];
+    op.row = *alloc;
+    op.batch.clear();
+    op.batch.reserve(spr);  // a full row's room, so no reuse regrows
+    wb_->take_flush_batch(spr, op.batch);
+    UC_ASSERT(!op.batch.empty(), "dirty slots present but none flushable");
+    if (op.batch.size() < spr) stats_.padded_slots += spr - op.batch.size();
 
     const auto res = nand_->program_row(sim_.now(), alloc->die,
                                         cfg_.geometry.planes_per_die);
     ++outstanding_flushes_;
-    sim_.schedule_at(res.done,
-                     sim::boxed([this, row = *alloc,
-                                 batch = std::move(batch)]() mutable {
-                       on_flush_programmed(row, std::move(batch));
-                     }));
+    sim_.schedule_at(res.done, [this, slot] { on_flush_programmed(slot); });
     gc_->maybe_start();
   }
 }
 
-void Ftl::on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch) {
+void Ftl::on_flush_programmed(std::uint32_t slot) {
   --outstanding_flushes_;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const FlushItem& item = batch[i];
-    const flash::Spa spa = sm_->row_slot_spa(row, static_cast<int>(i));
-    sm_->fill_slot(spa, item.lpn, item.stamp);
+  const FlushOp& op = flush_ops_[slot];
+  for (std::size_t i = 0; i < op.batch.size(); ++i) {
+    const FlushItem& item = op.batch[i];
+    const flash::Spa spa =
+        sm_->fill_row_slot(op.row, static_cast<int>(i), item.lpn, item.stamp);
     const auto upd = mapping_.update(item.lpn, spa, item.stamp);
     if (!upd.applied) {
       // Newer data (or a trim) reached the mapping first; this copy is dead.
@@ -163,14 +163,15 @@ void Ftl::on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch) {
     }
     ++stats_.user_programmed_slots;
   }
-  wb_->batch_programmed(batch);
+  wb_->batch_programmed(op.batch);
+  flush_ops_.release(slot);  // before pump_flusher claims again
   drain_pending_writes();  // buffer space freed
   complete_flush_waiters();
   pump_flusher();
 }
 
 void Ftl::flush(std::function<void()> done) {
-  flush_waiters_.push_back(FlushWaiter{std::move(done)});
+  flush_waiters_.push_back(std::move(done));
   force_flush_ = true;
   pump_flusher();
   complete_flush_waiters();
@@ -183,9 +184,9 @@ void Ftl::complete_flush_waiters() {
   }
   force_flush_ = false;
   while (!flush_waiters_.empty()) {
-    auto waiter = std::move(flush_waiters_.front());
+    std::function<void()> done = std::move(flush_waiters_.front());
     flush_waiters_.pop_front();
-    if (waiter.done) sim_.schedule_after(0, std::move(waiter.done));
+    if (done) sim_.schedule_after(0, std::move(done));
   }
 }
 
@@ -200,8 +201,11 @@ void Ftl::read(Lpn start, std::uint32_t pages, std::function<void()> done) {
 
   SimTime ready_floor = sim_.now() + kDramHitNs;
 
-  // Group flash-resident pages by physical page for coalesced reads.
-  std::map<flash::Ppa, std::uint32_t> groups;
+  // Collect the physical page of each flash-resident page; the pages of one
+  // physical page coalesce into one read.
+  const auto slots_per_page =
+      static_cast<flash::Spa>(cfg_.geometry.slots_per_page());
+  read_ppas_.clear();
   for (std::uint32_t i = 0; i < pages; ++i) {
     const Lpn lpn = start + i;
     if (wb_->read_lookup(lpn).has_value()) {
@@ -219,40 +223,48 @@ void Ftl::read(Lpn start, std::uint32_t pages, std::function<void()> done) {
       continue;
     }
     ++stats_.flash_read_pages;
-    groups[spa / static_cast<flash::Spa>(cfg_.geometry.slots_per_page())] +=
-        1;
+    read_ppas_.push_back(spa / slots_per_page);
   }
 
   if (suggestion.active()) issue_prefetch(suggestion.start, suggestion.pages);
 
-  if (groups.empty()) {
+  if (read_ppas_.empty()) {
     sim_.schedule_at(ready_floor, std::move(done));
     return;
   }
 
-  struct ReadState {
-    int remaining = 0;
-    SimTime ready_floor = 0;
-    std::function<void()> done;
-  };
-  auto state = std::make_shared<ReadState>();
-  state->remaining = static_cast<int>(groups.size());
-  state->ready_floor = ready_floor;
-  state->done = std::move(done);
-
-  for (const auto& [ppa, count] : groups) {
+  // Issue one read per physical page, in ascending page order.
+  std::sort(read_ppas_.begin(), read_ppas_.end());
+  const std::uint32_t slot = read_ops_.claim();
+  ReadOp& op = read_ops_[slot];
+  op.remaining = 0;
+  op.ready_floor = ready_floor;
+  op.done = std::move(done);
+  for (std::size_t b = 0; b < read_ppas_.size();) {
+    const flash::Ppa ppa = read_ppas_[b];
+    std::size_t e = b + 1;
+    while (e < read_ppas_.size() && read_ppas_[e] == ppa) ++e;
+    const auto count = static_cast<std::uint32_t>(e - b);
     const int die = cfg_.geometry.die_of_ppa(ppa);
-    const auto res = nand_->read_page(
-        sim_.now(), die, count * kLogicalPageBytes);
-    sim_.schedule_at(res.done, [this, state] {
-      if (--state->remaining > 0) return;
-      const SimTime t = std::max(state->ready_floor, sim_.now());
-      if (t > sim_.now()) {
-        sim_.schedule_at(t, std::move(state->done));
-      } else {
-        state->done();
-      }
-    });
+    const auto res =
+        nand_->read_page(sim_.now(), die, count * kLogicalPageBytes);
+    ++op.remaining;
+    sim_.schedule_at(res.done, [this, slot] { on_page_read(slot); });
+    b = e;
+  }
+}
+
+void Ftl::on_page_read(std::uint32_t slot) {
+  ReadOp& op = read_ops_[slot];
+  if (--op.remaining > 0) return;
+  const SimTime t = std::max(op.ready_floor, sim_.now());
+  // `done` may read again, which claims a slot: release this one first.
+  std::function<void()> done = std::move(op.done);
+  read_ops_.release(slot);
+  if (t > sim_.now()) {
+    sim_.schedule_at(t, std::move(done));
+  } else {
+    done();
   }
 }
 
@@ -260,12 +272,8 @@ void Ftl::issue_prefetch(Lpn start, std::uint32_t pages) {
   // Resolve mapped pages and read whole physical pages, grouped by
   // (die, block, page-row) so each group becomes one multi-plane read —
   // this is what keeps the prefetcher ahead of a QD1 sequential consumer.
-  struct RowGroup {
-    int die = 0;
-    std::vector<flash::Ppa> ppas;
-  };
-  std::map<std::uint64_t, RowGroup> groups;
   const auto& g = cfg_.geometry;
+  prefetch_pages_.clear();
   for (std::uint32_t i = 0; i < pages; ++i) {
     const Lpn lpn = start + i;
     if (cache_->contains(lpn)) continue;
@@ -282,35 +290,46 @@ void Ftl::issue_prefetch(Lpn start, std::uint32_t pages) {
         (static_cast<std::uint64_t>(die) * g.blocks_per_plane + block) *
             g.pages_per_block +
         static_cast<std::uint64_t>(page);
-    RowGroup& group = groups[row_key];
-    group.die = die;
-    // A row holds one page per plane, but its logical pages need not be
-    // adjacent in the window: dedupe against the whole group so a repeat
-    // can never push it past planes_per_die.
-    if (std::find(group.ppas.begin(), group.ppas.end(), ppa) ==
-        group.ppas.end()) {
-      group.ppas.push_back(ppa);
-    }
+    prefetch_pages_.push_back(PrefetchPage{row_key, i, die, ppa});
   }
-  for (const auto& [key, group] : groups) {
-    const auto res = nand_->read_row(
-        sim_.now(), group.die, static_cast<int>(group.ppas.size()),
-        g.page_bytes);
+  // Rows in ascending key order; within a row, pages in window order.
+  std::sort(prefetch_pages_.begin(), prefetch_pages_.end(),
+            [](const PrefetchPage& a, const PrefetchPage& b) {
+              return a.row_key != b.row_key ? a.row_key < b.row_key
+                                            : a.order < b.order;
+            });
+  for (auto b = prefetch_pages_.begin(); b != prefetch_pages_.end();) {
+    // A row holds one page per plane, but its logical pages need not be
+    // adjacent in the window: dedupe against the whole row so a repeat can
+    // never push it past planes_per_die.
+    auto kept = b;
+    auto e = b;
+    for (; e != prefetch_pages_.end() && e->row_key == b->row_key; ++e) {
+      const flash::Ppa ppa = e->ppa;
+      if (std::none_of(b, kept, [ppa](const PrefetchPage& p) {
+            return p.ppa == ppa;
+          })) {
+        *kept++ = *e;
+      }
+    }
+    const auto res = nand_->read_row(sim_.now(), b->die,
+                                     static_cast<int>(kept - b), g.page_bytes);
     ++stats_.prefetch_row_reads;
     // Each fetched physical page carries slots_per_page logical pages; cache
     // every valid one (dropping siblings would force redundant re-reads of
     // the same physical page).  Insert at issue time with the future ready
     // time, so demand reads that race the prefetch wait for the in-flight
     // transfer instead of re-reading flash.
-    for (const flash::Ppa ppa : group.ppas) {
+    for (auto p = b; p != kept; ++p) {
       const flash::Spa base =
-          ppa * static_cast<flash::Spa>(g.slots_per_page());
+          p->ppa * static_cast<flash::Spa>(g.slots_per_page());
       for (int s = 0; s < g.slots_per_page(); ++s) {
         const flash::Spa spa = base + static_cast<flash::Spa>(s);
         if (!sm_->slot_valid(spa)) continue;
         cache_->insert(sm_->slot_lpn(spa), res.done);
       }
     }
+    b = e;
   }
 }
 

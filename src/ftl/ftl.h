@@ -10,13 +10,13 @@
 /// models everything behind the interface.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "common/rng.h"
+#include "common/slot_pool.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "flash/nand_array.h"
@@ -109,14 +109,32 @@ class Ftl {
     std::uint32_t next = 0;
     std::function<void()> done;
   };
-  struct FlushWaiter {
+  /// A read waiting on its flash page reads (pooled; see `read`).
+  struct ReadOp {
+    int remaining = 0;
+    SimTime ready_floor = 0;
     std::function<void()> done;
+  };
+  /// A row program of buffered slots in flight (pooled; the batch keeps its
+  /// capacity from one program to the next).
+  struct FlushOp {
+    RowAlloc row;
+    std::vector<FlushItem> batch;
+  };
+  /// One page `issue_prefetch` will read, tagged with its row and its
+  /// position in the window so sorting keeps the window order per row.
+  struct PrefetchPage {
+    std::uint64_t row_key = 0;
+    std::uint32_t order = 0;
+    int die = 0;
+    flash::Ppa ppa = 0;
   };
 
   void drain_pending_writes();
   void pump_flusher();
-  void on_flush_programmed(RowAlloc row, std::vector<FlushItem> batch);
+  void on_flush_programmed(std::uint32_t slot);
   void complete_flush_waiters();
+  void on_page_read(std::uint32_t slot);
   void issue_prefetch(Lpn start, std::uint32_t pages);
   WriteStamp next_stamp() { return ++stamp_counter_; }
 
@@ -134,8 +152,12 @@ class Ftl {
   std::unique_ptr<GcController> gc_;
 
   WriteStamp stamp_counter_ = 0;
-  std::deque<PendingWrite> pending_writes_;
-  std::deque<FlushWaiter> flush_waiters_;
+  RingQueue<PendingWrite> pending_writes_;
+  RingQueue<std::function<void()>> flush_waiters_;
+  SlotPool<ReadOp> read_ops_;
+  SlotPool<FlushOp> flush_ops_;
+  std::vector<flash::Ppa> read_ppas_;         ///< `read` scratch
+  std::vector<PrefetchPage> prefetch_pages_;  ///< `issue_prefetch` scratch
   int outstanding_flushes_ = 0;
   bool force_flush_ = false;
   bool alloc_stalled_ = false;

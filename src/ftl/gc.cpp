@@ -82,8 +82,10 @@ void GcController::pump_reads() {
     ++row_cursor_;
     if (scratch_spas_.empty()) continue;
 
-    std::vector<RelocItem> items;
-    items.reserve(scratch_spas_.size());
+    const std::uint32_t slot = row_reads_.claim();
+    std::vector<RelocItem>& items = row_reads_[slot];
+    items.clear();
+    items.reserve(static_cast<std::size_t>(sm_.geometry().slots_per_row()));
     for (const flash::Spa spa : scratch_spas_) {
       items.push_back(RelocItem{sm_.slot_lpn(spa), sm_.slot_stamp(spa), spa});
     }
@@ -95,15 +97,13 @@ void GcController::pump_reads() {
     const auto res = nand_.read_row(sim_.now(), die,
                                     pages < 1 ? 1 : pages, g.page_bytes);
     ++reads_in_flight_;
-    sim_.schedule_at(res.done, [this, items = std::move(items)]() mutable {
-      on_row_read(std::move(items));
-    });
+    sim_.schedule_at(res.done, [this, slot] { on_row_read(slot); });
   }
 }
 
-void GcController::on_row_read(std::vector<RelocItem> items) {
+void GcController::on_row_read(std::uint32_t slot) {
   --reads_in_flight_;
-  for (const RelocItem& item : items) {
+  for (const RelocItem& item : row_reads_[slot]) {
     // Skip slots the host overwrote/trimmed while the read was in flight.
     if (!sm_.slot_valid(item.src)) {
       ++stats_.stale_relocations;
@@ -111,6 +111,7 @@ void GcController::on_row_read(std::vector<RelocItem> items) {
     }
     reloc_buf_.push_back(item);
   }
+  row_reads_.release(slot);
   flush_reloc_rows(/*force_partial=*/false);
   pump_reads();
   maybe_finish_victim();
@@ -124,28 +125,28 @@ void GcController::flush_reloc_rows(bool force_partial) {
     auto alloc = sm_.allocate_row(Stream::kGc, 0);
     UC_ASSERT(alloc.has_value(),
               "GC stream allocation failed: reserve sizing bug");
-    std::vector<RelocItem> batch(reloc_buf_.begin(),
-                                 reloc_buf_.begin() + static_cast<long>(take));
-    reloc_buf_.erase(reloc_buf_.begin(), reloc_buf_.begin() + static_cast<long>(take));
+    const std::uint32_t slot = programs_.claim();
+    GcProgram& program = programs_[slot];
+    program.row = *alloc;
+    program.batch.reserve(spr);  // a full row's room, so no reuse regrows
+    const auto taken = reloc_buf_.begin() + static_cast<long>(take);
+    program.batch.assign(reloc_buf_.begin(), taken);
+    reloc_buf_.erase(reloc_buf_.begin(), taken);
     const auto res = nand_.program_row(sim_.now(), alloc->die,
                                        sm_.geometry().planes_per_die);
     ++programs_in_flight_;
     ++stats_.gc_row_programs;
-    sim_.schedule_at(res.done,
-                     sim::boxed([this, row = *alloc,
-                                 batch = std::move(batch)]() mutable {
-                       on_gc_program_done(row, std::move(batch));
-                     }));
+    sim_.schedule_at(res.done, [this, slot] { on_gc_program_done(slot); });
   }
 }
 
-void GcController::on_gc_program_done(RowAlloc row,
-                                      std::vector<RelocItem> batch) {
+void GcController::on_gc_program_done(std::uint32_t slot) {
   --programs_in_flight_;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const RelocItem& item = batch[i];
-    const flash::Spa dst = sm_.row_slot_spa(row, static_cast<int>(i));
-    sm_.fill_slot(dst, item.lpn, item.stamp);
+  const GcProgram& program = programs_[slot];
+  for (std::size_t i = 0; i < program.batch.size(); ++i) {
+    const RelocItem& item = program.batch[i];
+    const flash::Spa dst = sm_.fill_row_slot(program.row, static_cast<int>(i),
+                                             item.lpn, item.stamp);
     // Source slot dies either way (its superblock is about to be erased).
     sm_.invalidate_if_valid(item.src);
     const auto upd = mapping_.on_gc_relocate(item.lpn, dst, item.stamp);
@@ -156,6 +157,7 @@ void GcController::on_gc_program_done(RowAlloc row,
     }
     ++stats_.relocated_slots;
   }
+  programs_.release(slot);
   maybe_finish_victim();
 }
 
@@ -183,7 +185,6 @@ void GcController::on_die_erased() {
 
   sm_.on_erased(victim_);
   ++stats_.victims_collected;
-  ++stats_.erased_superblocks;
   victim_ = -1;
   erasing_ = false;
   if (space_freed_) space_freed_();

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/slot_pool.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "flash/geometry.h"
@@ -47,7 +48,6 @@ struct GcStats {
   std::uint64_t victims_collected = 0;
   std::uint64_t relocated_slots = 0;
   std::uint64_t gc_row_programs = 0;
-  std::uint64_t erased_superblocks = 0;
   std::uint64_t stale_relocations = 0;  ///< overwritten mid-relocation
 };
 
@@ -73,14 +73,19 @@ class GcController {
     WriteStamp stamp = 0;
     flash::Spa src = flash::kInvalidSpa;
   };
+  /// A relocation row program in flight.
+  struct GcProgram {
+    RowAlloc row;
+    std::vector<RelocItem> batch;
+  };
 
   void begin_next_victim();
   void pump_reads();
-  void on_row_read(std::vector<RelocItem> items);
+  void on_row_read(std::uint32_t slot);
   /// Flushes full rows from the relocation buffer; with `force_partial`,
   /// also flushes a trailing partial row (padding the remainder).
   void flush_reloc_rows(bool force_partial);
-  void on_gc_program_done(RowAlloc row, std::vector<RelocItem> batch);
+  void on_gc_program_done(std::uint32_t slot);
   void maybe_finish_victim();
   void on_die_erased();
 
@@ -101,6 +106,10 @@ class GcController {
   int erases_pending_ = 0;
   std::vector<RelocItem> reloc_buf_;
   std::vector<flash::Spa> scratch_spas_;
+  // In-flight victim row reads and relocation programs, pooled so their
+  // item vectors keep their capacity from one row to the next.
+  SlotPool<std::vector<RelocItem>> row_reads_;
+  SlotPool<GcProgram> programs_;
 };
 
 }  // namespace uc::ftl

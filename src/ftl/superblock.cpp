@@ -55,7 +55,13 @@ std::optional<RowAlloc> SuperblockManager::allocate_row(Stream stream,
   return row;
 }
 
-void SuperblockManager::fill_slot(flash::Spa spa, Lpn lpn, WriteStamp stamp) {
+flash::Spa SuperblockManager::fill_row_slot(const RowAlloc& row, int slot,
+                                            Lpn lpn, WriteStamp stamp) {
+  const flash::Spa spa = row_slot_spa(row, slot);
+  UC_DCHECK(spa == geometry_.superblock_slot_spa(
+                       row.sb, row.first_slot_in_sb +
+                                   static_cast<std::uint64_t>(slot)),
+            "row slot address disagrees with the superblock layout");
   const auto i = static_cast<std::size_t>(spa);
   UC_ASSERT(valid_[i] == 0, "filling an already-valid slot");
   UC_ASSERT(lpn < (1ull << 32) && stamp < (1ull << 32),
@@ -63,9 +69,9 @@ void SuperblockManager::fill_slot(flash::Spa spa, Lpn lpn, WriteStamp stamp) {
   valid_[i] = 1;
   meta_lpn_[i] = static_cast<std::uint32_t>(lpn);
   meta_stamp_[i] = static_cast<std::uint32_t>(stamp);
-  SuperblockInfo& sb = superblocks_[static_cast<std::size_t>(superblock_of_spa(spa))];
-  ++sb.valid_slots;
+  ++superblocks_[static_cast<std::size_t>(row.sb)].valid_slots;
   ++total_valid_;
+  return spa;
 }
 
 bool SuperblockManager::invalidate_if_valid(flash::Spa spa) {
@@ -111,7 +117,6 @@ void SuperblockManager::on_erased(int sb) {
   UC_ASSERT(info.valid_slots == 0, "erasing a superblock with valid data");
   // Clear slot validity metadata (already invalid) and reset the cursor.
   info.next_slot = 0;
-  ++info.erase_count;
   info.state = SbState::kFree;
   free_list_.push_back(sb);
 }

@@ -11,10 +11,10 @@
 /// different dies and stream at full array bandwidth.
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "flash/geometry.h"
@@ -37,7 +37,6 @@ struct SuperblockInfo {
   SbState state = SbState::kFree;
   std::uint32_t valid_slots = 0;
   std::uint32_t next_slot = 0;  ///< allocation cursor within the superblock
-  std::uint32_t erase_count = 0;
 };
 
 /// One allocated row: `slot_spa(i)` for i in [0, slots_per_row) addresses
@@ -60,15 +59,22 @@ class SuperblockManager {
   /// allocations cannot dig into the GC reserve).
   std::optional<RowAlloc> allocate_row(Stream stream, int user_reserve_sbs);
 
+  /// `geometry().superblock_slot_spa(row.sb, row.first_slot_in_sb + i)`,
+  /// from the row's die and page without dividing the slot index.
   flash::Spa row_slot_spa(const RowAlloc& row, int i) const {
-    return geometry_.superblock_slot_spa(
-        row.sb, row.first_slot_in_sb + static_cast<std::uint64_t>(i));
+    const int spp = geometry_.slots_per_page();
+    const int page = row.row / geometry_.total_dies();
+    return geometry_.ppa(row.die, i / spp, row.sb, page) *
+               static_cast<flash::Spa>(spp) +
+           static_cast<flash::Spa>(i % spp);
   }
 
   // --- slot validity & metadata ---
 
-  /// Marks a programmed slot valid and records its logical identity.
-  void fill_slot(flash::Spa spa, Lpn lpn, WriteStamp stamp);
+  /// Marks slot `i` of a programmed row valid and records its logical
+  /// identity; returns the slot's SPA.
+  flash::Spa fill_row_slot(const RowAlloc& row, int i, Lpn lpn,
+                           WriteStamp stamp);
 
   /// Invalidates if currently valid; returns whether it was valid.
   bool invalidate_if_valid(flash::Spa spa);
@@ -120,7 +126,7 @@ class SuperblockManager {
 
   flash::FlashGeometry geometry_;
   std::vector<SuperblockInfo> superblocks_;
-  std::deque<int> free_list_;
+  RingQueue<int> free_list_;
   StreamState streams_[kStreamCount];
   std::uint64_t total_valid_ = 0;
 

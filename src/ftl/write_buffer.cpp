@@ -1,21 +1,83 @@
 #include "ftl/write_buffer.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace uc::ftl {
 
+namespace {
+
+constexpr std::size_t kMinTable = 16;
+
+}  // namespace
+
 WriteBuffer::WriteBuffer(std::uint32_t capacity_slots)
     : capacity_(capacity_slots) {
   UC_ASSERT(capacity_slots > 0, "write buffer needs capacity");
-  entries_.reserve(capacity_slots * 2);
+}
+
+WriteBuffer::Entry* WriteBuffer::find(Lpn lpn) {
+  return const_cast<Entry*>(std::as_const(*this).find(lpn));
+}
+
+const WriteBuffer::Entry* WriteBuffer::find(Lpn lpn) const {
+  if (entries_ == 0) return nullptr;
+  for (std::size_t i = home(lpn);; i = (i + 1) & mask_) {
+    const Entry& e = table_[i];
+    if (e.lpn == kEmpty) return nullptr;
+    if (e.lpn == lpn) return &e;
+  }
+}
+
+WriteBuffer::Entry& WriteBuffer::add(Lpn lpn) {
+  UC_ASSERT(lpn < kEmpty, "write buffer stores 32-bit LPNs");
+  UC_DCHECK(find(lpn) == nullptr, "add of a buffered LPN");
+  if (std::size_t{entries_ + 1} * 2 > table_.size()) grow();
+  ++entries_;
+  std::size_t i = home(lpn);
+  while (table_[i].lpn != kEmpty) i = (i + 1) & mask_;
+  table_[i] = Entry{};
+  table_[i].lpn = static_cast<std::uint32_t>(lpn);
+  return table_[i];
+}
+
+void WriteBuffer::erase(Entry& e) {
+  auto hole = static_cast<std::size_t>(&e - table_.data());
+  // An entry moves into the hole unless its home lies cyclically inside
+  // (hole, j], where it must stay.
+  for (std::size_t j = (hole + 1) & mask_; table_[j].lpn != kEmpty;
+       j = (j + 1) & mask_) {
+    const std::size_t h = home(table_[j].lpn);
+    if (((j - h) & mask_) >= ((j - hole) & mask_)) {
+      table_[hole] = table_[j];
+      hole = j;
+    }
+  }
+  table_[hole].lpn = kEmpty;
+  --entries_;
+}
+
+void WriteBuffer::grow() {
+  const std::vector<Entry> old = std::exchange(
+      table_, std::vector<Entry>(std::max(kMinTable, table_.size() * 2)));
+  mask_ = table_.size() - 1;
+  shift_ = 64;
+  for (std::size_t s = table_.size(); s > 1; s >>= 1) --shift_;
+  for (const Entry& e : old) {
+    if (e.lpn == kEmpty) continue;
+    std::size_t i = home(e.lpn);
+    while (table_[i].lpn != kEmpty) i = (i + 1) & mask_;
+    table_[i] = e;
+  }
 }
 
 bool WriteBuffer::try_insert(Lpn lpn, WriteStamp stamp) {
-  auto it = entries_.find(lpn);
-  if (it != entries_.end()) {
-    Entry& e = it->second;
+  if (Entry* found = find(lpn); found != nullptr) {
+    Entry& e = *found;
     UC_DCHECK(stamp > e.latest_stamp, "stamps must increase per LPN");
     e.latest_stamp = stamp;
     e.discarded = false;
@@ -31,10 +93,9 @@ bool WriteBuffer::try_insert(Lpn lpn, WriteStamp stamp) {
     return true;
   }
   if (occupied_ >= capacity_) return false;
-  Entry e;
+  Entry& e = add(lpn);
   e.latest_stamp = stamp;
   e.dirty = true;
-  entries_.emplace(lpn, e);
   ++occupied_;
   ++dirty_;
   dirty_fifo_.push_back(lpn);
@@ -47,13 +108,12 @@ std::uint32_t WriteBuffer::take_flush_batch(std::uint32_t max_slots,
   while (taken < max_slots && !dirty_fifo_.empty()) {
     const Lpn lpn = dirty_fifo_.front();
     dirty_fifo_.pop_front();
-    auto it = entries_.find(lpn);
-    if (it == entries_.end() || !it->second.dirty) continue;  // stale entry
-    Entry& e = it->second;
-    e.dirty = false;
-    e.inflight += 1;
+    Entry* e = find(lpn);
+    if (e == nullptr || !e->dirty) continue;  // stale entry
+    e->dirty = false;
+    e->inflight += 1;
     --dirty_;
-    out.push_back(FlushItem{lpn, e.latest_stamp});
+    out.push_back(FlushItem{lpn, e->latest_stamp});
     ++taken;
   }
   return taken;
@@ -61,39 +121,37 @@ std::uint32_t WriteBuffer::take_flush_batch(std::uint32_t max_slots,
 
 void WriteBuffer::batch_programmed(const std::vector<FlushItem>& batch) {
   for (const FlushItem& item : batch) {
-    auto it = entries_.find(item.lpn);
-    UC_ASSERT(it != entries_.end(), "programmed slot missing from buffer");
-    Entry& e = it->second;
-    UC_ASSERT(e.inflight > 0, "programmed slot was not in flight");
-    e.inflight -= 1;
+    Entry* e = find(item.lpn);
+    UC_ASSERT(e != nullptr, "programmed slot missing from buffer");
+    UC_ASSERT(e->inflight > 0, "programmed slot was not in flight");
+    e->inflight -= 1;
     UC_ASSERT(occupied_ > 0, "buffer occupancy underflow");
     --occupied_;
-    if (e.inflight == 0 && !e.dirty) entries_.erase(it);
+    if (e->inflight == 0 && !e->dirty) erase(*e);
   }
 }
 
 std::optional<WriteStamp> WriteBuffer::read_lookup(Lpn lpn) const {
-  auto it = entries_.find(lpn);
-  if (it == entries_.end()) return std::nullopt;
-  if (it->second.discarded && !it->second.dirty) return std::nullopt;
-  return it->second.latest_stamp;
+  const Entry* e = find(lpn);
+  if (e == nullptr) return std::nullopt;
+  if (e->discarded && !e->dirty) return std::nullopt;
+  return e->latest_stamp;
 }
 
 void WriteBuffer::discard(Lpn lpn) {
-  auto it = entries_.find(lpn);
-  if (it == entries_.end()) return;
-  Entry& e = it->second;
-  if (e.dirty) {
-    e.dirty = false;
+  Entry* e = find(lpn);
+  if (e == nullptr) return;
+  if (e->dirty) {
+    e->dirty = false;
     UC_ASSERT(dirty_ > 0 && occupied_ > 0, "buffer accounting underflow");
     --dirty_;
     --occupied_;
   }
-  if (e.inflight == 0) {
-    entries_.erase(it);
+  if (e->inflight == 0) {
+    erase(*e);
     return;
   }
-  e.discarded = true;
+  e->discarded = true;
 }
 
 }  // namespace uc::ftl

@@ -8,13 +8,21 @@
 /// paper's Figure 2 ("modern SSDs typically employ a DRAM-based write buffer
 /// to improve write performance", §III-B) — and, under sustained load, the
 /// backpressure point where flash program/GC speed becomes user-visible.
+///
+/// Buffered pages live in a flat open-addressing table keyed by LPN, so
+/// buffering a page allocates no node: linear probing at load <= 1/2,
+/// multiplicative hashing, and backward-shift deletion (no tombstones), as
+/// in `LruReadyCache`'s index.  The table starts at 16 entries and doubles
+/// on demand; every entry holds at least one occupied copy, so it stops at
+/// the first power of two >= 2 * capacity.  Nothing observable depends on
+/// the table's layout: flush order comes from the dirty FIFO alone.
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -61,18 +69,40 @@ class WriteBuffer {
   bool empty() const { return occupied_ == 0; }
 
  private:
+  /// LPN that marks an empty bucket.  Buckets store 32-bit LPNs (the FTL's
+  /// slot metadata does too), so an entry packs into 16 bytes.
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
   struct Entry {
     WriteStamp latest_stamp = 0;
+    std::uint32_t lpn = kEmpty;
+    /// Copies being programmed; each row program carries an LPN at most
+    /// once, so this never exceeds the flusher's programs in flight.
+    std::uint16_t inflight = 0;
     bool dirty = false;
-    bool discarded = false;      ///< trimmed while a copy was in flight
-    std::uint32_t inflight = 0;  ///< copies being programmed
+    bool discarded = false;  ///< trimmed while a copy was in flight
   };
+
+  std::size_t home(Lpn lpn) const {
+    return static_cast<std::size_t>((lpn * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  /// Bucket holding `lpn`, or nullptr.
+  Entry* find(Lpn lpn);
+  const Entry* find(Lpn lpn) const;
+  /// Adds an entry for absent `lpn` (growing the table first if needed).
+  Entry& add(Lpn lpn);
+  /// Empties the bucket of `e`, shifting the rest of its probe run back.
+  void erase(Entry& e);
+  void grow();
 
   std::uint32_t capacity_;
   std::uint32_t occupied_ = 0;  ///< dirty copies + in-flight copies
   std::uint32_t dirty_ = 0;
-  std::unordered_map<Lpn, Entry> entries_;
-  std::deque<Lpn> dirty_fifo_;
+  std::uint32_t entries_ = 0;   ///< non-empty buckets
+  std::vector<Entry> table_;
+  std::size_t mask_ = 0;
+  unsigned shift_ = 64;
+  RingQueue<Lpn> dirty_fifo_;
 };
 
 }  // namespace uc::ftl

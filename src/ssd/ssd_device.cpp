@@ -6,6 +6,16 @@
 
 namespace uc::ssd {
 
+namespace {
+
+Lpn first_page(const IoRequest& req) { return req.offset / kLogicalPageBytes; }
+
+std::uint32_t page_count(const IoRequest& req) {
+  return static_cast<std::uint32_t>(req.bytes / kLogicalPageBytes);
+}
+
+}  // namespace
+
 SsdDevice::SsdDevice(sim::Simulator& sim, const SsdConfig& cfg)
     : sim_(sim),
       cfg_(cfg),
@@ -21,44 +31,42 @@ SsdDevice::SsdDevice(sim::Simulator& sim, const SsdConfig& cfg)
   ftl_ = std::make_unique<ftl::Ftl>(sim_, cfg_.ftl, rng_.fork());
 }
 
-void SsdDevice::complete(const IoRequest& req, SimTime submit_time,
-                         CompletionFn done) {
+void SsdDevice::on_read_ready(std::uint32_t slot) {
+  // Data moves device -> host once the FTL has it in hand.
+  const SimTime tx = device_to_host_.transfer(sim_.now(), ops_[slot].req.bytes);
+  sim_.schedule_at(tx, [this, slot] { complete(slot); });
+}
+
+void SsdDevice::complete(std::uint32_t slot) {
+  Op& op = ops_[slot];
   IoResult result;
-  result.id = req.id;
-  result.op = req.op;
-  result.offset = req.offset;
-  result.bytes = req.bytes;
-  result.submit_time = submit_time;
+  result.id = op.req.id;
+  result.op = op.req.op;
+  result.offset = op.req.offset;
+  result.bytes = op.req.bytes;
+  result.submit_time = op.submit_time;
   result.complete_time = sim_.now();
+  // `done` may submit again, which claims a slot: release this one first.
+  CompletionFn done = std::move(op.done);
+  ops_.release(slot);
   done(result);
 }
 
 void SsdDevice::submit(const IoRequest& req, CompletionFn done) {
   UC_ASSERT(validate_request(info_, req).is_ok(), "invalid I/O request");
-  const SimTime submit_time = sim_.now();
-  const Lpn lpn = req.offset / kLogicalPageBytes;
-  const auto pages = static_cast<std::uint32_t>(req.bytes / kLogicalPageBytes);
+  const std::uint32_t slot = ops_.claim();
+  ops_[slot] = Op{req, sim_.now(), std::move(done)};
 
   switch (req.op) {
     case IoOp::kRead: {
       ++io_stats_.reads;
       io_stats_.read_bytes += req.bytes;
       const SimTime fw = firmware_read_.sample(rng_, req.bytes);
-      sim_.schedule_after(
-          fw, sim::boxed([this, req, lpn, pages, submit_time,
-                          done = std::move(done)]() mutable {
-            ftl_->read(lpn, pages, [this, req, submit_time,
-                                    done = std::move(done)]() mutable {
-              // Data moves device -> host once the FTL has it in hand.
-              const SimTime tx =
-                  device_to_host_.transfer(sim_.now(), req.bytes);
-              sim_.schedule_at(
-                  tx, sim::boxed([this, req, submit_time,
-                                  done = std::move(done)]() mutable {
-                    complete(req, submit_time, std::move(done));
-                  }));
-            });
-          }));
+      sim_.schedule_after(fw, [this, slot] {
+        const IoRequest& r = ops_[slot].req;
+        ftl_->read(first_page(r), page_count(r),
+                   [this, slot] { on_read_ready(slot); });
+      });
       break;
     }
     case IoOp::kWrite: {
@@ -69,32 +77,23 @@ void SsdDevice::submit(const IoRequest& req, CompletionFn done) {
       // acknowledges once all slots are buffered (or backpressure clears).
       const SimTime fw_done = sim_.now() + fw;
       const SimTime tx = host_to_device_.transfer(fw_done, req.bytes);
-      sim_.schedule_at(
-          tx, sim::boxed([this, req, lpn, pages, submit_time,
-                          done = std::move(done)]() mutable {
-            ftl_->write(lpn, pages, [this, req, submit_time,
-                                     done = std::move(done)]() mutable {
-              complete(req, submit_time, std::move(done));
-            });
-          }));
+      sim_.schedule_at(tx, [this, slot] {
+        const IoRequest& r = ops_[slot].req;
+        ftl_->write(first_page(r), page_count(r),
+                    [this, slot] { complete(slot); });
+      });
       break;
     }
     case IoOp::kFlush: {
       ++io_stats_.flushes;
-      ftl_->flush([this, req, submit_time, done = std::move(done)]() mutable {
-        complete(req, submit_time, std::move(done));
-      });
+      ftl_->flush([this, slot] { complete(slot); });
       break;
     }
     case IoOp::kTrim: {
       ++io_stats_.trims;
-      ftl_->trim(lpn, pages);
+      ftl_->trim(first_page(req), page_count(req));
       const SimTime fw = firmware_write_.sample(rng_, 0);
-      sim_.schedule_after(
-          fw, sim::boxed([this, req, submit_time,
-                          done = std::move(done)]() mutable {
-            complete(req, submit_time, std::move(done));
-          }));
+      sim_.schedule_after(fw, [this, slot] { complete(slot); });
       break;
     }
   }

@@ -10,6 +10,7 @@
 
 #include "common/block_device.h"
 #include "common/rng.h"
+#include "common/slot_pool.h"
 #include "ftl/ftl.h"
 #include "sim/latency_model.h"
 #include "sim/resources.h"
@@ -39,7 +40,15 @@ class SsdDevice : public BlockDevice {
   ftl::Ftl& ftl() { return *ftl_; }
 
  private:
-  void complete(const IoRequest& req, SimTime submit_time, CompletionFn done);
+  /// Per-I/O state, pooled: every continuation captures `{this, slot}`.
+  struct Op {
+    IoRequest req;
+    SimTime submit_time = 0;
+    CompletionFn done;
+  };
+
+  void on_read_ready(std::uint32_t slot);
+  void complete(std::uint32_t slot);
 
   sim::Simulator& sim_;
   SsdConfig cfg_;
@@ -51,6 +60,7 @@ class SsdDevice : public BlockDevice {
   sim::BandwidthPipe device_to_host_;
   std::unique_ptr<ftl::Ftl> ftl_;
   SsdIoStats io_stats_;
+  SlotPool<Op> ops_;
 };
 
 }  // namespace uc::ssd

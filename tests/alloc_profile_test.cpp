@@ -8,8 +8,10 @@
 // per-tenant result state (latency histograms, `JobStats`) allocates nothing
 // until it records outside its span, and that a steady-state ESSD I/O runs
 // its whole service chain (QoS gate, frontend, fabric, node pipelines)
-// without allocating, while a steady-state local-SSD I/O stays under a pinned
-// ceiling, and that the trace generator allocates its event vector once.
+// without allocating, that a steady-state local-SSD I/O (reads, writes, writes
+// while GC relocates, read-ahead reads) runs host interface, FTL, write
+// buffer, GC and NAND without allocating, and that the trace generator
+// allocates its event vector once.
 // Without the option the tests skip (the
 // rest of the suite does not want a global allocator override), and the
 // option refuses to combine with UC_SANITIZE because sanitizers interpose the
@@ -180,14 +182,16 @@ TEST(AllocProfile, FifoReservePathIsAllocationFree) {
 
 #if defined(UC_PROFILE_ALLOC)
 
-// A closed loop of 4 KiB random I/O over a small region: every completion
-// resubmits at once, so the queue depth stays fixed.  The completion
-// captures one pointer, which `std::function` stores inline.
+// A closed loop of 4 KiB I/O over a small region, random unless
+// `sequential`: every completion resubmits at once, so the queue depth stays
+// fixed.  The completion captures one pointer, which `std::function` stores
+// inline.
 struct ClosedLoop {
   Simulator& sim;
   BlockDevice& dev;
   IoOp op;
   std::uint64_t region_pages;
+  bool sequential = false;
   Rng rng{17};
   IoId next_id = 0;
   std::uint64_t completed = 0;
@@ -196,7 +200,9 @@ struct ClosedLoop {
     IoRequest req;
     req.id = next_id++;
     req.op = op;
-    req.offset = rng.uniform_u64(region_pages) * kLogicalPageBytes;
+    const std::uint64_t page =
+        sequential ? req.id % region_pages : rng.uniform_u64(region_pages);
+    req.offset = page * kLogicalPageBytes;
     req.bytes = kLogicalPageBytes;
     dev.submit(req, [this](const IoResult&) {
       ++completed;
@@ -263,19 +269,84 @@ TEST(AllocProfile, EssdSteadyStateWriteIsAllocationFree) {
 #endif
 }
 
-// The local SSD is not allocation-free yet.  These pins are ceilings that
-// catch regressions, not targets: lower them when the SSD path improves.
-TEST(AllocProfile, SsdSteadyStateReadAllocationsAreBounded) {
+TEST(AllocProfile, SsdSteadyStateReadIsAllocationFree) {
   UC_REQUIRE_ALLOC_PROFILING();
 #if defined(UC_PROFILE_ALLOC)
-  EXPECT_LE(ssd_allocations_per_io(IoOp::kRead), 3.1);
+  EXPECT_EQ(ssd_allocations_per_io(IoOp::kRead), 0.0)
+      << "firmware -> FTL page-read fan-in -> host link read chain must "
+         "reuse its slots";
 #endif
 }
 
-TEST(AllocProfile, SsdSteadyStateWriteAllocationsAreBounded) {
+TEST(AllocProfile, SsdSteadyStateWriteIsAllocationFree) {
   UC_REQUIRE_ALLOC_PROFILING();
 #if defined(UC_PROFILE_ALLOC)
-  EXPECT_LE(ssd_allocations_per_io(IoOp::kWrite), 3.1);
+  EXPECT_EQ(ssd_allocations_per_io(IoOp::kWrite), 0.0)
+      << "host link -> write buffer -> row program write chain must reuse "
+         "its slots and buckets";
+#endif
+}
+
+TEST(AllocProfile, SsdWriteWhileGcRelocatesIsAllocationFree) {
+  UC_REQUIRE_ALLOC_PROFILING();
+#if defined(UC_PROFILE_ALLOC)
+  // A small drive (160 MiB over 48 superblocks of 4 MiB, 83% full) under
+  // random 4 KiB writes at QD32, so GC runs all the time.  The number of
+  // relocation programs in flight sets the GC pool's size, and its peak
+  // still rises now and then over the first 5x capacity of writes, so the
+  // warm-up writes 8x.
+  ssd::SsdConfig cfg = ssd::samsung_970pro_scaled(1 * units::kGiB);
+  flash::FlashGeometry& g = cfg.ftl.geometry;
+  g.channels = 2;
+  g.dies_per_channel = 2;
+  g.planes_per_die = 2;
+  g.pages_per_block = 32;
+  g.blocks_per_plane = 48;
+  cfg.ftl.user_capacity_bytes = 160 * units::kMiB;
+  cfg.ftl.write_buffer_slots = 1024;
+  cfg.ftl.read_cache_slots = 256;
+  Simulator sim;
+  ssd::SsdDevice dev(sim, cfg);
+  const std::uint64_t pages = cfg.ftl.user_pages();
+  ClosedLoop loop{sim, dev, IoOp::kWrite, pages};
+  for (int i = 0; i < 32; ++i) loop.submit();
+  loop.run(8 * pages);
+  constexpr std::uint64_t kMeasured = 20000;
+  const std::uint64_t relocated = dev.ftl().gc_stats().relocated_slots;
+  const std::uint64_t before = allocations();
+  loop.run(kMeasured);
+  const std::uint64_t allocs = allocations() - before;
+  EXPECT_GT(dev.ftl().gc_stats().relocated_slots, relocated)
+      << "GC must relocate inside the measured window";
+  EXPECT_EQ(allocs, 0u)
+      << "victim row reads, relocation programs, erases and the free pool "
+         "must reuse their slots";
+#endif
+}
+
+TEST(AllocProfile, SsdSequentialReadAheadIsAllocationFree) {
+  UC_REQUIRE_ALLOC_PROFILING();
+#if defined(UC_PROFILE_ALLOC)
+  // QD1 sequential 4 KiB reads with read-ahead on, over 64 MiB of written
+  // pages: twice the 32 MiB read cache, so prefetched pages evict.
+  Simulator sim;
+  ssd::SsdDevice dev(sim, ssd::samsung_970pro_scaled(2 * units::kGiB));
+  constexpr std::uint64_t kRegion = 16384;
+  ClosedLoop loop{sim, dev, IoOp::kWrite, kRegion, /*sequential=*/true};
+  loop.submit();
+  loop.run(kRegion);
+  loop.op = IoOp::kRead;
+  loop.run(kRegion);
+  constexpr std::uint64_t kMeasured = 20000;
+  const std::uint64_t row_reads = dev.ftl().stats().prefetch_row_reads;
+  const std::uint64_t before = allocations();
+  loop.run(kMeasured);
+  const std::uint64_t allocs = allocations() - before;
+  EXPECT_GT(dev.ftl().stats().prefetch_row_reads, row_reads)
+      << "read-ahead must issue inside the measured window";
+  EXPECT_EQ(allocs, 0u)
+      << "stream detection, prefetch row grouping and read-cache inserts "
+         "must reuse their scratch and slots";
 #endif
 }
 

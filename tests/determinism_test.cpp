@@ -292,7 +292,6 @@ TEST(Determinism, SsdFlashCountersArePinned) {
   EXPECT_EQ(gc.victims_collected, 3u);
   EXPECT_EQ(gc.relocated_slots, 96u);
   EXPECT_EQ(gc.gc_row_programs, 6u);
-  EXPECT_EQ(gc.erased_superblocks, 3u);
   EXPECT_EQ(gc.stale_relocations, 16u);
   const ftl::FtlStats& st = f.stats();
   EXPECT_EQ(st.padded_slots, 0u);

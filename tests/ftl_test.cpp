@@ -154,7 +154,6 @@ TEST(Ftl, GcReclaimsUnderSustainedOverwrites) {
   }
   h.flush();
   EXPECT_GT(h.ftl.gc_stats().victims_collected, 0u);
-  EXPECT_GT(h.ftl.gc_stats().erased_superblocks, 0u);
   EXPECT_GT(h.ftl.write_amplification(), 1.0);
   EXPECT_TRUE(h.ftl.check_integrity().is_ok());
 }
