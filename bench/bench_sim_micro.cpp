@@ -2,7 +2,8 @@
 // event-queue throughput, histogram recording, token-bucket admission, RNG
 // and zipf draws, the EBS cleaner's victim cycle, one chunk-log segment
 // clean, the storage-node page cache, one tenant's result-state lifecycle,
-// and end-to-end simulated-IOPS per wall-second for both device families.  These bound how
+// the local SSD's precondition fill, and end-to-end simulated-IOPS per
+// wall-second for both device families.  These bound how
 // large an experiment the harness can run, and guard against performance
 // regressions in the hot paths.
 //
@@ -28,6 +29,8 @@
 #include "common/lru_cache.h"
 #include "common/rng.h"
 #include "common/token_bucket.h"
+#include "common/units.h"
+#include "contract/suite.h"
 #include "ebs/cleaner.h"
 #include "ebs/segment_store.h"
 #include "essd/essd_device.h"
@@ -319,6 +322,31 @@ void BM_SsdSimulatedIops(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 20000);
 }
 BENCHMARK(BM_SsdSimulatedIops)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// BM_SsdFill: the precondition fill of a 2 GiB local SSD, as the read
+// characterization and perfbench's `device_write` set-up run it: 1 MiB
+// sequential writes at QD16 over the whole device, a flush, and a 10 ms
+// settle.  Every page crosses the host link, the write buffer, the flusher
+// and the page map once.  Construction is untimed.  Rows carry items =
+// 4 KiB pages written, so events_per_sec is filled pages per second.
+// ---------------------------------------------------------------------------
+
+void BM_SsdFill(benchmark::State& state) {
+  constexpr std::uint64_t kBytes = 2ull << 30;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    ssd::SsdDevice device(sim, ssd::samsung_970pro_scaled(kBytes));
+    const auto start = std::chrono::steady_clock::now();
+    contract::CharacterizationSuite::precondition(sim, device, kBytes,
+                                                  10 * units::kMs, 5);
+    const auto stop = std::chrono::steady_clock::now();
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBytes / kLogicalPageBytes));
+}
+BENCHMARK(BM_SsdFill)->Unit(benchmark::kMillisecond)->UseManualTime();
 
 void BM_EssdSimulatedIops(benchmark::State& state) {
   for (auto _ : state) {

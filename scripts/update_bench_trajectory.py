@@ -6,8 +6,8 @@ record of kernel throughput over time, so a perf regression shows up as a
 dip in a diffable artifact rather than as folklore.  Each row snapshots the
 events/sec of the BM_EventKernel*, BM_ParallelShardReplay*,
 BM_ParallelEpochBarrier*, BM_CleanerPick*, BM_ChunkLogClean*,
-BM_ChunkLogAppendRun*, BM_NodeCache*, BM_TenantStatsLifecycle and
-BM_GenerateTrace families and the end-to-end
+BM_ChunkLogAppendRun*, BM_NodeCache*, BM_TenantStatsLifecycle,
+BM_GenerateTrace and BM_SsdFill families and the end-to-end
 BM_EssdSimulatedIops / BM_SsdSimulatedIops rows (simulated I/Os per second)
 from `bench_sim_micro --json` documents,
 plus, from a `bench_fleet --json` document, "FleetRebalanceReplay/t<threads>"
@@ -43,7 +43,8 @@ TRACKED_PREFIXES = ("BM_EventKernel", "BM_ParallelShardReplay",
                     "BM_ParallelEpochBarrier", "BM_CleanerPick",
                     "BM_ChunkLogClean", "BM_ChunkLogAppendRun",
                     "BM_NodeCache", "BM_TenantStatsLifecycle",
-                    "BM_GenerateTrace", "BM_EssdSimulatedIops",
+                    "BM_GenerateTrace", "BM_SsdFill",
+                    "BM_EssdSimulatedIops",
                     "BM_SsdSimulatedIops", "FleetRebalanceReplay",
                     "FleetStatic")
 
