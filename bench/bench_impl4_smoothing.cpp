@@ -88,13 +88,14 @@ int main(int argc, char** argv) {
   sim::Simulator probe;
   auto probe_dev = bench::essd2_factory(scale.essd_capacity)(probe);
   const auto trace = wl::generate_trace(tcfg, probe_dev->info());
+  const double peak_to_mean = wl::summarize_trace(trace).peak_to_mean;
   double mean_gbs = 0.0;
   for (const auto& ev : trace) mean_gbs += static_cast<double>(ev.bytes);
   mean_gbs /= static_cast<double>(tcfg.duration);
   std::printf("trace: %zu I/Os over %.0f s, mean %.3f GB/s, "
               "peak-to-mean %.1fx\n\n",
               trace.size(), static_cast<double>(tcfg.duration) / 1e9, mean_gbs,
-              wl::trace_peak_to_mean(trace));
+              peak_to_mean);
 
   TextTable table({"budget (GB/s)", "mode", "p50 (ms)", "p99.9 (ms)",
                    "max queue"});
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
   trace_json.set("events", static_cast<std::uint64_t>(trace.size()));
   trace_json.set("duration_s", static_cast<double>(tcfg.duration) / 1e9);
   trace_json.set("mean_gbs", mean_gbs);
-  trace_json.set("peak_to_mean", wl::trace_peak_to_mean(trace));
+  trace_json.set("peak_to_mean", peak_to_mean);
   metrics.set("trace", std::move(trace_json));
   metrics.set("sweep", std::move(sweep));
   bench::maybe_write_json(

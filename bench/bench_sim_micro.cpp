@@ -44,12 +44,12 @@ namespace uc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// BM_EventKernel: the kernel hot path in isolation.  Three legs bound the
-// three operations every model pays for: schedule+fire churn through a warm
-// queue (the steady-state replay shape), cancel-heavy churn (dispatch-timer
-// rearming), and a cold schedule-then-drain burst.  Rows carry `sim_events`
-// so main() derives events/sec against wall time; the trajectory file
-// (BENCH_TRAJECTORY.json) tracks these numbers across kernel changes.
+// BM_EventKernel: the kernel hot path in isolation.  Two legs bound the
+// two operations every model pays for: schedule+fire churn through a warm
+// queue (the steady-state replay shape) and a cold schedule-then-drain
+// burst.  Rows carry `sim_events` so main() derives events/sec against
+// wall time; the trajectory file (BENCH_TRAJECTORY.json) tracks these
+// numbers across kernel changes.
 // ---------------------------------------------------------------------------
 
 // Every leg schedules callbacks carrying a 32-byte completion context —
@@ -112,42 +112,6 @@ void BM_EventKernelSteadyState(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(events));
 }
 BENCHMARK(BM_EventKernelSteadyState)->Arg(64)->Arg(4096)->UseRealTime();
-
-// Cancel churn: schedule a batch, cancel most of it, fire the rest.  Bounds
-// the dispatch-timer pattern (arm, then cancel-and-rearm when an earlier
-// completion arrives) and the cost of sweeping cancelled entries on pop.
-void BM_EventKernelCancelChurn(benchmark::State& state) {
-  sim::Simulator sim;
-  std::uint64_t fired = 0;
-  std::uint64_t acc = 0;
-  std::vector<sim::EventId> ids;
-  ids.reserve(1024);
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    ids.clear();
-    for (int i = 0; i < 1024; ++i) {
-      const auto tag = static_cast<std::uint64_t>(i);
-      const std::uint64_t bytes = 4096 + (tag & 63) * 512;
-      ids.push_back(sim.schedule_after(
-          static_cast<SimTime>(i % 251 + 1), [&fired, &acc, tag, bytes] {
-            ++fired;
-            acc += tag + bytes;
-          }));
-    }
-    // Cancel 3 of every 4, scattered across the queue.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (i % 4 != 0) sim.cancel(ids[i]);
-    }
-    sim.run();
-    events += 1024;  // schedules (cancelled or fired) per iteration
-  }
-  benchmark::DoNotOptimize(fired);
-  benchmark::DoNotOptimize(acc);
-  state.SetItemsProcessed(static_cast<std::int64_t>(events));
-  state.counters["sim_events"] =
-      benchmark::Counter(static_cast<double>(events));
-}
-BENCHMARK(BM_EventKernelCancelChurn)->UseRealTime();
 
 // Cold burst: build a 4096-event queue from empty, then drain it.  Stresses
 // sift depth at full population (heap layout) rather than the warm ring.

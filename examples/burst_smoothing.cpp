@@ -40,7 +40,8 @@ int main() {
   for (const auto& ev : trace) mean_gbs += static_cast<double>(ev.bytes);
   mean_gbs /= static_cast<double>(tcfg.duration);
   std::printf("trace: %zu I/Os, mean %.3f GB/s, peak-to-mean %.1fx\n\n",
-              trace.size(), mean_gbs, wl::trace_peak_to_mean(trace));
+              trace.size(), mean_gbs,
+              wl::summarize_trace(trace).peak_to_mean);
 
   TextTable table({"volume budget", "mode", "p50 (ms)", "p99 (ms)",
                    "p99.9 (ms)", "max queue"});

@@ -84,7 +84,8 @@ int main() {
   for (const auto& ev : trace) mean_gbs += static_cast<double>(ev.bytes);
   mean_gbs /= static_cast<double>(tcfg.duration);
   std::printf("workload: %zu I/Os, mean %.3f GB/s, peak-to-mean %.1fx\n\n",
-              trace.size(), mean_gbs, wl::trace_peak_to_mean(trace));
+              trace.size(), mean_gbs,
+              wl::summarize_trace(trace).peak_to_mean);
 
   // Price model: linear in provisioned bandwidth (relative units).
   TextTable table({"budget GB/s", "compression", "P99.9 ms", "meets SLO",

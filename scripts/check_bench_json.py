@@ -384,12 +384,11 @@ def check_sim_micro(path, metrics):
         fail(path, "BM_TenantStatsLifecycle must report items_per_second "
                    "(tenant lifecycles per second)")
     # The event-kernel hot-path family: the trajectory artifact needs the
-    # steady-state, cancel-churn, and burst-drain rows together — a partial
-    # run would make before/after kernel comparisons meaningless.
+    # steady-state and burst-drain rows together — a partial run would make
+    # before/after kernel comparisons meaningless.
     kernel = {b["name"].split("/")[0] for b in benchmarks
               if b["name"].startswith("BM_EventKernel")}
-    expected_kernel = {"BM_EventKernelSteadyState", "BM_EventKernelCancelChurn",
-                       "BM_EventKernelBurstDrain"}
+    expected_kernel = {"BM_EventKernelSteadyState", "BM_EventKernelBurstDrain"}
     if kernel and kernel != expected_kernel:
         fail(path, "BM_EventKernel family incomplete: missing "
                    f"{sorted(expected_kernel - kernel)}")

@@ -4,7 +4,9 @@
 #   src/{ebs,essd,net,sched,tenant,placement,fleet} may include a header
 #   from src/ftl, src/ssd or src/flash;
 # - tenant sits below the fleet engine: nothing under src/tenant may
-#   include a header from src/placement or src/fleet.
+#   include a header from src/placement or src/fleet;
+# - common is the bottom layer: every project header src/common includes
+#   is a common/ header.
 # Usage: scripts/check_layers.sh
 set -euo pipefail
 
@@ -28,8 +30,18 @@ if [[ -n "${violations}" ]]; then
   status=1
 fi
 
+quoted='#[[:space:]]*include[[:space:]]*"'
+violations=$(grep -rnE "^[[:space:]]*${quoted}" src/common |
+  grep -vE "${quoted}common/" || true)
+if [[ -n "${violations}" ]]; then
+  echo "error: src/common includes a header outside common/:" >&2
+  echo "${violations}" >&2
+  status=1
+fi
+
 if [[ ${status} -eq 0 ]]; then
   echo "layers: no ESSD-stack file includes ftl/, ssd/ or flash/;" \
-    "src/tenant includes no placement/ or fleet/ header"
+    "src/tenant includes no placement/ or fleet/ header;" \
+    "src/common includes only common/ headers"
 fi
 exit "${status}"

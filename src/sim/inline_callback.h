@@ -78,8 +78,7 @@ class InlineCallback {
   ~InlineCallback() { reset(); }
 
   /// Destroys the held callable (releasing its captured resources); the
-  /// callback becomes empty.  Used by `Simulator::cancel` so a cancelled
-  /// event frees its captures immediately, not at queue-drain time.
+  /// callback becomes empty.
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(buf_);

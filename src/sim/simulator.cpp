@@ -9,16 +9,15 @@ namespace uc::sim {
 void Simulator::grow_slab() {
   // `<= kSlotMask` (not `<`): slot index kSlotMask == kNilSlot is reserved
   // as the free-list sentinel and must never become a real slot.
-  UC_ASSERT(slab_size_ + kChunkSize <= kSlotMask,
-            "event slab full (2^24 live events)");
+  const auto base = static_cast<std::uint32_t>(next_free_.size());
+  UC_ASSERT(base + kChunkSize <= kSlotMask,
+            "event slab full (2^24 pending events)");
   chunks_.push_back(std::make_unique<CbSlot[]>(kChunkSize));
-  const std::uint32_t base = slab_size_;
-  slab_size_ += kChunkSize;
-  meta_.resize(slab_size_);
+  next_free_.resize(base + kChunkSize);
   // Thread the fresh chunk onto the free list so slots hand out in
   // ascending index order (top of the list = lowest index).
   for (std::uint32_t i = kChunkSize; i-- > 0;) {
-    meta_[base + i].link = free_head_;
+    next_free_[base + i] = free_head_;
     free_head_ = base + i;
   }
 }
@@ -77,30 +76,20 @@ bool Simulator::fire_events(SimTime bound) {
     const auto s = static_cast<std::uint32_t>(top.order & kSlotMask);
     Callback& cb = cb_ref(s);
 #if defined(__GNUC__)
-    // Overlap the slab and metadata lines with the sift-down below.
-    __builtin_prefetch(&cb);
-    __builtin_prefetch(&meta_[s]);
+    __builtin_prefetch(&cb);  // overlap the slab line with the sift-down
 #endif
     heap_pop_min();
-    Meta& m = meta_[s];
-    if ((m.link & kCancelledBit) != 0) {
-      free_slot(s, m);
-      continue;
-    }
     now_ = top.time;
     ++events_processed_;
-    --live_events_;
-    // Invalidate outstanding handles BEFORE invoking — a self-cancel from
-    // inside the callback sees a stale generation and no-ops — but keep the
-    // slot off the free list until the callback returns, so a nested
-    // schedule cannot construct a new event over the executing capture.
-    if (++m.gen == 0) m.gen = 1;
+    // Keep the slot off the free list until the callback returns, so a
+    // nested schedule cannot construct a new event over the executing
+    // capture.
     struct Relink {  // scope guard: the slot must rejoin the free list even
       Simulator* sim;  // if the callback throws, or it would leak forever
       std::uint32_t slot;
       ~Relink() {
-        // Re-index through sim->meta_: the callback may have grown it.
-        sim->meta_[slot].link = sim->free_head_;
+        // Re-index through sim->next_free_: the callback may have grown it.
+        sim->next_free_[slot] = sim->free_head_;
         sim->free_head_ = slot;
       }
     } relink{this, s};
@@ -108,18 +97,6 @@ bool Simulator::fire_events(SimTime bound) {
     if constexpr (SingleStep) return true;
   }
   return false;
-}
-
-SimTime Simulator::next_event_time() {
-  while (!heap_empty()) {
-    const Key top = heap_[kHeapRoot];
-    const auto s = static_cast<std::uint32_t>(top.order & kSlotMask);
-    Meta& m = meta_[s];
-    if ((m.link & kCancelledBit) == 0) return top.time;
-    heap_pop_min();  // recycle the cancelled head, exactly like the fire loop
-    free_slot(s, m);
-  }
-  return kNoTime;
 }
 
 void Simulator::advance_to(SimTime t) {
@@ -131,8 +108,6 @@ void Simulator::advance_to(SimTime t) {
 void Simulator::run() { fire_events<false>(kNoTime); }
 
 void Simulator::run_until(SimTime t) {
-  // Bounded pops keep cancelled heads from letting a live event beyond `t`
-  // fire (the PR-6 run_until bound fix, now in the shared fire helper).
   fire_events<false>(t);
   if (now_ < t) now_ = t;
 }

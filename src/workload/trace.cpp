@@ -173,25 +173,6 @@ std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
   return trace;
 }
 
-double trace_peak_to_mean(const std::vector<TraceEvent>& trace) {
-  if (trace.empty()) return 0.0;
-  const SimTime bin = 100 * units::kMs;
-  std::vector<std::uint32_t> bins;
-  for (const auto& ev : trace) {
-    const auto b = static_cast<std::size_t>(ev.arrival / bin);
-    if (b >= bins.size()) bins.resize(b + 1, 0);
-    ++bins[b];
-  }
-  std::uint64_t total = 0;
-  std::uint32_t peak = 0;
-  for (const auto c : bins) {
-    total += c;
-    peak = std::max(peak, c);
-  }
-  const double mean = static_cast<double>(total) / static_cast<double>(bins.size());
-  return mean == 0.0 ? 0.0 : static_cast<double>(peak) / mean;
-}
-
 TraceSummary summarize_trace(const std::vector<TraceEvent>& trace,
                              double rate_scale) {
   UC_ASSERT(rate_scale > 0.0, "rate_scale must be positive");

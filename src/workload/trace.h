@@ -102,10 +102,6 @@ std::vector<TraceEvent> generate_trace(const TraceGenConfig& cfg,
                                        const DeviceInfo& device,
                                        std::uint64_t max_events = 0);
 
-/// Peak-to-mean ratio of per-100ms arrival counts — the burstiness measure
-/// the smoothing experiment reports.
-double trace_peak_to_mean(const std::vector<TraceEvent>& trace);
-
 /// Shape of a trace at a glance — the inputs the contract replay checker
 /// (`contract::evaluate_replay`) judges a replay run against.
 struct TraceSummary {

@@ -141,27 +141,6 @@ TEST(AllocProfile, SteadyStateSchedulingIsAllocationFree) {
 #endif
 }
 
-TEST(AllocProfile, CancelChurnIsAllocationFree) {
-  UC_REQUIRE_ALLOC_PROFILING();
-#if defined(UC_PROFILE_ALLOC)
-  Simulator sim;
-  // Warm up with the same pending depth the measured loop uses.
-  for (int round = 0; round < 2; ++round) {
-    const bool measured = round == 1;
-    const std::uint64_t before = allocations();
-    for (int i = 0; i < 1024; ++i) {
-      const EventId id = sim.schedule_at(sim.now() + 5 + i % 7, [] {});
-      if (i % 4 != 0) sim.cancel(id);  // O(1) flag + slot recycle
-    }
-    sim.run();
-    if (measured) {
-      EXPECT_EQ(allocations() - before, 0u)
-          << "cancel must be flag-only: no hash set, no node churn";
-    }
-  }
-#endif
-}
-
 TEST(AllocProfile, FifoReservePathIsAllocationFree) {
   UC_REQUIRE_ALLOC_PROFILING();
 #if defined(UC_PROFILE_ALLOC)

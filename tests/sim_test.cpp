@@ -1,6 +1,6 @@
-// Tests for the discrete-event kernel: ordering, FIFO tie-breaking,
-// cancellation, bounded runs — and the contention resources and stochastic
-// latency model built on top of it.
+// Tests for the discrete-event kernel: ordering, FIFO tie-breaking, bounded
+// runs, the lockstep peek/advance primitives — and the contention resources
+// and stochastic latency model built on top of it.
 
 #include <gtest/gtest.h>
 
@@ -64,89 +64,25 @@ TEST(Simulator, EventsMayScheduleMoreEvents) {
   EXPECT_EQ(sim.now(), 50u);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  bool fired = false;
-  const EventId id = sim.schedule_at(100, [&] { fired = true; });
-  EXPECT_FALSE(sim.idle());
-  sim.cancel(id);
-  EXPECT_TRUE(sim.idle());
-  sim.run();
-  EXPECT_FALSE(fired);
-  EXPECT_EQ(sim.events_processed(), 0u);
-}
-
-// Regression for the lazy-cancel kernel's stale-entry hazard: cancelling an
-// id after its event fired used to leave a phantom entry that made idle()
-// report false forever.  Generation-checked handles make it a no-op.
-TEST(Simulator, CancelAfterFireIsNoOpAndIdleRecovers) {
-  Simulator sim;
-  int fired = 0;
-  const EventId id = sim.schedule_at(100, [&] { ++fired; });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.idle());
-  sim.cancel(id);  // late cancel: verified no-op
-  sim.cancel(id);  // and idempotent
-  EXPECT_TRUE(sim.idle());
-  sim.schedule_at(200, [&] { ++fired; });
-  EXPECT_FALSE(sim.idle());
-  sim.run();
-  EXPECT_EQ(fired, 2);
-  EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.events_processed(), 2u);
-}
-
-// A stale handle whose slab slot has been recycled must not cancel the new
-// occupant: the generation in the handle no longer matches the slot's.
-TEST(Simulator, StaleHandleDoesNotCancelRecycledSlot) {
-  Simulator sim;
-  bool a_fired = false;
-  bool b_fired = false;
-  const EventId a = sim.schedule_at(10, [&] { a_fired = true; });
-  sim.run();  // fires A and recycles its slot
-  const EventId b = sim.schedule_at(20, [&] { b_fired = true; });
-  EXPECT_NE(a, b);  // same slot, different generation
-  sim.cancel(a);    // stale: must not touch B
-  sim.run();
-  EXPECT_TRUE(a_fired);
-  EXPECT_TRUE(b_fired);
-}
-
-// Cancel destroys the callback (and its captures) immediately rather than
-// holding them until the cancelled key surfaces at the heap top.
-TEST(Simulator, CancelReleasesCapturedResourcesImmediately) {
-  Simulator sim;
-  auto token = std::make_shared<int>(42);
-  std::weak_ptr<int> watch = token;
-  const EventId id = sim.schedule_at(100, [token] { (void)*token; });
-  token.reset();
-  EXPECT_FALSE(watch.expired());  // alive inside the pending event
-  sim.cancel(id);
-  EXPECT_TRUE(watch.expired());  // released at cancel, not at drain
-  sim.run();
-}
-
 // A callback that throws must not leak its slab slot: the fire path relinks
 // the slot through a scope guard, so it is recycled even on the exception
 // path (without the guard, repeated throwing callbacks exhaust the slab).
 TEST(Simulator, ThrowingCallbackDoesNotLeakSlot) {
   Simulator sim;
-  const EventId thrower =
-      sim.schedule_at(10, [] { throw std::runtime_error("boom"); });
   bool fired = false;
   sim.schedule_at(20, [&] { fired = true; });
-  EXPECT_THROW(sim.run(), std::runtime_error);
-  EXPECT_FALSE(fired);  // the throw unwound out of run()
-  // The throwing event's slot is back on the free list: the next schedule
-  // reuses it (same slot index, bumped generation).
-  const EventId reused = sim.schedule_at(30, [] {});
-  EXPECT_EQ(reused & 0xffffffffu, thrower & 0xffffffffu);
-  EXPECT_NE(reused, thrower);
-  sim.run();  // the surviving events still fire normally
+  for (int i = 0; i < 1000; ++i) {
+    sim.schedule_at(10, [] { throw std::runtime_error("boom"); });
+    EXPECT_THROW(sim.run(), std::runtime_error);
+  }
+  EXPECT_FALSE(fired);  // every throw unwound out of run() before t = 20
+  // Each throwing event's slot went back on the free list, so 1,000 of
+  // them never grew the slab past its first 256-slot chunk.
+  EXPECT_EQ(sim.slab_slots_for_testing(), 256u);
+  sim.run();  // the surviving event still fires normally
   EXPECT_TRUE(fired);
   EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.events_processed(), 3u);
+  EXPECT_EQ(sim.events_processed(), 1001u);
 }
 
 // The 40-bit schedule sequence renormalizes when exhausted; FIFO ordering
@@ -173,6 +109,51 @@ TEST(Simulator, RunUntilAdvancesClockAndStops) {
   EXPECT_EQ(sim.now(), 1000u);
   sim.run();
   EXPECT_EQ(fired, 2);
+}
+
+// `next_event_time` and `advance_to` are the primitives a lockstep driver
+// (`placement::ShardedHost` fused groups) uses to move several simulators
+// through one global time order.
+TEST(Simulator, NextEventTimePeeksTheEarliestPendingEvent) {
+  Simulator sim;
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), kNoTime);
+  sim.schedule_at(300, [] {});
+  sim.schedule_at(100, [] {});
+  sim.schedule_at(200, [] {});
+  EXPECT_FALSE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), 100u);
+  EXPECT_EQ(sim.events_processed(), 0u);  // peeking fires nothing
+  sim.run_until(150);
+  EXPECT_EQ(sim.next_event_time(), 200u);
+  sim.run();
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.next_event_time(), kNoTime);
+}
+
+TEST(Simulator, AdvanceToMovesTheClockWithoutFiring) {
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(100, [&] { ++fired; });
+  sim.advance_to(40);
+  EXPECT_EQ(sim.now(), 40u);
+  sim.advance_to(100);  // up to the pending event's time is allowed
+  EXPECT_EQ(sim.now(), 100u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.next_event_time(), 100u);
+  sim.advance_to(70);  // never backwards
+  EXPECT_EQ(sim.now(), 100u);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 100u);
+  sim.advance_to(500);  // an idle simulator advances freely
+  EXPECT_EQ(sim.now(), 500u);
+}
+
+TEST(SimulatorDeathTest, AdvanceToRejectsSkippingAPendingEvent) {
+  Simulator sim;
+  sim.schedule_at(100, [] {});
+  EXPECT_DEATH(sim.advance_to(101), "advance_to would skip a pending event");
 }
 
 TEST(Simulator, RunWhileStopsOnPredicate) {
@@ -321,18 +302,11 @@ TEST(InlineCallback, ResetReleasesCapture) {
 // ---------------------------------------------------------------------------
 
 // The reference is deliberately dumb: a flat list scanned for the earliest
-// live (time, id) pair on every fire.  Anything the slab heap, the slot
+// (time, id) pair on every fire.  Anything the slab heap, the slot
 // recycling, or the clock rules get wrong shows up as a divergence.
 class ReferenceModel {
  public:
   void schedule(SimTime t, std::uint64_t id) { pending_.push_back({t, id}); }
-
-  // Cancelling something already fired (not pending any more) is a no-op.
-  void cancel(std::uint64_t id) {
-    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                  [id](const Ref& e) { return e.id == id; }),
-                   pending_.end());
-  }
 
   // Fires everything with time <= `t` in (time, id) order, appending ids to
   // `out`; `on_fire` may schedule more (chained events).  Mirrors
@@ -392,30 +366,18 @@ TEST(SimulatorProperty, RandomInterleavingsMatchReference) {
     ReferenceModel ref;
     std::vector<std::uint64_t> fired_sim;
     std::vector<std::uint64_t> fired_ref;
-    // Handles are opaque (slot | generation packed), so the test carries its
-    // own tag alongside each issued handle.  Tags increase in schedule order,
-    // which is exactly the FIFO tie-break the reference model uses.
-    std::vector<std::pair<EventId, std::uint64_t>> issued;
+    // Tags increase in schedule order, which is exactly the FIFO tie-break
+    // the reference model uses.
     std::uint64_t next_tag = 1;
 
     for (int op = 0; op < 3000; ++op) {
-      const std::uint64_t r = rng.uniform_u64(100);
-      if (r < 55 || issued.empty()) {
+      if (rng.uniform_u64(100) < 70) {
         // Tight time range so equal-timestamp collisions are common and the
         // FIFO tie-break is exercised constantly.
         const SimTime t = sim.now() + rng.uniform_u64(16);
         const std::uint64_t tag = next_tag++;
-        const EventId id = sim.schedule_at(
-            t, [&fired_sim, tag] { fired_sim.push_back(tag); });
+        sim.schedule_at(t, [&fired_sim, tag] { fired_sim.push_back(tag); });
         ref.schedule(t, tag);
-        issued.push_back({id, tag});
-      } else if (r < 75) {
-        // Cancel anything ever issued: pending, already fired (the stale
-        // handle's slot may have been recycled — must be a no-op), or
-        // already cancelled (idempotent).
-        const auto& [id, tag] = issued[rng.uniform_u64(issued.size())];
-        sim.cancel(id);
-        ref.cancel(tag);
       } else {
         const SimTime t = sim.now() + rng.uniform_u64(24);
         sim.run_until(t);

@@ -285,9 +285,10 @@ TEST(TraceGenerator, BurstsRaisePeakToMean) {
   bursty.burst_iops = 30000.0;
   bursty.bursts_per_s = 0.5;
   const double calm_ptm =
-      trace_peak_to_mean(generate_trace(calm, test_device_info()));
+      summarize_trace(generate_trace(calm, test_device_info())).peak_to_mean;
   const double bursty_ptm =
-      trace_peak_to_mean(generate_trace(bursty, test_device_info()));
+      summarize_trace(generate_trace(bursty, test_device_info()))
+          .peak_to_mean;
   EXPECT_LT(calm_ptm, 2.0);
   EXPECT_GT(bursty_ptm, 3.0);
 }
