@@ -153,7 +153,7 @@ void Ftl::on_flush_programmed(std::uint32_t slot) {
   for (std::size_t i = 0; i < op.batch.size(); ++i) {
     const FlushItem& item = op.batch[i];
     const flash::Spa spa =
-        sm_->fill_row_slot(op.row, static_cast<int>(i), item.lpn, item.stamp);
+        sm_->fill_row_slot(op.row, static_cast<int>(i), item.lpn);
     const auto upd = mapping_.update(item.lpn, spa, item.stamp);
     if (!upd.applied) {
       // Newer data (or a trim) reached the mapping first; this copy is dead.
@@ -381,14 +381,23 @@ Status Ftl::check_integrity() const {
                  static_cast<unsigned long long>(sm_->slot_lpn(spa)),
                  static_cast<unsigned long long>(lpn)));
     }
-    if (sm_->slot_stamp(spa) != mapping_.stamp_of(lpn)) {
-      return Status::internal(
-          strfmt("stamp mismatch at lpn %llu",
-                 static_cast<unsigned long long>(lpn)));
-    }
   }
   if (mapped_seen != mapping_.mapped_count()) {
     return Status::internal("mapped_count disagrees with table scan");
+  }
+  // The converse walk: every valid slot is the one its LPN maps to.  GC
+  // relocates a valid slot with its LPN's map stamp, which is right only
+  // because of this.
+  const std::uint64_t slots = cfg_.geometry.total_slots();
+  for (flash::Spa spa = 0; spa < slots; ++spa) {
+    if (!sm_->slot_valid(spa)) continue;
+    const Lpn lpn = sm_->slot_lpn(spa);
+    if (lpn >= user_pages_ || mapping_.peek(lpn) != spa) {
+      return Status::internal(
+          strfmt("valid slot %llu carries lpn %llu, which does not map to it",
+                 static_cast<unsigned long long>(spa),
+                 static_cast<unsigned long long>(lpn)));
+    }
   }
   if (sm_->total_valid_slots() != mapped_seen) {
     return Status::internal(

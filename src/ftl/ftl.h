@@ -98,8 +98,8 @@ class Ftl {
   double write_amplification() const;
 
   /// Deep consistency check (call when quiesced: buffer drained, GC idle):
-  /// every mapped LPN must resolve to a valid slot carrying that LPN and the
-  /// mapping's stamp, and validity counters must agree.
+  /// every mapped LPN must resolve to a valid slot carrying that LPN, every
+  /// valid slot's LPN must map back to it, and validity counters must agree.
   Status check_integrity() const;
 
  private:

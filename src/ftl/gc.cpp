@@ -87,7 +87,10 @@ void GcController::pump_reads() {
     items.clear();
     items.reserve(static_cast<std::size_t>(sm_.geometry().slots_per_row()));
     for (const flash::Spa spa : scratch_spas_) {
-      items.push_back(RelocItem{sm_.slot_lpn(spa), sm_.slot_stamp(spa), spa});
+      // A valid slot is the one its LPN maps to, so the map's stamp is the
+      // slot's.
+      const Lpn lpn = sm_.slot_lpn(spa);
+      items.push_back(RelocItem{lpn, mapping_.stamp_of(lpn), spa});
     }
     const auto& g = sm_.geometry();
     const std::uint64_t bytes =
@@ -145,8 +148,8 @@ void GcController::on_gc_program_done(std::uint32_t slot) {
   const GcProgram& program = programs_[slot];
   for (std::size_t i = 0; i < program.batch.size(); ++i) {
     const RelocItem& item = program.batch[i];
-    const flash::Spa dst = sm_.fill_row_slot(program.row, static_cast<int>(i),
-                                             item.lpn, item.stamp);
+    const flash::Spa dst =
+        sm_.fill_row_slot(program.row, static_cast<int>(i), item.lpn);
     // Source slot dies either way (its superblock is about to be erased).
     sm_.invalidate_if_valid(item.src);
     const auto upd = mapping_.on_gc_relocate(item.lpn, dst, item.stamp);

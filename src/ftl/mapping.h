@@ -15,6 +15,15 @@
 /// completions — converge without ordering assumptions beyond the
 /// simulator's deterministic event order.
 ///
+/// This is the only copy of each stamp: a valid flash slot's stamp is its
+/// LPN's stamp here, because a slot is valid exactly while the map points
+/// at it (GC reads it back from `stamp_of`).
+///
+/// An entry packs into 8 bytes: a 32-bit slot index (`SuperblockManager`
+/// keeps slot indices under 2^32, and the all-ones index means "unmapped")
+/// and a 32-bit stamp.  The accessors speak `flash::Spa` and widen the
+/// unmapped index back to `flash::kInvalidSpa`.
+///
 /// `peek`/`stamp_of` are uncounted probes for speculative readers (the
 /// prefetcher) and integrity checks.  Everything is defined here so the
 /// FTL's flush, read, trim and GC paths can inline it.
@@ -55,7 +64,7 @@ class PageMapping {
   flash::Spa translate(Lpn lpn) {
     check(lpn);
     account();
-    return entries_[lpn].spa;
+    return widen(entries_[lpn].spa);
   }
 
   /// Points `lpn` at `spa` if `stamp` is not older than the current
@@ -63,13 +72,15 @@ class PageMapping {
   /// previously mapped slot (which the caller must invalidate).
   UpdateResult update(Lpn lpn, flash::Spa spa, WriteStamp stamp) {
     check(lpn);
+    UC_ASSERT(spa < kUnmapped, "mapped slot index must fit in 32 bits");
+    check_stamp(stamp);
     account();
     Entry& e = entries_[lpn];
     if (e.stamp > stamp) return {false, flash::kInvalidSpa};
-    UpdateResult result{true, e.spa};
-    if (e.spa == flash::kInvalidSpa) ++mapped_;
-    e.spa = spa;
-    e.stamp = stamp;
+    UpdateResult result{true, widen(e.spa)};
+    if (e.spa == kUnmapped) ++mapped_;
+    e.spa = static_cast<std::uint32_t>(spa);
+    e.stamp = static_cast<std::uint32_t>(stamp);
     return result;
   }
 
@@ -78,15 +89,16 @@ class PageMapping {
   /// was mapped (kInvalidSpa if none); `applied` is always true.
   UpdateResult invalidate(Lpn lpn, WriteStamp trim_stamp) {
     check(lpn);
+    check_stamp(trim_stamp);
     account();
     Entry& e = entries_[lpn];
     UC_ASSERT(trim_stamp >= e.stamp, "trim stamp must be current");
-    UpdateResult result{true, e.spa};
-    if (e.spa != flash::kInvalidSpa) {
+    UpdateResult result{true, widen(e.spa)};
+    if (e.spa != kUnmapped) {
       --mapped_;
-      e.spa = flash::kInvalidSpa;
+      e.spa = kUnmapped;
     }
-    e.stamp = trim_stamp;
+    e.stamp = static_cast<std::uint32_t>(trim_stamp);
     return result;
   }
 
@@ -99,7 +111,7 @@ class PageMapping {
 
   flash::Spa peek(Lpn lpn) const {
     check(lpn);
-    return entries_[lpn].spa;
+    return widen(entries_[lpn].spa);
   }
   WriteStamp stamp_of(Lpn lpn) const {
     check(lpn);
@@ -110,10 +122,20 @@ class PageMapping {
   const MappingStats& stats() const { return stats_; }
 
  private:
+  static constexpr std::uint32_t kUnmapped = ~0u;
+
   struct Entry {
-    flash::Spa spa = flash::kInvalidSpa;
-    WriteStamp stamp = 0;
+    std::uint32_t spa = kUnmapped;
+    std::uint32_t stamp = 0;
   };
+  static_assert(sizeof(Entry) == 8, "page-map entry must stay packed");
+
+  static flash::Spa widen(std::uint32_t spa) {
+    return spa == kUnmapped ? flash::kInvalidSpa : spa;
+  }
+  static void check_stamp(WriteStamp stamp) {
+    UC_ASSERT(stamp < (1ull << 32), "page map stores 32-bit write stamps");
+  }
 
   void account() {
     ++stats_.lookups;

@@ -10,9 +10,8 @@ namespace uc::ftl {
 SuperblockManager::SuperblockManager(const flash::FlashGeometry& geometry)
     : geometry_(geometry),
       superblocks_(static_cast<std::size_t>(geometry.superblock_count())),
-      valid_(geometry.total_slots(), 0),
-      meta_lpn_(geometry.total_slots(), 0),
-      meta_stamp_(geometry.total_slots(), 0) {
+      valid_((geometry.total_slots() + 63) / 64, 0),
+      meta_lpn_(geometry.total_slots(), 0) {
   UC_ASSERT(geometry_.total_slots() < (1ull << 32),
             "slot metadata uses 32-bit indices; shrink the geometry");
   for (int sb = 0; sb < geometry_.superblock_count(); ++sb) {
@@ -56,28 +55,26 @@ std::optional<RowAlloc> SuperblockManager::allocate_row(Stream stream,
 }
 
 flash::Spa SuperblockManager::fill_row_slot(const RowAlloc& row, int slot,
-                                            Lpn lpn, WriteStamp stamp) {
+                                            Lpn lpn) {
   const flash::Spa spa = row_slot_spa(row, slot);
   UC_DCHECK(spa == geometry_.superblock_slot_spa(
                        row.sb, row.first_slot_in_sb +
                                    static_cast<std::uint64_t>(slot)),
             "row slot address disagrees with the superblock layout");
-  const auto i = static_cast<std::size_t>(spa);
-  UC_ASSERT(valid_[i] == 0, "filling an already-valid slot");
-  UC_ASSERT(lpn < (1ull << 32) && stamp < (1ull << 32),
-            "slot metadata stores 32-bit LPNs and stamps");
-  valid_[i] = 1;
-  meta_lpn_[i] = static_cast<std::uint32_t>(lpn);
-  meta_stamp_[i] = static_cast<std::uint32_t>(stamp);
+  UC_ASSERT(!slot_valid(spa), "filling an already-valid slot");
+  UC_ASSERT(lpn < (1ull << 32), "slot metadata stores 32-bit LPNs");
+  valid_[spa >> 6] |= std::uint64_t{1} << (spa & 63);
+  meta_lpn_[static_cast<std::size_t>(spa)] = static_cast<std::uint32_t>(lpn);
   ++superblocks_[static_cast<std::size_t>(row.sb)].valid_slots;
   ++total_valid_;
   return spa;
 }
 
 bool SuperblockManager::invalidate_if_valid(flash::Spa spa) {
-  const auto i = static_cast<std::size_t>(spa);
-  if (valid_[i] == 0) return false;
-  valid_[i] = 0;
+  std::uint64_t& word = valid_[spa >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (spa & 63);
+  if ((word & bit) == 0) return false;
+  word &= ~bit;
   SuperblockInfo& sb = superblocks_[static_cast<std::size_t>(superblock_of_spa(spa))];
   UC_ASSERT(sb.valid_slots > 0, "valid-slot accounting underflow");
   --sb.valid_slots;
@@ -115,7 +112,7 @@ void SuperblockManager::on_erased(int sb) {
   SuperblockInfo& info = superblocks_[static_cast<std::size_t>(sb)];
   UC_ASSERT(info.state == SbState::kGcVictim, "erase completes a GC cycle");
   UC_ASSERT(info.valid_slots == 0, "erasing a superblock with valid data");
-  // Clear slot validity metadata (already invalid) and reset the cursor.
+  // Every slot bit is already clear (valid_slots == 0); reset the cursor.
   info.next_slot = 0;
   info.state = SbState::kFree;
   free_list_.push_back(sb);
@@ -123,12 +120,16 @@ void SuperblockManager::on_erased(int sb) {
 
 void SuperblockManager::valid_slots_in_row(int sb, int row,
                                            std::vector<flash::Spa>& out) const {
-  const int spr = geometry_.slots_per_row();
-  const std::uint64_t base =
-      static_cast<std::uint64_t>(row) * static_cast<std::uint64_t>(spr);
-  for (int i = 0; i < spr; ++i) {
-    const flash::Spa spa = geometry_.superblock_slot_spa(sb, base + i);
-    if (valid_[static_cast<std::size_t>(spa)]) out.push_back(spa);
+  // The row's slots in `superblock_slot_spa` order: plane by plane, and
+  // within a plane page its slots_per_page consecutive SPAs.
+  const auto spp = static_cast<flash::Spa>(geometry_.slots_per_page());
+  const int die = die_of_row(row);
+  const int page = row / geometry_.total_dies();
+  for (int plane = 0; plane < geometry_.planes_per_die; ++plane) {
+    const flash::Spa first = geometry_.ppa(die, plane, sb, page) * spp;
+    for (flash::Spa spa = first; spa < first + spp; ++spa) {
+      if (slot_valid(spa)) out.push_back(spa);
+    }
   }
 }
 

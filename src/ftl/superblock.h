@@ -9,6 +9,11 @@
 /// multi-plane program on one die (planes_per_die pages).  Rows fill a
 /// superblock die-by-die then page-by-page, so consecutive rows land on
 /// different dies and stream at full array bandwidth.
+///
+/// Per physical slot the manager keeps one validity bit (a `uint64_t`
+/// bitmap) and the 32-bit LPN the slot holds: 4.125 bytes a slot.  A
+/// slot's write stamp is not kept here; while the slot is valid the page
+/// map points at it, so its stamp is `PageMapping::stamp_of(slot_lpn)`.
 
 #include <cstdint>
 #include <optional>
@@ -71,22 +76,19 @@ class SuperblockManager {
 
   // --- slot validity & metadata ---
 
-  /// Marks slot `i` of a programmed row valid and records its logical
-  /// identity; returns the slot's SPA.
-  flash::Spa fill_row_slot(const RowAlloc& row, int i, Lpn lpn,
-                           WriteStamp stamp);
+  /// Marks slot `i` of a programmed row valid and records the LPN it
+  /// holds; returns the slot's SPA.
+  flash::Spa fill_row_slot(const RowAlloc& row, int i, Lpn lpn);
 
   /// Invalidates if currently valid; returns whether it was valid.
   bool invalidate_if_valid(flash::Spa spa);
 
   bool slot_valid(flash::Spa spa) const {
-    return valid_[static_cast<std::size_t>(spa)] != 0;
+    return (valid_[spa >> 6] >> (spa & 63)) & 1u;
   }
+  /// The LPN last filled into `spa`; meaningful while the slot is valid.
   Lpn slot_lpn(flash::Spa spa) const {
     return meta_lpn_[static_cast<std::size_t>(spa)];
-  }
-  WriteStamp slot_stamp(flash::Spa spa) const {
-    return meta_stamp_[static_cast<std::size_t>(spa)];
   }
 
   // --- GC support ---
@@ -130,10 +132,10 @@ class SuperblockManager {
   StreamState streams_[kStreamCount];
   std::uint64_t total_valid_ = 0;
 
-  // Flat per-slot metadata, indexed by Spa.
-  std::vector<std::uint8_t> valid_;
+  // Flat per-slot metadata, indexed by Spa: one validity bit per slot
+  // (bit spa % 64 of word spa / 64) and the slot's LPN.
+  std::vector<std::uint64_t> valid_;
   std::vector<std::uint32_t> meta_lpn_;
-  std::vector<std::uint32_t> meta_stamp_;
 };
 
 }  // namespace uc::ftl

@@ -10,8 +10,9 @@
 // its whole service chain (QoS gate, frontend, fabric, node pipelines)
 // without allocating, that a steady-state local-SSD I/O (reads, writes, writes
 // while GC relocates, read-ahead reads) runs host interface, FTL, write
-// buffer, GC and NAND without allocating, and that the trace generator
-// allocates its event vector once.
+// buffer, GC and NAND without allocating, that the trace generator
+// allocates its event vector once, and that the local SSD's FTL tables stay
+// compact (a byte count of its construction).
 // Without the option the tests skip (the
 // rest of the suite does not want a global allocator override), and the
 // option refuses to combine with UC_SANITIZE because sanitizers interpose the
@@ -45,10 +46,12 @@
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -57,6 +60,7 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(align);
   const std::size_t rounded = (size + a - 1) / a * a;
   if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
@@ -88,6 +92,9 @@ namespace {
 #if defined(UC_PROFILE_ALLOC)
 std::uint64_t allocations() {
   return g_alloc_count.load(std::memory_order_relaxed);
+}
+std::uint64_t allocated_bytes() {
+  return g_alloc_bytes.load(std::memory_order_relaxed);
 }
 #define UC_REQUIRE_ALLOC_PROFILING() static_cast<void>(0)
 #else
@@ -326,6 +333,26 @@ TEST(AllocProfile, SsdSequentialReadAheadIsAllocationFree) {
   EXPECT_EQ(allocs, 0u)
       << "stream detection, prefetch row grouping and read-cache inserts "
          "must reuse their scratch and slots";
+#endif
+}
+
+TEST(AllocProfile, SsdFtlStateIsCompact) {
+  UC_REQUIRE_ALLOC_PROFILING();
+#if defined(UC_PROFILE_ALLOC)
+  // The 2 GiB drive has 524288 logical pages over 933888 physical slots.
+  // Its FTL keeps an 8-byte page-map entry per logical page and 4.125 bytes
+  // per slot (a validity bit and the LPN): 8068374 bytes in all with the
+  // write buffer and read cache.  With 16-byte entries and 9 bytes per slot
+  // (a validity byte, the LPN and a second copy of the stamp) the same
+  // construction allocated 16815406 bytes.
+  const ssd::SsdConfig cfg = ssd::samsung_970pro_scaled(2 * units::kGiB);
+  Simulator sim;
+  const std::uint64_t before = allocated_bytes();
+  {
+    ssd::SsdDevice dev(sim, cfg);
+  }
+  EXPECT_LT(allocated_bytes() - before, 8'500'000u)
+      << "the page map or the per-slot metadata grew";
 #endif
 }
 

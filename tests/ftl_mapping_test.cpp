@@ -99,5 +99,20 @@ TEST(PageMapping, InvalidateOfUnmappedIsNoop) {
   EXPECT_EQ(m.stamp_of(1), 1u);  // the trim stamp must stick
 }
 
+// Entries hold 32-bit slot indices and stamps, with the all-ones index
+// meaning "unmapped": anything that does not fit must stop the run rather
+// than wrap.
+TEST(PageMappingDeathTest, SlotIndexEqualToTheSentinelAborts) {
+  PageMapping m(4);
+  EXPECT_DEATH(m.update(1, 0xFFFFFFFFull, 1), "slot index must fit");
+}
+
+TEST(PageMappingDeathTest, StampBeyond32BitsAborts) {
+  PageMapping m(4);
+  ASSERT_TRUE(m.update(1, 7, 0xFFFFFFFFull).applied);  // the largest stamp
+  EXPECT_DEATH(m.update(1, 8, 1ull << 32), "32-bit write stamps");
+  EXPECT_DEATH(m.invalidate(2, 1ull << 32), "32-bit write stamps");
+}
+
 }  // namespace
 }  // namespace uc::ftl

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "ftl/superblock.h"
@@ -73,11 +75,10 @@ TEST(SuperblockManager, FillInvalidateAccounting) {
   SuperblockManager sm(tiny_geometry());
   const auto row = sm.allocate_row(Stream::kUser, 0);
   ASSERT_TRUE(row.has_value());
-  const flash::Spa spa = sm.fill_row_slot(*row, 0, /*lpn=*/42, /*stamp=*/7);
+  const flash::Spa spa = sm.fill_row_slot(*row, 0, /*lpn=*/42);
   EXPECT_EQ(spa, sm.row_slot_spa(*row, 0));
   EXPECT_TRUE(sm.slot_valid(spa));
   EXPECT_EQ(sm.slot_lpn(spa), 42u);
-  EXPECT_EQ(sm.slot_stamp(spa), 7u);
   EXPECT_EQ(sm.info(row->sb).valid_slots, 1u);
   EXPECT_EQ(sm.total_valid_slots(), 1u);
 
@@ -99,7 +100,7 @@ TEST(SuperblockManager, GreedyVictimPicksMinValid) {
       ASSERT_TRUE(row.has_value());
       filled_sbs[s] = row->sb;
       for (int k = 0; k < g.slots_per_row(); ++k) {
-        sm.fill_row_slot(*row, k, static_cast<Lpn>(i * 16 + k), s + 1);
+        sm.fill_row_slot(*row, k, static_cast<Lpn>(i * 16 + k));
       }
     }
   }
@@ -130,7 +131,7 @@ TEST(SuperblockManager, EraseLifecycle) {
     ASSERT_TRUE(row.has_value());
     sb = row->sb;
     for (int k = 0; k < g.slots_per_row(); ++k) {
-      sm.fill_row_slot(*row, k, static_cast<Lpn>(i * 16 + k), 1);
+      sm.fill_row_slot(*row, k, static_cast<Lpn>(i * 16 + k));
     }
   }
   ASSERT_TRUE(sm.allocate_row(Stream::kUser, 0).has_value());  // closes sb
@@ -152,13 +153,95 @@ TEST(SuperblockManager, ValidSlotsInRowFindsExactlyValidOnes) {
   SuperblockManager sm(g);
   const auto row = sm.allocate_row(Stream::kUser, 0);
   ASSERT_TRUE(row.has_value());
-  sm.fill_row_slot(*row, 0, 1, 1);
-  sm.fill_row_slot(*row, 3, 2, 2);
+  sm.fill_row_slot(*row, 0, 1);
+  sm.fill_row_slot(*row, 3, 2);
   std::vector<flash::Spa> out;
   sm.valid_slots_in_row(row->sb, row->row, out);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(sm.slot_lpn(out[0]), 1u);
   EXPECT_EQ(sm.slot_lpn(out[1]), 2u);
+}
+
+// Validity is a bitmap of 64-slot words.  On a geometry whose slot count is
+// not a multiple of 64, the slots on both sides of a word boundary and the
+// last slot (in the partial last word) fill and invalidate independently,
+// and the row scan sees each.
+TEST(SuperblockManager, ValidityBitmapHandlesWordEdges) {
+  auto g = tiny_geometry();
+  g.channels = 3;
+  g.blocks_per_plane = 5;
+  const std::uint64_t slots = g.total_slots();
+  ASSERT_EQ(slots, 240u);
+  ASSERT_NE(slots % 64, 0u);
+  SuperblockManager sm(g);
+  const flash::Spa probes[] = {63, 64, slots - 1};
+
+  // Allocate rows until every probed slot has been filled, each with its own
+  // SPA as its LPN.
+  std::vector<RowAlloc> rows;
+  int found = 0;
+  while (found < 3) {
+    const auto row = sm.allocate_row(Stream::kUser, 0);
+    ASSERT_TRUE(row.has_value());
+    rows.push_back(*row);
+    for (int k = 0; k < g.slots_per_row(); ++k) {
+      const flash::Spa spa = sm.row_slot_spa(*row, k);
+      for (const flash::Spa p : probes) {
+        if (spa != p) continue;
+        EXPECT_FALSE(sm.slot_valid(spa));
+        EXPECT_EQ(sm.fill_row_slot(*row, k, spa), spa);
+        ++found;
+      }
+    }
+  }
+  EXPECT_EQ(sm.total_valid_slots(), 3u);
+  for (const flash::Spa p : probes) {
+    EXPECT_TRUE(sm.slot_valid(p)) << p;
+    EXPECT_EQ(sm.slot_lpn(p), p);
+  }
+  EXPECT_FALSE(sm.slot_valid(62));
+  EXPECT_FALSE(sm.slot_valid(65));
+  EXPECT_FALSE(sm.slot_valid(slots - 2));
+
+  // The row scan finds exactly the probes.
+  std::vector<flash::Spa> seen;
+  for (const RowAlloc& row : rows) sm.valid_slots_in_row(row.sb, row.row, seen);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(seen, std::vector<flash::Spa>(std::begin(probes), std::end(probes)));
+
+  // Clearing one bit leaves its word neighbours set.
+  EXPECT_TRUE(sm.invalidate_if_valid(64));
+  EXPECT_TRUE(sm.slot_valid(63));
+  EXPECT_FALSE(sm.slot_valid(64));
+  EXPECT_TRUE(sm.slot_valid(slots - 1));
+  EXPECT_TRUE(sm.invalidate_if_valid(slots - 1));
+  EXPECT_FALSE(sm.invalidate_if_valid(slots - 1));
+  EXPECT_TRUE(sm.invalidate_if_valid(63));
+  EXPECT_EQ(sm.total_valid_slots(), 0u);
+}
+
+// The row scan lists a row's valid slots in `superblock_slot_spa` order, on
+// every row of the device.  With 3 slots a page, some plane pages straddle
+// a bitmap word (slots 63-65).
+TEST(SuperblockManager, ValidSlotsInRowFollowTheSuperblockLayout) {
+  auto g = tiny_geometry();
+  g.page_bytes = 3 * kLogicalPageBytes;
+  SuperblockManager sm(g);
+  const auto rows = g.total_slots() / g.slots_per_row();
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    const auto row = sm.allocate_row(Stream::kUser, 0);
+    ASSERT_TRUE(row.has_value());
+    std::vector<flash::Spa> want;
+    for (int k = 0; k < g.slots_per_row(); ++k) {
+      if ((r + static_cast<std::uint64_t>(k)) % 3 == 0) continue;
+      sm.fill_row_slot(*row, k, r);
+      want.push_back(
+          g.superblock_slot_spa(row->sb, row->first_slot_in_sb + k));
+    }
+    std::vector<flash::Spa> got;
+    sm.valid_slots_in_row(row->sb, row->row, got);
+    EXPECT_EQ(got, want) << "row " << r;
+  }
 }
 
 }  // namespace
