@@ -44,12 +44,12 @@ namespace uc {
 namespace {
 
 // ---------------------------------------------------------------------------
-// BM_EventKernel: the kernel hot path in isolation.  Two legs bound the
-// two operations every model pays for: schedule+fire churn through a warm
-// queue (the steady-state replay shape) and a cold schedule-then-drain
-// burst.  Rows carry `sim_events` so main() derives events/sec against
-// wall time; the trajectory file (BENCH_TRAJECTORY.json) tracks these
-// numbers across kernel changes.
+// BM_EventKernel: the kernel hot path in isolation.  Three legs bound the
+// operations every model pays for: schedule+fire churn through a warm queue
+// (the steady-state replay shape), the same churn with a zero-delay ack per
+// fire, and a cold schedule-then-drain burst.  Rows carry `sim_events` so
+// main() derives events/sec against wall time; the trajectory file
+// (BENCH_TRAJECTORY.json) tracks these numbers across kernel changes.
 // ---------------------------------------------------------------------------
 
 // Every leg schedules callbacks carrying a 32-byte completion context —
@@ -65,8 +65,10 @@ namespace {
 // The pending depth is the argument: 64 bounds a single device's timer
 // population, 4096 the sharded-fleet shape where sift depth and key traffic
 // dominate.  The ring is plain structs — no std::function in the loop — so
-// the measurement is the kernel, not the harness.
-void BM_EventKernelSteadyState(benchmark::State& state) {
+// the measurement is the kernel, not the harness.  With `Acks` each fire
+// also schedules a zero-delay follower (see BM_EventKernelSameTime).
+template <bool Acks>
+void run_kernel_ring(benchmark::State& state) {
   const auto depth = static_cast<int>(state.range(0));
   sim::Simulator sim;
   struct Ring {
@@ -92,14 +94,26 @@ void BM_EventKernelSteadyState(benchmark::State& state) {
     }
     void fire() {
       ++fired;
-      if (--budget >= 0) arm();
+      if (--budget < 0) return;
+      if constexpr (Acks) {
+        const std::uint64_t tag = armed;
+        const SimTime issued = sim.now();
+        const std::uint64_t bytes = 4096 + (tag & 63) * 512;
+        sim.schedule_after(0, [this, tag, issued, bytes] {
+          acc += tag + bytes + static_cast<std::uint64_t>(sim.now() - issued);
+          ++fired;
+        });
+      }
+      arm();
     }
   } ring{sim};
   std::uint64_t events = 0;
   for (auto _ : state) {
     // Re-arm the ring (the previous iteration drained it), then let every
-    // fire reschedule until the budget runs dry: depth + budget fires.
-    ring.budget = 4 * depth;
+    // fire reschedule until the budget runs dry: depth + budget fires, or
+    // depth + 2 * budget with an ack per budgeted fire.  Either way an
+    // iteration fires 5 * depth events.
+    ring.budget = (Acks ? 2 : 4) * depth;
     const std::uint64_t before = ring.fired;
     for (int i = 0; i < depth; ++i) ring.arm();
     sim.run();
@@ -111,7 +125,20 @@ void BM_EventKernelSteadyState(benchmark::State& state) {
   state.counters["sim_events"] =
       benchmark::Counter(static_cast<double>(events));
 }
+
+void BM_EventKernelSteadyState(benchmark::State& state) {
+  run_kernel_ring<false>(state);
+}
 BENCHMARK(BM_EventKernelSteadyState)->Arg(64)->Arg(4096)->UseRealTime();
+
+// Same-time acks: the steady-state ring, but each fire also schedules a
+// zero-delay follower — the local SSD's write-buffer ack, which fires at
+// the instant the write is buffered.  Half the events are such acks, so
+// this leg prices the kernel's same-time path next to the heap path.
+void BM_EventKernelSameTime(benchmark::State& state) {
+  run_kernel_ring<true>(state);
+}
+BENCHMARK(BM_EventKernelSameTime)->Arg(64)->UseRealTime();
 
 // Cold burst: build a 4096-event queue from empty, then drain it.  Stresses
 // sift depth at full population (heap layout) rather than the warm ring.

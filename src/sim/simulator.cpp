@@ -33,13 +33,28 @@ void Simulator::heap_pop_min() {
   // steady state (every fire schedules a successor) it is among the newest
   // keys, so the bubble-up almost never moves: the down-path compares are
   // all the pop costs.
+  //
+  // Each full 4-child group's minimum is a tournament of three compares
+  // whose results feed index arithmetic, not branches: keys are unique
+  // (`order` is), so it picks exactly the child a scalar scan would.
   std::size_t i = kHeapRoot;
   for (;;) {
     const std::size_t first = 4 * i - 8;
-    if (first >= n) break;
+    if (first + 4 > n) break;
+    const Key* c = &heap_[first];
+    const std::size_t a = first + key_less(c[1], c[0]);
+    const std::size_t b = first + 2 + key_less(c[3], c[2]);
+    // A mask select: a ternary here compiles to a branch.
+    const std::size_t b_wins = -std::size_t{key_less(heap_[b], heap_[a])};
+    const std::size_t best = a ^ ((a ^ b) & b_wins);
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  // A partial group (1-3 children) is the heap's last one, so its children
+  // are leaves: one scalar scan ends the walk.
+  if (const std::size_t first = 4 * i - 8; first < n) {
     std::size_t best = first;
-    const std::size_t end = std::min(first + 4, n);
-    for (std::size_t c = first + 1; c < end; ++c) {
+    for (std::size_t c = first + 1; c < n; ++c) {
       if (key_less(heap_[c], heap_[best])) best = c;
     }
     heap_[i] = heap_[best];
@@ -70,16 +85,25 @@ void Simulator::renormalize_order() {
 
 template <bool SingleStep>
 bool Simulator::fire_events(SimTime bound) {
-  while (!heap_empty()) {
-    const Key top = heap_[kHeapRoot];
-    if (top.time > bound) return false;
-    const auto s = static_cast<std::uint32_t>(top.order & kSlotMask);
-    Callback& cb = cb_ref(s);
+  for (;;) {
+    std::uint32_t s;
+    // Heap keys at `now_` go first (they were scheduled before the clock
+    // reached `now_`), then the lane, then the next later heap key.
+    if (!lane_.empty() && (heap_empty() || heap_[kHeapRoot].time != now_)) {
+      if (now_ > bound) return false;
+      s = lane_.front();
+      lane_.pop_front();
+    } else {
+      if (heap_empty()) return false;
+      const Key top = heap_[kHeapRoot];
+      if (top.time > bound) return false;
+      s = static_cast<std::uint32_t>(top.order & kSlotMask);
 #if defined(__GNUC__)
-    __builtin_prefetch(&cb);  // overlap the slab line with the sift-down
+      __builtin_prefetch(&cb_ref(s));  // overlap the slab line with the sift
 #endif
-    heap_pop_min();
-    now_ = top.time;
+      heap_pop_min();
+      now_ = top.time;
+    }
     ++events_processed_;
     // Keep the slot off the free list until the callback returns, so a
     // nested schedule cannot construct a new event over the executing
@@ -93,10 +117,9 @@ bool Simulator::fire_events(SimTime bound) {
         sim->free_head_ = slot;
       }
     } relink{this, s};
-    cb.invoke_and_dispose();  // in place: chunk addresses are stable
+    cb_ref(s).invoke_and_dispose();  // in place: chunk addresses are stable
     if constexpr (SingleStep) return true;
   }
-  return false;
 }
 
 void Simulator::advance_to(SimTime t) {

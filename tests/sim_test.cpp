@@ -85,6 +85,29 @@ TEST(Simulator, ThrowingCallbackDoesNotLeakSlot) {
   EXPECT_EQ(sim.events_processed(), 1001u);
 }
 
+// The same guarantee for a same-time (lane) event: one scheduled at `now()`
+// that throws is popped off the lane and its slot still recycled, and a
+// lane event scheduled behind it survives the unwind.
+TEST(Simulator, ThrowingLaneCallbackDoesNotLeakSlot) {
+  Simulator sim;
+  sim.run_until(10);
+  int fired = 0;
+  for (int i = 0; i < 1000; ++i) {
+    sim.schedule_at(10, [] { throw std::runtime_error("boom"); });
+    sim.schedule_at(10, [&] { ++fired; });
+    EXPECT_EQ(sim.next_event_time(), 10u);
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_FALSE(sim.idle());  // the follower is still on the lane
+    EXPECT_EQ(fired, i);
+    sim.run();
+    EXPECT_EQ(fired, i + 1);
+  }
+  EXPECT_EQ(sim.slab_slots_for_testing(), 256u);
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.now(), 10u);
+  EXPECT_EQ(sim.events_processed(), 2000u);
+}
+
 // The 40-bit schedule sequence renormalizes when exhausted; FIFO ordering
 // among equal-time events must survive the compaction.
 TEST(Simulator, SequenceRenormalizationPreservesFifo) {
@@ -325,6 +348,17 @@ class ReferenceModel {
     }
   }
 
+  // Mirrors `Simulator::next_event_time` / `advance_to`.
+  SimTime next_event_time() const {
+    SimTime t = kNoTime;
+    for (const Ref& r : pending_) t = std::min(t, r.time);
+    return t;
+  }
+  void advance_to(SimTime t) {
+    ASSERT_GE(next_event_time(), t);
+    if (now_ < t) now_ = t;
+  }
+
   SimTime now() const { return now_; }
 
  private:
@@ -435,6 +469,88 @@ TEST(SimulatorProperty, ChainedSchedulingMatchesReference) {
     ref.run(&fired_ref, on_ref_fire);
     EXPECT_EQ(fired_sim, fired_ref) << "seed " << seed;
     EXPECT_EQ(sim.now(), ref.now());
+  }
+}
+
+// Zero-delay followers take the kernel's same-time lane instead of a heap
+// key.  Fires here schedule them while same-time heap keys are still
+// pending (many events share each timestamp), and the run is driven the way
+// the lockstep driver drives a fused group: `next_event_time`, then
+// `advance_to`, a driver-side schedule at the new `now()` (cross-simulator
+// traffic), then `run_until`.  Interleaved plain `run_until` calls move the
+// clock past pending times.  Any misordering between lane and heap shows
+// up as a divergence from the schedule-order reference.
+TEST(SimulatorProperty, SameTimeLaneMatchesReference) {
+  for (const std::uint64_t seed : {5ull, 99ull, 31337ull}) {
+    Rng rng(seed);
+    Simulator sim;
+    ReferenceModel ref;
+    std::vector<std::uint64_t> fired_sim;
+    std::vector<std::uint64_t> fired_ref;
+    std::uint64_t next_sim_tag = 1;
+    std::uint64_t next_ref_tag = 1;
+    // A fire's followers depend only on its tag, so both sides schedule
+    // the same children at the same times with the same tags: one or two
+    // zero-delay followers for most tags, a delayed one for some.  Tags
+    // past the cap stop spawning, so every chain ends.
+    constexpr std::uint64_t kSpawnCap = 6000;
+    const auto delays = [](std::uint64_t tag) {
+      std::vector<SimTime> d;
+      if (tag >= kSpawnCap) return d;
+      if (tag % 3 != 0) d.push_back(0);
+      if (tag % 5 == 0) d.push_back(0);
+      if (tag % 4 == 1) d.push_back(1 + tag % 6);
+      return d;
+    };
+    std::function<void(std::uint64_t)> fire_sim = [&](std::uint64_t tag) {
+      fired_sim.push_back(tag);
+      for (const SimTime d : delays(tag)) {
+        const std::uint64_t child = next_sim_tag++;
+        sim.schedule_at(sim.now() + d,
+                        [&fire_sim, child] { fire_sim(child); });
+      }
+    };
+    const auto on_ref_fire = [&](std::uint64_t tag) {
+      for (const SimTime d : delays(tag)) {
+        ref.schedule(ref.now() + d, next_ref_tag++);
+      }
+    };
+    const auto schedule_both = [&](SimTime t) {
+      const std::uint64_t tag = next_sim_tag++;
+      next_ref_tag++;
+      sim.schedule_at(t, [&fire_sim, tag] { fire_sim(tag); });
+      ref.schedule(t, tag);
+    };
+
+    // Few distinct timestamps: each holds several heap keys when its
+    // zero-delay followers arrive.
+    for (int i = 0; i < 300; ++i) schedule_both(rng.uniform_u64(40));
+    for (int step = 0; step < 5000; ++step) {
+      const SimTime t = sim.next_event_time();
+      ASSERT_EQ(t, ref.next_event_time()) << "seed " << seed;
+      if (t == kNoTime) break;
+      if (rng.uniform_u64(8) == 0) {
+        const SimTime until = sim.now() + rng.uniform_u64(4);
+        sim.run_until(until);
+        ref.run_until(until, &fired_ref, on_ref_fire);
+      } else {
+        sim.advance_to(t);
+        ref.advance_to(t);
+        ASSERT_EQ(sim.now(), ref.now());
+        // Driver-side schedules at the aligned clock: same-time ones join
+        // the lane behind any heap keys already pending at `t`.
+        if (rng.uniform_u64(3) == 0) schedule_both(t);
+        if (rng.uniform_u64(4) == 0) schedule_both(t + rng.uniform_u64(3));
+        sim.run_until(t);
+        ref.run_until(t, &fired_ref, on_ref_fire);
+      }
+      ASSERT_EQ(fired_sim, fired_ref) << "seed " << seed << " step " << step;
+      ASSERT_EQ(sim.now(), ref.now());
+      ASSERT_EQ(sim.idle(), ref.next_event_time() == kNoTime);
+    }
+    EXPECT_TRUE(sim.idle()) << "seed " << seed;
+    EXPECT_GT(next_sim_tag, kSpawnCap);  // the chains ran to the cap
+    EXPECT_EQ(sim.events_processed(), fired_sim.size());
   }
 }
 
