@@ -134,7 +134,7 @@ BENCHMARK(BM_EventKernelSteadyState)->Arg(64)->Arg(4096)->UseRealTime();
 // Same-time acks: the steady-state ring, but each fire also schedules a
 // zero-delay follower — the local SSD's write-buffer ack, which fires at
 // the instant the write is buffered.  Half the events are such acks, so
-// this leg prices the kernel's same-time path next to the heap path.
+// this leg prices zero-delay continuations next to the plain ring.
 void BM_EventKernelSameTime(benchmark::State& state) {
   run_kernel_ring<true>(state);
 }

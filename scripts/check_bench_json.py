@@ -384,14 +384,16 @@ def check_sim_micro(path, metrics):
         fail(path, "BM_TenantStatsLifecycle must report items_per_second "
                    "(tenant lifecycles per second)")
     # The event-kernel hot-path family: the trajectory artifact needs the
-    # steady-state and burst-drain rows together — a partial run would make
-    # before/after kernel comparisons meaningless.
+    # steady-state, same-time and burst-drain rows together — a partial run
+    # would make before/after kernel comparisons meaningless.
     kernel = {b["name"].split("/")[0] for b in benchmarks
               if b["name"].startswith("BM_EventKernel")}
-    expected_kernel = {"BM_EventKernelSteadyState", "BM_EventKernelBurstDrain"}
+    expected_kernel = {"BM_EventKernelSteadyState", "BM_EventKernelSameTime",
+                       "BM_EventKernelBurstDrain"}
     if kernel and kernel != expected_kernel:
-        fail(path, "BM_EventKernel family incomplete: missing "
-                   f"{sorted(expected_kernel - kernel)}")
+        fail(path, "BM_EventKernel family mismatch: missing "
+                   f"{sorted(expected_kernel - kernel)}, unexpected "
+                   f"{sorted(kernel - expected_kernel)}")
 
 
 def check_impl1(path, metrics):

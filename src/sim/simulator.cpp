@@ -85,25 +85,16 @@ void Simulator::renormalize_order() {
 
 template <bool SingleStep>
 bool Simulator::fire_events(SimTime bound) {
-  for (;;) {
-    std::uint32_t s;
-    // Heap keys at `now_` go first (they were scheduled before the clock
-    // reached `now_`), then the lane, then the next later heap key.
-    if (!lane_.empty() && (heap_empty() || heap_[kHeapRoot].time != now_)) {
-      if (now_ > bound) return false;
-      s = lane_.front();
-      lane_.pop_front();
-    } else {
-      if (heap_empty()) return false;
-      const Key top = heap_[kHeapRoot];
-      if (top.time > bound) return false;
-      s = static_cast<std::uint32_t>(top.order & kSlotMask);
+  while (!heap_empty()) {
+    const Key top = heap_[kHeapRoot];
+    if (top.time > bound) return false;
+    const auto s = static_cast<std::uint32_t>(top.order & kSlotMask);
+    Callback& cb = cb_ref(s);
 #if defined(__GNUC__)
-      __builtin_prefetch(&cb_ref(s));  // overlap the slab line with the sift
+    __builtin_prefetch(&cb);  // overlap the slab line with the sift-down
 #endif
-      heap_pop_min();
-      now_ = top.time;
-    }
+    heap_pop_min();
+    now_ = top.time;
     ++events_processed_;
     // Keep the slot off the free list until the callback returns, so a
     // nested schedule cannot construct a new event over the executing
@@ -117,9 +108,10 @@ bool Simulator::fire_events(SimTime bound) {
         sim->free_head_ = slot;
       }
     } relink{this, s};
-    cb_ref(s).invoke_and_dispose();  // in place: chunk addresses are stable
+    cb.invoke_and_dispose();  // in place: chunk addresses are stable
     if constexpr (SingleStep) return true;
   }
+  return false;
 }
 
 void Simulator::advance_to(SimTime t) {

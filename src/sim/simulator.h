@@ -10,8 +10,8 @@
 ///
 /// ## Hot-path design
 ///
-/// The kernel keeps three structures, sized so the per-event work touches
-/// as little memory as possible:
+/// The kernel keeps two structures, sized so the per-event work touches as
+/// little memory as possible:
 ///
 /// - a **chunked slab event pool**: callbacks live in recycled
 ///   cache-line-sized slots (`InlineCallback`, no heap fallback) inside
@@ -27,21 +27,13 @@
 ///   compare is one 128-bit compare and a pop picks each 4-child minimum
 ///   as a branch-free tournament, so sifts do not pay for mispredicted
 ///   compare branches.
-/// - a **same-time lane**: a FIFO ring of slot indices for events
-///   scheduled at `t == now()` (zero-delay continuations such as write
-///   acks).  They take no heap key at all.  The lane fires after every
-///   heap key at `now()` and before any later one, which is exactly
-///   schedule order: a heap key at time T was scheduled while the clock
-///   was still below T, so before any lane entry at T.
 ///
 /// A scheduled event always fires: there is no cancellation, so every heap
-/// key and lane entry is live, and the queue is empty exactly when both
-/// are.
+/// key is live and the queue is empty exactly when the heap is.
 ///
 /// Steady-state cost per event: one heap push + one heap pop over 16-byte
-/// keys (or one ring push + pop for a same-time event), and ONE indirect
-/// call (`InlineCallback::invoke_and_dispose`).  No heap allocations
-/// (asserted by `alloc_profile_test`).
+/// keys, and ONE indirect call (`InlineCallback::invoke_and_dispose`).  No
+/// heap allocations (asserted by `alloc_profile_test`).
 
 #include <cstdint>
 #include <functional>
@@ -49,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/ring_queue.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "sim/inline_callback.h"
@@ -101,13 +92,9 @@ class Simulator {
   template <typename F>
   void schedule_at(SimTime t, F&& f) {
     UC_ASSERT(t >= now_, "cannot schedule events in the past");
+    if (next_seq_ > kMaxSeq) renormalize_order();
     const std::uint32_t s = alloc_slot();
-    if (t == now_) {
-      lane_.push_back(s);
-    } else {
-      if (next_seq_ > kMaxSeq) renormalize_order();
-      heap_push(Key{t, (next_seq_++ << kSlotBits) | s});
-    }
+    heap_push(Key{t, (next_seq_++ << kSlotBits) | s});
     cb_ref(s).emplace(std::forward<F>(f));
   }
 
@@ -129,16 +116,14 @@ class Simulator {
   void run_while(const std::function<bool()>& keep_going);
 
   /// True when no scheduled event is still waiting to fire.
-  bool idle() const { return heap_empty() && lane_.empty(); }
+  bool idle() const { return heap_empty(); }
   std::uint64_t events_processed() const { return events_processed_; }
 
   /// Timestamp of the earliest pending event, or `kNoTime` when the queue
   /// is empty — the peek primitive of lockstep co-simulation, where a
   /// driver advances a *group* of simulators in global time order
-  /// (`placement::ShardedHost` fused shards).  A pending same-time event
-  /// sits at `now()`.
+  /// (`placement::ShardedHost` fused shards).
   SimTime next_event_time() const {
-    if (!lane_.empty()) return now_;
     return heap_empty() ? kNoTime : heap_[kHeapRoot].time;
   }
 
@@ -227,14 +212,14 @@ class Simulator {
   }
   void heap_pop_min();
 
-  /// Pops heap entries and lane entries in schedule order and fires every
-  /// event with time <= `bound` **in place** (chunk addresses are stable,
-  /// so the callback runs from its slab slot — one indirect call).  The
-  /// slot rejoins the free list only after the callback returns, so nested
-  /// schedules cannot build a new event on top of the executing one.  With
-  /// `SingleStep` the call returns true after the first fire (the
-  /// `run_while` step granularity); otherwise it drains to the bound in one
-  /// call.  Shared by `run()`, `run_until()`, and `run_while()`.
+  /// Pops heap entries and fires every event with time <= `bound` **in
+  /// place** (chunk addresses are stable, so the callback runs from its
+  /// slab slot — one indirect call).  The slot rejoins the free list only
+  /// after the callback returns, so nested schedules cannot build a new
+  /// event on top of the executing one.  With `SingleStep` the call returns
+  /// true after the first fire (the `run_while` step granularity);
+  /// otherwise it drains to the bound in one call.  Shared by `run()`,
+  /// `run_until()`, and `run_while()`.
   template <bool SingleStep>
   bool fire_events(SimTime bound);
 
@@ -244,9 +229,6 @@ class Simulator {
   void renormalize_order();
 
   std::vector<Key, detail::AlignedAllocator<Key, 64>> heap_;
-  /// Slots of the events scheduled at `t == now_`, in schedule order.  It
-  /// is drained before the clock moves, so every entry sits at `now_`.
-  RingQueue<std::uint32_t> lane_;
   /// Chunked callback slab: addresses never move, so callbacks are built
   /// and fired in place.  Indexed via `cb_ref`.
   std::vector<std::unique_ptr<CbSlot[]>> chunks_;

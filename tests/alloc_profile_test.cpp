@@ -3,11 +3,10 @@
 // Configure with -DUC_PROFILE_ALLOC=ON to compile a counting global
 // `operator new` into this binary; the tests then assert that steady-state
 // scheduling — slab slot recycling, 4-ary heap churn, InlineCallback
-// dispatch, the same-time lane of zero-delay reschedules, and the FIFO
-// reserve path — performs ZERO heap allocations per event, that a full
-// node page cache recycles its slab slots, that per-tenant result state
-// (latency histograms, `JobStats`) allocates nothing until it records
-// outside its span, and that a steady-state ESSD I/O runs
+// dispatch, and the FIFO reserve path — performs ZERO heap allocations
+// per event, that a full node page cache recycles its slab slots, that
+// per-tenant result state (latency histograms, `JobStats`) allocates nothing
+// until it records outside its span, and that a steady-state ESSD I/O runs
 // its whole service chain (QoS gate, frontend, fabric, node pipelines)
 // without allocating, that a steady-state local-SSD I/O (reads, writes, writes
 // while GC relocates, read-ahead reads) runs host interface, FTL, write
@@ -107,12 +106,9 @@ std::uint64_t allocated_bytes() {
 
 // A ring of self-rescheduling events: the steady-state shape of every
 // device timer and dispatch pump in the model.  Each callback captures one
-// pointer, far under the inline capacity.  With `zero_delay_hops` three of
-// every four reschedules are zero-delay (the same-time lane, the shape of a
-// write-buffer ack) and the fourth moves the clock.
+// pointer, far under the inline capacity.
 struct Ring {
   Simulator& sim;
-  bool zero_delay_hops = false;
   std::uint64_t armed = 0;
   std::uint64_t acc = 0;
   // The capture carries a 32-byte completion context (owner, tag, issue
@@ -123,8 +119,7 @@ struct Ring {
     const std::uint64_t tag = armed++;
     const SimTime issued = sim.now();
     const std::uint64_t bytes = 4096 + (tag & 63) * 512;
-    const SimTime delay = zero_delay_hops && (tag & 3) != 0 ? 0 : 3;
-    sim.schedule_at(sim.now() + delay, [this, tag, issued, bytes] {
+    sim.schedule_at(sim.now() + 3, [this, tag, issued, bytes] {
       acc += tag + bytes + static_cast<std::uint64_t>(sim.now() - issued);
       arm();
     });
@@ -150,24 +145,6 @@ TEST(AllocProfile, SteadyStateSchedulingIsAllocationFree) {
   run_events(sim, 100000);
   EXPECT_EQ(allocations() - before, 0u)
       << "steady-state schedule/fire must not touch the heap";
-#endif
-}
-
-TEST(AllocProfile, SameTimeRescheduleIsAllocationFree) {
-  UC_REQUIRE_ALLOC_PROFILING();
-#if defined(UC_PROFILE_ALLOC)
-  Simulator sim;
-  Ring ring{sim, /*zero_delay_hops=*/true};
-  for (int i = 0; i < 64; ++i) ring.arm();
-  // Warm-up grows the slab, the heap array and the same-time ring to their
-  // peak depth.
-  run_events(sim, 4096);
-  const std::uint64_t before = allocations();
-  const SimTime start = sim.now();
-  run_events(sim, 100000);
-  EXPECT_GT(sim.now(), start);  // the delayed hops kept the clock moving
-  EXPECT_EQ(allocations() - before, 0u)
-      << "zero-delay reschedules must recycle the same-time ring";
 #endif
 }
 

@@ -67,13 +67,22 @@ TEST(Simulator, EventsMayScheduleMoreEvents) {
 // A callback that throws must not leak its slab slot: the fire path relinks
 // the slot through a scope guard, so it is recycled even on the exception
 // path (without the guard, repeated throwing callbacks exhaust the slab).
+// Each throw has a follower queued behind it at the same time, which must
+// survive the unwind.  After the first pass the clock sits at 10, so both
+// are zero-delay events.
 TEST(Simulator, ThrowingCallbackDoesNotLeakSlot) {
   Simulator sim;
   bool fired = false;
+  int followers = 0;
   sim.schedule_at(20, [&] { fired = true; });
   for (int i = 0; i < 1000; ++i) {
     sim.schedule_at(10, [] { throw std::runtime_error("boom"); });
+    sim.schedule_at(10, [&] { ++followers; });
     EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_EQ(followers, i);
+    EXPECT_EQ(sim.next_event_time(), 10u);  // the follower is still pending
+    sim.run_until(10);
+    EXPECT_EQ(followers, i + 1);
   }
   EXPECT_FALSE(fired);  // every throw unwound out of run() before t = 20
   // Each throwing event's slot went back on the free list, so 1,000 of
@@ -82,30 +91,7 @@ TEST(Simulator, ThrowingCallbackDoesNotLeakSlot) {
   sim.run();  // the surviving event still fires normally
   EXPECT_TRUE(fired);
   EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.events_processed(), 1001u);
-}
-
-// The same guarantee for a same-time (lane) event: one scheduled at `now()`
-// that throws is popped off the lane and its slot still recycled, and a
-// lane event scheduled behind it survives the unwind.
-TEST(Simulator, ThrowingLaneCallbackDoesNotLeakSlot) {
-  Simulator sim;
-  sim.run_until(10);
-  int fired = 0;
-  for (int i = 0; i < 1000; ++i) {
-    sim.schedule_at(10, [] { throw std::runtime_error("boom"); });
-    sim.schedule_at(10, [&] { ++fired; });
-    EXPECT_EQ(sim.next_event_time(), 10u);
-    EXPECT_THROW(sim.run(), std::runtime_error);
-    EXPECT_FALSE(sim.idle());  // the follower is still on the lane
-    EXPECT_EQ(fired, i);
-    sim.run();
-    EXPECT_EQ(fired, i + 1);
-  }
-  EXPECT_EQ(sim.slab_slots_for_testing(), 256u);
-  EXPECT_TRUE(sim.idle());
-  EXPECT_EQ(sim.now(), 10u);
-  EXPECT_EQ(sim.events_processed(), 2000u);
+  EXPECT_EQ(sim.events_processed(), 2001u);
 }
 
 // The 40-bit schedule sequence renormalizes when exhausted; FIFO ordering
@@ -472,15 +458,16 @@ TEST(SimulatorProperty, ChainedSchedulingMatchesReference) {
   }
 }
 
-// Zero-delay followers take the kernel's same-time lane instead of a heap
-// key.  Fires here schedule them while same-time heap keys are still
-// pending (many events share each timestamp), and the run is driven the way
-// the lockstep driver drives a fused group: `next_event_time`, then
-// `advance_to`, a driver-side schedule at the new `now()` (cross-simulator
-// traffic), then `run_until`.  Interleaved plain `run_until` calls move the
-// clock past pending times.  Any misordering between lane and heap shows
-// up as a divergence from the schedule-order reference.
-TEST(SimulatorProperty, SameTimeLaneMatchesReference) {
+// Zero-delay followers (the SSD's write-buffer acks) must fire after every
+// event already pending at the same time, in schedule order.  Fires here
+// schedule them while same-time events are still pending (many events
+// share each timestamp), and the run is driven the way the lockstep driver
+// drives a fused group: `next_event_time`, then `advance_to`, a
+// driver-side schedule at the new `now()` (cross-simulator traffic), then
+// `run_until`.  Interleaved plain `run_until` calls move the clock past
+// pending times.  Any misordering shows up as a divergence from the
+// schedule-order reference.
+TEST(SimulatorProperty, ZeroDelayFollowersMatchReference) {
   for (const std::uint64_t seed : {5ull, 99ull, 31337ull}) {
     Rng rng(seed);
     Simulator sim;
@@ -537,8 +524,8 @@ TEST(SimulatorProperty, SameTimeLaneMatchesReference) {
         sim.advance_to(t);
         ref.advance_to(t);
         ASSERT_EQ(sim.now(), ref.now());
-        // Driver-side schedules at the aligned clock: same-time ones join
-        // the lane behind any heap keys already pending at `t`.
+        // Driver-side schedules at the aligned clock: same-time ones fire
+        // behind the events already pending at `t`.
         if (rng.uniform_u64(3) == 0) schedule_both(t);
         if (rng.uniform_u64(4) == 0) schedule_both(t + rng.uniform_u64(3));
         sim.run_until(t);
