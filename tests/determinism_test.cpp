@@ -528,6 +528,55 @@ TEST(Determinism, SlicedRebalanceDigestMatrixIsPinned) {
   }
 }
 
+// The same fleet's outcome at one thread, pinned: it rebalances by the
+// busy/stall signal (`kLeastInterference`), so these values pin the signal
+// rebalance path and the per-migration copy accounting.
+struct PinnedMigration {
+  std::size_t tenant;
+  int from;
+  int to;
+  std::uint64_t pages_copied;
+  std::uint64_t bytes_copied;
+  std::uint64_t pages_trimmed;
+  int passes;
+  SimTime started;
+  SimTime cutover;
+  SimTime frozen_ns;
+};
+
+void expect_migrations(const std::vector<placement::MigrationRecord>& got,
+                       const std::vector<PinnedMigration>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t r = 0; r < want.size(); ++r) {
+    const placement::MigrationRecord& m = got[r];
+    const PinnedMigration& w = want[r];
+    EXPECT_EQ(m.tenant, w.tenant) << "record " << r;
+    EXPECT_EQ(m.from_cluster, w.from) << "record " << r;
+    EXPECT_EQ(m.to_cluster, w.to) << "record " << r;
+    EXPECT_EQ(m.stats.pages_copied, w.pages_copied) << "record " << r;
+    EXPECT_EQ(m.stats.bytes_copied, w.bytes_copied) << "record " << r;
+    EXPECT_EQ(m.stats.pages_trimmed, w.pages_trimmed) << "record " << r;
+    EXPECT_EQ(m.stats.passes, w.passes) << "record " << r;
+    EXPECT_EQ(m.stats.started, w.started) << "record " << r;
+    EXPECT_EQ(m.stats.cutover, w.cutover) << "record " << r;
+    EXPECT_EQ(m.stats.frozen_ns, w.frozen_ns) << "record " << r;
+  }
+}
+
+TEST(Determinism, SlicedSignalRebalanceIsPinned) {
+  const fleet::FleetReport r = run_sliced_rebalance_fleet(1);
+  EXPECT_EQ(r.digests,
+            (std::vector<std::uint64_t>{
+                2748895263667048318ull, 3874222451843178899ull,
+                875268121186803323ull, 9069677566241194351ull}));
+  EXPECT_EQ(r.sim_events, 5321u);
+  EXPECT_EQ(r.makespan, 150467312u);
+  expect_migrations(
+      r.raw.migrations,
+      {{9, 3, 2, 6176, 25296896, 0, 3, 525105736, 805018436, 0},
+       {2, 2, 1, 2134, 8740864, 0, 3, 535105736, 666873235, 4134646}});
+}
+
 // Pacer ownership across a split: two live migrations fused into one group
 // share one `MigrationPacer`; when the group splits while both still copy,
 // each part must own its pacer, or two workers reserve on the same one.

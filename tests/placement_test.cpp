@@ -597,6 +597,49 @@ TEST(SlicedShardedHost, FusedRebalanceIsThreadCountInvariant) {
   }
 }
 
+// The same packed fleet's outcome, pinned at 1 and 4 threads: it rebalances
+// by attached bytes (`kPack`), so these values pin the bytes rebalance path
+// and the migration's copy accounting.
+TEST(SlicedShardedHost, BytesRebalanceIsPinned) {
+  essd::EssdConfig base = essd::aws_io2_profile(64 * kMiB);
+  base.cluster.spare_pool_bytes = 256 * kMiB;
+  std::vector<tenant::TenantSpec> tenants;
+  tenants.push_back(small_tenant("t0", 64 * kMiB, 3000, 21));
+  tenants.push_back(small_tenant("t1", 64 * kMiB, 3000, 22));
+  tenants.push_back(small_tenant("t2", 64 * kMiB, 3000, 23));
+  for (auto& t : tenants) t.weight = 2.5;
+  placement::PlacementConfig cfg;
+  cfg.clusters = 2;
+  cfg.policy = placement::Policy::kPack;
+  cfg.rebalance_watermark = 1.2;
+  cfg.rebalance_interval = 5 * kMs;
+
+  const placement::ShardPlan plan = placement::compute_shard_plan(cfg);
+  for (const int threads : {1, 4}) {
+    sim::ParallelExecutor exec(threads);
+    placement::ShardedHost host(base, tenants, cfg);
+    const placement::PlacementResult r = host.run(exec);
+    EXPECT_EQ(placement::shard_digests(plan, r),
+              (std::vector<std::uint64_t>{9889288798660051007ull,
+                                          17183763851418426230ull}))
+        << threads;
+    EXPECT_EQ(r.sim_events, 22716u) << threads;
+    EXPECT_EQ(r.makespan, 288133093u) << threads;
+    ASSERT_EQ(r.migrations.size(), 1u) << threads;
+    const placement::MigrationRecord& m = r.migrations[0];
+    EXPECT_EQ(m.tenant, 0u);
+    EXPECT_EQ(m.from_cluster, 0);
+    EXPECT_EQ(m.to_cluster, 1);
+    EXPECT_EQ(m.stats.pages_copied, 9420u);
+    EXPECT_EQ(m.stats.bytes_copied, 38584320u);
+    EXPECT_EQ(m.stats.pages_trimmed, 0u);
+    EXPECT_EQ(m.stats.passes, 4);
+    EXPECT_EQ(m.stats.started, 5000000u);
+    EXPECT_EQ(m.stats.cutover, 914378176u);
+    EXPECT_EQ(m.stats.frozen_ns, 0u);
+  }
+}
+
 // End-to-end relief: the cleaner-pressure mix packed onto cluster 0 of 2
 // outruns that cluster's cleaner; watermark-driven migration moves one
 // tenant out mid-run, cutting cluster-wide stall time and raising the
