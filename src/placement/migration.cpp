@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
 
 namespace uc::placement {
 
@@ -10,7 +9,6 @@ VolumeMigrator::VolumeMigrator(sim::Simulator& sim, essd::EssdDevice& device,
                                ebs::StorageCluster& src, ebs::VolumeId src_vol,
                                ebs::StorageCluster& dst, ebs::VolumeId dst_vol,
                                const MigrationConfig& cfg,
-                               std::function<void()> done,
                                MigrationPacer* pacer)
     : sim_(sim),
       device_(device),
@@ -19,7 +17,6 @@ VolumeMigrator::VolumeMigrator(sim::Simulator& sim, essd::EssdDevice& device,
       dst_(dst),
       dst_vol_(dst_vol),
       cfg_(cfg),
-      done_(std::move(done)),
       pacer_(pacer),
       capacity_bytes_(src.volume_bytes(src_vol)) {
   UC_ASSERT(&src_ != &dst_, "migration needs two distinct clusters");
@@ -27,9 +24,6 @@ VolumeMigrator::VolumeMigrator(sim::Simulator& sim, essd::EssdDevice& device,
             "target volume capacity differs from the source");
   UC_ASSERT(src_.chunk_bytes() == dst_.chunk_bytes(),
             "clusters disagree on chunk geometry");
-  UC_ASSERT(cfg_.copy_bytes >= kLogicalPageBytes &&
-                cfg_.copy_bytes % kLogicalPageBytes == 0,
-            "copy fragment must be a positive page multiple");
 }
 
 void VolumeMigrator::start() {
@@ -64,7 +58,7 @@ void VolumeMigrator::scan_from(ByteOffset offset, bool frozen_pass) {
     // stamps (the write API assigns `first_stamp + i` per page) within one
     // chunk and the copy-fragment bound.
     std::uint32_t bytes = kLogicalPageBytes;
-    while (bytes < cfg_.copy_bytes) {
+    while (bytes < kMigrationCopyBytes) {
       const ByteOffset next = offset + bytes;
       if (next >= capacity_bytes_) break;
       if (next / chunk_bytes != offset / chunk_bytes) break;
@@ -121,7 +115,7 @@ void VolumeMigrator::finish_pass(bool frozen_pass) {
     return;
   }
   if (pass_copied_pages_ <= cfg_.freeze_threshold_pages ||
-      stats_.passes >= cfg_.max_precopy_passes) {
+      stats_.passes >= kMaxPrecopyPasses) {
     enter_stop_and_copy();
     return;
   }
@@ -150,7 +144,6 @@ void VolumeMigrator::cutover() {
   stats_.frozen_ns = sim_.now() - freeze_at_;
   device_.thaw();
   finished_ = true;
-  if (done_) done_();
 }
 
 void VolumeMigrator::release_source() {

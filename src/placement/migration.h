@@ -22,8 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "common/types.h"
 #include "ebs/cluster.h"
@@ -32,15 +30,17 @@
 
 namespace uc::placement {
 
+/// Largest contiguous fragment a single copy read/write moves.
+inline constexpr std::uint32_t kMigrationCopyBytes = 256 * 1024;
+static_assert(kMigrationCopyBytes % kLogicalPageBytes == 0);
+/// Hard bound on pre-copy passes: a tenant dirtying faster than the copy
+/// stream converges would otherwise never cut over.
+inline constexpr int kMaxPrecopyPasses = 8;
+
 struct MigrationConfig {
-  /// Largest contiguous fragment a single copy read/write moves.
-  std::uint32_t copy_bytes = 256 * 1024;
   /// A pre-copy pass that moved no more than this many pages makes the next
   /// pass the frozen stop-and-copy pass.
   std::uint32_t freeze_threshold_pages = 2048;
-  /// Hard bound on pre-copy passes: a tenant dirtying faster than the copy
-  /// stream converges would otherwise never cut over.
-  int max_precopy_passes = 8;
 };
 
 /// Shared copy-bandwidth governor: every copy fragment of every concurrent
@@ -64,10 +64,6 @@ class MigrationPacer {
                                               1e9 / bytes_per_s_);
     return start;
   }
-
-  double bytes_per_s() const { return bytes_per_s_; }
-  /// Earliest time the next fragment could issue (reservation high-water).
-  SimTime next_free() const { return next_free_; }
 
   /// Folds another pacer's reservations into this one: after two migration
   /// domains merge (fused shards in the sliced parallel run), the surviving
@@ -95,8 +91,9 @@ struct MigrationStats {
 /// Migrates one tenant volume from `src` to an already-attached,
 /// equal-capacity volume on `dst`, then retargets `device` to it.  The
 /// tenant keeps running against `device` the whole time; only the final
-/// stop-and-copy window parks its submissions.  `done` fires right after
-/// the cutover (the device is already thawed).
+/// stop-and-copy window parks its submissions.  The migrator reports
+/// nothing on its own: whoever started it polls `finished()` (true from
+/// the cutover on, with the device already thawed) and reads `stats()`.
 class VolumeMigrator {
  public:
   /// `pacer` (optional, host-owned, shared across concurrent migrators)
@@ -104,8 +101,7 @@ class VolumeMigrator {
   VolumeMigrator(sim::Simulator& sim, essd::EssdDevice& device,
                  ebs::StorageCluster& src, ebs::VolumeId src_vol,
                  ebs::StorageCluster& dst, ebs::VolumeId dst_vol,
-                 const MigrationConfig& cfg, std::function<void()> done,
-                 MigrationPacer* pacer = nullptr);
+                 const MigrationConfig& cfg, MigrationPacer* pacer = nullptr);
 
   void start();
   bool finished() const { return finished_; }
@@ -138,7 +134,6 @@ class VolumeMigrator {
   ebs::StorageCluster& dst_;
   ebs::VolumeId dst_vol_;
   MigrationConfig cfg_;
-  std::function<void()> done_;
   MigrationPacer* pacer_;  ///< null = unpaced
   MigrationStats stats_;
   std::uint64_t capacity_bytes_ = 0;

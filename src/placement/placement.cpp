@@ -69,11 +69,6 @@ Status PlacementConfig::validate() const {
   if (rebalancing() && rebalance_interval == 0) {
     return bad("rebalancing needs a positive interval");
   }
-  if (migration.copy_bytes == 0 ||
-      migration.copy_bytes % kLogicalPageBytes != 0) {
-    return bad("migration copy fragment must be a positive page multiple");
-  }
-  if (migration.max_precopy_passes < 1) return bad("no pre-copy pass");
   return Status::ok();
 }
 
@@ -338,7 +333,6 @@ PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
   if (cfg_.policy == Policy::kLeastInterference) {
     // Signal baseline: the first rebalance window opens at measure start,
     // so fill-phase occupancy never counts.
-    signal_at_check_.clear();
     for (const Shard& sh : shards_) {
       signal_at_check_.push_back(sh.cluster->busy_stats().signal());
     }
@@ -378,6 +372,7 @@ PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
     });
     collected = tk == kNoTime;
     ++slice_stats_.slices;
+    note_cutovers();
     reconcile_pacers();  // a group that split must not keep sharing a pacer
     fleet_rebalance();
     std::vector<std::vector<std::size_t>> next = coupled_groups();
@@ -399,6 +394,9 @@ PlacementResult ShardedHost::run(sim::ParallelExecutor& exec) {
   result.initial_cluster = planned_;
   result.final_cluster = fleet_cluster_of_;
   result.migrations = records_;
+  for (std::size_t r = 0; r < records_.size(); ++r) {
+    result.migrations[r].stats = migrators_[r]->stats();
+  }
   result.peak_concurrent_migrations = peak_concurrent_;
   result.sliced = slice_stats_;
   for (const wl::JobStats& s : result.stats) {
@@ -551,95 +549,67 @@ bool ShardedHost::fleet_rebalance() {
   }
   if (!any_running) return false;
   if (!fleet_under_budget()) return false;
-  return cfg_.policy == Policy::kLeastInterference ? fleet_rebalance_signal()
-                                                   : fleet_rebalance_bytes();
-}
 
-bool ShardedHost::fleet_rebalance_bytes() {
+  // The policy supplies each cluster's load and each tenant's size.  Bytes
+  // policies: attached bytes by current cluster, and capacity.  The signal
+  // policy: the busy/stall delta since the previous check (occupancy is
+  // cumulative, so consecutive snapshots diff to "how contended was this
+  // cluster over the last slice"), and the expected offered load.
+  const bool by_signal = cfg_.policy == Policy::kLeastInterference;
   const auto k = static_cast<std::size_t>(cfg_.clusters);
-  std::vector<std::uint64_t> bytes(k, 0);
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    bytes[static_cast<std::size_t>(fleet_cluster_of_[i])] +=
-        tenants_[i].capacity_bytes;
+  std::vector<std::uint64_t> load(k, 0);
+  if (by_signal) {
+    for (std::size_t c = 0; c < k; ++c) {
+      const SimTime now_signal = shards_[c].cluster->busy_stats().signal();
+      load[c] = now_signal - signal_at_check_[c];
+      signal_at_check_[c] = now_signal;
+    }
+  } else {
+    for (std::size_t i = 0; i < tenants_.size(); ++i) {
+      load[static_cast<std::size_t>(fleet_cluster_of_[i])] +=
+          tenants_[i].capacity_bytes;
+    }
   }
   std::uint64_t total = 0;
   std::size_t busiest = 0;
-  for (std::size_t c = 0; c < k; ++c) {
-    total += bytes[c];
-    if (bytes[c] > bytes[busiest]) busiest = c;
-  }
-  const double mean = static_cast<double>(total) / static_cast<double>(k);
-  if (static_cast<double>(bytes[busiest]) <= cfg_.rebalance_watermark * mean) {
-    return false;
-  }
-  // Largest still-running volume on the busiest cluster; moving a finished
-  // tenant frees no contended bandwidth.
-  std::size_t pick = tenants_.size();
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    if (static_cast<std::size_t>(fleet_cluster_of_[i]) != busiest) continue;
-    if (fleet_migrating_[i]) continue;  // mid-copy volumes are not re-picked
-    if (fleet_tenant_finished(i)) continue;
-    if (pick == tenants_.size() ||
-        tenants_[i].capacity_bytes > tenants_[pick].capacity_bytes) {
-      pick = i;
-    }
-  }
-  if (pick == tenants_.size()) return false;
-  std::size_t target = 0;
-  for (std::size_t c = 1; c < k; ++c) {
-    if (bytes[c] < bytes[target]) target = c;
-  }
-  if (target == busiest) return false;
-  // Only move when it strictly lowers the maximum load — the oscillation
-  // guard that keeps repeated checks from bouncing a volume back and forth.
-  const std::uint64_t cap = tenants_[pick].capacity_bytes;
-  if (std::max(bytes[busiest] - cap, bytes[target] + cap) >= bytes[busiest]) {
-    return false;
-  }
-  start_fleet_migration(pick, static_cast<int>(target));
-  return true;
-}
-
-bool ShardedHost::fleet_rebalance_signal() {
-  // Windowed busy/stall deltas between consecutive barriers: occupancy is
-  // cumulative, so diffing consecutive snapshots yields "how contended was
-  // this cluster over the last slice" — the live analogue of the
-  // planning-time expected load.
-  const auto k = static_cast<std::size_t>(cfg_.clusters);
-  if (signal_at_check_.size() != k) signal_at_check_.assign(k, 0);
-  std::vector<SimTime> delta(k, 0);
-  SimTime total = 0;
-  std::size_t busiest = 0;
   std::size_t coolest = 0;
   for (std::size_t c = 0; c < k; ++c) {
-    const SimTime now_signal = shards_[c].cluster->busy_stats().signal();
-    delta[c] = now_signal - signal_at_check_[c];
-    signal_at_check_[c] = now_signal;
-    total += delta[c];
-    if (delta[c] > delta[busiest]) busiest = c;
-    if (delta[c] < delta[coolest]) coolest = c;
+    total += load[c];
+    if (load[c] > load[busiest]) busiest = c;
+    if (load[c] < load[coolest]) coolest = c;
   }
-  if (total == 0 || busiest == coolest) return false;
   const double mean = static_cast<double>(total) / static_cast<double>(k);
-  if (static_cast<double>(delta[busiest]) <= cfg_.rebalance_watermark * mean) {
+  if (busiest == coolest ||
+      static_cast<double>(load[busiest]) <= cfg_.rebalance_watermark * mean) {
     return false;
   }
-  // Move the expectedly-hottest still-running volume.  Each tenant moves at
-  // most once per run: the signal window is noisy enough that a volume
-  // bounced twice is churn, not repair.
+  // The heaviest still-running volume on the busiest cluster; moving a
+  // finished tenant frees no contended bandwidth, and a mid-copy volume is
+  // not re-picked.  The signal window is noisy enough that a volume bounced
+  // twice is churn, not repair, so under it each tenant moves at most once.
   std::size_t pick = tenants_.size();
-  double pick_bps = 0.0;
+  double pick_size = 0.0;
   for (std::size_t i = 0; i < tenants_.size(); ++i) {
     if (static_cast<std::size_t>(fleet_cluster_of_[i]) != busiest) continue;
-    if (fleet_migrating_[i] || fleet_migrated_[i]) continue;
+    if (fleet_migrating_[i] || (by_signal && fleet_migrated_[i])) continue;
     if (fleet_tenant_finished(i)) continue;
-    const double bps = expected_offered_bps(tenants_[i]);
-    if (pick == tenants_.size() || bps > pick_bps) {
+    const double size =
+        by_signal ? expected_offered_bps(tenants_[i])
+                  : static_cast<double>(tenants_[i].capacity_bytes);
+    if (pick == tenants_.size() || size > pick_size) {
       pick = i;
-      pick_bps = bps;
+      pick_size = size;
     }
   }
   if (pick == tenants_.size()) return false;
+  // Bytes policies move only when that strictly lowers the maximum load:
+  // the guard that keeps repeated checks from bouncing a volume back and
+  // forth.
+  const std::uint64_t cap = tenants_[pick].capacity_bytes;
+  if (!by_signal &&
+      std::max(load[busiest] - cap, load[coolest] + cap) >= load[busiest]) {
+    return false;
+  }
   start_fleet_migration(pick, static_cast<int>(coolest));
   return true;
 }
@@ -662,22 +632,26 @@ void ShardedHost::start_fleet_migration(std::size_t tenant, int to_cluster) {
   // their fair share on the new home.
   dst.set_volume_weight(dst_vol, tenants_[tenant].weight);
   records_.push_back(MigrationRecord{tenant, from, to_cluster, {}});
-  const std::size_t record = records_.size() - 1;
-  fleet_migrating_[tenant] = 1;
-  // The done-callback runs on whichever worker advances this migration's
-  // fused group; it touches only this tenant's/record's slots, which no
-  // other group can reach, and the coordinator reads them at barriers only.
   migrators_.push_back(std::make_unique<VolumeMigrator>(
-      *shards_[home].sim, dev, src, src_vol, dst, dst_vol, cfg_.migration,
-      [this, tenant, to_cluster, record] {
-        fleet_cluster_of_[tenant] = to_cluster;
-        fleet_migrating_[tenant] = 0;
-        fleet_migrated_[tenant] = 1;
-        records_[record].stats = migrators_[record]->stats();
-      }));
+      *shards_[home].sim, dev, src, src_vol, dst, dst_vol, cfg_.migration));
   reconcile_pacers();
   peak_concurrent_ = std::max(peak_concurrent_, fleet_active_migrations());
   migrators_.back()->start();
+  // A volume with nothing left to copy cuts over inside `start()`.
+  note_cutovers();
+}
+
+void ShardedHost::note_cutovers() {
+  // Records are in start order, and a tenant's next migration starts only
+  // after its previous one cut over, so a tenant's last record wins.
+  for (std::size_t r = 0; r < records_.size(); ++r) {
+    const std::size_t t = records_[r].tenant;
+    const bool done = migrators_[r]->finished();
+    fleet_migrating_[t] = done ? 0 : 1;
+    if (!done) continue;
+    fleet_cluster_of_[t] = records_[r].to_cluster;
+    fleet_migrated_[t] = 1;
+  }
 }
 
 void ShardedHost::reconcile_pacers() {

@@ -93,10 +93,13 @@ struct PlacementConfig {
   /// cluster 0).  When nothing fits anywhere, least-loaded-by-bytes wins.
   std::uint64_t pack_limit_bytes = 0;
 
-  /// Live rebalance: when one cluster's attached bytes exceed
-  /// `rebalance_watermark x` the cross-cluster mean, the host migrates its
-  /// largest volume to the least-loaded cluster (if that strictly lowers
-  /// the maximum).  <= 1 disables rebalancing.
+  /// Live rebalance: when the busiest cluster's load exceeds
+  /// `rebalance_watermark x` the cross-cluster mean, the host migrates the
+  /// heaviest running volume there to the least-loaded cluster.  Load and
+  /// size are attached bytes and capacity (a move must strictly lower
+  /// the maximum), or under `kLeastInterference` the busy/stall delta
+  /// since the previous check and `expected_offered_bps` (each tenant
+  /// moves at most once).  <= 1 disables rebalancing.
   double rebalance_watermark = 0.0;
   /// Time between watermark checks.  It is also the slice length of the
   /// epoch-sliced engine: each check runs at a coordinator barrier, where
@@ -110,8 +113,8 @@ struct PlacementConfig {
 
   /// A watermark above 1 over several clusters: volumes may move live.
   bool rebalancing() const { return clusters > 1 && rebalance_watermark > 1.0; }
-  /// Rejects a cluster count, budget, watermark, interval or migration copy
-  /// setting the engine cannot run.
+  /// Rejects a cluster count, budget, watermark or interval the engine
+  /// cannot run.
   Status validate() const;
 };
 
@@ -291,15 +294,15 @@ class ShardedHost {
   /// scratch at every barrier, ordered by smallest member shard.
   std::vector<std::vector<std::size_t>> coupled_groups() const;
   /// One watermark check at a slice barrier; starts (at most) one
-  /// migration, within the configured `MigrationBudget`.  Bytes-driven
-  /// policies move the largest volume off the cluster with the most
-  /// attached bytes; `kLeastInterference` moves the expectedly-hottest
-  /// volume off the cluster with the largest busy/stall delta since the
-  /// previous check.
+  /// migration, within the configured `MigrationBudget`.  One routine for
+  /// every policy, which only chooses what "load" and "size" mean (see
+  /// `rebalance_watermark`): the first busiest cluster's heaviest running,
+  /// non-migrating tenant moves to the first coolest cluster.
   bool fleet_rebalance();
-  bool fleet_rebalance_bytes();
-  bool fleet_rebalance_signal();
   void start_fleet_migration(std::size_t tenant, int to_cluster);
+  /// Folds every migration that cut over since the last call into the
+  /// coordinator state (current cluster, migrating / migrated flags).
+  void note_cutovers();
   /// Collapses the pacers of newly-fused groups into one survivor and gives
   /// fresh migrations theirs (copy bandwidth is budgeted per fused group).
   void reconcile_pacers();
@@ -313,18 +316,17 @@ class ShardedHost {
   std::vector<Shard> shards_;  ///< one per cluster, indexed by cluster
   std::vector<std::size_t> local_of_tenant_;
 
-  // Coordinator state.  Mutated either at barriers (single threaded) or
-  // from migration done-callbacks, which run on the worker advancing the
-  // migration's fused group — distinct tenants/records per group, and
-  // byte-sized flags, so groups never race.  A fleet that cannot rebalance
-  // never migrates, so there it stays at the plan.
+  // Coordinator state.  Written only on the coordinator at barriers, where
+  // `note_cutovers` polls the migrators; worker threads never write it.  A
+  // fleet that cannot rebalance never migrates, so there it stays at the
+  // plan.
   SimTime slice_ = kNoTime;  ///< kNoTime: one unbounded slice
   std::vector<int> fleet_cluster_of_;          ///< current cluster per tenant
   std::vector<std::uint8_t> fleet_migrating_;  ///< mid-migration
   std::vector<std::uint8_t> fleet_migrated_;   ///< moved once (signal path)
   std::vector<std::unique_ptr<VolumeMigrator>> migrators_;  ///< per record
   std::vector<std::unique_ptr<MigrationPacer>> pacers_;
-  std::vector<MigrationRecord> records_;
+  std::vector<MigrationRecord> records_;  ///< stats filled when `run` returns
   std::vector<SimTime> signal_at_check_;
   int peak_concurrent_ = 0;
   SliceExecStats slice_stats_;
