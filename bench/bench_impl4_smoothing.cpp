@@ -58,8 +58,6 @@ contract::DeviceFactory budgeted_essd(std::uint64_t capacity, double gbs,
     auto cfg = essd::alibaba_pl3_profile(capacity);
     cfg.qos.bw_bytes_per_s = gbs * 1e9;
     cfg.qos.iops = iops;
-    cfg.guaranteed_bw_gbs = gbs;
-    cfg.guaranteed_iops = iops;
     return std::make_unique<essd::EssdDevice>(sim, cfg);
   };
 }

@@ -21,8 +21,6 @@ const char* status_code_name(StatusCode code) {
       return "OUT_OF_RANGE";
     case StatusCode::kFailedPrecondition:
       return "FAILED_PRECONDITION";
-    case StatusCode::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
     case StatusCode::kNotFound:
       return "NOT_FOUND";
     case StatusCode::kInternal:

@@ -21,7 +21,6 @@ enum class StatusCode {
   kInvalidArgument,
   kOutOfRange,
   kFailedPrecondition,
-  kResourceExhausted,
   kNotFound,
   kInternal,
   kUnimplemented,
@@ -46,9 +45,6 @@ class Status {
   }
   static Status failed_precondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
-  static Status resource_exhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status not_found(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));

@@ -17,9 +17,9 @@ Status CleanerConfig::validate() const {
   if (!ratio(min_garbage_ratio)) {
     return Status::invalid_argument("cleaner garbage ratio must be in [0, 1]");
   }
-  if (!ratio(start_free_ratio) || !ratio(desperate_free_ratio)) {
+  if (!ratio(start_free_ratio)) {
     return Status::invalid_argument(
-        "cleaner free-ratio thresholds must be in [0, 1]");
+        "cleaner free-ratio threshold must be in [0, 1]");
   }
   return Status::ok();
 }
@@ -77,7 +77,7 @@ void Cleaner::run_cycle() {
     return;
   }
   const GlobalVictim target = pick_global_victim();
-  const bool desperate = pool_.free_ratio() < cfg_.desperate_free_ratio;
+  const bool desperate = pool_.free_ratio() < kDesperateFreeRatio;
   const double min_ratio = desperate ? 1e-9 : cfg_.min_garbage_ratio;
   if (!target.found || target.victim.garbage_ratio() < min_ratio) {
     busy_ = false;

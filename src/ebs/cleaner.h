@@ -22,15 +22,18 @@
 
 namespace uc::ebs {
 
+/// Below this pool free ratio, the cleaner takes any victim with nonzero
+/// garbage.
+inline constexpr double kDesperateFreeRatio = 0.05;
+
 struct CleanerConfig {
   /// Victim-segment processing rate (read + rewrite, replicas in parallel).
   double processing_mbps = 600.0;
-  /// Skip victims with less garbage than this unless the pool is desperate.
+  /// Skip victims with less garbage than this unless the pool is desperate
+  /// (`kDesperateFreeRatio`).
   double min_garbage_ratio = 0.02;
   /// Start cleaning once the pool's free ratio falls below this.
   double start_free_ratio = 0.75;
-  /// Below this free ratio, clean any victim with nonzero garbage.
-  double desperate_free_ratio = 0.05;
 
   /// Rejects a non-finite or non-positive processing rate, and a ratio
   /// that is not finite or lies outside [0, 1].

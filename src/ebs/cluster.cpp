@@ -87,7 +87,7 @@ void StorageCluster::set_volume_weight(VolumeId vol, double weight) {
   UC_ASSERT(vol < volumes_.size(), "unknown volume");
   UC_ASSERT(weight > 0.0, "weights must be positive");
   if (vol >= cfg_.sched.weights.size()) {
-    cfg_.sched.weights.resize(vol + 1, cfg_.sched.default_weight);
+    cfg_.sched.weights.resize(vol + 1, sched::kDefaultWeight);
   }
   cfg_.sched.weights[vol] = weight;
   fabric_.set_tenant_weight(vol, weight);

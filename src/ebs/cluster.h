@@ -170,7 +170,7 @@ class StorageCluster {
   /// cluster owns (NIC pipes, node pipelines, cleaner bandwidth).  The
   /// construction-time `cfg.sched.weights` fold only covers volumes known
   /// up front; a migrated-in volume calls this so it keeps its tenant's
-  /// WFQ share on its new home instead of `default_weight`.
+  /// WFQ share on its new home instead of `sched::kDefaultWeight`.
   void set_volume_weight(VolumeId vol, double weight);
 
   /// Replicated append of a write fragment (must lie within one chunk).

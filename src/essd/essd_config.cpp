@@ -28,8 +28,6 @@ EssdConfig aws_io2_profile(std::uint64_t capacity_bytes) {
   EssdConfig cfg;
   cfg.name = "AWS-io2-sim";
   cfg.capacity_bytes = capacity_bytes;
-  cfg.guaranteed_bw_gbs = 3.0;
-  cfg.guaranteed_iops = 25600.0;
   cfg.seed = 0xa55001;
 
   cfg.qos.bw_bytes_per_s = 3.0e9;
@@ -40,7 +38,6 @@ EssdConfig aws_io2_profile(std::uint64_t capacity_bytes) {
   // deep burst keeps the rated bucket from binding, so the block-server
   // pipeline (frontend_op_us) is what saturates small-I/O rates.
   cfg.qos.iops_burst_s = 30.0;
-  cfg.qos.iops_unit_bytes = 256 * 1024;
 
   // 4 KiB QD1 anchors (Fig. 2a): write ~333 us, read ~472 us; write slope
   // ~2.5 ns/B, read slope ~4 ns/B; tight tails (P99.9 ~ 1.3x average).
@@ -98,15 +95,12 @@ EssdConfig alibaba_pl3_profile(std::uint64_t capacity_bytes) {
   EssdConfig cfg;
   cfg.name = "Alibaba-PL3-sim";
   cfg.capacity_bytes = capacity_bytes;
-  cfg.guaranteed_bw_gbs = 1.1;
-  cfg.guaranteed_iops = 100000.0;
   cfg.seed = 0xa11b4b4;
 
   cfg.qos.bw_bytes_per_s = 1.1e9;
   cfg.qos.bw_burst_s = 0.05;
   cfg.qos.iops = 100000.0;
   cfg.qos.iops_burst_s = 30.0;
-  cfg.qos.iops_unit_bytes = 256 * 1024;
 
   // 4 KiB QD1 anchors (Fig. 2c): write ~138 us, read ~239 us, sequential
   // read ~158 us (read-ahead); heavy tails: P99.9 ~ 1.3 ms on a ~138 us

@@ -44,10 +44,6 @@ struct EssdConfig {
   /// queues only ever carry its own volume's traffic.
   ebs::ClusterConfig cluster;
 
-  /// Published ceilings for DeviceInfo / Table I.
-  double guaranteed_bw_gbs = 0.0;
-  double guaranteed_iops = 0.0;
-
   std::uint64_t seed = 0xe55d;
 
   Status validate() const;

@@ -27,8 +27,9 @@ EssdDevice::EssdDevice(sim::Simulator& sim, const EssdConfig& cfg,
   info_.name = cfg_.name;
   info_.capacity_bytes = cfg_.capacity_bytes;
   info_.logical_block_bytes = kLogicalPageBytes;
-  info_.guaranteed_bw_gbs = cfg_.guaranteed_bw_gbs;
-  info_.guaranteed_iops = cfg_.guaranteed_iops;
+  // The published ceilings (Table I) are the QoS budgets.
+  info_.guaranteed_bw_gbs = cfg_.qos.bw_bytes_per_s / 1e9;
+  info_.guaranteed_iops = cfg_.qos.iops;
   // The device-local queues follow the cluster's policy.  They only ever
   // carry this volume's tags, so the cluster's per-volume weights are moot.
   sched::SchedulerConfig local_sched = cfg_.cluster.sched;
@@ -153,13 +154,6 @@ void EssdDevice::submit_at(const IoRequest& req, SimTime submit_time,
   switch (req.op) {
     case IoOp::kRead:
     case IoOp::kWrite: {
-      if (is_write) {
-        ++io_stats_.writes;
-        io_stats_.written_bytes += req.bytes;
-      } else {
-        ++io_stats_.reads;
-        io_stats_.read_bytes += req.bytes;
-      }
       // The QoS gate admits the whole operation, then the frontend
       // (virtualization + block server) processes it, then the cluster.
       qos_->admit(req.bytes, tag,
@@ -169,13 +163,11 @@ void EssdDevice::submit_at(const IoRequest& req, SimTime submit_time,
     case IoOp::kFlush: {
       // Writes commit to replicated journals before acknowledging, so a
       // flush barrier has nothing left to wait for beyond the frontend.
-      ++io_stats_.flushes;
       sim_.schedule_after(frontend_write_.sample(rng_, 0),
                           [this, slot] { complete(slot); });
       break;
     }
     case IoOp::kTrim: {
-      ++io_stats_.trims;
       for_each_fragment(req.offset, req.bytes,
                         [&](ByteOffset at, std::uint32_t len) {
                           cluster_->trim(volume_, at, len);

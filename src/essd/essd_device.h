@@ -26,15 +26,6 @@
 
 namespace uc::essd {
 
-struct EssdIoStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t trims = 0;
-  std::uint64_t read_bytes = 0;
-  std::uint64_t written_bytes = 0;
-};
-
 class EssdDevice : public BlockDevice {
  public:
   /// Owns a private single-volume cluster (the original construction path).
@@ -51,7 +42,6 @@ class EssdDevice : public BlockDevice {
   const DeviceInfo& info() const override { return info_; }
   void submit(const IoRequest& req, CompletionFn done) override;
 
-  const EssdIoStats& io_stats() const { return io_stats_; }
   const QosGate& qos() const { return *qos_; }
   const ebs::StorageCluster& cluster() const { return *cluster_; }
   ebs::StorageCluster& cluster() { return *cluster_; }
@@ -115,7 +105,6 @@ class EssdDevice : public BlockDevice {
   std::unique_ptr<ebs::StorageCluster> owned_cluster_;  ///< null when shared
   ebs::StorageCluster* cluster_ = nullptr;
   ebs::VolumeId volume_ = 0;
-  EssdIoStats io_stats_;
   WriteStamp stamp_counter_ = 0;
   SlotPool<Op> ops_;
   struct Parked {

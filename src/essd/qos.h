@@ -26,14 +26,15 @@
 
 namespace uc::essd {
 
+/// An operation costs ceil(bytes / kIopsUnitBytes) IOPS tokens (cloud
+/// providers meter I/Os in 256 KiB units).
+inline constexpr std::uint64_t kIopsUnitBytes = 256 * 1024;
+
 struct QosConfig {
   double bw_bytes_per_s = 3.0e9;
   double bw_burst_s = 2.0;       ///< byte-bucket depth, seconds of budget
   double iops = 25600.0;
   double iops_burst_s = 30.0;    ///< IOPS-bucket depth, seconds of budget
-  /// An operation costs ceil(bytes / iops_unit_bytes) IOPS tokens (cloud
-  /// providers meter I/Os in 256 KiB units).
-  std::uint32_t iops_unit_bytes = 256 * 1024;
 };
 
 struct QosStats {
@@ -66,8 +67,7 @@ class QosGate {
 
  private:
   double io_cost(std::uint64_t bytes) const {
-    const auto unit = static_cast<std::uint64_t>(cfg_.iops_unit_bytes);
-    const std::uint64_t cost = (bytes + unit - 1) / unit;
+    const std::uint64_t cost = (bytes + kIopsUnitBytes - 1) / kIopsUnitBytes;
     return static_cast<double>(cost < 1 ? 1 : cost);
   }
   bool try_pass(std::uint64_t bytes, double cost);

@@ -33,7 +33,7 @@ void QueuedResource::configure(sim::Simulator& sim,
 
 void QueuedResource::set_tenant_weight(std::uint32_t tenant, double weight) {
   if (tenant >= cfg_.weights.size()) {
-    cfg_.weights.resize(tenant + 1, cfg_.default_weight);
+    cfg_.weights.resize(tenant + 1, kDefaultWeight);
   }
   cfg_.weights[tenant] = weight;
   if (sched_ != nullptr) sched_->set_weight(tenant, weight);

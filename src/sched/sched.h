@@ -62,6 +62,10 @@ const char* policy_name(Policy p);
 /// Parses "fifo" / "wfq" / "prio"; returns false on anything else.
 bool parse_policy(const std::string& text, Policy* out);
 
+/// DRR weight of a tenant beyond `SchedulerConfig::weights` (and of
+/// untagged traffic).
+inline constexpr double kDefaultWeight = 1.0;
+
 struct SchedulerConfig {
   Policy policy = Policy::kFifo;
 
@@ -72,16 +76,15 @@ struct SchedulerConfig {
   SimTime quantum_ns = 100'000;  // ~a 256 KiB transfer on a 25 GbE NIC
 
   /// Per-tenant DRR weights, indexed by tenant id; tenants beyond the
-  /// vector (and untagged traffic) get `default_weight`.
+  /// vector (and untagged traffic) get `kDefaultWeight`.
   std::vector<double> weights;
-  double default_weight = 1.0;
 
   /// Priority: a demoted head-of-line request that has waited longer than
   /// this is served next regardless of class (starvation guard).
   SimTime starvation_ns = 2'000'000;  // 2 ms
 
   double weight(std::uint32_t tenant) const {
-    const double w = tenant < weights.size() ? weights[tenant] : default_weight;
+    const double w = tenant < weights.size() ? weights[tenant] : kDefaultWeight;
     return w > 1e-3 ? w : 1e-3;
   }
 

@@ -59,10 +59,6 @@ Status SchedulerConfig::validate() const {
     return Status::invalid_argument("scheduler quantum must be positive");
   }
   const auto positive = [](double w) { return std::isfinite(w) && w > 0.0; };
-  if (!positive(default_weight)) {
-    return Status::invalid_argument(
-        "scheduler default weight must be finite and positive");
-  }
   for (std::size_t i = 0; i < weights.size(); ++i) {
     if (!positive(weights[i])) {
       return Status::invalid_argument("scheduler weight " + std::to_string(i) +
@@ -99,7 +95,7 @@ class DrrScheduler final : public Scheduler {
 
   void set_weight(std::uint32_t tenant, double weight) override {
     if (tenant >= cfg_.weights.size()) {
-      cfg_.weights.resize(tenant + 1, cfg_.default_weight);
+      cfg_.weights.resize(tenant + 1, kDefaultWeight);
     }
     cfg_.weights[tenant] = weight;
   }

@@ -59,8 +59,6 @@ void SsdDevice::submit(const IoRequest& req, CompletionFn done) {
 
   switch (req.op) {
     case IoOp::kRead: {
-      ++io_stats_.reads;
-      io_stats_.read_bytes += req.bytes;
       const SimTime fw = firmware_read_.sample(rng_, req.bytes);
       sim_.schedule_after(fw, [this, slot] {
         const IoRequest& r = ops_[slot].req;
@@ -70,8 +68,6 @@ void SsdDevice::submit(const IoRequest& req, CompletionFn done) {
       break;
     }
     case IoOp::kWrite: {
-      ++io_stats_.writes;
-      io_stats_.written_bytes += req.bytes;
       const SimTime fw = firmware_write_.sample(rng_, req.bytes);
       // Command processed, then payload crosses the host link, then the FTL
       // acknowledges once all slots are buffered (or backpressure clears).
@@ -85,12 +81,10 @@ void SsdDevice::submit(const IoRequest& req, CompletionFn done) {
       break;
     }
     case IoOp::kFlush: {
-      ++io_stats_.flushes;
       ftl_->flush([this, slot] { complete(slot); });
       break;
     }
     case IoOp::kTrim: {
-      ++io_stats_.trims;
       ftl_->trim(first_page(req), page_count(req));
       const SimTime fw = firmware_write_.sample(rng_, 0);
       sim_.schedule_after(fw, [this, slot] { complete(slot); });

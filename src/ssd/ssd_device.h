@@ -19,15 +19,6 @@
 
 namespace uc::ssd {
 
-struct SsdIoStats {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t trims = 0;
-  std::uint64_t read_bytes = 0;
-  std::uint64_t written_bytes = 0;
-};
-
 class SsdDevice : public BlockDevice {
  public:
   SsdDevice(sim::Simulator& sim, const SsdConfig& cfg);
@@ -35,7 +26,6 @@ class SsdDevice : public BlockDevice {
   const DeviceInfo& info() const override { return info_; }
   void submit(const IoRequest& req, CompletionFn done) override;
 
-  const SsdIoStats& io_stats() const { return io_stats_; }
   const ftl::Ftl& ftl() const { return *ftl_; }
   ftl::Ftl& ftl() { return *ftl_; }
 
@@ -59,7 +49,6 @@ class SsdDevice : public BlockDevice {
   sim::BandwidthPipe host_to_device_;
   sim::BandwidthPipe device_to_host_;
   std::unique_ptr<ftl::Ftl> ftl_;
-  SsdIoStats io_stats_;
   SlotPool<Op> ops_;
 };
 

@@ -14,8 +14,6 @@ essd::EssdConfig tenant_config(const essd::EssdConfig& base,
   cfg.name = spec.name;
   cfg.capacity_bytes = spec.capacity_bytes;
   cfg.qos = spec.qos;
-  cfg.guaranteed_bw_gbs = spec.qos.bw_bytes_per_s / 1e9;
-  cfg.guaranteed_iops = spec.qos.iops;
   // Distinct frontend jitter stream per tenant; tenant 0 keeps the base
   // seed so a one-tenant host reproduces the solo device exactly.  Using
   // ebs::kVolumeSeedStride keeps a solo baseline's chunk placement (volume

@@ -82,10 +82,6 @@ TEST(CleanerConfig, ValidateRejectsEachBadField) {
        [](ebs::CleanerConfig& c) { c.start_free_ratio = 1.5; }},
       {"start_free_ratio (NaN)",
        [](ebs::CleanerConfig& c) { c.start_free_ratio = kNaN; }},
-      {"desperate_free_ratio (negative)",
-       [](ebs::CleanerConfig& c) { c.desperate_free_ratio = -0.05; }},
-      {"desperate_free_ratio (NaN)",
-       [](ebs::CleanerConfig& c) { c.desperate_free_ratio = kNaN; }},
   };
   for (const Row& row : rows) {
     const bool ok = &row == &rows[0];
@@ -188,8 +184,8 @@ TEST(EssdDevice, WriteReadRoundTrip) {
              [&](const IoResult&) { read_done = true; });
   sim.run();
   EXPECT_TRUE(read_done);
-  EXPECT_EQ(dev.io_stats().reads, 1u);
-  EXPECT_EQ(dev.io_stats().writes, 1u);
+  EXPECT_EQ(dev.cluster().volume_stats(0).reads, 1u);
+  EXPECT_EQ(dev.cluster().volume_stats(0).writes, 1u);
 }
 
 TEST(EssdDevice, IoSpanningChunksCompletesOnce) {

@@ -21,7 +21,6 @@ QosConfig tight_config() {
   cfg.bw_burst_s = 0.001;     // 1 MB burst
   cfg.iops = 1000.0;
   cfg.iops_burst_s = 0.01;    // 10 ops burst
-  cfg.iops_unit_bytes = 256 * 1024;
   return cfg;
 }
 

@@ -48,12 +48,6 @@ TEST(SchedulerConfig, ValidateRejectsEachBadField) {
   const std::vector<Row> rows = {
       {"default", [](Cfg&) {}, true},
       {"quantum_ns zero", [](Cfg& c) { c.quantum_ns = 0; }, false},
-      {"default_weight zero", [](Cfg& c) { c.default_weight = 0.0; }, false},
-      {"default_weight negative", [](Cfg& c) { c.default_weight = -1.0; },
-       false},
-      {"default_weight NaN", [nan](Cfg& c) { c.default_weight = nan; }, false},
-      {"default_weight infinite", [inf](Cfg& c) { c.default_weight = inf; },
-       false},
       {"weights[1] zero", [](Cfg& c) { c.weights = {1.0, 0.0}; }, false},
       {"weights[0] negative", [](Cfg& c) { c.weights = {-2.0}; }, false},
       {"weights[2] NaN", [nan](Cfg& c) { c.weights = {1.0, 1.0, nan}; },

@@ -92,7 +92,7 @@ TEST(ReducingDevice, ShrinksWrittenBytes) {
   EXPECT_EQ(red.stats().physical_bytes, 32768u);
   EXPECT_NEAR(red.stats().savings_ratio(), 0.5, 1e-9);
   // The device itself only saw the reduced volume.
-  EXPECT_EQ(f.dev.io_stats().written_bytes, 32768u);
+  EXPECT_EQ(f.dev.ftl().stats().host_write_pages * kLogicalPageBytes, 32768u);
 }
 
 TEST(ReducingDevice, RoundsUpToWholePages) {

@@ -118,13 +118,5 @@ TEST(SsdDevice, TrimMakesReadsCheap) {
   EXPECT_LT(reads.all_latency.mean(), 15e3);
 }
 
-TEST(SsdDevice, IoStatsAccumulate) {
-  sim::Simulator sim;
-  SsdDevice dev(sim, samsung_970pro_scaled(2 * kGiB));
-  run_job(dev, sim, wl::AccessPattern::kRandom, true, 8192, 4, 100);
-  EXPECT_EQ(dev.io_stats().writes, 100u);
-  EXPECT_EQ(dev.io_stats().written_bytes, 100u * 8192);
-}
-
 }  // namespace
 }  // namespace uc::ssd
