@@ -5,6 +5,8 @@
 #   from src/ftl, src/ssd or src/flash;
 # - tenant sits below the fleet engine: nothing under src/tenant may
 #   include a header from src/placement or src/fleet;
+# - placement sits below the fleet: nothing under src/placement may include
+#   a header from src/fleet;
 # - common is the bottom layer: every project header src/common includes
 #   is a common/ header.
 # Usage: scripts/check_layers.sh
@@ -30,6 +32,13 @@ if [[ -n "${violations}" ]]; then
   status=1
 fi
 
+violations=$(grep -rnE "${include}fleet/" src/placement || true)
+if [[ -n "${violations}" ]]; then
+  echo "error: src/placement includes the fleet (fleet/):" >&2
+  echo "${violations}" >&2
+  status=1
+fi
+
 quoted='#[[:space:]]*include[[:space:]]*"'
 violations=$(grep -rnE "^[[:space:]]*${quoted}" src/common |
   grep -vE "${quoted}common/" || true)
@@ -42,6 +51,7 @@ fi
 if [[ ${status} -eq 0 ]]; then
   echo "layers: no ESSD-stack file includes ftl/, ssd/ or flash/;" \
     "src/tenant includes no placement/ or fleet/ header;" \
+    "src/placement includes no fleet/ header;" \
     "src/common includes only common/ headers"
 fi
 exit "${status}"
